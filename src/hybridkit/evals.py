@@ -24,7 +24,7 @@ import numpy as np
 from .data import (DEFAULT_GRAMMAR_SEED, FILLER_HI, FILLER_LO, KV_HI, KV_LO,
                    SEP, cached_arrays, draw_needles, grammar_chain,
                    grammar_continuation, grammar_tables)
-from .tensor import ConfigError, Rng
+from .tensor import ConfigError, Rng, _log_softmax
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def score_csr(model, samples: ClozeSamples, scale_base=None,
     for lo in range(0, len(rows), eval_batch):
         chunk = rows[lo:lo + eval_batch]
         logits = model.logits(chunk, scale_base=scale_base)
-        logp = _log_softmax_np(logits)
+        logp = _log_softmax(logits)
         # continuation tokens are predicted by positions prefix_len-1 .. end-1
         for j in range(chunk.shape[0]):
             pos = np.arange(prefix_len - 1, prefix_len + cont_len - 1)
@@ -177,12 +177,6 @@ def score_csr(model, samples: ClozeSamples, scale_base=None,
     acc = float((picked == samples.labels).mean())
     return EvalResult(task="csr_proxy", context_len=prefix_len + cont_len,
                       value=acc, metric="accuracy", n_samples=n, seed=0)
-
-
-def _log_softmax_np(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=-1, keepdims=True)
-    s = x - m
-    return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
 
 
 # --------------------------------------------------------------------------
@@ -207,7 +201,7 @@ def perplexity(model, corpus: np.ndarray, context_len: int, scale_base=None,
     def add_rows(rows: np.ndarray):
         nonlocal total_nll, total_tokens
         logits = model.logits(rows[:, :-1], scale_base=scale_base)
-        logp = _log_softmax_np(logits)
+        logp = _log_softmax(logits)
         b, t = rows.shape[0], rows.shape[1] - 1
         ii, jj = np.meshgrid(np.arange(b), np.arange(t), indexing="ij")
         total_nll += float(-logp[ii, jj, rows[:, 1:]].sum())

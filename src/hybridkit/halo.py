@@ -155,13 +155,19 @@ class StageReport:
     stage: str
     losses: list[float] = field(default_factory=list)
     lrs: list[float] = field(default_factory=list)
+    # pre-clip global gradient norm per step; a step whose loss was
+    # non-finite ran no backward and has none
+    grad_norms: list[float] = field(default_factory=list)
     wall_time: float = 0.0
     skipped_steps: int = 0
     final_metrics: dict = field(default_factory=dict)
 
     def records(self):
         for step, (loss, lr) in enumerate(zip(self.losses, self.lrs)):
-            yield {"step": step, "lr": lr, "loss": loss}
+            rec = {"step": step, "lr": lr, "loss": loss}
+            if step < len(self.grad_norms):
+                rec["grad_norm"] = self.grad_norms[step]
+            yield rec
 
     def write_jsonl(self, path) -> None:
         lines = [json.dumps(r) for r in self.records()]
@@ -188,7 +194,7 @@ def _train_loop(stage: str, params: dict[str, Tensor], cfg: TrainConfig,
             report.wall_time = time.monotonic() - t0
             raise TrainingDiverged(stage, report)
         tape.backward(loss)
-        clip_grad_norm(params, cfg.grad_clip)
+        report.grad_norms.append(clip_grad_norm(params, cfg.grad_clip))
         if not adamw_step(params, state, lr, cfg.betas, cfg.weight_decay):
             report.skipped_steps += 1
     report.wall_time = time.monotonic() - t0
@@ -261,7 +267,7 @@ def stage1_align_all(teacher: Model, layers: Sequence[int], stream: TokenStream,
                 raise TrainingDiverged(rep.stage, rep)
             tape.backward(loss)
             lparams = dict(candidates[l].named())
-            clip_grad_norm(lparams, cfg.grad_clip)
+            rep.grad_norms.append(clip_grad_norm(lparams, cfg.grad_clip))
             if not adamw_step(lparams, opt_states[l], lr, cfg.betas, cfg.weight_decay):
                 rep.skipped_steps += 1
 

@@ -350,6 +350,8 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
     squeeze = tokens.ndim == 1
     if squeeze:
         tokens = tokens[None, :]
+    if tokens.size == 0:
+        raise ValueError(f"need at least one token, got token ids of shape {tokens.shape}")
     start_pos = session.pos if session is not None else 0
     x = T.embedding(model.embed, tokens)
     for l, lw in enumerate(model.layers):
@@ -370,7 +372,10 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
 
 
 def forward(model: Model, tokens, scale_base="config") -> Tensor:
-    """Logits over the vocabulary for token ids [T] or [B, T]."""
+    """Logits over the vocabulary for token ids [T] or [B, T].
+
+    Raises ValueError when there are no tokens (T = 0 or B = 0).
+    """
     return _advance(model, tokens, session=None, scale_base=scale_base)
 
 
@@ -396,7 +401,10 @@ def capture_many(model: Model, tokens, layers) -> dict:
 
 def prefill(model: Model, session: DecodeSession, tokens: np.ndarray,
             scale_base="config") -> Tensor:
-    """Feed a whole prompt through a session; returns logits for all positions."""
+    """Feed a whole prompt through a session; returns logits for all positions.
+
+    Raises ValueError on an empty prompt.
+    """
     return _advance(model, tokens, session, scale_base=scale_base)
 
 

@@ -325,27 +325,54 @@ def mul_const(x: Tensor, arr: np.ndarray) -> Tensor:
 
 
 def _sigmoid_np(X: np.ndarray) -> np.ndarray:
-    # exp of a non-positive argument never overflows
-    z = np.exp(-np.abs(X))
-    return np.where(X >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    """Branch-free logistic sigmoid: exp(min(x, 0)) / (1 + exp(-|x|)).
+
+    Contract: no branch and no mask; both exp arguments are <= 0, so no input
+    overflows.  There is no cancellation, so the relative error is a few ulp
+    (~3e-7 in f32, ~3e-16 in f64) wherever the result is a normal number,
+    and the result is strictly positive wherever exp(x) is normal (x >= -87
+    in f32, x >= -708 in f64); below that it underflows through subnormals
+    to 0.  Do not swap in 0.5 * (1 + tanh(x / 2)): in f32 its cancellation
+    costs ~10% relative error near x = -15 and it gives exactly 0 below
+    x ~ -17, which a forget gate (diag_rnn_forward) must never be.
+    """
+    den = np.abs(X)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1
+    out = np.minimum(X, 0)
+    np.exp(out, out=out)
+    out /= den
+    return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
+    """Elementwise logistic sigmoid; accuracy and range as in ``_sigmoid_np``."""
     out = _sigmoid_np(x.data)
 
     def dx(g):
-        return g * (out * (1.0 - out))
+        d = 1.0 - out
+        d *= out
+        d *= g
+        return d
 
     return _emit(out, [(x, dx)])
 
 
 def silu(x: Tensor) -> Tensor:
+    """x * sigmoid(x) (SwiGLU's activation)."""
     X = x.data
     s = _sigmoid_np(X)
     out = X * s
 
     def dx(g):
-        return g * (s * (1.0 + X * (1.0 - s)))
+        # s * (1 + x * (1 - s)), built on one buffer
+        d = 1.0 - s
+        d *= X
+        d += 1.0
+        d *= s
+        d *= g
+        return d
 
     return _emit(out, [(x, dx)])
 
@@ -453,8 +480,12 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     X, G = x.data, gain.data
     if G.shape[-1] != X.shape[-1]:
         raise ShapeError(f"rmsnorm gain last dim {G.shape} does not match input {X.shape}")
-    d = X.shape[-1]
-    inv = 1.0 / np.sqrt(np.mean(X * X, axis=-1, keepdims=True) + X.dtype.type(eps))
+    # sum of squares as one reduction, without an X*X temporary
+    inv = np.einsum("...i,...i->...", X, X)[..., None]
+    inv /= X.shape[-1]
+    inv += X.dtype.type(eps)
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
 
     def dx(g):
         gg = g * G
@@ -473,24 +504,33 @@ def softmax_rows(x: Tensor, causal: bool = False, offset: int = 0) -> Tensor:
     With causal=True on [..., Tq, Tk], entry (i, j) is masked (exactly zero
     in the output) when j > i + offset; offset is the number of keys that
     precede the first query row (cache continuation).
+
+    The input array is never mutated: the result is computed in place in one
+    freshly allocated output array.
     """
     X = x.data
     if X.shape[-1] < 1:
         raise ShapeError("softmax_rows needs a non-empty last axis")
     if causal:
         tq, tk = X.shape[-2], X.shape[-1]
-        j = np.arange(tk)
-        i = np.arange(tq)[:, None]
-        masked = j > (i + offset)
-        if masked.all(axis=-1).any():
+        # row i keeps keys j <= i + offset, so some row is empty iff row 0
+        # loses key 0
+        if tq >= 1 and offset < 0:
             raise ValueError("softmax_rows: a row is fully masked (undefined distribution)")
-        X = np.where(masked, -np.inf, X)
-    m = X.max(axis=-1, keepdims=True)
-    e = np.exp(X - m)
-    out = e / e.sum(axis=-1, keepdims=True)
+        out = X.copy()
+        np.copyto(out, -np.inf, where=np.arange(tk) > np.arange(tq)[:, None] + offset)
+        out -= out.max(axis=-1, keepdims=True)
+    else:
+        out = X - X.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def dx(g):
-        return out * (g - (g * out).sum(axis=-1, keepdims=True))
+        # out * (g - sum(g * out)), built on one buffer
+        d = g * out
+        np.subtract(g, d.sum(axis=-1, keepdims=True), out=d)
+        d *= out
+        return d
 
     return _emit(out, [(x, dx)])
 

@@ -420,3 +420,31 @@ def test_stage_report_jsonl(tmp_path):
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines[0] == {"step": 0, "lr": 1e-3, "loss": 1.0}
     assert lines[-1]["final"] == {"x": 1.0}
+
+
+def _jsonl_steps(report, path):
+    import json
+    report.write_jsonl(path)
+    return [json.loads(l) for l in path.read_text().splitlines()[:-1]]
+
+
+def test_stage_reports_record_preclip_grad_norm_per_step(tmp_path):
+    # d/dp sum(p*p) = 2p, so each step's pre-clip norm is known exactly
+    p = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    cfg = TrainConfig(context_len=8, batch_size=1, steps=3, lr_max=1e-3, grad_clip=0.5)
+    expected = []
+
+    def make_loss(step):
+        expected.append(2.0 * float(np.linalg.norm(p.data)))
+        return T.sum_all(T.mul(p, p))
+
+    recs = _jsonl_steps(_train_loop("t", {"p": p}, cfg, make_loss), tmp_path / "a.jsonl")
+    assert [r["grad_norm"] for r in recs] == pytest.approx(expected, rel=1e-12)
+    assert min(expected) > cfg.grad_clip
+
+    teacher = tiny_teacher(L=2, seed=7)
+    cfg1 = TrainConfig(context_len=64, batch_size=2, steps=3, lr_max=1e-3, seed=4)
+    _, report = stage1_align(teacher, 1, stream_for(cfg1), cfg1)
+    recs = _jsonl_steps(report, tmp_path / "b.jsonl")
+    assert [r["step"] for r in recs] == [0, 1, 2]
+    assert all(np.isfinite(r["grad_norm"]) and r["grad_norm"] > 0 for r in recs)

@@ -77,6 +77,16 @@ def test_forward_rejects_out_of_range_ids():
         forward(model, np.array([0, 99]))
 
 
+@pytest.mark.parametrize("shape", [(0,), (1, 0), (0, 3)])
+def test_forward_and_prefill_reject_zero_tokens(shape):
+    model = init_model(tiny_hybrid(), seed=0)
+    toks = np.zeros(shape, dtype=np.int64)
+    with pytest.raises(ValueError, match="at least one token"):
+        forward(model, toks)
+    with pytest.raises(ValueError, match="at least one token"):
+        prefill(model, new_session(model), toks)
+
+
 # --------------------------------------------------------------------------
 # capture
 

@@ -104,6 +104,29 @@ def test_softmax_all_masked_row_errors():
         T.softmax_rows(T.zeros((2, 2)), causal=True, offset=-1)
 
 
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("offset", [0, 1, 3])
+def test_softmax_causal_offset_matches_where_formula_and_keeps_input(mode, offset):
+    """Cache continuation: tq < tk query rows that start `offset` keys in."""
+    T.set_precision(mode)
+    x = T.tensor(Rng(4).normal((2, 3, 4, 7)) * 5.0)
+    before = x.data.copy()
+    got = T.softmax_rows(x, causal=True, offset=offset).data
+    np.testing.assert_array_equal(x.data, before)
+    masked = np.arange(7) > np.arange(4)[:, None] + offset
+    xm = np.where(masked, -np.inf, x.data)
+    e = np.exp(xm - xm.max(axis=-1, keepdims=True))
+    ref = e / e.sum(axis=-1, keepdims=True)
+    assert got.dtype == x.dtype
+    np.testing.assert_allclose(got, ref, rtol=4 * np.finfo(x.dtype).eps, atol=0)
+    assert (got[..., masked] == 0.0).all()
+
+
+def test_softmax_offset_below_zero_with_no_rows_is_allowed():
+    out = T.softmax_rows(T.zeros((0, 3)), causal=True, offset=-1)
+    assert out.shape == (0, 3)
+
+
 # --------------------------------------------------------------------------
 # rmsnorm / activations
 
@@ -131,6 +154,35 @@ def test_sigmoid_and_silu_points():
     assert T.silu(T.tensor([0.0])).data[0] == 0.0
     big_neg = T.sigmoid(T.tensor([-1e4])).data[0]
     assert np.isfinite(big_neg) and big_neg < 1e-10
+
+
+@pytest.mark.parametrize("mode,dtype,rtol", [("standard", np.float32, 1e-6),
+                                             ("extended", np.float64, 1e-14)])
+def test_sigmoid_relative_error_against_wider_reference(mode, dtype, rtol):
+    T.set_precision(mode)
+    x = np.linspace(-100.0, 100.0, 200_001).astype(dtype)
+    wide = np.float64 if dtype == np.float32 else np.longdouble
+    ref = 1.0 / (1.0 + np.exp(-x.astype(wide)))
+    got = T.sigmoid(T.tensor(x)).data
+    assert got.dtype == dtype
+    # relative where the reference is a normal number of the tested dtype;
+    # below that (f32 x < -87) outputs are subnormal and the error is absolute
+    denom = np.maximum(np.abs(ref), np.finfo(dtype).tiny)
+    assert float((np.abs(got - ref) / denom).max()) <= rtol
+    assert (got[x >= -87.0] > 0).all()
+    silu = T.silu(T.tensor(x)).data
+    np.testing.assert_allclose(silu, x * ref, rtol=2 * rtol, atol=np.finfo(dtype).tiny)
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+def test_sigmoid_extreme_inputs_warn_nothing(mode):
+    T.set_precision(mode)
+    x = T.tensor([-1e4, 1e4])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        s = T.sigmoid(x).data
+        y = T.silu(x).data
+    np.testing.assert_array_equal(s, [0.0, 1.0])
+    np.testing.assert_array_equal(y, [-0.0, 1e4])
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +261,7 @@ def test_finite_diff_detects_wrong_gradient():
 
 
 @pytest.mark.parametrize("op", ["add", "mul", "sub", "sigmoid", "silu", "rmsnorm",
-                                "softmax", "matmul", "rope", "embedding_like",
+                                "rmsnorm_qk", "softmax", "matmul", "rope", "embedding_like",
                                 "concat_slice", "repeat", "scale"])
 def test_finite_diff_each_op(op):
     """Every differentiable op passes the gradient oracle on random inputs."""
@@ -235,6 +287,14 @@ def test_finite_diff_each_op(op):
         elif op == "rmsnorm":
             gain = T.tensor(r.normal((4,)), requires_grad=True)
             f = lambda t: T.add(T.sum_all(T.mul(T.rmsnorm(t, gain), other)), lin(t))
+        elif op == "rmsnorm_qk":
+            # QK-norm shape: [B, H, T, d_h] input, per-head [H, 1, d_h] gain
+            x = T.tensor(r.normal((2, 2, 3, 4)))
+            gain = T.tensor(r.normal((2, 1, 4)), requires_grad=True)
+            rmat = T.tensor(r.normal((2, 2, 3, 4)))
+            f = lambda t: T.add(T.sum_all(T.mul(T.rmsnorm(t, gain), rmat)), lin(t))
+            errs.append(T.finite_diff_check(
+                lambda gn: T.sum_all(T.mul(T.rmsnorm(x, gn), rmat)), gain, step=1e-4))
         elif op == "softmax":
             f = lambda t: T.add(T.sum_all(T.mul(T.softmax_rows(t, causal=True), other)), lin(t))
         elif op == "matmul":
