@@ -115,44 +115,91 @@ def save_model(path, model: Model) -> None:
     save_tensors(path, config, tensors)
 
 
-def _mixer_from(tensors: dict, prefix: str, kind: str, cfg: ModelConfig) -> MixerWeights:
-    attn = kind == "attention"
-    n_kv = cfg.n_kv_heads if attn else cfg.n_h
-    get = lambda name: tensors.get(prefix + name)
-    wrap = lambda arr: None if arr is None else Tensor(arr, requires_grad=True,
-                                                       dtype=arr.dtype)
-    return MixerWeights(
-        n_h=cfg.n_h, n_kv_heads=n_kv, d_h=cfg.d_h,
-        w_q=wrap(get("w_q")), w_k=wrap(get("w_k")),
-        w_v=wrap(get("w_v")), w_o=wrap(get("w_o")),
-        w_z=wrap(get("w_z")), w_g=wrap(get("w_g")),
-        qk_gain_q=wrap(get("qk_gain_q")), qk_gain_k=wrap(get("qk_gain_k")),
-        out_gain=wrap(get("out_gain")),
-    )
+def _mixer_shapes(d: int, n_h: int, n_kv: int, d_h: int) -> dict[str, tuple]:
+    """Shape of every mixer tensor, optional ones included."""
+    wide, kv = (d, n_h * d_h), (d, n_kv * d_h)
+    return {"w_q": wide, "w_k": kv, "w_v": kv, "w_o": wide, "w_z": wide,
+            "w_g": wide, "qk_gain_q": (n_h, 1, d_h), "qk_gain_k": (n_kv, 1, d_h),
+            "out_gain": (n_h, 1, d_h)}
+
+
+_MIXER_REQUIRED = ("w_q", "w_k", "w_v", "w_o")
+
+
+class _Reader:
+    """Hands out checkpoint tensors as parameters, checking name and shape."""
+
+    def __init__(self, path, tensors: dict[str, np.ndarray]):
+        self.path, self.tensors, self.seen = path, tensors, set()
+
+    def take(self, name: str, shape: tuple, required: bool = True) -> Tensor | None:
+        arr = self.tensors.get(name)
+        if arr is None:
+            if required:
+                raise CheckpointError(f"{self.path}: missing tensor {name!r}")
+            return None
+        self.seen.add(name)
+        if arr.shape != shape:
+            raise CheckpointError(f"{self.path}: tensor {name!r} has shape "
+                                  f"{list(arr.shape)}, expected {list(shape)}")
+        return Tensor(arr, requires_grad=True, dtype=arr.dtype)
+
+    def mixer(self, prefix: str, d: int, n_h: int, n_kv: int, d_h: int,
+              required=_MIXER_REQUIRED) -> MixerWeights:
+        kw = {name: self.take(prefix + name, shape, name in required)
+              for name, shape in _mixer_shapes(d, n_h, n_kv, d_h).items()}
+        if (kw["qk_gain_q"] is None) != (kw["qk_gain_k"] is None):
+            raise CheckpointError(f"{self.path}: {prefix}qk_gain_q and "
+                                  f"{prefix}qk_gain_k must come together")
+        return MixerWeights(n_h=n_h, n_kv_heads=n_kv, d_h=d_h, **kw)
+
+    def finish(self) -> None:
+        extra = sorted(set(self.tensors) - self.seen)
+        if extra:
+            raise CheckpointError(f"{self.path}: unexpected tensor {extra[0]!r}")
 
 
 def load_model(path) -> Model:
+    """Load a model checkpoint.
+
+    Raises CheckpointError when a required tensor is missing, a tensor's
+    shape disagrees with the stored config, or a tensor is not part of the
+    model.
+    """
     config, tensors = load_tensors(path)
     if config.get("kind") != "model":
         raise CheckpointError(f"{path}: not a model checkpoint")
-    cfg = config_from_dict(config["model"])
-    kinds = config["layer_kinds"]
-    wrap = lambda arr: Tensor(arr, requires_grad=True, dtype=arr.dtype)
+    try:
+        cfg = config_from_dict(config["model"])
+        kinds = list(config["layer_kinds"])
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"{path}: malformed model config ({e!r})") from None
+    if len(kinds) != cfg.L:
+        raise CheckpointError(f"{path}: {len(kinds)} layer kinds for L={cfg.L}")
+    r = _Reader(path, tensors)
+    d, f = cfg.d, cfg.ffn_width
     layers = []
-    for l in range(cfg.L):
+    for l, kind in enumerate(kinds):
+        if kind not in ("attention", "lightning", "diag"):
+            raise CheckpointError(f"{path}: layer {l} has unknown mixer kind {kind!r}")
         p = f"layers.{l}."
+        n_kv = cfg.n_kv_heads if kind == "attention" else cfg.n_h
+        # the diagonal-transition RNN draws its forget gates from w_g
+        required = _MIXER_REQUIRED + (("w_g",) if kind == "diag" else ())
         layers.append(LayerWeights(
-            mixer_kind=kinds[l],
-            mixer=_mixer_from(tensors, p + "mixer.", kinds[l], cfg),
-            pre_mixer_gain=wrap(tensors[p + "pre_mixer_gain"]),
-            pre_mlp_gain=wrap(tensors[p + "pre_mlp_gain"]),
-            mlp=MlpWeights(wrap(tensors[p + "mlp.w_gate"]),
-                           wrap(tensors[p + "mlp.w_up"]),
-                           wrap(tensors[p + "mlp.w_down"])),
+            mixer_kind=kind,
+            mixer=r.mixer(p + "mixer.", d, cfg.n_h, n_kv, cfg.d_h, required),
+            pre_mixer_gain=r.take(p + "pre_mixer_gain", (d,)),
+            pre_mlp_gain=r.take(p + "pre_mlp_gain", (d,)),
+            mlp=MlpWeights(r.take(p + "mlp.w_gate", (d, f)),
+                           r.take(p + "mlp.w_up", (d, f)),
+                           r.take(p + "mlp.w_down", (f, d))),
         ))
-    unembed = wrap(tensors["unembed"]) if "unembed" in tensors else None
-    return Model(cfg, wrap(tensors["embed"]), layers, wrap(tensors["final_gain"]),
-                 unembed)
+    embed = r.take("embed", (cfg.vocab, d))
+    unembed = None if cfg.tie_embeddings else r.take("unembed", (cfg.vocab, d))
+    final_gain = r.take("final_gain", (d,))
+    r.finish()
+    return Model(cfg, embed, layers, final_gain, unembed)
 
 
 def save_mixer(path, mixer: MixerWeights, meta: dict | None = None) -> None:
@@ -163,25 +210,21 @@ def save_mixer(path, mixer: MixerWeights, meta: dict | None = None) -> None:
 
 
 def load_mixer(path) -> MixerWeights:
+    """Load one mixer; raises CheckpointError like ``load_model``."""
     config, tensors = load_tensors(path)
     if config.get("kind") != "mixer":
         raise CheckpointError(f"{path}: not a mixer checkpoint")
-    wrap = lambda arr: None if arr is None else Tensor(arr, requires_grad=True,
-                                                       dtype=arr.dtype)
-    return MixerWeights(
-        n_h=config["n_h"], n_kv_heads=config["n_kv_heads"], d_h=config["d_h"],
-        w_q=wrap(tensors["w_q"]), w_k=wrap(tensors["w_k"]),
-        w_v=wrap(tensors["w_v"]), w_o=wrap(tensors["w_o"]),
-        w_z=wrap(tensors.get("w_z")), w_g=wrap(tensors.get("w_g")),
-        qk_gain_q=wrap(tensors.get("qk_gain_q")),
-        qk_gain_k=wrap(tensors.get("qk_gain_k")),
-        out_gain=wrap(tensors.get("out_gain")),
-    )
-
-
-def cast_model(model: Model, dtype) -> Model:
-    """Re-home all parameters in `dtype` (for cross-precision loading)."""
-    dtype = np.dtype(dtype)
-    for _, t in model.named_parameters():
-        t.data = t.data.astype(dtype, copy=False)
-    return model
+    try:
+        n_h, n_kv, d_h = (int(config[k]) for k in ("n_h", "n_kv_heads", "d_h"))
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed mixer config ({e!r})") from None
+    w_q = tensors.get("w_q")
+    if w_q is None:
+        raise CheckpointError(f"{path}: missing tensor 'w_q'")
+    if w_q.ndim != 2:
+        raise CheckpointError(f"{path}: tensor 'w_q' has shape {list(w_q.shape)}, "
+                              f"expected [d, {n_h * d_h}]")
+    r = _Reader(path, tensors)
+    mixer = r.mixer("", w_q.shape[0], n_h, n_kv, d_h)
+    r.finish()
+    return mixer

@@ -208,15 +208,17 @@ def _halo_paths(out: Path) -> dict:
 
 def cmd_halo(args) -> int:
     from .checkpoint import load_model
+    from .halo import resolve_k
     from .runconfig import load_run_config
 
     rc = load_run_config(args.config, seed_override=args.seed)
     teacher = load_model(args.teacher)
+    k = resolve_k(rc.halo.k, teacher.cfg.L)  # a bad k fails before any stage
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.dry_run:
         print(json.dumps({"stages": args.stage, "teacher_params": teacher.num_params(),
-                          "k": rc.halo.k or max(1, teacher.cfg.L // 4)}, indent=2))
+                          "k": k}, indent=2))
         return 0
     stages = ("1", "select", "2", "3") if args.stage == "all" else (args.stage,)
     if "1" in stages:
@@ -269,9 +271,10 @@ def _load_stage1(teacher, out: Path) -> dict:
 def _halo_select(teacher, rc, out: Path, verbose: bool = False) -> tuple:
     from .evals import build_rc_suite
     from .halo import (candidate_model, evaluate_RC, layer_importance,
-                       select_attention_layers)
+                       resolve_k, select_attention_layers)
 
     paths = _halo_paths(out)
+    k = resolve_k(rc.halo.k, teacher.cfg.L)
     aligned = _load_stage1(teacher, out)
     suite = build_rc_suite(rc.halo.stage1.context_len, seed=rc.halo.rc_seed,
                            n_samples=rc.halo.rc_samples)
@@ -279,7 +282,6 @@ def _halo_select(teacher, rc, out: Path, verbose: bool = False) -> tuple:
     for l in range(teacher.cfg.L):
         rc_pairs.append(evaluate_RC(candidate_model(teacher, l, aligned[l]), suite))
     importance = layer_importance(rc_pairs)
-    k = rc.halo.k if rc.halo.k is not None else max(1, teacher.cfg.L // 4)
     I_attn = select_attention_layers(importance, k)
 
     order = sorted(range(teacher.cfg.L), key=lambda i: (-importance[i], i))

@@ -408,6 +408,22 @@ class HaloConfig:
     rc_seed: int = 0
     seed: int = 0
 
+    def __post_init__(self):
+        k = self.k
+        if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
+            raise ConfigError(f"halo.k must be a positive integer or null, got {k!r}")
+
+
+def resolve_k(k: int | None, L: int) -> int:
+    """Attention layers kept by selection: k, or floor(L/4) but at least 1.
+
+    Raises ConfigError when k exceeds the layer count.
+    """
+    k = max(1, L // 4) if k is None else k
+    if k > L:
+        raise ConfigError(f"halo.k={k} exceeds the teacher's {L} layers")
+    return k
+
 
 @dataclass
 class HaloResult:
@@ -425,7 +441,7 @@ def run_halo(teacher: Model, cfg: HaloConfig) -> HaloResult:
     """
     frozen = teacher.state_bytes()
     L = teacher.cfg.L
-    k = cfg.k if cfg.k is not None else max(1, L // 4)
+    k = resolve_k(cfg.k, L)
     reports: dict = {}
 
     stream1 = TokenStream(StreamConfig(kind=cfg.data_kind,

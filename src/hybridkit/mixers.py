@@ -12,6 +12,14 @@ with optional per-head QK-RMSNorm before scaling, optional rotary encoding
 (NoPE when absent), grouped KV heads, and an optional output gate
     y = (Norm(o) * sigmoid(x W_z)) W_o^T.
 
+Grouped KV heads are shared by broadcasting, never copied: q is viewed as
+[B, n_kv, g, Tq, d_h] and K^T, V as [B, n_kv, 1, d_h, Tk] and
+[B, n_kv, 1, Tk, d_h], so query head h = kv * g + j reads KV head h // g.
+Queries run in causal blocks of rows; the block [row0, row0 + rows)
+multiplies only keys [0, offset + row0 + rows), because every later key is
+masked for all of its rows.  Only the diagonal blocks compute masked
+scores; prefill, KV-cache decode and training share this one path.
+
 The RNN family obeys
     S_t = F_t S_{t-1} + k~_t^T v_t,   o_t = q~_t S_t,
 with F_t = gamma_h (scalar, data-independent) for Lightning Attention and
@@ -194,7 +202,12 @@ def _finish_output(x3: Tensor, o_heads: Tensor, w: MixerWeights) -> Tensor:
     return T.matmul(o, T.swap_last(w.w_o))
 
 
-_QUERY_BLOCK = 2048  # cap on rows of materialized attention score matrices
+# Rows per causal query block.  Small blocks skip more of the masked
+# triangle (at T = 512, 128-row blocks compute 10/16 of the full score
+# matrix) and keep each block's scores near cache size; 2048 skipped
+# nothing at the benchmark's lengths, 256 gave about half the gain of 128
+# on layer selection, and 64 was no faster than 128.
+_QUERY_BLOCK = 128
 
 
 # --------------------------------------------------------------------------
@@ -238,27 +251,29 @@ def attention_forward(
         # Views are safe: the cache is append-only and never shrinks.
         k = Tensor(cache.k, dtype=k.data.dtype)
         v = Tensor(cache.v, dtype=v.data.dtype)
+
+    # GQA without copies: query head h = kv * g + j reads KV head kv = h // g
+    # (the np.repeat mapping); K and V get a unit group axis that matmul
+    # broadcasts over.
+    b, n_kv, tk, d_h = k.shape
     g = w.group_size
-    if g > 1:
-        k = T.repeat_axis(k, g, axis=1)
-        v = T.repeat_axis(v, g, axis=1)
-    kt = T.swap_last(k)
+    q = T.reshape(q, (b, n_kv, g, tq, d_h))
+    kt = T.swap_last(T.reshape(k, (b, n_kv, 1, tk, d_h)))  # [B, n_kv, 1, d_h, Tk]
+    v = T.reshape(v, (b, n_kv, 1, tk, d_h))
 
     offset = start_pos if cache is not None else 0
-
-    def attend(qb: Tensor, row0: int) -> Tensor:
-        scores = T.matmul(qb, kt)
-        att = T.softmax_rows(scores, causal=True, offset=offset + row0)
-        return T.matmul(att, v)
-
-    if tq <= _QUERY_BLOCK:
-        o = attend(q, 0)
-    else:
-        blocks = []
-        for s in range(0, tq, _QUERY_BLOCK):
-            e = min(s + _QUERY_BLOCK, tq)
-            blocks.append(attend(T.slice_axis(q, 2, s, e), s))
-        o = T.concat(blocks, axis=2)
+    blocks = []
+    for row0 in range(0, tq, _QUERY_BLOCK):
+        rows = min(_QUERY_BLOCK, tq - row0)
+        # keys past the block's last row are masked for every row: skip them
+        keys = offset + row0 + rows
+        kt_b = kt if keys == tk else T.slice_axis(kt, 4, 0, keys)
+        v_b = v if keys == tk else T.slice_axis(v, 3, 0, keys)
+        q_b = q if rows == tq else T.slice_axis(q, 3, row0, row0 + rows)
+        att = T.softmax_rows(T.matmul(q_b, kt_b), causal=True, offset=offset + row0)
+        blocks.append(T.matmul(att, v_b))
+    o = T.concat(blocks, axis=3) if len(blocks) > 1 else blocks[0]
+    o = T.reshape(o, (b, w.n_h, tq, d_h))
 
     y = _finish_output(x3, o, w)
     return T.reshape(y, y.shape[1:]) if squeeze else y

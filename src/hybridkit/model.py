@@ -419,19 +419,23 @@ def decode_step(model: Model, session: DecodeSession, token: int,
 
 def generate_greedy(model: Model, prompts: np.ndarray, n_new: int,
                     scale_base="config") -> np.ndarray:
-    """Greedy continuation of a batch of equal-length prompts: [B, n_new] ids."""
+    """Greedy continuation of a batch of equal-length prompts: [B, n_new] ids.
+
+    The prefill yields the first new token and each of the n_new - 1 decode
+    steps one more; the last token is never fed back.  Raises ValueError
+    when n_new < 1.
+    """
+    if n_new < 1:
+        raise ValueError(f"need at least one new token, got n_new={n_new}")
     prompts = np.asarray(prompts)
     if prompts.ndim == 1:
         prompts = prompts[None, :]
     session = new_session(model, batch=prompts.shape[0])
     logits = prefill(model, session, prompts, scale_base=scale_base)
-    out = []
-    last = logits.data[:, -1, :]
-    for _ in range(n_new):
-        tok = last.argmax(axis=-1)
-        out.append(tok)
-        step_logits = _advance(model, tok[:, None], session, scale_base=scale_base)
-        last = step_logits.data[:, -1, :]
+    out = [logits.data[:, -1, :].argmax(axis=-1)]
+    for _ in range(n_new - 1):
+        step_logits = _advance(model, out[-1][:, None], session, scale_base=scale_base)
+        out.append(step_logits.data[:, -1, :].argmax(axis=-1))
     return np.stack(out, axis=1)
 
 

@@ -48,7 +48,8 @@ eval keys:
   eval_batch (16)           sequences per forward during evaluation
 
 halo keys: stage1/stage2/stage3 (train-key sub-objects), plus
-  k (null)                  attention layers kept; null = floor(L/4)
+  k (null)                  attention layers kept, a positive integer
+                            <= L; null = floor(L/4), at least 1
   data ("niah_mix")         stream kind for all stages
   rc_samples (64)           samples per metric during layer selection
   rc_seed (0)               selection-suite seed

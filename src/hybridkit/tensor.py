@@ -450,18 +450,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dimensions disagree: {A.shape} @ {B.shape}")
     if A.dtype != B.dtype:
         raise ShapeError(f"matmul needs identical dtypes, got {A.dtype} and {B.dtype}")
-    out = A @ B
-
-    def da(g):
-        return _unbroadcast(g @ B.swapaxes(-1, -2), A.shape)
 
     if B.ndim == 2 and A.ndim > 2:
-        # weight-style operand: its gradient is one flattened GEMM instead of
-        # a batched GEMM followed by a sum over batch axes
+        # weight-style operand: the leading axes of A are all rows of one GEMM
+        # (numpy's stacked matmul would run one GEMM per leading index), and
+        # B's gradient is one flattened GEMM instead of a batched GEMM
+        # followed by a sum over batch axes
+        k, n = B.shape
+        out = (A.reshape(-1, k) @ B).reshape(A.shape[:-1] + (n,))
+
+        def da(g):
+            return (g.reshape(-1, n) @ B.T).reshape(A.shape)
+
         def db(g):
-            a2 = A.reshape(-1, A.shape[-1])
-            return a2.T @ g.reshape(-1, g.shape[-1])
+            return A.reshape(-1, k).T @ g.reshape(-1, n)
     else:
+        out = A @ B
+
+        def da(g):
+            return _unbroadcast(g @ B.swapaxes(-1, -2), A.shape)
+
         def db(g):
             return _unbroadcast(A.swapaxes(-1, -2) @ g, B.shape)
 

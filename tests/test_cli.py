@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from hybridkit import tensor as T
-from hybridkit.checkpoint import (MAGIC, CheckpointError, load_model,
-                                  load_tensors, save_model, save_tensors)
+from hybridkit.checkpoint import (MAGIC, CheckpointError, load_mixer,
+                                  load_model, load_tensors, save_mixer,
+                                  save_model, save_tensors)
 from hybridkit.cli import main
 from hybridkit.model import desk_config, forward, init_model
 from hybridkit.positional import RopeParams
-from hybridkit.runconfig import RunConfig, load_run_config
+from hybridkit.runconfig import RunConfig, build_halo_config, load_run_config
 from hybridkit.tensor import ConfigError, Rng
 
 
@@ -239,6 +240,60 @@ def test_cli_bench_decode_and_prefill(tiny_ckpt, capsys):
                  "--lengths", "32", "--reps", "2"]) == 0
 
 
+def _edited_copy(src, dst, edit):
+    config, tensors = load_tensors(src)
+    edit(tensors)
+    save_tensors(dst, config, tensors)
+    return dst
+
+
+def test_checkpoint_missing_tensor_is_named(tiny_ckpt, tmp_path, capsys):
+    bad = _edited_copy(tiny_ckpt, tmp_path / "missing.ckpt",
+                       lambda t: t.pop("layers.1.pre_mlp_gain"))
+    with pytest.raises(CheckpointError, match="'layers.1.pre_mlp_gain'"):
+        load_model(bad)
+    assert main(["eval", str(bad), "--lengths", "64", "--samples", "2"]) == 2
+    assert "layers.1.pre_mlp_gain" in capsys.readouterr().err
+
+
+def test_checkpoint_wrong_shape_is_named(tiny_ckpt, tmp_path, capsys):
+    def halve(t):
+        t["layers.0.mlp.w_up"] = t["layers.0.mlp.w_up"][:, : TINY_MODEL["ffn_width"] // 2].copy()
+
+    bad = _edited_copy(tiny_ckpt, tmp_path / "narrow.ckpt", halve)
+    with pytest.raises(CheckpointError, match=r"'layers.0.mlp.w_up' has shape \[16, 12\]"):
+        load_model(bad)
+    assert main(["eval", str(bad), "--lengths", "64", "--samples", "2"]) == 2
+    assert "layers.0.mlp.w_up" in capsys.readouterr().err
+
+    bad = _edited_copy(tiny_ckpt, tmp_path / "gain.ckpt",
+                       lambda t: t.update({"layers.1.mixer.qk_gain_k":
+                                           np.ones((4, 1, 4), dtype=np.float32)}))
+    with pytest.raises(CheckpointError, match="'layers.1.mixer.qk_gain_k'"):
+        load_model(bad)
+    bad = _edited_copy(tiny_ckpt, tmp_path / "extra.ckpt",
+                       lambda t: t.update({"unembed": t["embed"].copy()}))
+    with pytest.raises(CheckpointError, match="unexpected tensor 'unembed'"):
+        load_model(bad)
+
+
+def test_mixer_checkpoint_validated(tiny_ckpt, tmp_path):
+    mixer = load_model(tiny_ckpt).layers[0].mixer
+    good = tmp_path / "mixer.ckpt"
+    save_mixer(good, mixer)
+    back = load_mixer(good)
+    for (na, ta), (nb, tb) in zip(mixer.named(), back.named()):
+        assert na == nb
+        np.testing.assert_array_equal(ta.data, tb.data)
+    bad = _edited_copy(good, tmp_path / "no_wk.ckpt", lambda t: t.pop("w_k"))
+    with pytest.raises(CheckpointError, match="missing tensor 'w_k'"):
+        load_mixer(bad)
+    bad = _edited_copy(good, tmp_path / "wide_wv.ckpt",
+                       lambda t: t.update({"w_v": np.zeros((16, 16), dtype=np.float32)}))
+    with pytest.raises(CheckpointError, match="'w_v' has shape"):
+        load_mixer(bad)
+
+
 def test_cli_inspect_param_count_closed_form(tiny_ckpt, capsys):
     assert main(["inspect", str(tiny_ckpt)]) == 0
     out = capsys.readouterr().out
@@ -292,3 +347,41 @@ def test_cli_select_layers_missing_artifact_names_layer(tmp_path, capsys):
     empty.mkdir()
     assert main(["select-layers", str(teacher_path), str(empty)]) == 2
     assert "layer 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5, "x", True])
+def test_halo_k_must_be_positive_int(k):
+    with pytest.raises(ConfigError, match="halo.k"):
+        build_halo_config({"k": k})
+    assert build_halo_config({"k": None}).k is None
+    assert build_halo_config({"k": 3}).k == 3
+
+
+@pytest.mark.parametrize("k", [0, 3])  # not positive; more than the 2 layers
+def test_cli_halo_bad_k_exits_2_before_any_stage(tmp_path, capsys, k):
+    teacher_path = tmp_path / "t.ckpt"
+    assert main(["train", write_cfg(tmp_path), str(teacher_path)]) == 0
+    cfg = write_cfg(tmp_path, halo={"k": k})
+    out = tmp_path / "halo"
+    assert main(["halo", str(teacher_path), cfg, str(out)]) == 2
+    assert "halo.k" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_halo_dry_run_and_selection_agree_on_default_k(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path, model={"L": 8},
+        halo={"stage1": {"steps": 1, "batch_size": 2, "context_len": 64,
+                         "warmup_steps": 0},
+              "rc_samples": 2})
+    teacher_path = tmp_path / "t.ckpt"
+    assert main(["train", cfg, str(teacher_path)]) == 0
+    out = tmp_path / "halo"
+    capsys.readouterr()
+    assert main(["--dry-run", "halo", str(teacher_path), cfg, str(out)]) == 0
+    dry_k = json.loads(capsys.readouterr().out)["k"]
+    assert dry_k == 2  # floor(8 / 4)
+    assert main(["halo", str(teacher_path), cfg, str(out), "--stage", "1"]) == 0
+    assert main(["halo", str(teacher_path), cfg, str(out), "--stage", "select"]) == 0
+    sel = json.loads((out / "selection.json").read_text())
+    assert sel["k"] == dry_k and len(sel["I_attn"]) == dry_k

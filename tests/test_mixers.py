@@ -4,6 +4,7 @@ recurrent/chunked equivalence, GQA surgery, gradient checks."""
 import numpy as np
 import pytest
 
+from hybridkit import mixers
 from hybridkit import tensor as T
 from hybridkit.mixers import (KvCache, MixerWeights, RecurrentState,
                               attention_forward, diag_rnn_forward,
@@ -207,6 +208,89 @@ def test_attention_kv_cache_matches_full_forward():
         y = attention_forward(T.tensor(x[t:t + 1][None]), w, start_pos=t, cache=cache)
         outs.append(y.data[0, 0])
     assert max_rel_err(np.array(outs), full) < 1e-10
+
+
+# --------------------------------------------------------------------------
+# causal query blocks with grouped KV heads
+#
+# The query block is patched down to 4 rows so that short sequences reach the
+# blocked path: T = 11 gives three blocks, the last one partial.
+
+PRECISIONS = [("extended", 1e-10), ("standard", 2e-5)]
+
+
+@pytest.mark.parametrize("mode,tol", PRECISIONS)
+@pytest.mark.parametrize("n_kv", [4, 2])  # g = 1 and g = 2
+@pytest.mark.parametrize("positional", [False, True])
+def test_blocked_attention_matches_oracle(monkeypatch, mode, tol, n_kv, positional):
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
+    T.set_precision(mode)
+    rng = Rng(27)
+    w = make_weights(rng, 12, 4, n_kv, 6)
+    rope = RopeParams(theta=500.0, head_dim=6) if positional else None
+    base = ScaleBase(100.0) if positional else None
+    x = rng.child(99).normal((11, 12))
+    got = attention_forward(T.tensor(x), w, rope=rope, scale_base=base).data
+    assert got.dtype == T.active_dtype()
+    ref = attention_loop_oracle(x.astype(np.float64), w, rope=rope, scale_base=base)
+    assert max_rel_err(got, ref) < tol
+
+
+@pytest.mark.parametrize("mode,tol", PRECISIONS)
+def test_kv_cache_chunks_longer_than_block_match_full_forward(monkeypatch, mode, tol):
+    """Chunks of 5 and 9 tokens, then one token, through one cache (batch 2)."""
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
+    T.set_precision(mode)
+    rng = Rng(28)
+    w = make_weights(rng, 8, 4, 2, 2)
+    rope = RopeParams(theta=300.0, head_dim=2)
+    x = rng.child(1).normal((2, 15, 8))
+    full = attention_forward(T.tensor(x), w, rope=rope).data
+    cache = KvCache(2, 2, 2, T.active_dtype(), capacity=4)
+    outs = []
+    for lo, hi in [(0, 5), (5, 14), (14, 15)]:
+        y = attention_forward(T.tensor(x[:, lo:hi]), w, rope=rope, start_pos=lo, cache=cache)
+        outs.append(y.data)
+    assert cache.pos == 15
+    assert max_rel_err(np.concatenate(outs, axis=1), full) < tol
+
+
+def test_blocked_gqa_attention_backward_finite_diff(monkeypatch):
+    """Input, w_k and w_v gradients through three blocks with shared KV heads."""
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
+    rng = Rng(65)
+    w = make_weights(rng, 6, 4, 2, 2)
+    rope = RopeParams(theta=200.0, head_dim=2)
+    x_np = rng.child(99).normal((11, 6))
+    assert _fd_check_mixer(lambda t: attention_forward(t, w, rope=rope), x_np) < 1e-4
+    x = T.tensor(x_np)
+    probe = T.tensor(rng.child(98).normal((11, 6)))
+    for name in ("w_k", "w_v"):
+        def f(t):
+            y = attention_forward(x, w, rope=rope)
+            return T.add(T.sum_all(T.mul(y, probe)), T.scale(T.sum_all(t), 0.5))
+
+        err = T.finite_diff_check(f, getattr(w, name), step=2e-5)
+        assert err < 1e-4, f"{name}: {err:.2e}"
+
+
+def test_blocked_gqa_attention_f32_gradients_match_f64(monkeypatch):
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
+    grads = {}
+    for mode in ("extended", "standard"):
+        T.set_precision(mode)
+        rng = Rng(66)
+        w = make_weights(rng, 8, 4, 2, 2)
+        x = Tensor(rng.child(99).normal((2, 11, 8)), requires_grad=True)
+        probe = T.tensor(rng.child(98).normal((2, 11, 8)))
+        with Tape() as tape:
+            loss = T.sum_all(T.mul(attention_forward(x, w), probe))
+        tape.backward(loss)
+        grads[mode] = {"x": x.grad, "w_k": w.w_k.grad, "w_v": w.w_v.grad}
+    for name, ref in grads["extended"].items():
+        got = grads["standard"][name]
+        assert got.dtype == np.float32
+        assert max_rel_err(got, ref) < 1e-4, name
 
 
 # --------------------------------------------------------------------------

@@ -187,6 +187,36 @@ def test_greedy_decode_equals_repeated_full_forward():
     np.testing.assert_array_equal(got, np.array(ref))
 
 
+def test_greedy_batch_runs_one_decode_step_per_token_after_the_first(monkeypatch):
+    """Prefill gives the first token; the last token is never fed back."""
+    import hybridkit.model as hm
+
+    cfg = tiny_hybrid(L=3, I_attn=(1,))
+    model = init_model(cfg, seed=12)
+    prompts = Rng(4).integers(0, cfg.vocab, size=(3, 9))
+    calls = []
+    real = hm._advance
+
+    def counting(model, tokens, session, *args, **kwargs):
+        calls.append(np.asarray(tokens).shape)
+        return real(model, tokens, session, *args, **kwargs)
+
+    monkeypatch.setattr(hm, "_advance", counting)
+    n_new = 5
+    got = generate_greedy(model, prompts, n_new=n_new)
+    assert calls == [(3, 9)] + [(3, 1)] * (n_new - 1)
+    monkeypatch.undo()
+
+    for prompt, row in zip(prompts, got):
+        seq = list(prompt)
+        for tok in row:
+            assert tok == int(forward(model, np.array(seq)).data[-1].argmax())
+            seq.append(int(tok))
+    np.testing.assert_array_equal(generate_greedy(model, prompts, n_new=1), got[:, :1])
+    with pytest.raises(ValueError, match="n_new"):
+        generate_greedy(model, prompts, n_new=0)
+
+
 def test_decode_scaling_uses_absolute_positions():
     cfg = tiny_hybrid(L=2, I_attn=(0, 1), scale_base=ScaleBase(50.0))
     model = init_model(cfg, seed=11)

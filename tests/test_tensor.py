@@ -70,6 +70,38 @@ def test_matmul_batched_broadcast():
     np.testing.assert_allclose(out.data[1, 2], a.data[1, 2] @ b.data, rtol=1e-14)
 
 
+@pytest.mark.parametrize("mode,tol", [("extended", 1e-13), ("standard", 1e-6)])
+@pytest.mark.parametrize("a_shape", [(3, 5, 4), (2, 3, 5, 4), (6, 1, 4)])
+def test_matmul_weight_style_matches_f64_reference(mode, tol, a_shape):
+    """A with leading axes (3-D, 4-D, a [B, 1, d] decode step) times a 2-D B."""
+    T.set_precision(mode)
+    rng = Rng(11)
+    a = Tensor(rng.normal(a_shape), requires_grad=True)
+    b = Tensor(rng.normal((4, 7)), requires_grad=True)
+    probe = rng.normal(a_shape[:-1] + (7,))
+    with Tape() as tape:
+        out = T.matmul(a, b)
+        loss = T.sum_all(T.mul(out, T.tensor(probe)))
+    tape.backward(loss)
+    a64, b64, p64 = (np.asarray(v, dtype=np.float64) for v in (a.data, b.data, probe))
+    assert out.shape == a_shape[:-1] + (7,) and out.data.dtype == T.active_dtype()
+    assert max_rel_err(out.data, np.einsum("...k,kn->...n", a64, b64)) < tol
+    assert a.grad.shape == a.shape and b.grad.shape == b.shape
+    assert max_rel_err(a.grad, np.einsum("...n,kn->...k", p64, b64)) < tol
+    lead = tuple(range(len(a_shape) - 1))
+    assert max_rel_err(b.grad, np.tensordot(a64, p64, axes=(lead, lead))) < tol
+
+
+@pytest.mark.parametrize("a_shape", [(2, 3, 4), (2, 2, 3, 4), (3, 1, 4)])
+def test_matmul_weight_style_finite_diff(a_shape):
+    rng = Rng(12)
+    a = T.tensor(rng.normal(a_shape))
+    b = T.tensor(rng.normal((4, 3)))
+    rmat = T.tensor(rng.normal(a_shape[:-1] + (3,)))
+    assert T.finite_diff_check(lambda t: T.sum_all(T.mul(T.matmul(t, b), rmat)), a) < 1e-6
+    assert T.finite_diff_check(lambda t: T.sum_all(T.mul(T.matmul(a, t), rmat)), b) < 1e-6
+
+
 # --------------------------------------------------------------------------
 # softmax
 
