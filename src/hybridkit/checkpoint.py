@@ -11,12 +11,14 @@ native precision, recorded per entry by the dtype code).
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from .mixers import MIXER_FIELDS
 from .model import (LayerWeights, MixerWeights, MlpWeights, Model, ModelConfig)
 from .positional import RopeParams, ScaleBase
 from .tensor import Tensor
@@ -32,7 +34,13 @@ class CheckpointError(RuntimeError):
 
 
 def save_tensors(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
-    """Write a checkpoint with an arbitrary JSON-serializable config block."""
+    """Write a checkpoint with an arbitrary JSON-serializable config block.
+
+    The file is written under a temporary name in the same directory and
+    renamed into place, so `path` never holds a partial checkpoint: a save
+    that fails removes its temporary file and leaves any earlier checkpoint
+    at `path` as it was.
+    """
     index = []
     offset = 0
     blobs = []
@@ -46,12 +54,19 @@ def save_tensors(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
         offset += len(blob)
         blobs.append(blob)
     header = json.dumps({"config": config, "tensors": index}).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        for blob in blobs:
-            f.write(blob)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<Q", len(header)))
+            f.write(header)
+            for blob in blobs:
+                f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -116,11 +131,13 @@ def save_model(path, model: Model) -> None:
 
 
 def _mixer_shapes(d: int, n_h: int, n_kv: int, d_h: int) -> dict[str, tuple]:
-    """Shape of every mixer tensor, optional ones included."""
-    wide, kv = (d, n_h * d_h), (d, n_kv * d_h)
-    return {"w_q": wide, "w_k": kv, "w_v": kv, "w_o": wide, "w_z": wide,
-            "w_g": wide, "qk_gain_q": (n_h, 1, d_h), "qk_gain_k": (n_kv, 1, d_h),
-            "out_gain": (n_h, 1, d_h)}
+    """Shape of every mixer tensor, optional ones included: projections are
+    [d, heads * d_h] and gains [heads, 1, d_h], with one head per KV head on
+    the key/value side."""
+    heads = {name: n_kv if name in ("w_k", "w_v", "qk_gain_k") else n_h
+             for name in MIXER_FIELDS}
+    return {name: (d, h * d_h) if name.startswith("w_") else (h, 1, d_h)
+            for name, h in heads.items()}
 
 
 _MIXER_REQUIRED = ("w_q", "w_k", "w_v", "w_o")

@@ -159,12 +159,9 @@ def _print_config(rc, model) -> None:
 # train
 
 def cmd_train(args) -> int:
-    import numpy as np
-
     from . import tensor as T
-    from .data import StreamConfig, TokenStream
     from .checkpoint import save_model
-    from .halo import _train_loop
+    from .halo import _train_loop, stream_for
     from .model import forward, init_model
     from .runconfig import load_run_config
 
@@ -173,10 +170,7 @@ def cmd_train(args) -> int:
     if args.dry_run:
         _print_config(rc, model)
         return 0
-    stream = TokenStream(StreamConfig(kind=rc.data_kind,
-                                      context_len=rc.train.context_len,
-                                      batch_size=rc.train.batch_size,
-                                      seed=rc.train.seed))
+    stream = stream_for(rc.train, rc.data_kind)
     params = dict(model.named_parameters())
 
     def make_loss(step):
@@ -202,138 +196,99 @@ def _halo_paths(out: Path) -> dict:
         "selection": out / "selection.json",
         "hybrid_init": out / "hybrid_init.ckpt",
         "stage2": out / "hybrid_stage2.ckpt",
+        "stage2_report": out / "stage2.report.jsonl",
         "stage3": out / "final.ckpt",
+        "stage3_report": out / "stage3.report.jsonl",
     }
 
 
 def cmd_halo(args) -> int:
-    from .checkpoint import load_model
-    from .halo import resolve_k
+    """Run the pipeline's stages in order, or one of them from the artifacts
+    the earlier stages left in the output directory."""
+    from . import halo
+    from .checkpoint import load_model, save_mixer, save_model
     from .runconfig import load_run_config
 
     rc = load_run_config(args.config, seed_override=args.seed)
+    hc = rc.halo
     teacher = load_model(args.teacher)
-    k = resolve_k(rc.halo.k, teacher.cfg.L)  # a bad k fails before any stage
+    k = halo.resolve_k(hc.k, teacher.cfg.L)  # a bad k fails before any stage
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.dry_run:
         print(json.dumps({"stages": args.stage, "teacher_params": teacher.num_params(),
                           "k": k}, indent=2))
         return 0
+    paths = _halo_paths(out)
     stages = ("1", "select", "2", "3") if args.stage == "all" else (args.stage,)
+    alone = len(stages) == 1  # a stage run alone reads its inputs from out
     if "1" in stages:
-        _halo_stage1(teacher, rc, out)
+        aligned = {}
+        for l, (weights, report) in halo.run_stage1(teacher, hc).items():
+            save_mixer(paths["stage1"](l), weights, meta={"layer": l, **report.final_metrics})
+            _write_report(report, paths["stage1_report"](l))
+            aligned[l] = weights
     if "select" in stages:
-        _halo_select(teacher, rc, out, verbose=True)
+        if alone:
+            aligned = _load_stage1(teacher.cfg.L, paths)
+        I_attn = _select(teacher, aligned, hc, paths)
     if "2" in stages:
-        _halo_stage2(teacher, rc, out)
+        if alone:
+            I_attn = json.loads(_require(paths["selection"], "selection artifact")
+                                .read_text())["I_attn"]
+            aligned = _load_stage1(teacher.cfg.L, paths)
+        hybrid = halo.assemble_hybrid(teacher, I_attn, aligned, hc.seed)
+        save_model(paths["hybrid_init"], hybrid)
+        report = halo.run_stage2(teacher, hybrid, hc)
+        save_model(paths["stage2"], hybrid)
+        _write_report(report, paths["stage2_report"])
     if "3" in stages:
-        _halo_stage3(teacher, rc, out)
+        if alone:
+            hybrid = load_model(_require(paths["stage2"], "stage-2 checkpoint"))
+        report = halo.run_stage3(hybrid, hc)
+        save_model(paths["stage3"], hybrid)
+        _write_report(report, paths["stage3_report"])
     return 0
 
 
-def _stream_for(cfg, kind):
-    from .data import StreamConfig, TokenStream
+def _require(path: Path, what: str) -> Path:
+    from .checkpoint import CheckpointError
 
-    return TokenStream(StreamConfig(kind=kind, context_len=cfg.context_len,
-                                    batch_size=cfg.batch_size, seed=cfg.seed))
-
-
-def _halo_stage1(teacher, rc, out: Path) -> None:
-    from .checkpoint import save_mixer
-    from .halo import stage1_align_all
-
-    paths = _halo_paths(out)
-    stream = _stream_for(rc.halo.stage1, rc.halo.data_kind)
-    aligned = stage1_align_all(teacher, range(teacher.cfg.L), stream, rc.halo.stage1)
-    for l, (weights, report) in aligned.items():
-        save_mixer(paths["stage1"](l), weights,
-                   meta={"layer": l, "mse_initial": report.final_metrics["mse_initial"],
-                         "mse_final": report.final_metrics["mse_final"]})
-        report.write_jsonl(paths["stage1_report"](l))
-        print(f"stage1 layer {l}: mse {report.final_metrics['mse_initial']:.5f} "
-              f"-> {report.final_metrics['mse_final']:.5f}")
+    if not path.exists():
+        raise CheckpointError(f"missing {what}: {path}")
+    return path
 
 
-def _load_stage1(teacher, out: Path) -> dict:
-    from .checkpoint import CheckpointError, load_mixer
+def _load_stage1(L: int, paths: dict) -> dict:
+    from .checkpoint import load_mixer
 
-    paths = _halo_paths(out)
-    weights = {}
-    for l in range(teacher.cfg.L):
-        path = paths["stage1"](l)
-        if not path.exists():
-            raise CheckpointError(f"missing stage-1 weights for layer {l}: {path}")
-        weights[l] = load_mixer(path)
-    return weights
+    return {l: load_mixer(_require(paths["stage1"](l), f"stage-1 weights for layer {l}"))
+            for l in range(L)}
 
 
-def _halo_select(teacher, rc, out: Path, verbose: bool = False) -> tuple:
-    from .evals import build_rc_suite
-    from .halo import (candidate_model, evaluate_RC, layer_importance,
-                       resolve_k, select_attention_layers)
+def _write_report(report, path) -> None:
+    """Write a stage's report and print its probe metrics."""
+    report.write_jsonl(path)
+    print(f"{report.stage}: " + ", ".join(f"{name} {value:.5g}" for name, value
+                                         in report.final_metrics.items()))
 
-    paths = _halo_paths(out)
-    k = resolve_k(rc.halo.k, teacher.cfg.L)
-    aligned = _load_stage1(teacher, out)
-    suite = build_rc_suite(rc.halo.stage1.context_len, seed=rc.halo.rc_seed,
-                           n_samples=rc.halo.rc_samples)
-    rc_pairs = []
-    for l in range(teacher.cfg.L):
-        rc_pairs.append(evaluate_RC(candidate_model(teacher, l, aligned[l]), suite))
-    importance = layer_importance(rc_pairs)
-    I_attn = select_attention_layers(importance, k)
 
-    order = sorted(range(teacher.cfg.L), key=lambda i: (-importance[i], i))
+def _select(teacher, aligned: dict, hc, paths: dict) -> tuple:
+    """Selection over the stage-1 candidates; writes scores.tsv (by
+    descending importance) and selection.json."""
+    from .halo import select_layers
+
+    I_attn, scores = select_layers(teacher, aligned, hc)
     lines = ["layer\trecall\tcloze\timportance"]
-    for l in order:
-        lines.append(f"{l}\t{rc_pairs[l][0]:.4f}\t{rc_pairs[l][1]:.4f}\t{importance[l]:.6g}")
+    for row in sorted(scores, key=lambda r: (-r["importance"], r["layer"])):
+        lines.append(f"{row['layer']}\t{row['recall']:.4f}\t{row['cloze']:.4f}"
+                     f"\t{row['importance']:.6g}")
     paths["scores"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths["selection"].write_text(json.dumps({"I_attn": I_attn, "k": k}) + "\n",
+    paths["selection"].write_text(json.dumps({"I_attn": I_attn, "k": len(I_attn)}) + "\n",
                                   encoding="utf-8")
-    if verbose:
-        print("\n".join(lines))
-        print(f"selected I_attn = {I_attn}")
-    return I_attn, rc_pairs, importance
-
-
-def _halo_stage2(teacher, rc, out: Path) -> None:
-    from .checkpoint import CheckpointError, save_model
-    from .halo import stage2_distill
-    from .model import init_hybrid_from_teacher
-
-    paths = _halo_paths(out)
-    if not paths["selection"].exists():
-        raise CheckpointError(f"missing selection artifact: {paths['selection']}")
-    I_attn = json.loads(paths["selection"].read_text())["I_attn"]
-    aligned = _load_stage1(teacher, out)
-    hybrid = init_hybrid_from_teacher(teacher, I_attn, seed=rc.halo.seed)
-    for l in range(teacher.cfg.L):
-        if l not in I_attn:
-            hybrid.layers[l].mixer = aligned[l]
-    save_model(paths["hybrid_init"], hybrid)
-    report = stage2_distill(teacher, hybrid, _stream_for(rc.halo.stage2, rc.halo.data_kind),
-                            rc.halo.stage2)
-    save_model(paths["stage2"], hybrid)
-    report.write_jsonl(out / "stage2.report.jsonl")
-    print(f"stage2: kl {report.final_metrics['kl_initial']:.5f} -> "
-          f"{report.final_metrics['kl_final']:.5f}")
-
-
-def _halo_stage3(teacher, rc, out: Path) -> None:
-    from .checkpoint import CheckpointError, load_model, save_model
-    from .halo import stage3_finetune
-
-    paths = _halo_paths(out)
-    if not paths["stage2"].exists():
-        raise CheckpointError(f"missing stage-2 checkpoint: {paths['stage2']}")
-    hybrid = load_model(paths["stage2"])
-    report = stage3_finetune(hybrid, _stream_for(rc.halo.stage3, rc.halo.data_kind),
-                             rc.halo.stage3, stage2_context=rc.halo.stage2.context_len)
-    save_model(paths["stage3"], hybrid)
-    report.write_jsonl(out / "stage3.report.jsonl")
-    print(f"stage3: held-out nll {report.final_metrics['heldout_nll_initial']:.4f} -> "
-          f"{report.final_metrics['heldout_nll_final']:.4f}")
+    print("\n".join(lines))
+    print(f"selected I_attn = {list(I_attn)}")
+    return I_attn
 
 
 def cmd_select_layers(args) -> int:
@@ -343,39 +298,34 @@ def cmd_select_layers(args) -> int:
     teacher = load_model(args.teacher)
     rc = (load_run_config(args.config, seed_override=args.seed)
           if args.config else RunConfig({}, seed_override=args.seed))
-    _halo_select(teacher, rc, Path(args.stage1_dir), verbose=True)
+    paths = _halo_paths(Path(args.stage1_dir))
+    _select(teacher, _load_stage1(teacher.cfg.L, paths), rc.halo, paths)
     return 0
 
 
 def cmd_distill(args) -> int:
     from .checkpoint import load_model, save_model
-    from .halo import stage2_distill
+    from .halo import run_stage2
     from .runconfig import load_run_config
 
     rc = load_run_config(args.config, seed_override=args.seed)
-    teacher = load_model(args.teacher)
-    hybrid = load_model(args.hybrid)
-    report = stage2_distill(teacher, hybrid,
-                            _stream_for(rc.halo.stage2, rc.halo.data_kind),
-                            rc.halo.stage2)
+    teacher, hybrid = load_model(args.teacher), load_model(args.hybrid)
+    report = run_stage2(teacher, hybrid, rc.halo)
     save_model(args.out, hybrid)
-    report.write_jsonl(str(args.out) + ".report.jsonl")
-    print(f"distilled: kl {report.final_metrics['kl_initial']:.5f} -> "
-          f"{report.final_metrics['kl_final']:.5f}")
+    _write_report(report, f"{args.out}.report.jsonl")
     return 0
 
 
 def cmd_finetune(args) -> int:
     from .checkpoint import load_model, save_model
-    from .halo import stage3_finetune
+    from .halo import run_stage3
     from .runconfig import load_run_config
 
     rc = load_run_config(args.config, seed_override=args.seed)
     hybrid = load_model(args.ckpt)
-    report = stage3_finetune(hybrid, _stream_for(rc.halo.stage3, rc.halo.data_kind),
-                             rc.halo.stage3, stage2_context=rc.halo.stage2.context_len)
+    report = run_stage3(hybrid, rc.halo)
     save_model(args.out, hybrid)
-    report.write_jsonl(str(args.out) + ".report.jsonl")
+    _write_report(report, f"{args.out}.report.jsonl")
     return 0
 
 
@@ -386,7 +336,7 @@ def cmd_eval(args) -> int:
     import numpy as np
 
     from .checkpoint import load_model
-    from .data import DEFAULT_GRAMMAR_SEED, StreamConfig, TokenStream
+    from .data import StreamConfig, TokenStream
     from .evals import (EvalResult, gen_csr_proxy, length_sweep, perplexity,
                         score_csr, write_plot_data)
 

@@ -13,8 +13,14 @@ Three stages follow the weight-transfer initialization:
    per-token KL against the frozen teacher, then finetuned on plain
    cross-entropy at a longer context with a small constant learning rate.
 
-All stages use AdamW (decoupled weight decay, betas (0.9, 0.95)), linear
-warmup, and cosine or constant schedules.  The teacher is never mutated.
+All stages take the same optimizer step (`_train_step`): AdamW (decoupled
+weight decay, betas (0.9, 0.95)), linear warmup, and cosine or constant
+schedules.  The teacher is never mutated.
+
+Each stage, as a `HaloConfig` sets it up, is one function: `run_stage1`,
+`select_layers`, `assemble_hybrid`, `run_stage2` and `run_stage3`.
+`run_halo` chains them in memory; the CLI chains the same functions and
+persists what each returns.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ import time
 import json
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,8 +39,8 @@ from . import tensor as T
 from .data import StreamConfig, TokenStream
 from .evals import RcSuite, build_rc_suite, score_csr, score_recall
 from .mixers import MixerWeights, lightning_forward_chunked
-from .model import (Model, capture_many, forward, init_hybrid_from_teacher,
-                    init_rnn_from_attention)
+from .model import (Model, capture_many, forward, hybrid_config,
+                    init_hybrid_from_teacher, init_rnn_from_attention)
 from .tensor import ConfigError, Rng, Tape, Tensor
 
 
@@ -60,7 +67,6 @@ class TrainConfig:
     weight_decay: float = 0.0
     grad_clip: float = 1.0
     seed: int = 0
-    tokens_budget: int | None = None  # informational; steps is authoritative
 
     def __post_init__(self):
         if self.lr_min > self.lr_max:
@@ -69,6 +75,12 @@ class TrainConfig:
             raise ConfigError(f"warmup {self.warmup_steps} exceeds steps {self.steps}")
         if self.schedule not in ("cosine", "constant"):
             raise ConfigError(f"unknown schedule {self.schedule!r}")
+
+
+def stream_for(cfg: TrainConfig, kind: str) -> TokenStream:
+    """The token stream a stage trains on: its context, batch and seed."""
+    return TokenStream(StreamConfig(kind=kind, context_len=cfg.context_len,
+                                    batch_size=cfg.batch_size, seed=cfg.seed))
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
@@ -177,6 +189,29 @@ class StageReport:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _train_step(report: StageReport, params: dict[str, Tensor], state: AdamWState,
+                cfg: TrainConfig, step: int, make_loss: Callable[[], Tensor],
+                t0: float) -> None:
+    """One optimizer step: loss under a tape, record, backward, clip, AdamW.
+
+    Raises TrainingDiverged (report.wall_time counted from t0) when the loss
+    is non-finite; a step whose gradients are non-finite is skipped.
+    """
+    with Tape() as tape:
+        loss = make_loss()
+    value = float(loss.data)
+    lr = lr_at(step, cfg)
+    report.losses.append(value)
+    report.lrs.append(lr)
+    if not np.isfinite(value):
+        report.wall_time = time.monotonic() - t0
+        raise TrainingDiverged(report.stage, report)
+    tape.backward(loss)
+    report.grad_norms.append(clip_grad_norm(params, cfg.grad_clip))
+    if not adamw_step(params, state, lr, cfg.betas, cfg.weight_decay):
+        report.skipped_steps += 1
+
+
 def _train_loop(stage: str, params: dict[str, Tensor], cfg: TrainConfig,
                 make_loss: Callable[[int], Tensor],
                 state: AdamWState | None = None) -> StageReport:
@@ -184,31 +219,13 @@ def _train_loop(stage: str, params: dict[str, Tensor], cfg: TrainConfig,
     state = state or AdamWState()
     t0 = time.monotonic()
     for step in range(cfg.steps):
-        with Tape() as tape:
-            loss = make_loss(step)
-        value = float(loss.data)
-        lr = lr_at(step, cfg)
-        report.losses.append(value)
-        report.lrs.append(lr)
-        if not np.isfinite(value):
-            report.wall_time = time.monotonic() - t0
-            raise TrainingDiverged(stage, report)
-        tape.backward(loss)
-        report.grad_norms.append(clip_grad_norm(params, cfg.grad_clip))
-        if not adamw_step(params, state, lr, cfg.betas, cfg.weight_decay):
-            report.skipped_steps += 1
+        _train_step(report, params, state, cfg, step, partial(make_loss, step), t0)
     report.wall_time = time.monotonic() - t0
     return report
 
 
 # --------------------------------------------------------------------------
 # stage 1: hidden-state alignment
-
-def _hybrid_conventions(teacher_cfg):
-    return replace(teacher_cfg, pe_attention="nope", pe_rnn="rope",
-                   attn_gate=True, rnn_gate=True, rnn_kind="lightning",
-                   scale_base=None, I_attn=teacher_cfg.I_attn)
-
 
 def _candidate_loss(cand: MixerWeights, x_in: np.ndarray, y_ref: np.ndarray,
                     model: Model) -> Tensor:
@@ -228,7 +245,7 @@ def stage1_align_all(teacher: Model, layers: Sequence[int], stream: TokenStream,
     error on a fixed probe batch lands in each report's final_metrics.
     """
     layers = [int(l) for l in layers]
-    hyb_cfg = _hybrid_conventions(teacher.cfg)
+    hyb_cfg = hybrid_config(teacher.cfg, I_attn=())
     seed_rng = Rng(cfg.seed, (17,))
     candidates: dict[int, MixerWeights] = {}
     opt_states: dict[int, AdamWState] = {}
@@ -240,42 +257,28 @@ def stage1_align_all(teacher: Model, layers: Sequence[int], stream: TokenStream,
                                                 seed_rng.child(l))
         opt_states[l] = AdamWState()
         reports[l] = StageReport(stage=f"stage1/layer{l}")
+    params = {l: dict(candidates[l].named()) for l in layers}
 
     probe = TokenStream(replace(stream.cfg, seed=stream.cfg.seed + 7919)).batch(0)[:, :-1]
-    probe_caps = capture_many(teacher, probe, layers)
-    for l in layers:
-        x_in, y_ref = probe_caps[l]
-        reports[l].final_metrics["mse_initial"] = float(
-            _candidate_loss(candidates[l], x_in.data, y_ref.data, teacher).data)
 
-    t0 = time.monotonic()
-    rope_model = teacher  # gammas/chunk/rope conventions come from the teacher cfg
-    for step in range(cfg.steps):
-        batch = stream.batch(step)[:, :-1]
-        caps = capture_many(teacher, batch, layers)
-        lr = lr_at(step, cfg)
+    def probe_mse(key: str) -> None:
+        caps = capture_many(teacher, probe, layers)
         for l in layers:
             x_in, y_ref = caps[l]
-            with Tape() as tape:
-                loss = _candidate_loss(candidates[l], x_in.data, y_ref.data, rope_model)
-            value = float(loss.data)
-            rep = reports[l]
-            rep.losses.append(value)
-            rep.lrs.append(lr)
-            if not np.isfinite(value):
-                rep.wall_time = time.monotonic() - t0
-                raise TrainingDiverged(rep.stage, rep)
-            tape.backward(loss)
-            lparams = dict(candidates[l].named())
-            rep.grad_norms.append(clip_grad_norm(lparams, cfg.grad_clip))
-            if not adamw_step(lparams, opt_states[l], lr, cfg.betas, cfg.weight_decay):
-                rep.skipped_steps += 1
+            reports[l].final_metrics[key] = float(
+                _candidate_loss(candidates[l], x_in.data, y_ref.data, teacher).data)
 
-    probe_caps = capture_many(teacher, probe, layers)
+    probe_mse("mse_initial")
+    t0 = time.monotonic()
+    for step in range(cfg.steps):
+        caps = capture_many(teacher, stream.batch(step)[:, :-1], layers)
+        for l in layers:
+            x_in, y_ref = caps[l]
+            _train_step(reports[l], params[l], opt_states[l], cfg, step,
+                        partial(_candidate_loss, candidates[l], x_in.data, y_ref.data,
+                                teacher), t0)
+    probe_mse("mse_final")
     for l in layers:
-        x_in, y_ref = probe_caps[l]
-        reports[l].final_metrics["mse_final"] = float(
-            _candidate_loss(candidates[l], x_in.data, y_ref.data, teacher).data)
         reports[l].wall_time = time.monotonic() - t0
     return {l: (candidates[l], reports[l]) for l in layers}
 
@@ -433,6 +436,55 @@ class HaloResult:
     reports: dict
 
 
+def run_stage1(teacher: Model, cfg: HaloConfig) -> dict[int, tuple[MixerWeights, StageReport]]:
+    """Align one RNN candidate per teacher layer on the stage-1 stream."""
+    return stage1_align_all(teacher, range(teacher.cfg.L),
+                            stream_for(cfg.stage1, cfg.data_kind), cfg.stage1)
+
+
+def select_layers(teacher: Model, aligned: Mapping[int, MixerWeights],
+                  cfg: HaloConfig) -> tuple[tuple[int, ...], list[dict]]:
+    """Score every layer's candidate; returns (I_attn, one score row per layer).
+
+    A row holds the layer, the candidate's recall and cloze accuracy and
+    the layer's importance; I_attn is the top-k layers by importance.
+    """
+    L = teacher.cfg.L
+    k = resolve_k(cfg.k, L)
+    suite = build_rc_suite(cfg.stage1.context_len, seed=cfg.rc_seed,
+                           n_samples=cfg.rc_samples)
+    rc = [evaluate_RC(candidate_model(teacher, l, aligned[l]), suite) for l in range(L)]
+    importance = layer_importance(rc)
+    I_attn = tuple(select_attention_layers(importance, k))
+    scores = [{"layer": l, "recall": rc[l][0], "cloze": rc[l][1],
+               "importance": importance[l]} for l in range(L)]
+    return I_attn, scores
+
+
+def assemble_hybrid(teacher: Model, I_attn, aligned: Mapping[int, MixerWeights],
+                    seed: int) -> Model:
+    """The hybrid before distillation, with the aligned mixers in its RNN layers.
+
+    The aligned mixers are used as they are, not copied.
+    """
+    hybrid = init_hybrid_from_teacher(teacher, I_attn, seed=seed)
+    for l, lw in enumerate(hybrid.layers):
+        if lw.mixer_kind != "attention":
+            lw.mixer = aligned[l]
+    return hybrid
+
+
+def run_stage2(teacher: Model, hybrid: Model, cfg: HaloConfig) -> StageReport:
+    """Distill the teacher into the hybrid on the stage-2 stream."""
+    return stage2_distill(teacher, hybrid, stream_for(cfg.stage2, cfg.data_kind), cfg.stage2)
+
+
+def run_stage3(hybrid: Model, cfg: HaloConfig) -> StageReport:
+    """Finetune the hybrid on the stage-3 stream."""
+    return stage3_finetune(hybrid, stream_for(cfg.stage3, cfg.data_kind), cfg.stage3,
+                           stage2_context=cfg.stage2.context_len)
+
+
 def run_halo(teacher: Model, cfg: HaloConfig) -> HaloResult:
     """Alignment, selection, distillation, finetune; returns the final hybrid.
 
@@ -440,47 +492,15 @@ def run_halo(teacher: Model, cfg: HaloConfig) -> HaloResult:
     guards against regressions in any stage.
     """
     frozen = teacher.state_bytes()
-    L = teacher.cfg.L
-    k = resolve_k(cfg.k, L)
-    reports: dict = {}
-
-    stream1 = TokenStream(StreamConfig(kind=cfg.data_kind,
-                                       context_len=cfg.stage1.context_len,
-                                       batch_size=cfg.stage1.batch_size,
-                                       seed=cfg.stage1.seed))
-    aligned = stage1_align_all(teacher, range(L), stream1, cfg.stage1)
-    reports["stage1"] = {l: rep for l, (_, rep) in aligned.items()}
-
-    suite = build_rc_suite(cfg.stage1.context_len, seed=cfg.rc_seed,
-                           n_samples=cfg.rc_samples)
-    rc: list[tuple[float, float]] = []
-    for l in range(L):
-        cand = candidate_model(teacher, l, aligned[l][0])
-        rc.append(evaluate_RC(cand, suite))
-    importance = layer_importance(rc)
-    I_attn = tuple(select_attention_layers(importance, k))
-    scores = [{"layer": l, "recall": rc[l][0], "cloze": rc[l][1],
-               "importance": importance[l]} for l in range(L)]
-    reports["selection"] = scores
-
-    hybrid = init_hybrid_from_teacher(teacher, I_attn, seed=cfg.seed)
-    for l in range(L):
-        if l not in I_attn:
-            hybrid.layers[l].mixer = aligned[l][0]
-
-    stream2 = TokenStream(StreamConfig(kind=cfg.data_kind,
-                                       context_len=cfg.stage2.context_len,
-                                       batch_size=cfg.stage2.batch_size,
-                                       seed=cfg.stage2.seed))
-    reports["stage2"] = stage2_distill(teacher, hybrid, stream2, cfg.stage2)
-
-    stream3 = TokenStream(StreamConfig(kind=cfg.data_kind,
-                                       context_len=cfg.stage3.context_len,
-                                       batch_size=cfg.stage3.batch_size,
-                                       seed=cfg.stage3.seed))
-    reports["stage3"] = stage3_finetune(hybrid, stream3, cfg.stage3,
-                                        stage2_context=cfg.stage2.context_len)
-
+    resolve_k(cfg.k, teacher.cfg.L)  # a bad k fails before any stage
+    aligned = run_stage1(teacher, cfg)
+    weights = {l: w for l, (w, _) in aligned.items()}
+    I_attn, scores = select_layers(teacher, weights, cfg)
+    hybrid = assemble_hybrid(teacher, I_attn, weights, cfg.seed)
+    reports = {"stage1": {l: rep for l, (_, rep) in aligned.items()},
+               "selection": scores,
+               "stage2": run_stage2(teacher, hybrid, cfg),
+               "stage3": run_stage3(hybrid, cfg)}
     if teacher.state_bytes() != frozen:
         raise RuntimeError("teacher weights changed during conversion")
     return HaloResult(hybrid=hybrid, I_attn=I_attn, scores=scores, reports=reports)

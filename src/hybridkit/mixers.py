@@ -31,7 +31,7 @@ scales k by 1/sqrt(d_h).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,6 +49,12 @@ def gamma_slopes(n_heads: int) -> np.ndarray:
         raise ConfigError(f"need at least one head, got {n_heads}")
     h = np.arange(1, n_heads + 1, dtype=np.float64)
     return np.exp(-np.power(2.0, -8.0 * h / n_heads))
+
+
+# Every mixer tensor, in parameter and checkpoint order; all but the first
+# four are optional.
+MIXER_FIELDS = ("w_q", "w_k", "w_v", "w_o", "w_z", "w_g",
+                "qk_gain_q", "qk_gain_k", "out_gain")
 
 
 @dataclass
@@ -104,19 +110,14 @@ class MixerWeights:
         return self.n_h // self.n_kv_heads
 
     def named(self, prefix: str = ""):
-        for name in ("w_q", "w_k", "w_v", "w_o", "w_z", "w_g",
-                     "qk_gain_q", "qk_gain_k", "out_gain"):
+        for name in MIXER_FIELDS:
             t = getattr(self, name)
             if t is not None:
                 yield prefix + name, t
 
     def copy(self) -> "MixerWeights":
-        kw = {}
-        for name in ("w_q", "w_k", "w_v", "w_o", "w_z", "w_g",
-                     "qk_gain_q", "qk_gain_k", "out_gain"):
-            t = getattr(self, name)
-            kw[name] = t.copy() if t is not None else None
-        return MixerWeights(self.n_h, self.n_kv_heads, self.d_h, **kw)
+        return MixerWeights(self.n_h, self.n_kv_heads, self.d_h,
+                            **{name: t.copy() for name, t in self.named()})
 
 
 @dataclass
@@ -131,8 +132,17 @@ class RecurrentState:
         return cls(np.zeros((batch, n_h, d_h, d_h), dtype=dtype), 0)
 
 
+# Free positions a KV cache keeps after it grows, so the decode steps that
+# follow a prefill append without reallocating.
+_KV_HEADROOM = 64
+
+
 class KvCache:
-    """Append-only key/value store for attention decode ([B, n_kv, pos, d_h])."""
+    """Append-only key/value store for attention decode ([B, n_kv, pos, d_h]).
+
+    When it runs out, capacity at least doubles and leaves _KV_HEADROOM
+    positions free; the used positions are copied once into the new buffer.
+    """
 
     def __init__(self, batch: int, n_kv: int, d_h: int, dtype, capacity: int = 64):
         self._k = np.zeros((batch, n_kv, capacity, d_h), dtype=dtype)
@@ -143,9 +153,13 @@ class KvCache:
         need = self.pos + extra
         cap = self._k.shape[2]
         if need > cap:
-            new_cap = max(need, 2 * cap)
-            grow = lambda a: np.concatenate(
-                [a, np.zeros(a.shape[:2] + (new_cap - cap,) + a.shape[3:], dtype=a.dtype)], axis=2)
+            new_cap = max(need + _KV_HEADROOM, 2 * cap)
+
+            def grow(a: np.ndarray) -> np.ndarray:
+                out = np.empty(a.shape[:2] + (new_cap,) + a.shape[3:], dtype=a.dtype)
+                out[:, :, :self.pos] = a[:, :, :self.pos]
+                return out
+
             self._k, self._v = grow(self._k), grow(self._v)
 
     def append(self, k: np.ndarray, v: np.ndarray) -> None:
@@ -483,12 +497,5 @@ def gqa_to_mha_clone(w: MixerWeights, g: int) -> MixerWeights:
         gain_k = Tensor(np.repeat(w.qk_gain_k.data, g, axis=0).copy(),
                         requires_grad=w.qk_gain_k.requires_grad,
                         dtype=w.qk_gain_k.data.dtype)
-    return MixerWeights(
-        n_h=w.n_h, n_kv_heads=w.n_h, d_h=w.d_h,
-        w_q=w.w_q.copy(), w_k=widen(w.w_k), w_v=widen(w.w_v), w_o=w.w_o.copy(),
-        w_z=w.w_z.copy() if w.w_z is not None else None,
-        w_g=w.w_g.copy() if w.w_g is not None else None,
-        qk_gain_q=w.qk_gain_q.copy() if w.qk_gain_q is not None else None,
-        qk_gain_k=gain_k,
-        out_gain=w.out_gain.copy() if w.out_gain is not None else None,
-    )
+    return replace(w.copy(), n_kv_heads=w.n_h, w_k=widen(w.w_k), w_v=widen(w.w_v),
+                   qk_gain_k=gain_k)

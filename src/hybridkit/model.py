@@ -246,6 +246,17 @@ def init_rnn_from_attention(attn: MixerWeights, cfg: ModelConfig, rng: Rng) -> M
     return w
 
 
+def hybrid_config(teacher_cfg: ModelConfig, I_attn) -> ModelConfig:
+    """The hybrid conventions applied to a teacher's architecture.
+
+    Attention at I_attn without rotary encoding, Lightning RNN layers with
+    rotary encoding elsewhere, output gates on both, no logits scaling.
+    """
+    return replace(teacher_cfg, I_attn=tuple(sorted(int(i) for i in I_attn)),
+                   pe_attention="nope", pe_rnn="rope", attn_gate=True,
+                   rnn_gate=True, rnn_kind="lightning", scale_base=None)
+
+
 def init_hybrid_from_teacher(teacher: Model, I_attn, seed: int = 0) -> Model:
     """Assemble the hybrid as it stands at the start of end-to-end distillation.
 
@@ -256,14 +267,8 @@ def init_hybrid_from_teacher(teacher: Model, I_attn, seed: int = 0) -> Model:
     """
     if any(lw.mixer_kind != "attention" for lw in teacher.layers):
         raise ConfigError("teacher must be attention-only")
-    tcfg = teacher.cfg
-    I_attn = tuple(sorted(int(i) for i in I_attn))
-    cfg = replace(
-        tcfg, I_attn=I_attn,
-        pe_attention="nope", pe_rnn="rope",
-        attn_gate=True, rnn_gate=True, rnn_kind="lightning",
-        scale_base=None,
-    )
+    cfg = hybrid_config(teacher.cfg, I_attn)
+    I_attn = cfg.I_attn
     rng = Rng(seed)
     layers = []
     for l, tlw in enumerate(teacher.layers):

@@ -1,8 +1,8 @@
 """Validated JSON run configuration.
 
-A run document has sections ``model``, ``train``, ``eval``, and (for
-conversions) ``halo``; every key has a default listed below, and unknown
-keys are hard errors so typos cannot silently fall back to defaults.
+A run document has sections ``model``, ``train`` and (for conversions)
+``halo``; every key has a default listed below, and unknown keys are hard
+errors so typos cannot silently fall back to defaults.
 
 model keys (defaults in parentheses):
   arch ("hypenet")          "transformer" (attention-only) or "hypenet"
@@ -39,15 +39,9 @@ train keys:
   grad_clip (1.0)           global gradient-norm cap
   seed (0)                  run seed (overridden by the global --seed flag)
   data ("niah_mix")         "niah_mix" | "grammar" stream kind
-  tokens_budget (null)      informational token budget
 
-eval keys:
-  n_samples (200)           samples per evaluated length
-  lengths ([256, 512, 1024])  context lengths, tokens
-  seed (0)                  evaluation seed
-  eval_batch (16)           sequences per forward during evaluation
-
-halo keys: stage1/stage2/stage3 (train-key sub-objects), plus
+halo keys: stage1/stage2/stage3 (sub-objects of the train keys other than
+data), plus
   k (null)                  attention layers kept, a positive integer
                             <= L; null = floor(L/4), at least 1
   data ("niah_mix")         stream kind for all stages
@@ -73,23 +67,21 @@ MODEL_DEFAULTS = {
     "attn_gate": None, "rnn_gate": True, "chunk": 64, "scale_base": None,
 }
 
-TRAIN_DEFAULTS = {
+# the keys TrainConfig reads; a halo stage section accepts only these
+STAGE_DEFAULTS = {
     "steps": 600, "batch_size": 16, "context_len": 256, "lr_max": 3e-3,
     "lr_min": 1e-5, "schedule": "cosine", "warmup_steps": 50,
-    "weight_decay": 0.1, "grad_clip": 1.0, "seed": 0, "data": "niah_mix",
-    "tokens_budget": None,
+    "weight_decay": 0.1, "grad_clip": 1.0, "seed": 0,
 }
 
-EVAL_DEFAULTS = {
-    "n_samples": 200, "lengths": [256, 512, 1024], "seed": 0, "eval_batch": 16,
-}
+TRAIN_DEFAULTS = {**STAGE_DEFAULTS, "data": "niah_mix"}
 
 HALO_STAGE_DEFAULTS = {
-    "stage1": {**TRAIN_DEFAULTS, "steps": 250, "lr_max": 1e-3, "warmup_steps": 20,
+    "stage1": {**STAGE_DEFAULTS, "steps": 250, "lr_max": 1e-3, "warmup_steps": 20,
                "weight_decay": 0.0},
-    "stage2": {**TRAIN_DEFAULTS, "steps": 400, "lr_max": 1e-4, "warmup_steps": 20,
+    "stage2": {**STAGE_DEFAULTS, "steps": 400, "lr_max": 1e-4, "warmup_steps": 20,
                "weight_decay": 0.0},
-    "stage3": {**TRAIN_DEFAULTS, "steps": 100, "batch_size": 4,
+    "stage3": {**STAGE_DEFAULTS, "steps": 100, "batch_size": 4,
                "context_len": 1024, "lr_max": 1e-5, "schedule": "constant",
                "warmup_steps": 10, "weight_decay": 0.0},
 }
@@ -146,7 +138,6 @@ def build_halo_config(hd: dict, seed_override: int | None = None) -> HaloConfig:
     stages = {}
     for name in ("stage1", "stage2", "stage3"):
         sd = _merge(f"halo.{name}", hd[name], HALO_STAGE_DEFAULTS[name])
-        sd.pop("data", None)
         if seed_override is not None:
             sd["seed"] = seed_override
         stages[name] = TrainConfig(**sd)
@@ -161,13 +152,12 @@ class RunConfig:
     """Parsed and validated run document."""
 
     def __init__(self, doc: dict, seed_override: int | None = None):
-        unknown = sorted(set(doc) - {"model", "train", "eval", "halo"})
+        unknown = sorted(set(doc) - {"model", "train", "halo"})
         if unknown:
             raise ConfigError(f"unknown section {unknown[0]!r}")
         self.model = build_model_config(doc.get("model", {}))
         self.train, self.data_kind = build_train_config(doc.get("train", {}),
                                                         seed_override)
-        self.eval = _merge("eval", doc.get("eval", {}), EVAL_DEFAULTS)
         self.halo = build_halo_config(doc.get("halo", {}), seed_override)
         self.raw = doc
 

@@ -100,6 +100,49 @@ def test_checkpoint_offsets_cover_payload(tmp_path):
         load_tensors(path)
 
 
+def test_checkpoint_save_that_fails_leaves_the_earlier_file(tmp_path, monkeypatch):
+    """The write goes to a temporary file beside the target; when it fails
+    partway the temporary file is removed and the old checkpoint loads."""
+    import builtins
+
+    import hybridkit.checkpoint as ckpt
+
+    path = tmp_path / "m.ckpt"
+    save_tensors(path, {"kind": "x"}, {"a": np.arange(4, dtype=np.float32)})
+    before = path.read_bytes()
+    opened = []
+
+    class FailsAfterMagic:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            if self.f.tell() > 0:
+                raise OSError("disk full")
+            self.f.write(data)
+
+    def failing_open(name, mode):
+        opened.append(Path(name))
+        return FailsAfterMagic(builtins.open(name, mode))
+
+    monkeypatch.setattr(ckpt, "open", failing_open, raising=False)
+    for target in (path, tmp_path / "new.ckpt"):
+        with pytest.raises(OSError, match="disk full"):
+            save_tensors(target, {"kind": "y"}, {"b": np.zeros(8, dtype=np.float64)})
+    monkeypatch.undo()
+    assert [p.parent for p in opened] == [tmp_path, tmp_path]
+    assert path not in opened
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+    assert path.read_bytes() == before
+    assert load_tensors(path)[0] == {"kind": "x"}
+
+
 # --------------------------------------------------------------------------
 # run config
 
@@ -124,6 +167,33 @@ def test_runconfig_arch_defaults():
     rc = RunConfig({"model": {"arch": "hypenet", "L": 8}})
     assert rc.model.I_attn == (0, 4)
     assert rc.model.pe_attention == "nope" and rc.model.attn_gate
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"train": {"tokens_budget": 10}}, "train.tokens_budget"),
+    ({"halo": {"stage1": {"tokens_budget": 10}}}, "halo.stage1.tokens_budget"),
+    ({"eval": {"n_samples": 8}}, "'eval'"),
+])
+def test_runconfig_rejects_keys_nothing_reads(doc, key):
+    with pytest.raises(ConfigError, match=key):
+        RunConfig(doc)
+
+
+@pytest.mark.parametrize("stage", ["stage1", "stage2", "stage3"])
+def test_halo_stage_section_rejects_data(stage):
+    """The stream kind of every stage is halo.data; a stage section takes
+    only the training keys."""
+    with pytest.raises(ConfigError, match=f"halo.{stage}.data"):
+        build_halo_config({stage: {"data": "grammar"}})
+    assert build_halo_config({"data": "grammar"}).data_kind == "grammar"
+
+
+def test_cli_halo_stage_data_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, halo={"stage2": {"data": "grammar"}})
+    out = tmp_path / "halo"
+    assert main(["halo", str(tmp_path / "t.ckpt"), cfg, str(out)]) == 2
+    assert "halo.stage2.data" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_runconfig_seed_override():
@@ -385,3 +455,53 @@ def test_cli_halo_dry_run_and_selection_agree_on_default_k(tmp_path, capsys):
     assert main(["halo", str(teacher_path), cfg, str(out), "--stage", "select"]) == 0
     sel = json.loads((out / "selection.json").read_text())
     assert sel["k"] == dry_k and len(sel["I_attn"]) == dry_k
+
+
+# --------------------------------------------------------------------------
+# the CLI pipeline and run_halo share every stage
+
+SMALL_HALO = {"stage1": {"steps": 3, "batch_size": 2, "context_len": 64,
+                         "lr_max": 1e-3, "warmup_steps": 1},
+              "stage2": {"steps": 3, "batch_size": 2, "context_len": 64,
+                         "lr_max": 1e-4, "warmup_steps": 1},
+              "stage3": {"steps": 2, "batch_size": 1, "context_len": 128,
+                         "lr_max": 1e-5, "schedule": "constant", "warmup_steps": 1},
+              "rc_samples": 4}
+
+
+@pytest.fixture(scope="module")
+def halo_all(tmp_path_factory):
+    """A 4-layer teacher and its `hybridkit halo` run over all stages."""
+    tmp = tmp_path_factory.mktemp("halo")
+    cfg = write_cfg(tmp, model={"L": 4}, halo=SMALL_HALO)
+    teacher = tmp / "teacher.ckpt"
+    assert main(["--seed", "2", "train", cfg, str(teacher)]) == 0
+    out = tmp / "all"
+    assert main(["--seed", "2", "halo", str(teacher), cfg, str(out)]) == 0
+    return teacher, cfg, out
+
+
+def test_cli_halo_final_checkpoint_equals_run_halo(halo_all):
+    from hybridkit.halo import run_halo
+
+    teacher, cfg, out = halo_all
+    T.set_precision("standard")  # the CLI's default
+    result = run_halo(load_model(teacher), load_run_config(cfg, seed_override=2).halo)
+    final = load_model(out / "final.ckpt")
+    assert final.cfg == result.hybrid.cfg
+    assert final.state_bytes() == result.hybrid.state_bytes()
+    assert json.loads((out / "selection.json").read_text())["I_attn"] == list(result.I_attn)
+
+
+def test_cli_halo_staged_run_writes_the_same_bytes_as_all(halo_all, tmp_path):
+    teacher, cfg, out = halo_all
+    staged = tmp_path / "staged"
+    for stage in ("1", "select", "2", "3"):
+        assert main(["--seed", "2", "halo", str(teacher), cfg, str(staged),
+                     "--stage", stage]) == 0
+    names = sorted(p.name for p in out.iterdir() if p.suffix in (".ckpt", ".json", ".tsv"))
+    assert len(names) == 4 + 3 + 2  # stage-1 mixers, three hybrids, selection and scores
+    assert sorted(p.name for p in staged.iterdir()
+                  if p.suffix in (".ckpt", ".json", ".tsv")) == names
+    for name in names:
+        assert (staged / name).read_bytes() == (out / name).read_bytes(), name

@@ -253,11 +253,10 @@ def test_stage1_transferred_init_carries_teacher_structure():
     magnitude regardless of how good its direction is."""
     teacher = tiny_teacher(L=2, seed=6)
     quick_lm_train(teacher, steps=300)
-    from hybridkit.halo import _hybrid_conventions
-    from hybridkit.model import capture_many, _init_mixer
+    from hybridkit.model import capture_many, hybrid_config, _init_mixer
     from hybridkit.mixers import lightning_forward_chunked
 
-    hyb_cfg = _hybrid_conventions(teacher.cfg)
+    hyb_cfg = hybrid_config(teacher.cfg, I_attn=())
     cfg = TrainConfig(context_len=64, batch_size=2, steps=1, lr_max=1e-3, seed=3)
     batch = stream_for(cfg).batch(0)[:, :-1]
     x_in, y_ref = capture_many(teacher, batch, [0])[0]
@@ -347,6 +346,22 @@ def test_train_loop_divergence_aborts_with_report():
     assert len(e.value.report.losses) == 3
 
 
+def test_stage1_divergence_aborts_with_the_layer_report():
+    """Stage 1 takes the same step as every stage: a non-finite loss stops
+    the run with the partial report of the layer that diverged."""
+    from hybridkit.halo import stage1_align_all
+
+    teacher = tiny_teacher(L=2, seed=7)
+    teacher.layers[1].mixer.w_v.data[:] = np.nan  # layer 1's target is NaN
+    cfg = TrainConfig(context_len=64, batch_size=2, steps=3, lr_max=1e-3, seed=4)
+    with pytest.raises(TrainingDiverged, match="stage1/layer1: .* step 0") as e:
+        stage1_align_all(teacher, [0, 1], stream_for(cfg), cfg)
+    report = e.value.report
+    assert report.stage == "stage1/layer1"
+    assert len(report.losses) == len(report.lrs) == 1 and report.grad_norms == []
+    assert report.wall_time > 0
+
+
 # --------------------------------------------------------------------------
 # evaluate_RC and the full pipeline
 
@@ -366,12 +381,11 @@ def test_evaluate_rc_zero_mixer_collapses_recall():
     """Destroying a mid-stack mixer must not *raise* recall above teacher's."""
     from hybridkit.evals import build_rc_suite
     from hybridkit.halo import candidate_model
-    from hybridkit.model import _init_mixer
-    from hybridkit.halo import _hybrid_conventions
+    from hybridkit.model import _init_mixer, hybrid_config
 
     teacher = tiny_teacher(L=2, seed=13)
     suite = build_rc_suite(24, seed=0, n_samples=16)
-    dead = _init_mixer(Rng(0), _hybrid_conventions(teacher.cfg), "lightning")
+    dead = _init_mixer(Rng(0), hybrid_config(teacher.cfg, I_attn=()), "lightning")
     dead.w_o = T.zeros(dead.w_o.shape)  # mixer output identically zero
     cand = candidate_model(teacher, 1, dead)
     r_dead, _ = evaluate_RC(cand, suite)
@@ -385,6 +399,23 @@ def test_evaluate_rc_deterministic():
     teacher = tiny_teacher(L=2, seed=14)
     suite = build_rc_suite(24, seed=3, n_samples=8)
     assert evaluate_RC(teacher, suite) == evaluate_RC(teacher, suite)
+
+
+def test_assemble_hybrid_puts_the_aligned_mixers_in_its_rnn_layers():
+    from hybridkit.halo import assemble_hybrid, stage1_align_all
+    from hybridkit.model import init_hybrid_from_teacher
+
+    teacher = tiny_teacher(L=3, seed=16)
+    cfg = TrainConfig(context_len=64, batch_size=2, steps=1, lr_max=1e-3, seed=2)
+    aligned = {l: w for l, (w, _) in
+               stage1_align_all(teacher, range(3), stream_for(cfg), cfg).items()}
+    hybrid = assemble_hybrid(teacher, [1], aligned, seed=5)
+    ref = init_hybrid_from_teacher(teacher, (1,), seed=5)
+    assert hybrid.cfg == ref.cfg
+    for l in (0, 2):
+        assert hybrid.layers[l].mixer is aligned[l]
+        ref.layers[l].mixer = aligned[l]
+    assert hybrid.state_bytes() == ref.state_bytes()
 
 
 def test_run_halo_mini_pipeline():

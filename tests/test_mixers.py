@@ -210,6 +210,39 @@ def test_attention_kv_cache_matches_full_forward():
     assert max_rel_err(np.array(outs), full) < 1e-10
 
 
+def test_kv_cache_growth_keeps_contents_and_leaves_headroom():
+    rng = Rng(29)
+    cache = KvCache(2, 2, 3, np.float64, capacity=4)
+    buffers = [cache._k]
+    chunks = []
+    for i, t in enumerate([3, 2, 1, 70, 1]):
+        chunks.append(rng.child(i).normal((2, 2, t, 3)))
+        cache.append(chunks[-1], -chunks[-1])
+        if cache._k is not buffers[-1]:
+            buffers.append(cache._k)
+        ref = np.concatenate(chunks, axis=2)
+        np.testing.assert_array_equal(cache.k, ref)
+        np.testing.assert_array_equal(cache.v, -ref)
+    for _ in range(200):
+        cache.append(np.zeros((2, 2, 1, 3)), np.zeros((2, 2, 1, 3)))
+        if cache._k is not buffers[-1]:
+            buffers.append(cache._k)
+    np.testing.assert_array_equal(cache.k[:, :, :77], ref)
+    h = mixers._KV_HEADROOM
+    # a growth leaves headroom after the tokens it must hold, and at least
+    # doubles, so single-token appends reallocate ever more rarely
+    assert [b.shape[2] for b in buffers] == [4, 5 + h, 76 + h, 2 * (76 + h)]
+
+
+def test_mixer_field_list_orders_parameters_and_copies():
+    w = make_weights(Rng(30), 8, 4, 2, 2, gate_head=True)
+    assert [name for name, _ in w.named()] == list(mixers.MIXER_FIELDS)
+    twin = w.copy()
+    for (na, ta), (nb, tb) in zip(w.named(), twin.named()):
+        assert na == nb and ta is not tb
+        np.testing.assert_array_equal(ta.data, tb.data)
+
+
 # --------------------------------------------------------------------------
 # causal query blocks with grouped KV heads
 #

@@ -217,6 +217,32 @@ def test_greedy_batch_runs_one_decode_step_per_token_after_the_first(monkeypatch
         generate_greedy(model, prompts, n_new=0)
 
 
+def test_decode_after_prefill_appends_without_regrowing_the_kv_cache():
+    """Greedy decode after a prefill longer than the cache's first capacity:
+    tokens and logits equal the full forward's, and the steps right after the
+    prefill write into the buffers the prefill grew."""
+    from hybridkit.mixers import KvCache
+    from hybridkit.model import _advance
+
+    cfg = tiny_hybrid(L=3, I_attn=(0, 2))
+    model = init_model(cfg, seed=13)
+    seq = Rng(5).integers(0, cfg.vocab, size=(2, 150))  # capacity starts at 64
+    sess = new_session(model, batch=2)
+    logits = prefill(model, sess, seq).data[:, -1]
+    caches = [s for s in sess.states if isinstance(s, KvCache)]
+    buffers = [(c._k, c._v) for c in caches]
+    assert len(caches) == 2
+    for _ in range(8):
+        full = forward(model, seq).data[:, -1]
+        assert max_rel_err(logits, full) < 1e-10
+        tok = logits.argmax(-1)
+        np.testing.assert_array_equal(tok, full.argmax(-1))
+        seq = np.concatenate([seq, tok[:, None]], axis=1)
+        logits = _advance(model, tok[:, None], sess).data[:, -1]
+    assert all(c._k is k and c._v is v for c, (k, v) in zip(caches, buffers))
+    assert all(c.pos == 158 for c in caches)
+
+
 def test_decode_scaling_uses_absolute_positions():
     cfg = tiny_hybrid(L=2, I_attn=(0, 1), scale_base=ScaleBase(50.0))
     model = init_model(cfg, seed=11)
