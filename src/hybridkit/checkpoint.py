@@ -11,13 +11,13 @@ native precision, recorded per entry by the dtype code).
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from .fileio import write_atomic
 from .mixers import MIXER_FIELDS
 from .model import (LayerWeights, MixerWeights, MlpWeights, Model, ModelConfig)
 from .positional import RopeParams, ScaleBase
@@ -54,19 +54,15 @@ def save_tensors(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
         offset += len(blob)
         blobs.append(blob)
     header = json.dumps({"config": config, "tensors": index}).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<Q", len(header)))
-            f.write(header)
-            for blob in blobs:
-                f.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+
+    def write(f):
+        f.write(MAGIC)
+        f.write(struct.pack("<Q", len(header)))
+        f.write(header)
+        for blob in blobs:
+            f.write(blob)
+
+    write_atomic(path, write)
 
 
 def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:

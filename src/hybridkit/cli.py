@@ -276,6 +276,7 @@ def _write_report(report, path) -> None:
 def _select(teacher, aligned: dict, hc, paths: dict) -> tuple:
     """Selection over the stage-1 candidates; writes scores.tsv (by
     descending importance) and selection.json."""
+    from .fileio import write_text_atomic
     from .halo import select_layers
 
     I_attn, scores = select_layers(teacher, aligned, hc)
@@ -283,9 +284,9 @@ def _select(teacher, aligned: dict, hc, paths: dict) -> tuple:
     for row in sorted(scores, key=lambda r: (-r["importance"], r["layer"])):
         lines.append(f"{row['layer']}\t{row['recall']:.4f}\t{row['cloze']:.4f}"
                      f"\t{row['importance']:.6g}")
-    paths["scores"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths["selection"].write_text(json.dumps({"I_attn": I_attn, "k": len(I_attn)}) + "\n",
-                                  encoding="utf-8")
+    write_text_atomic(paths["scores"], "\n".join(lines) + "\n")
+    write_text_atomic(paths["selection"],
+                      json.dumps({"I_attn": I_attn, "k": len(I_attn)}) + "\n")
     print("\n".join(lines))
     print(f"selected I_attn = {list(I_attn)}")
     return I_attn
@@ -370,6 +371,7 @@ def cmd_bench(args) -> int:
     import numpy as np
 
     from .checkpoint import load_model
+    from .fileio import write_text_atomic
     from .mixers import KvCache, RecurrentState
     from .model import new_session, prefill, _advance
 
@@ -409,7 +411,7 @@ def cmd_bench(args) -> int:
     table = "\n".join(rows)
     print(table)
     if args.out:
-        Path(args.out).write_text(table + "\n", encoding="utf-8")
+        write_text_atomic(args.out, table + "\n")
     return 0
 
 

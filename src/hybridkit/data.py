@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import write_atomic
 from .tensor import ConfigError, Rng
 
 VOCAB = 512
@@ -192,7 +193,5 @@ def cached_arrays(key: dict, builder) -> dict[str, np.ndarray]:
             return {k: z[k] for k in z.files}
     arrays = builder()
     root.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp.npz")
-    np.savez(tmp, **arrays)
-    os.replace(tmp, path)
+    write_atomic(path, lambda f: np.savez(f, **arrays))
     return arrays

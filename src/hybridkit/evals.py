@@ -9,21 +9,21 @@ chain by model likelihood (chance level 0.25).  It is deliberately synthetic:
 it exists to drive layer-importance scores and ablation orderings, not to be
 comparable to any published reasoning benchmark.
 
-Models enter through two duck-typed methods: ``logits(tokens, scale_base)``
-and ``generate(prompts, n_new, scale_base)``; test oracles implement the
-same surface.
+Models enter through three duck-typed methods: ``logits(tokens, scale_base)``,
+``generate(prompts, n_new, scale_base)`` and ``choice_logprobs(prefixes,
+choices, scale_base, eval_batch)``; test oracles implement the same surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .data import (DEFAULT_GRAMMAR_SEED, FILLER_HI, FILLER_LO, KV_HI, KV_LO,
                    SEP, cached_arrays, draw_needles, grammar_chain,
                    grammar_continuation, grammar_tables)
+from .fileio import write_text_atomic
 from .tensor import ConfigError, Rng, _log_softmax
 
 
@@ -158,22 +158,18 @@ def gen_csr_proxy(seed: int, n: int, prefix_len: int = 24, cont_len: int = 4,
 
 def score_csr(model, samples: ClozeSamples, scale_base=None,
               eval_batch: int = 16) -> EvalResult:
-    """Accuracy of likelihood-ranked choices (chance = 1 / n_choices)."""
+    """Accuracy of likelihood-ranked choices (chance = 1 / n_choices).
+
+    The model scores the choices: ``model.choice_logprobs(prefixes, choices,
+    scale_base, eval_batch)`` returns each choice's summed continuation
+    log-probability given its prefix, [n, n_choices], and the highest one
+    is the pick (ties to the lower index).
+    """
     n, n_choices, cont_len = samples.choices.shape
     prefix_len = samples.prefixes.shape[1]
-    rows = np.concatenate([
-        np.repeat(samples.prefixes, n_choices, axis=0),
-        samples.choices.reshape(n * n_choices, cont_len)], axis=1)
-    scores = np.empty(n * n_choices)
-    for lo in range(0, len(rows), eval_batch):
-        chunk = rows[lo:lo + eval_batch]
-        logits = model.logits(chunk, scale_base=scale_base)
-        logp = _log_softmax(logits)
-        # continuation tokens are predicted by positions prefix_len-1 .. end-1
-        for j in range(chunk.shape[0]):
-            pos = np.arange(prefix_len - 1, prefix_len + cont_len - 1)
-            scores[lo + j] = logp[j, pos, chunk[j, pos + 1]].sum()
-    picked = scores.reshape(n, n_choices).argmax(axis=1)
+    scores = model.choice_logprobs(samples.prefixes, samples.choices,
+                                   scale_base=scale_base, eval_batch=eval_batch)
+    picked = np.asarray(scores).argmax(axis=1)
     acc = float((picked == samples.labels).mean())
     return EvalResult(task="csr_proxy", context_len=prefix_len + cont_len,
                       value=acc, metric="accuracy", n_samples=n, seed=0)
@@ -243,7 +239,7 @@ def write_plot_data(results: list[EvalResult], path) -> None:
     lines = ["length\tmetric\tvalue\tn_samples"]
     for r in results:
         lines.append(f"{r.context_len}\t{r.metric}\t{r.value:.6f}\t{r.n_samples}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 @dataclass

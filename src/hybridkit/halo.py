@@ -30,7 +30,6 @@ import json
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -38,6 +37,7 @@ import numpy as np
 from . import tensor as T
 from .data import StreamConfig, TokenStream
 from .evals import RcSuite, build_rc_suite, score_csr, score_recall
+from .fileio import write_text_atomic
 from .mixers import MixerWeights, lightning_forward_chunked
 from .model import (Model, capture_many, forward, hybrid_config,
                     init_hybrid_from_teacher, init_rnn_from_attention)
@@ -186,7 +186,7 @@ class StageReport:
         lines.append(json.dumps({"final": self.final_metrics,
                                  "wall_time": self.wall_time,
                                  "skipped_steps": self.skipped_steps}))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _train_step(report: StageReport, params: dict[str, Tensor], state: AdamWState,

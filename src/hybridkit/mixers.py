@@ -180,6 +180,13 @@ class KvCache:
     def nbytes(self) -> int:
         return self.k.nbytes + self.v.nbytes
 
+    def repeat(self, r: int) -> "KvCache":
+        """A copy whose row i*r + j is row i of this cache, with the usual headroom."""
+        b, n_kv, _, d_h = self._k.shape
+        out = KvCache(b * r, n_kv, d_h, self._k.dtype, capacity=self.pos + _KV_HEADROOM)
+        out.append(np.repeat(self.k, r, axis=0), np.repeat(self.v, r, axis=0))
+        return out
+
 
 # --------------------------------------------------------------------------
 # shared plumbing

@@ -176,6 +176,11 @@ class Model:
     def generate(self, prompts: np.ndarray, n_new: int, scale_base="config") -> np.ndarray:
         return generate_greedy(self, prompts, n_new, scale_base=scale_base)
 
+    def choice_logprobs(self, prefixes: np.ndarray, choices: np.ndarray,
+                        scale_base="config", eval_batch: int = 16) -> np.ndarray:
+        return choice_logprobs(self, prefixes, choices, scale_base=scale_base,
+                               eval_batch=eval_batch)
+
 
 # --------------------------------------------------------------------------
 # initialization
@@ -301,6 +306,20 @@ class DecodeSession:
     pos: int = 0
     batch: int = 1
 
+    def repeat(self, r: int) -> "DecodeSession":
+        """A new session whose row i*r + j is row i of this one (np.repeat order).
+
+        KV caches and RNN states are copied, never shared, so advancing
+        either session leaves the other as it was; each KV cache keeps its
+        usual free positions for the tokens that follow.  pos is unchanged.
+        """
+        if r < 1:
+            raise ValueError(f"need r >= 1, got {r}")
+        states = [st.repeat(r) if isinstance(st, KvCache)
+                  else RecurrentState(np.repeat(st.s, r, axis=0), st.pos)
+                  for st in self.states]
+        return DecodeSession(states=states, pos=self.pos, batch=self.batch * r)
+
 
 def new_session(model: Model, batch: int = 1) -> DecodeSession:
     dtype = model.embed.data.dtype
@@ -347,9 +366,19 @@ def _mixer_apply(model: Model, l: int, h: Tensor, session: DecodeSession | None,
     return y
 
 
+def _last_position(x: Tensor) -> Tensor:
+    return T.slice_axis(x, 1, x.shape[1] - 1, x.shape[1])
+
+
 def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
-             scale_base="config", capture: dict | None = None) -> Tensor:
-    """Shared layer loop for full forward (session=None) and cached decode."""
+             scale_base="config", capture: dict | None = None,
+             last_only: bool = False) -> Tensor:
+    """Shared layer loop for full forward (session=None) and cached decode.
+
+    With last_only, every mixer still sees all positions (so a session's
+    caches and states are complete), but the final MLP, the final norm and
+    the unembedding run on the last position only.
+    """
     scale_base = _resolve_scale(model, scale_base)
     tokens = np.asarray(tokens)
     squeeze = tokens.ndim == 1
@@ -359,12 +388,17 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
         raise ValueError(f"need at least one token, got token ids of shape {tokens.shape}")
     start_pos = session.pos if session is not None else 0
     x = T.embedding(model.embed, tokens)
+    last_layer = len(model.layers) - 1
+    if last_only and last_layer < 0:
+        x = _last_position(x)
     for l, lw in enumerate(model.layers):
         h_in = T.rmsnorm(x, lw.pre_mixer_gain)
         y = _mixer_apply(model, l, h_in, session, scale_base, start_pos)
         if capture is not None and l in capture:
             capture[l] = (h_in.detach(), y.detach())
         x = T.add(x, y)
+        if last_only and l == last_layer:
+            x = _last_position(x)
         m_in = T.rmsnorm(x, lw.pre_mlp_gain)
         mlp = lw.mlp
         inner = T.mul(T.silu(T.matmul(m_in, mlp.w_gate)), T.matmul(m_in, mlp.w_up))
@@ -405,12 +439,16 @@ def capture_many(model: Model, tokens, layers) -> dict:
 
 
 def prefill(model: Model, session: DecodeSession, tokens: np.ndarray,
-            scale_base="config") -> Tensor:
+            scale_base="config", last_only: bool = False) -> Tensor:
     """Feed a whole prompt through a session; returns logits for all positions.
 
-    Raises ValueError on an empty prompt.
+    With last_only=True the logits are those of the last position only,
+    [B, 1, V] (equal to the last row of the full result), and the work
+    after the final layer's mixer is done for that position alone; the
+    session ends in the same state either way.  Raises ValueError on an
+    empty prompt.
     """
-    return _advance(model, tokens, session, scale_base=scale_base)
+    return _advance(model, tokens, session, scale_base=scale_base, last_only=last_only)
 
 
 def decode_step(model: Model, session: DecodeSession, token: int,
@@ -436,12 +474,50 @@ def generate_greedy(model: Model, prompts: np.ndarray, n_new: int,
     if prompts.ndim == 1:
         prompts = prompts[None, :]
     session = new_session(model, batch=prompts.shape[0])
-    logits = prefill(model, session, prompts, scale_base=scale_base)
+    logits = prefill(model, session, prompts, scale_base=scale_base, last_only=True)
     out = [logits.data[:, -1, :].argmax(axis=-1)]
     for _ in range(n_new - 1):
         step_logits = _advance(model, out[-1][:, None], session, scale_base=scale_base)
         out.append(step_logits.data[:, -1, :].argmax(axis=-1))
     return np.stack(out, axis=1)
+
+
+def choice_logprobs(model: Model, prefixes: np.ndarray, choices: np.ndarray,
+                    scale_base="config", eval_batch: int = 16) -> np.ndarray:
+    """Summed log-probability of each choice after its prefix: [n, n_choices].
+
+    prefixes is [n, P] and choices [n, n_choices, C]; entry (i, c) is the
+    sum over the C tokens of choices[i, c] of log p(token | prefixes[i],
+    the choice's earlier tokens), which is what a forward over the row
+    [prefixes[i], choices[i, c]] gives.  Each prefix runs once: its last
+    position scores every choice's first token, and its session, repeated
+    once per choice, continues at position P with the remaining tokens.
+    No pass runs more than eval_batch rows.
+    """
+    prefixes, choices = np.asarray(prefixes), np.asarray(choices)
+    n, n_choices, cont_len = choices.shape
+    per = max(1, eval_batch // n_choices)   # samples per prefix pass
+    width = min(n_choices, eval_batch)      # choices per continuation pass
+    tok_logp = np.empty(choices.shape, dtype=model.embed.data.dtype)
+    for lo in range(0, n, per):
+        pre, ch = prefixes[lo:lo + per], choices[lo:lo + per]
+        b = pre.shape[0]
+        session = new_session(model, batch=b)
+        last = prefill(model, session, pre, scale_base=scale_base, last_only=True)
+        first = T._log_softmax(last.data)[:, 0]
+        tok_logp[lo:lo + b, :, 0] = np.take_along_axis(first, ch[:, :, 0], axis=1)
+        if cont_len == 1:
+            continue
+        for c0 in range(0, n_choices, width):
+            grp = ch[:, c0:c0 + width]
+            w = grp.shape[1]
+            logits = prefill(model, session.repeat(w),
+                             grp[..., :-1].reshape(b * w, cont_len - 1),
+                             scale_base=scale_base)
+            picked = np.take_along_axis(T._log_softmax(logits.data),
+                                        grp[..., 1:].reshape(b * w, cont_len - 1, 1), axis=2)
+            tok_logp[lo:lo + b, c0:c0 + w, 1:] = picked.reshape(b, w, cont_len - 1)
+    return tok_logp.sum(axis=2)
 
 
 def mean_nll(model: Model, seq: np.ndarray, scale_base="config") -> float:

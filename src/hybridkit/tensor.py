@@ -220,9 +220,21 @@ class Tape:
                     prev = leaf_grads.get(tid)
                     leaf_grads[tid] = contrib if prev is None else prev + contrib
                     leaves[tid] = t
+        # a vjp may hand the same array (or views of it) to several leaves,
+        # e.g. add(a, b); each leaf's grad must own its memory, since
+        # clip_grad_norm and optimizers update grads in place
+        owners: set[int] = set()
         for tid, t in leaves.items():
             g = leaf_grads[tid]
-            t.grad = g if t.grad is None else t.grad + g
+            if t.grad is not None:
+                t.grad = t.grad + g
+                continue
+            root = id(g if g.base is None else g.base)
+            if root in owners:
+                g = g.copy()
+            else:
+                owners.add(root)
+            t.grad = g
         self._consumed = True
         self._records.clear()
         self._produced.clear()

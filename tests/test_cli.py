@@ -105,7 +105,7 @@ def test_checkpoint_save_that_fails_leaves_the_earlier_file(tmp_path, monkeypatc
     partway the temporary file is removed and the old checkpoint loads."""
     import builtins
 
-    import hybridkit.checkpoint as ckpt
+    import hybridkit.fileio as fileio
 
     path = tmp_path / "m.ckpt"
     save_tensors(path, {"kind": "x"}, {"a": np.arange(4, dtype=np.float32)})
@@ -131,7 +131,7 @@ def test_checkpoint_save_that_fails_leaves_the_earlier_file(tmp_path, monkeypatc
         opened.append(Path(name))
         return FailsAfterMagic(builtins.open(name, mode))
 
-    monkeypatch.setattr(ckpt, "open", failing_open, raising=False)
+    monkeypatch.setattr(fileio, "open", failing_open, raising=False)
     for target in (path, tmp_path / "new.ckpt"):
         with pytest.raises(OSError, match="disk full"):
             save_tensors(target, {"kind": "y"}, {"b": np.zeros(8, dtype=np.float64)})
@@ -141,6 +141,72 @@ def test_checkpoint_save_that_fails_leaves_the_earlier_file(tmp_path, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
     assert path.read_bytes() == before
     assert load_tensors(path)[0] == {"kind": "x"}
+
+
+def _write_scores_and_selection(path, version):
+    """cli._select over a stubbed selection, writing beside `path`."""
+    import hybridkit.halo as halo
+    from hybridkit.cli import _halo_paths, _select
+
+    rows = [{"layer": 0, "recall": 0.5, "cloze": 0.25, "importance": float(version)}]
+    real = halo.select_layers
+    halo.select_layers = lambda teacher, aligned, hc: ((0,), rows)
+    try:
+        _select(None, {}, None, _halo_paths(path.parent))
+    finally:
+        halo.select_layers = real
+
+
+def _text_writers():
+    from hybridkit.evals import EvalResult, write_plot_data
+    from hybridkit.halo import StageReport
+
+    return {
+        "report": lambda path, v: StageReport("stage2", losses=[float(v)], lrs=[0.1],
+                                              final_metrics={"kl": 1.0}).write_jsonl(path),
+        "plot": lambda path, v: write_plot_data(
+            [EvalResult("niah", 64, float(v), "accuracy", 4, 0)], path),
+        "scores": _write_scores_and_selection,
+    }
+
+
+@pytest.mark.parametrize("writer", ["report", "plot", "scores"])
+def test_text_artifact_write_that_fails_leaves_the_earlier_file(tmp_path, monkeypatch,
+                                                                writer):
+    """Text artifacts go through the same temporary-file-and-rename as
+    checkpoints: a write that fails partway leaves the earlier file and no
+    temporary file behind."""
+    import builtins
+
+    import hybridkit.fileio as fileio
+
+    write = _text_writers()[writer]
+    path = tmp_path / "scores.tsv"
+    write(path, 1)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    write(path, 1)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    class FailsHalfway:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(fileio, "open", lambda name, mode: FailsHalfway(builtins.open(name, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(path, 2)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hybridkit.evals import (ClozeSamples, EvalResult, NiahSpec, gen_csr_proxy,
                              score_recall, write_plot_data)
 from hybridkit.tensor import ConfigError, Rng
 
-from conftest import max_rel_err
+from conftest import max_rel_err, reference_choice_logprobs
 
 
 # --------------------------------------------------------------------------
@@ -45,6 +45,9 @@ class RandomModel:
 
     def logits(self, tokens, scale_base=None):
         return self.rng.normal(tokens.shape + (self.vocab,))
+
+    def choice_logprobs(self, prefixes, choices, scale_base=None, eval_batch=16):
+        return reference_choice_logprobs(self, prefixes, choices, scale_base, eval_batch)
 
 
 class UniformModel:
@@ -178,6 +181,10 @@ def test_csr_oracle_scorer_perfect():
                     for s in tables.succ[t - FILLER_LO]:
                         out[idx + (int(s),)] = 10.0
             return out
+
+        def choice_logprobs(self, prefixes, choices, scale_base=None, eval_batch=16):
+            return reference_choice_logprobs(self, prefixes, choices, scale_base,
+                                             eval_batch)
 
     res = score_csr(CsrOracle(), samples)
     assert res.value == 1.0

@@ -129,6 +129,31 @@ def test_clip_grad_norm():
     np.testing.assert_allclose(np.linalg.norm(p.grad), 1.0, rtol=1e-12)
 
 
+def test_clip_grad_norm_scales_leaves_that_received_one_gradient_array_once():
+    """add() hands the same gradient array to both operands; each leaf's
+    grad must be its own memory, or the in-place clip scales it twice."""
+    a = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    b = Tensor(np.array([0.5, 0.5, 0.5]), requires_grad=True)
+    c = Tensor(np.array([[1.0], [1.0], [1.0]]), requires_grad=True)
+    with T.Tape():
+        loss = T.sum_all(T.mul_const(T.add(a, b), np.array([3.0, 4.0, 0.0])))
+    T.backward(loss)
+    assert not np.shares_memory(a.grad, b.grad)
+    norm = clip_grad_norm({"a": a, "b": b}, 1.0)
+    assert abs(norm - np.sqrt(50.0)) < 1e-12
+    expected = np.array([3.0, 4.0, 0.0]) / np.sqrt(50.0)  # [0.424, 0.566, 0]
+    np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
+    np.testing.assert_allclose(b.grad, expected, rtol=1e-12)
+    # a view of the shared array (reshape's vjp) counts as sharing too
+    d = Tensor(np.zeros(3), requires_grad=True)
+    with T.Tape():
+        loss = T.sum_all(T.add(d, T.reshape(c, (3,))))
+    T.backward(loss)
+    assert not np.shares_memory(d.grad, c.grad)
+    c.grad *= 0.0
+    np.testing.assert_array_equal(d.grad, np.ones(3))
+
+
 # --------------------------------------------------------------------------
 # importance and selection
 
@@ -435,6 +460,43 @@ def test_run_halo_mini_pipeline():
     # hybrid keeps attention only at selected indices
     for l, lw in enumerate(result.hybrid.layers):
         assert (lw.mixer_kind == "attention") == (l in result.I_attn)
+
+
+def test_select_layers_keeps_the_top_k_by_importance(monkeypatch):
+    """With per-layer (recall, cloze) that differ, selection must follow the
+    scores: the top-k layers here are neither the lowest indices nor the
+    layers with the lowest recall alone."""
+    import hybridkit.halo as halo
+
+    teacher = tiny_teacher(L=5, seed=16)
+    aligned = {l: init_rnn_from_attention(lw.mixer, teacher.cfg, Rng(l))
+               for l, lw in enumerate(teacher.layers)}
+    rc = {0: (0.9, 0.5), 1: (0.2, 0.5 - 1e-3), 2: (0.6, 0.4), 3: (0.1, 0.45),
+          4: (0.8, 0.3)}
+    scored = []
+
+    def fake_evaluate_rc(model, suite):
+        layer, = [l for l, lw in enumerate(model.layers) if lw.mixer_kind == "lightning"]
+        assert model.layers[layer].mixer is not aligned[layer]  # a copy
+        np.testing.assert_array_equal(model.layers[layer].mixer.w_q.data,
+                                      aligned[layer].w_q.data)
+        scored.append(layer)
+        return rc[layer]
+
+    monkeypatch.setattr(halo, "evaluate_RC", fake_evaluate_rc)
+    mk = TrainConfig(context_len=16, batch_size=1, steps=1, lr_max=1e-3, warmup_steps=0)
+    cfg = HaloConfig(stage1=mk, stage2=mk, stage3=mk, k=2, rc_samples=2)
+    I_attn, rows = halo.select_layers(teacher, aligned, cfg)
+    # s_i = (max R - R_i) / (max C - C_i + 1e-6) with max R = 0.9, max C = 0.5
+    expected = [0.0, 0.7 / (1e-3 + 1e-6), 0.3 / (0.1 + 1e-6), 0.8 / (0.05 + 1e-6),
+                0.1 / (0.2 + 1e-6)]
+    assert scored == [0, 1, 2, 3, 4]
+    assert I_attn == (1, 3)
+    assert [r["layer"] for r in rows] == [0, 1, 2, 3, 4]
+    assert [(r["recall"], r["cloze"]) for r in rows] == [rc[l] for l in range(5)]
+    np.testing.assert_allclose([r["importance"] for r in rows], expected, rtol=1e-12)
+    cfg3 = HaloConfig(stage1=mk, stage2=mk, stage3=mk, k=3, rc_samples=2)
+    assert halo.select_layers(teacher, aligned, cfg3)[0] == (1, 2, 3)
 
 
 def replace_schedule(cfg: TrainConfig) -> TrainConfig:

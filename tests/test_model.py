@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from hybridkit import tensor as T
-from hybridkit.model import (DecodeSession, Model, ModelConfig, decode_step,
-                             desk_config, forward, forward_capture,
+from hybridkit.evals import gen_csr_proxy, score_csr
+from hybridkit.mixers import KvCache
+from hybridkit.model import (DecodeSession, Model, ModelConfig, choice_logprobs,
+                             decode_step, desk_config, forward, forward_capture,
                              generate_greedy, init_hybrid_from_teacher,
                              init_model, mean_nll, new_session, prefill,
                              transformer_config)
 from hybridkit.positional import RopeParams, ScaleBase
 from hybridkit.tensor import ConfigError, Rng
 
-from conftest import max_rel_err
+from conftest import max_rel_err, reference_choice_logprobs
 from test_mixers import attention_loop_oracle, lightning_cumsum_oracle, _np_rms
 
 TINY = dict(d=16, d_h=4, n_h=4, n_kv_heads=2, ffn_width=24, vocab=32,
@@ -262,6 +264,139 @@ def test_causality_shared_prefix_identical_logits():
     la = forward(model, a).data
     lb = forward(model, b).data
     np.testing.assert_array_equal(la[:10], lb[:10])
+
+
+# --------------------------------------------------------------------------
+# session repeat, last-position prefill and cloze log-probs
+
+# (precision, relative tolerance against the full-row forward)
+PRECISIONS = [("extended", 1e-12), ("standard", 1e-5)]
+
+
+@pytest.fixture(params=PRECISIONS, ids=["f64", "f32"])
+def tol(request):
+    precision, tol = request.param
+    T.set_precision(precision)
+    return tol
+
+
+def _state_arrays(session):
+    return [st.k if isinstance(st, KvCache) else st.s for st in session.states] + [
+        st.v for st in session.states if isinstance(st, KvCache)]
+
+
+def test_session_repeat_row_order_and_copies(tol):
+    cfg = tiny_hybrid(L=3, I_attn=(0, 2))
+    model = init_model(cfg, seed=20)
+    prompts = Rng(6).integers(0, cfg.vocab, size=(2, 7))
+    sess = new_session(model, batch=2)
+    prefill(model, sess, prompts)
+    before = [a.copy() for a in _state_arrays(sess)]
+    rep = sess.repeat(3)
+    assert (rep.pos, rep.batch, sess.pos, sess.batch) == (7, 6, 7, 2)
+    for got, orig in zip(_state_arrays(rep), _state_arrays(sess)):
+        np.testing.assert_array_equal(got, np.repeat(orig, 3, axis=0))
+        assert not np.shares_memory(got, orig)
+    # advancing the copy leaves the original's caches and states as they were,
+    # and the copy's KV caches have room for the new tokens without regrowing
+    buffers = [st._k for st in rep.states if isinstance(st, KvCache)]
+    prefill(model, rep, Rng(7).integers(0, cfg.vocab, size=(6, 2)))
+    assert all(st._k is k for st, k in
+               zip([st for st in rep.states if isinstance(st, KvCache)], buffers))
+    assert all(st.pos == 9 for st in rep.states)
+    assert all(st.pos == 7 for st in sess.states)
+    for a, b in zip(_state_arrays(sess), before):
+        np.testing.assert_array_equal(a, b)
+    with pytest.raises(ValueError):
+        sess.repeat(0)
+
+
+def test_repeated_session_continues_like_the_repeated_rows(tol):
+    cfg = tiny_hybrid(L=3, I_attn=(1,), scale_base=ScaleBase(20.0))
+    model = init_model(cfg, seed=21)
+    prompts = Rng(8).integers(0, cfg.vocab, size=(2, 70))  # past the KV headroom
+    cont = Rng(9).integers(0, cfg.vocab, size=(6, 3))
+    sess = new_session(model, batch=2)
+    prefill(model, sess, prompts)
+    got = prefill(model, sess.repeat(3), cont).data
+    rows = np.concatenate([np.repeat(prompts, 3, axis=0), cont], axis=1)
+    ref = prefill(model, new_session(model, batch=6), rows).data[:, 70:]
+    assert max_rel_err(got, ref) < tol
+
+
+@pytest.mark.parametrize("L, I_attn", [(3, (2,)), (3, (0,)), (0, ())],
+                         ids=["attention_last", "lightning_last", "no_layers"])
+def test_prefill_last_only_matches_full_prefill(tol, L, I_attn):
+    cfg = tiny_hybrid(L=L, I_attn=I_attn)
+    model = init_model(cfg, seed=22)
+    prompts = Rng(10).integers(0, cfg.vocab, size=(3, 11))
+    full_sess, last_sess = new_session(model, batch=3), new_session(model, batch=3)
+    full = prefill(model, full_sess, prompts).data
+    last = prefill(model, last_sess, prompts, last_only=True).data
+    assert last.shape == (3, 1, cfg.vocab)
+    assert max_rel_err(last, full[:, -1:]) < tol
+    assert last_sess.pos == full_sess.pos == 11
+    for a, b in zip(_state_arrays(last_sess), _state_arrays(full_sess)):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("I_attn", [(2,), (0,)], ids=["attention_last", "lightning_last"])
+def test_greedy_tokens_equal_repeated_full_forward(tol, I_attn):
+    cfg = tiny_hybrid(L=3, I_attn=I_attn)
+    model = init_model(cfg, seed=23)
+    prompts = Rng(11).integers(0, cfg.vocab, size=(2, 9))
+    got = generate_greedy(model, prompts, n_new=6)
+    for prompt, row in zip(prompts, got):
+        seq = list(prompt)
+        for tok in row:
+            assert tok == int(forward(model, np.array(seq)).data[-1].argmax())
+            seq.append(int(tok))
+
+
+class _FullRows:
+    """A model seen only through its full-row logits: the reference scorer."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def logits(self, tokens, scale_base="config"):
+        return forward(self.model, tokens, scale_base=scale_base).data
+
+    def choice_logprobs(self, prefixes, choices, scale_base="config", eval_batch=16):
+        return reference_choice_logprobs(self, prefixes, choices, scale_base, eval_batch)
+
+
+@pytest.mark.parametrize("scale_base", [None, ScaleBase(10.0)], ids=["plain", "scalebase"])
+def test_choice_logprobs_match_full_row_formula(tol, scale_base, monkeypatch):
+    import hybridkit.model as hm
+
+    cfg = tiny_hybrid(L=3, I_attn=(0, 2), vocab=256)  # cloze tokens lie below 248
+    model = init_model(cfg, seed=24)
+    samples = gen_csr_proxy(seed=3, n=5, prefix_len=9, cont_len=4, n_choices=4)
+    rows = []
+    real = hm._advance
+
+    def counting(model, tokens, session, *args, **kwargs):
+        rows.append(np.asarray(tokens).shape[0])
+        return real(model, tokens, session, *args, **kwargs)
+
+    monkeypatch.setattr(hm, "_advance", counting)
+    ref = _FullRows(model).choice_logprobs(samples.prefixes, samples.choices, scale_base)
+    for eval_batch in (1, 3, 4, 6, 16):
+        rows.clear()
+        got = model.choice_logprobs(samples.prefixes, samples.choices,
+                                    scale_base=scale_base, eval_batch=eval_batch)
+        assert got.shape == (5, 4)
+        assert max(rows) <= eval_batch
+        assert max_rel_err(got, ref) < tol
+        np.testing.assert_array_equal(got.argmax(axis=1), ref.argmax(axis=1))
+        assert (score_csr(model, samples, scale_base=scale_base, eval_batch=eval_batch)
+                == score_csr(_FullRows(model), samples, scale_base=scale_base))
+    # one-token continuations come from the prefix pass alone
+    one = choice_logprobs(model, samples.prefixes, samples.choices[..., :1], scale_base)
+    ref_one = reference_choice_logprobs(_FullRows(model), samples.prefixes,
+                                        samples.choices[..., :1], scale_base)
+    assert max_rel_err(one, ref_one) < tol
 
 
 # --------------------------------------------------------------------------
