@@ -119,10 +119,15 @@ def config_from_dict(d: dict) -> ModelConfig:
     return ModelConfig(**kw)
 
 
+def _layer_kinds(cfg: ModelConfig) -> list[str]:
+    """The header's per-layer mixer names, derived from I_attn."""
+    return ["attention" if l in cfg.I_attn else "lightning" for l in range(cfg.L)]
+
+
 def save_model(path, model: Model) -> None:
     tensors = {name: t.data for name, t in model.named_parameters()}
     config = {"kind": "model", "model": config_to_dict(model.cfg),
-              "layer_kinds": [lw.mixer_kind for lw in model.layers]}
+              "layer_kinds": _layer_kinds(model.cfg)}
     save_tensors(path, config, tensors)
 
 
@@ -157,9 +162,8 @@ class _Reader:
                                   f"{list(arr.shape)}, expected {list(shape)}")
         return Tensor(arr, requires_grad=True, dtype=arr.dtype)
 
-    def mixer(self, prefix: str, d: int, n_h: int, n_kv: int, d_h: int,
-              required=_MIXER_REQUIRED) -> MixerWeights:
-        kw = {name: self.take(prefix + name, shape, name in required)
+    def mixer(self, prefix: str, d: int, n_h: int, n_kv: int, d_h: int) -> MixerWeights:
+        kw = {name: self.take(prefix + name, shape, name in _MIXER_REQUIRED)
               for name, shape in _mixer_shapes(d, n_h, n_kv, d_h).items()}
         if (kw["qk_gain_q"] is None) != (kw["qk_gain_k"] is None):
             raise CheckpointError(f"{self.path}: {prefix}qk_gain_q and "
@@ -176,32 +180,33 @@ def load_model(path) -> Model:
     """Load a model checkpoint.
 
     Raises CheckpointError when a required tensor is missing, a tensor's
-    shape disagrees with the stored config, or a tensor is not part of the
-    model.
+    shape disagrees with the stored config, a tensor is not part of the
+    model, or the stored layer kinds disagree with the config's I_attn.
     """
     config, tensors = load_tensors(path)
     if config.get("kind") != "model":
         raise CheckpointError(f"{path}: not a model checkpoint")
     try:
-        cfg = config_from_dict(config["model"])
+        stored = dict(config["model"])
+        # older headers name the RNN family, which can only be Lightning
+        rnn_kind = stored.pop("rnn_kind", "lightning")
+        cfg = config_from_dict(stored)
         kinds = list(config["layer_kinds"])
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"{path}: malformed model config ({e!r})") from None
-    if len(kinds) != cfg.L:
-        raise CheckpointError(f"{path}: {len(kinds)} layer kinds for L={cfg.L}")
+    if rnn_kind != "lightning":
+        raise CheckpointError(f"{path}: unsupported RNN kind {rnn_kind!r}")
+    if kinds != _layer_kinds(cfg):
+        raise CheckpointError(f"{path}: layer kinds {kinds} disagree with "
+                              f"I_attn={list(cfg.I_attn)} for L={cfg.L}")
     r = _Reader(path, tensors)
     d, f = cfg.d, cfg.ffn_width
     layers = []
-    for l, kind in enumerate(kinds):
-        if kind not in ("attention", "lightning", "diag"):
-            raise CheckpointError(f"{path}: layer {l} has unknown mixer kind {kind!r}")
+    for l in range(cfg.L):
         p = f"layers.{l}."
-        n_kv = cfg.n_kv_heads if kind == "attention" else cfg.n_h
-        # the diagonal-transition RNN draws its forget gates from w_g
-        required = _MIXER_REQUIRED + (("w_g",) if kind == "diag" else ())
+        n_kv = cfg.n_kv_heads if l in cfg.I_attn else cfg.n_h
         layers.append(LayerWeights(
-            mixer_kind=kind,
-            mixer=r.mixer(p + "mixer.", d, cfg.n_h, n_kv, cfg.d_h, required),
+            mixer=r.mixer(p + "mixer.", d, cfg.n_h, n_kv, cfg.d_h),
             pre_mixer_gain=r.take(p + "pre_mixer_gain", (d,)),
             pre_mlp_gain=r.take(p + "pre_mlp_gain", (d,)),
             mlp=MlpWeights(r.take(p + "mlp.w_gate", (d, f)),

@@ -143,6 +143,29 @@ def _resolve_scale(args):
     return "config", "config"
 
 
+def _positive_int(flag: str, text) -> int:
+    """`text` as an integer >= 1; anything else is a ConfigError naming flag."""
+    from .tensor import ConfigError
+
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise ConfigError(f"{flag} must be a positive integer, got {text!r}")
+    return value
+
+
+def _lengths(text: str) -> list[int]:
+    """The --lengths list: comma-separated positive integers, at least one."""
+    from .tensor import ConfigError
+
+    lengths = [_positive_int("--lengths", x) for x in text.split(",") if x]
+    if not lengths:
+        raise ConfigError(f"--lengths needs at least one length, got {text!r}")
+    return lengths
+
+
 def _print_config(rc, model) -> None:
     from .checkpoint import config_to_dict
 
@@ -341,9 +364,10 @@ def cmd_eval(args) -> int:
     from .evals import (EvalResult, gen_csr_proxy, length_sweep, perplexity,
                         score_csr, write_plot_data)
 
+    lengths = _lengths(args.lengths)
+    _positive_int("--samples", args.samples)
     model = load_model(args.ckpt)
     scale, tag = _resolve_scale(args)
-    lengths = [int(x) for x in args.lengths.split(",") if x]
     if args.task == "niah":
         results = length_sweep(model, lengths, scale_base=scale,
                                n_samples=args.samples, seed=args.eval_seed)
@@ -375,8 +399,10 @@ def cmd_bench(args) -> int:
     from .mixers import KvCache, RecurrentState
     from .model import new_session, prefill, _advance
 
+    lengths = _lengths(args.lengths)
+    _positive_int("--reps", args.reps)
+    _positive_int("--decode-tokens", args.decode_tokens)
     model = load_model(args.ckpt)
-    lengths = [int(x) for x in args.lengths.split(",") if x]
     unit = "seconds_per_token" if args.mode == "decode" else "seconds_per_sequence"
     rows = [f"length\tmode\t{unit}\tkv_bytes\tstate_bytes"]
     rng = np.random.default_rng(0 if args.seed is None else args.seed)

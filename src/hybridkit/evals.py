@@ -215,14 +215,14 @@ def perplexity(model, corpus: np.ndarray, context_len: int, scale_base=None,
 # --------------------------------------------------------------------------
 # sweeps and suites
 
-def length_sweep(model, lengths, task: str = "niah", scale_base=None,
-                 n_samples: int = 200, seed: int = 0,
-                 eval_batch: int = 16) -> list[EvalResult]:
-    """Recall accuracy at each context length, in the given order."""
+def length_sweep(model, lengths, scale_base=None, n_samples: int = 200,
+                 seed: int = 0, eval_batch: int = 16) -> list[EvalResult]:
+    """Recall accuracy at each context length, in the given order.
+
+    Raises ConfigError unless the lengths are sorted ascending.
+    """
     if list(lengths) != sorted(lengths):
-        raise ValueError("lengths must be sorted ascending")
-    if task != "niah":
-        raise ConfigError(f"length_sweep supports the recall task, got {task!r}")
+        raise ConfigError(f"lengths must be sorted ascending, got {list(lengths)}")
     results = []
     for length in lengths:
         spec = NiahSpec(context_len=int(length), n_samples=n_samples, seed=seed)

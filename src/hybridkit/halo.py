@@ -213,10 +213,9 @@ def _train_step(report: StageReport, params: dict[str, Tensor], state: AdamWStat
 
 
 def _train_loop(stage: str, params: dict[str, Tensor], cfg: TrainConfig,
-                make_loss: Callable[[int], Tensor],
-                state: AdamWState | None = None) -> StageReport:
+                make_loss: Callable[[int], Tensor]) -> StageReport:
     report = StageReport(stage=stage)
-    state = state or AdamWState()
+    state = AdamWState()
     t0 = time.monotonic()
     for step in range(cfg.steps):
         _train_step(report, params, state, cfg, step, partial(make_loss, step), t0)
@@ -251,7 +250,7 @@ def stage1_align_all(teacher: Model, layers: Sequence[int], stream: TokenStream,
     opt_states: dict[int, AdamWState] = {}
     reports: dict[int, StageReport] = {}
     for l in layers:
-        if teacher.layers[l].mixer_kind != "attention":
+        if l not in teacher.cfg.I_attn:
             raise ConfigError(f"teacher layer {l} is not attention")
         candidates[l] = init_rnn_from_attention(teacher.layers[l].mixer, hyb_cfg,
                                                 seed_rng.child(l))
@@ -281,12 +280,6 @@ def stage1_align_all(teacher: Model, layers: Sequence[int], stream: TokenStream,
     for l in layers:
         reports[l].wall_time = time.monotonic() - t0
     return {l: (candidates[l], reports[l]) for l in layers}
-
-
-def stage1_align(teacher: Model, layer: int, stream: TokenStream,
-                 cfg: TrainConfig) -> tuple[MixerWeights, StageReport]:
-    """Align a single layer's RNN candidate (see stage1_align_all)."""
-    return stage1_align_all(teacher, [layer], stream, cfg)[layer]
 
 
 # --------------------------------------------------------------------------
@@ -322,7 +315,6 @@ def candidate_model(teacher: Model, layer: int, rnn_weights: MixerWeights) -> Mo
     """
     m = teacher.copy()
     m.layers[layer].mixer = rnn_weights.copy()
-    m.layers[layer].mixer_kind = "lightning"
     m.cfg = replace(teacher.cfg,
                     I_attn=tuple(i for i in teacher.cfg.I_attn if i != layer),
                     pe_rnn="rope")
@@ -343,26 +335,26 @@ def evaluate_RC(model: Model, suite: RcSuite) -> tuple[float, float]:
 
 def stage2_distill(teacher: Model, hybrid: Model, stream: TokenStream,
                    cfg: TrainConfig) -> StageReport:
-    """End-to-end per-token KL(teacher || student); teacher frozen."""
+    """End-to-end per-token KL(teacher || student); teacher frozen.
+
+    The teacher runs off the tape: its logits are constants of the loss.
+    """
     params = dict(hybrid.named_parameters())
     probe = TokenStream(replace(stream.cfg, seed=stream.cfg.seed + 104729)).batch(0)[:, :-1]
 
-    def probe_kl() -> float:
-        t_logits = forward(teacher, probe).data
-        s_logits = forward(hybrid, probe, scale_base=None)
-        return float(T.kl_divergence(t_logits, s_logits).data)
+    def kl(x: np.ndarray) -> Tensor:
+        with T.no_record():
+            t_logits = forward(teacher, x).data
+        return T.kl_divergence(t_logits, forward(hybrid, x, scale_base=None))
 
-    kl_init = probe_kl()
+    kl_init = float(kl(probe).data)
 
     def make_loss(step: int) -> Tensor:
-        x = stream.batch(step)[:, :-1]
-        t_logits = forward(teacher, x).data
-        s_logits = forward(hybrid, x, scale_base=None)
-        return T.kl_divergence(t_logits, s_logits)
+        return kl(stream.batch(step)[:, :-1])
 
     report = _train_loop("stage2", params, cfg, make_loss)
     report.final_metrics["kl_initial"] = kl_init
-    report.final_metrics["kl_final"] = probe_kl()
+    report.final_metrics["kl_final"] = float(kl(probe).data)
     return report
 
 
@@ -469,7 +461,7 @@ def assemble_hybrid(teacher: Model, I_attn, aligned: Mapping[int, MixerWeights],
     """
     hybrid = init_hybrid_from_teacher(teacher, I_attn, seed=seed)
     for l, lw in enumerate(hybrid.layers):
-        if lw.mixer_kind != "attention":
+        if l not in hybrid.cfg.I_attn:
             lw.mixer = aligned[l]
     return hybrid
 

@@ -1,6 +1,6 @@
-"""Token mixers: causal softmax attention and outer-product RNNs.
+"""Token mixers: causal softmax attention and Lightning Attention.
 
-Both families share one weight layout (projections of shape [d, heads*d_h]
+Both mixers share one weight layout (projections of shape [d, heads*d_h]
 plus optional gate/norm parameters), which is what makes attention-to-RNN
 weight transfer possible.  Internally all math runs on a heads-major
 [batch, heads, time, d_h] layout; public entry points accept [T, d] or
@@ -20,12 +20,11 @@ multiplies only keys [0, offset + row0 + rows), because every later key is
 masked for all of its rows.  Only the diagonal blocks compute masked
 scores; prefill, KV-cache decode and training share this one path.
 
-The RNN family obeys
-    S_t = F_t S_{t-1} + k~_t^T v_t,   o_t = q~_t S_t,
-with F_t = gamma_h (scalar, data-independent) for Lightning Attention and
-F_t = diag(f_t) (sigmoid gate head) for the generic diagonal-transition
-variant.  Lightning applies RMSNorm then rotary encoding to q and k and
-scales k by 1/sqrt(d_h).
+Lightning Attention is an outer-product RNN with a scalar,
+data-independent decay gamma_h per head:
+    S_t = gamma_h S_{t-1} + k~_t^T v_t,   o_t = q~_t S_t.
+It applies RMSNorm then rotary encoding to q and k and scales k by
+1/sqrt(d_h).
 """
 
 from __future__ import annotations
@@ -53,19 +52,18 @@ def gamma_slopes(n_heads: int) -> np.ndarray:
 
 # Every mixer tensor, in parameter and checkpoint order; all but the first
 # four are optional.
-MIXER_FIELDS = ("w_q", "w_k", "w_v", "w_o", "w_z", "w_g",
+MIXER_FIELDS = ("w_q", "w_k", "w_v", "w_o", "w_z",
                 "qk_gain_q", "qk_gain_k", "out_gain")
 
 
 @dataclass
 class MixerWeights:
-    """Projection set shared by attention and RNN mixers.
+    """Projection set shared by attention and Lightning mixers.
 
     Head-count metadata travels with the weights so surgeries (GQA
     decoupling, weight transfer) can be expressed on the weights alone.
     Optional members switch features: w_z enables the output gate (with
-    out_gain), qk_gain_* enable QK-RMSNorm, w_g is the forget-gate head of
-    the diagonal-transition RNN.
+    out_gain) and qk_gain_* enable QK-RMSNorm.
     """
 
     n_h: int
@@ -76,7 +74,6 @@ class MixerWeights:
     w_v: Tensor  # [d, n_kv*d_h]
     w_o: Tensor  # [d, n_h*d_h]
     w_z: Tensor | None = None
-    w_g: Tensor | None = None
     qk_gain_q: Tensor | None = None  # [n_h, 1, d_h]
     qk_gain_k: Tensor | None = None  # [n_kv, 1, d_h]
     out_gain: Tensor | None = None   # [n_h, 1, d_h]
@@ -424,55 +421,6 @@ def lightning_forward_chunked(
     if return_state:
         return y, RecurrentState(s.data, state.pos + t)
     return y
-
-
-# --------------------------------------------------------------------------
-# generic diagonal-transition RNN (GLA/Mamba2-style recurrence)
-
-def diag_rnn_forward(
-    x: Tensor,
-    w: MixerWeights,
-    forget: Tensor,
-    state: RecurrentState | None = None,
-) -> tuple[Tensor, RecurrentState]:
-    """Outer-product RNN with a per-step per-head diagonal transition.
-
-    `forget` carries gate values in (0, 1], laid out like a projection output
-    [.., T, n_h*d_h]; a model layer produces it as sigmoid(x W_g).  The
-    update is S_t = diag(f_t) S_{t-1} + k_t^T v_t with k scaled by
-    1/sqrt(d_h), queried as o_t = q_t S_t; no rotary encoding or QK-norm.
-    """
-    x3, squeeze = _as_batched(x)
-    f3, _ = _as_batched(forget)
-    b, t, _ = x3.shape
-    fdata = f3.data
-    if fdata.shape != (b, t, w.n_h * w.d_h):
-        raise ShapeError(f"forget gate shape {fdata.shape} != {(b, t, w.n_h * w.d_h)}")
-    if fdata.min() <= 0.0 or fdata.max() > 1.0:
-        raise ValueError("forget gate values must lie in (0, 1]")
-    if w.n_kv_heads != w.n_h:
-        raise ConfigError("RNN mixers use one KV head per query head; clone GQA weights first")
-    state = _check_state(state, b, w.n_h, w.d_h, x3.data.dtype)
-
-    q = _project_heads(x3, w.w_q, w.n_h, w.d_h)
-    k = T.scale(_project_heads(x3, w.w_k, w.n_h, w.d_h), 1.0 / math.sqrt(w.d_h))
-    v = _project_heads(x3, w.w_v, w.n_h, w.d_h)
-    f = _split_heads(f3, w.n_h, w.d_h)  # [B, n_h, T, d_h]
-
-    s = Tensor(state.s, dtype=state.s.dtype)
-    outs = []
-    for i in range(t):
-        fi = T.reshape(T.slice_axis(f, 2, i, i + 1), (b, w.n_h, w.d_h, 1))
-        fi = T.repeat_axis(fi, w.d_h, axis=3)  # diag(f) S decays rows of S
-        ki = T.slice_axis(k, 2, i, i + 1)
-        vi = T.slice_axis(v, 2, i, i + 1)
-        qi = T.slice_axis(q, 2, i, i + 1)
-        s = T.add(T.mul(fi, s), T.matmul(T.swap_last(ki), vi))
-        outs.append(T.matmul(qi, s))
-    o = T.concat(outs, axis=2) if len(outs) > 1 else outs[0]
-    y = _finish_output(x3, o, w)
-    new_state = RecurrentState(s.data, state.pos + t)
-    return (T.reshape(y, y.shape[1:]) if squeeze else y), new_state
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Full model stacks: pre-norm residual blocks over mixers and SwiGLU MLPs.
 
 A model is a list of layers; layer l uses softmax attention when l is in
-the attention index set and an RNN mixer otherwise.  The hybrid position
-convention keeps rotary encoding inside RNN layers and leaves attention
-layers position-free (positions then enter attention only through
-causality), with optional logits scaling at inference time.
+the config's attention index set `I_attn` and a Lightning RNN mixer
+otherwise; `I_attn` is the only record of a layer's kind.  The hybrid
+position convention keeps rotary encoding inside RNN layers and leaves
+attention layers position-free (positions then enter attention only
+through causality), with optional logits scaling at inference time.
 
 One layer computes (all norms are RMSNorm):
     H = Mixer(Norm(X)) + X
@@ -20,15 +21,15 @@ import numpy as np
 
 from . import tensor as T
 from .mixers import (KvCache, MixerWeights, RecurrentState, attention_forward,
-                     diag_rnn_forward, gamma_slopes, gqa_to_mha_clone,
-                     lightning_forward_chunked)
+                     gamma_slopes, gqa_to_mha_clone, lightning_forward_chunked)
 from .positional import RopeParams, ScaleBase
 from .tensor import ConfigError, Rng, Tensor
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture description; `I_attn` lists the attention layer indices."""
+    """Architecture description; `I_attn` lists the attention layer indices
+    and every other layer is a Lightning RNN layer."""
 
     L: int
     I_attn: tuple[int, ...]
@@ -43,7 +44,6 @@ class ModelConfig:
     pe_attention: str = "nope"   # "rope" | "nope"
     pe_rnn: str = "rope"
     tie_embeddings: bool = True
-    rnn_kind: str = "lightning"  # "lightning" | "diag"
     attn_qk_norm: bool = True
     rnn_qk_norm: bool = True
     attn_gate: bool = False
@@ -62,8 +62,6 @@ class ModelConfig:
         for name in ("pe_attention", "pe_rnn"):
             if getattr(self, name) not in ("rope", "nope"):
                 raise ConfigError(f"{name} must be 'rope' or 'nope'")
-        if self.rnn_kind not in ("lightning", "diag"):
-            raise ConfigError(f"rnn_kind must be 'lightning' or 'diag', got {self.rnn_kind}")
         if self.rope.head_dim != self.d_h:
             raise ConfigError(f"rope head_dim {self.rope.head_dim} != d_h {self.d_h}")
 
@@ -107,8 +105,7 @@ class MlpWeights:
 
 @dataclass
 class LayerWeights:
-    mixer_kind: str  # "attention" | "lightning" | "diag"
-    mixer: MixerWeights
+    mixer: MixerWeights  # attention or Lightning, as the config's I_attn says
     pre_mixer_gain: Tensor
     pre_mlp_gain: Tensor
     mlp: MlpWeights
@@ -120,7 +117,7 @@ class LayerWeights:
         yield from self.mlp.named(prefix + "mlp.")
 
     def copy(self) -> "LayerWeights":
-        return LayerWeights(self.mixer_kind, self.mixer.copy(),
+        return LayerWeights(self.mixer.copy(),
                             self.pre_mixer_gain.copy(), self.pre_mlp_gain.copy(),
                             self.mlp.copy())
 
@@ -185,9 +182,8 @@ class Model:
 # --------------------------------------------------------------------------
 # initialization
 
-def _init_mixer(rng: Rng, cfg: ModelConfig, kind: str) -> MixerWeights:
+def _init_mixer(rng: Rng, cfg: ModelConfig, attn: bool) -> MixerWeights:
     d, d_h = cfg.d, cfg.d_h
-    attn = kind == "attention"
     n_h = cfg.n_h
     n_kv = cfg.n_kv_heads if attn else cfg.n_h
     qk_norm = cfg.attn_qk_norm if attn else cfg.rnn_qk_norm
@@ -199,7 +195,6 @@ def _init_mixer(rng: Rng, cfg: ModelConfig, kind: str) -> MixerWeights:
         w_v=T.param(rng.child(2), (d, n_kv * d_h)),
         w_o=T.param(rng.child(3), (d, n_h * d_h)),
         w_z=T.param(rng.child(4), (d, n_h * d_h)) if gate else None,
-        w_g=T.param(rng.child(5), (d, n_h * d_h)) if kind == "diag" else None,
         qk_gain_q=T.ones((n_h, 1, d_h), requires_grad=True) if qk_norm else None,
         qk_gain_k=T.ones((n_kv, 1, d_h), requires_grad=True) if qk_norm else None,
         out_gain=T.ones((n_h, 1, d_h), requires_grad=True) if gate else None,
@@ -212,16 +207,15 @@ def init_model(cfg: ModelConfig, seed: int) -> Model:
     rng = Rng(seed)
     layers = []
     for l in range(cfg.L):
-        kind = "attention" if l in cfg.I_attn else cfg.rnn_kind
         lrng = rng.child(100 + l)
-        mixer = _init_mixer(lrng, cfg, kind)
+        mixer = _init_mixer(lrng, cfg, attn=l in cfg.I_attn)
         mlp = MlpWeights(
             w_gate=T.param(lrng.child(50), (cfg.d, cfg.ffn_width)),
             w_up=T.param(lrng.child(51), (cfg.d, cfg.ffn_width)),
             w_down=T.param(lrng.child(52), (cfg.ffn_width, cfg.d)),
         )
         layers.append(LayerWeights(
-            mixer_kind=kind, mixer=mixer,
+            mixer=mixer,
             pre_mixer_gain=T.ones((cfg.d,), requires_grad=True),
             pre_mlp_gain=T.ones((cfg.d,), requires_grad=True),
             mlp=mlp,
@@ -246,8 +240,6 @@ def init_rnn_from_attention(attn: MixerWeights, cfg: ModelConfig, rng: Rng) -> M
     if cfg.rnn_qk_norm and w.qk_gain_q is None:
         w.qk_gain_q = T.ones((n_h, 1, d_h), requires_grad=True)
         w.qk_gain_k = T.ones((n_h, 1, d_h), requires_grad=True)
-    if cfg.rnn_kind == "diag" and w.w_g is None:
-        w.w_g = T.param(rng.child(1), (d, n_h * d_h))
     return w
 
 
@@ -259,7 +251,7 @@ def hybrid_config(teacher_cfg: ModelConfig, I_attn) -> ModelConfig:
     """
     return replace(teacher_cfg, I_attn=tuple(sorted(int(i) for i in I_attn)),
                    pe_attention="nope", pe_rnn="rope", attn_gate=True,
-                   rnn_gate=True, rnn_kind="lightning", scale_base=None)
+                   rnn_gate=True, scale_base=None)
 
 
 def init_hybrid_from_teacher(teacher: Model, I_attn, seed: int = 0) -> Model:
@@ -270,7 +262,7 @@ def init_hybrid_from_teacher(teacher: Model, I_attn, seed: int = 0) -> Model:
     drop rotary encoding and gain fresh output gates.  The teacher itself is
     never modified.
     """
-    if any(lw.mixer_kind != "attention" for lw in teacher.layers):
+    if teacher.cfg.I_attn != tuple(range(teacher.cfg.L)):
         raise ConfigError("teacher must be attention-only")
     cfg = hybrid_config(teacher.cfg, I_attn)
     I_attn = cfg.I_attn
@@ -281,12 +273,10 @@ def init_hybrid_from_teacher(teacher: Model, I_attn, seed: int = 0) -> Model:
             mixer = tlw.mixer.copy()
             mixer.w_z = T.param(rng.child(2 * l), (cfg.d, cfg.n_h * cfg.d_h))
             mixer.out_gain = T.ones((cfg.n_h, 1, cfg.d_h), requires_grad=True)
-            kind = "attention"
         else:
             mixer = init_rnn_from_attention(tlw.mixer, cfg, rng.child(2 * l + 1))
-            kind = "lightning"
         layers.append(LayerWeights(
-            mixer_kind=kind, mixer=mixer,
+            mixer=mixer,
             pre_mixer_gain=tlw.pre_mixer_gain.copy(),
             pre_mlp_gain=tlw.pre_mlp_gain.copy(),
             mlp=tlw.mlp.copy(),
@@ -324,8 +314,8 @@ class DecodeSession:
 def new_session(model: Model, batch: int = 1) -> DecodeSession:
     dtype = model.embed.data.dtype
     states = []
-    for lw in model.layers:
-        if lw.mixer_kind == "attention":
+    for l, lw in enumerate(model.layers):
+        if l in model.cfg.I_attn:
             states.append(KvCache(batch, lw.mixer.n_kv_heads, lw.mixer.d_h, dtype))
         else:
             states.append(RecurrentState.fresh(batch, lw.mixer.n_h, lw.mixer.d_h, dtype))
@@ -343,24 +333,16 @@ def _mixer_apply(model: Model, l: int, h: Tensor, session: DecodeSession | None,
                  scale_base, start_pos: int) -> Tensor:
     cfg = model.cfg
     lw = model.layers[l]
-    if lw.mixer_kind == "attention":
+    if l in cfg.I_attn:
         rope = cfg.rope if cfg.pe_attention == "rope" else None
         cache = session.states[l] if session is not None else None
         return attention_forward(h, lw.mixer, rope=rope, scale_base=scale_base,
                                  start_pos=start_pos, cache=cache)
-    if lw.mixer_kind == "lightning":
-        rope = cfg.rope if cfg.pe_rnn == "rope" else None
-        state = session.states[l] if session is not None else None
-        y, new_state = lightning_forward_chunked(
-            h, lw.mixer, model.gammas, cfg.chunk, rope=rope, state=state,
-            return_state=True)
-        if session is not None:
-            session.states[l] = new_state
-        return y
-    # diagonal-transition RNN: data-dependent forget gates from the w_g head
-    forget = T.sigmoid(T.matmul(h, lw.mixer.w_g))
+    rope = cfg.rope if cfg.pe_rnn == "rope" else None
     state = session.states[l] if session is not None else None
-    y, new_state = diag_rnn_forward(h, lw.mixer, forget, state=state)
+    y, new_state = lightning_forward_chunked(
+        h, lw.mixer, model.gammas, cfg.chunk, rope=rope, state=state,
+        return_state=True)
     if session is not None:
         session.states[l] = new_state
     return y
@@ -418,22 +400,18 @@ def forward(model: Model, tokens, scale_base="config") -> Tensor:
     return _advance(model, tokens, session=None, scale_base=scale_base)
 
 
-def forward_capture(model: Model, tokens, layer: int):
-    """Return (mixer input Norm(X), mixer output before the residual add).
+def capture_many(model: Model, tokens, layers) -> dict:
+    """One forward pass capturing, per requested layer, (mixer input Norm(X),
+    mixer output before the residual add).
 
     These are exactly the quantities the per-layer alignment loss compares;
-    capture is pure observation and leaves the logits bit-identical.
+    capture is pure observation and leaves the logits bit-identical.  Raises
+    IndexError for a layer outside [0, L).
     """
-    if not (0 <= layer < model.cfg.L):
-        raise IndexError(f"layer {layer} out of range for L={model.cfg.L}")
-    cap = {layer: None}
-    _advance(model, tokens, session=None, capture=cap)
-    return cap[layer]
-
-
-def capture_many(model: Model, tokens, layers) -> dict:
-    """One forward pass capturing (mixer input, mixer output) per layer."""
     cap = {int(l): None for l in layers}
+    for l in cap:
+        if not (0 <= l < model.cfg.L):
+            raise IndexError(f"layer {l} out of range for L={model.cfg.L}")
     _advance(model, tokens, session=None, capture=cap)
     return cap
 

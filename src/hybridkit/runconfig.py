@@ -14,12 +14,12 @@ model keys (defaults in parentheses):
   ffn_width (768)           MLP inner width, channels
   vocab (512)               vocabulary size, tokens
   rope_theta (50000.0)      rotary base frequency
-  I_attn (null)             attention layer indices; null = arch default
+  I_attn (null)             attention layer indices, every other layer is
+                            a Lightning RNN layer; null = arch default
                             (all layers / every fourth layer from 0)
   pe_attention (null)       "rope"|"nope"; null = arch default
   pe_rnn ("rope")           position encoding inside RNN layers
   tie_embeddings (true)     share the unembedding with the embedding
-  rnn_kind ("lightning")    "lightning" | "diag"
   attn_qk_norm (true)       QK-RMSNorm in attention layers
   rnn_qk_norm (true)        QK-RMSNorm in RNN layers
   attn_gate (null)          output gates on attention; null = arch default
@@ -63,8 +63,8 @@ MODEL_DEFAULTS = {
     "arch": "hypenet", "L": 8, "d": 256, "d_h": 64, "n_h": 4, "n_kv_heads": 2,
     "ffn_width": 768, "vocab": 512, "rope_theta": 50_000.0, "I_attn": None,
     "pe_attention": None, "pe_rnn": "rope", "tie_embeddings": True,
-    "rnn_kind": "lightning", "attn_qk_norm": True, "rnn_qk_norm": True,
-    "attn_gate": None, "rnn_gate": True, "chunk": 64, "scale_base": None,
+    "attn_qk_norm": True, "rnn_qk_norm": True, "attn_gate": None,
+    "rnn_gate": True, "chunk": 64, "scale_base": None,
 }
 
 # the keys TrainConfig reads; a halo stage section accepts only these

@@ -3,8 +3,9 @@
 Everything downstream (mixers, models, training) is built from the ops in
 this module.  Two global precision modes exist: "extended" (float64, used by
 oracles and equivalence tests) and "standard" (float32, used for training).
-Ops record onto the innermost active ``Tape``; with no tape active they are
-plain numpy computations, which is the inference fast path.
+Ops record onto the innermost active ``Tape``; with no tape active, or
+inside ``no_record()``, they are plain numpy computations, which is the
+inference fast path.
 
 Broadcasting is deliberately narrow: elementwise ops require identical
 shapes, matmul broadcasts leading batch dimensions only, and ``mul_const``
@@ -14,6 +15,7 @@ broadcasts a constant array up to the tensor's shape.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,7 +98,8 @@ class Rng:
 # --------------------------------------------------------------------------
 # tensors and the tape
 
-_TAPE_STACK: list["Tape"] = []
+# innermost last; None marks a no_record() region
+_TAPE_STACK: list["Tape | None"] = []
 
 
 class Tensor:
@@ -240,6 +243,21 @@ class Tape:
         self._produced.clear()
 
 
+@contextmanager
+def no_record():
+    """Record nothing inside this block, even within an outer ``Tape``.
+
+    For frozen computations whose results enter a loss only as constants
+    (a teacher's logits): on a tape their outputs would stay alive until
+    backward, which reads none of them.
+    """
+    _TAPE_STACK.append(None)
+    try:
+        yield
+    finally:
+        _TAPE_STACK.pop()
+
+
 def backward(loss: Tensor) -> None:
     """Run reverse-mode differentiation from a scalar loss to its leaves."""
     if loss._tape is None:
@@ -346,7 +364,7 @@ def _sigmoid_np(X: np.ndarray) -> np.ndarray:
     in f32, x >= -708 in f64); below that it underflows through subnormals
     to 0.  Do not swap in 0.5 * (1 + tanh(x / 2)): in f32 its cancellation
     costs ~10% relative error near x = -15 and it gives exactly 0 below
-    x ~ -17, which a forget gate (diag_rnn_forward) must never be.
+    x ~ -17.
     """
     den = np.abs(X)
     np.negative(den, out=den)
@@ -439,7 +457,11 @@ def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def repeat_axis(x: Tensor, repeats: int, axis: int) -> Tensor:
-    """Repeat each slice along `axis` `repeats` times (GQA head sharing)."""
+    """Repeat each slice along `axis` `repeats` times.
+
+    Unused by hybridkit itself; kept because the benchmark's tracer
+    (perfbench/spans.py) looks it up by name.
+    """
     out = np.repeat(x.data, repeats, axis=axis)
     n = x.data.shape[axis]
 

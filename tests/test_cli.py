@@ -413,6 +413,77 @@ def test_checkpoint_wrong_shape_is_named(tiny_ckpt, tmp_path, capsys):
         load_model(bad)
 
 
+def _edited_header(src, dst, edit):
+    config, tensors = load_tensors(src)
+    edit(config)
+    save_tensors(dst, config, tensors)
+    return dst
+
+
+def test_checkpoint_layer_kinds_must_agree_with_I_attn(tiny_ckpt, tmp_path, capsys):
+    """I_attn is the one record of which layers are attention; a header whose
+    layer kinds say otherwise is refused, whichever of the two was edited."""
+    kinds = _edited_header(tiny_ckpt, tmp_path / "kinds.ckpt",
+                           lambda c: c.update({"layer_kinds": ["attention", "lightning"]}))
+    attn = _edited_header(tiny_ckpt, tmp_path / "attn.ckpt",
+                          lambda c: c["model"].update({"I_attn": [1]}))
+    for bad in (kinds, attn):
+        with pytest.raises(CheckpointError, match="disagree with I_attn"):
+            load_model(bad)
+        assert main(["eval", str(bad), "--lengths", "64", "--samples", "2"]) == 2
+        assert "layer kinds" in capsys.readouterr().err
+
+
+def test_checkpoint_header_naming_lightning_rnn_kind_loads(tmp_path):
+    """Headers that still carry `rnn_kind: "lightning"` load with the same
+    tensors and config; saving again drops the key."""
+    cfg = desk_config(L=2, I_attn=(1,), d=16, d_h=4, n_h=4, n_kv_heads=2,
+                      ffn_width=24, vocab=64, rope=RopeParams(theta=100.0, head_dim=4))
+    model = init_model(cfg, seed=3)
+    path = tmp_path / "m.ckpt"
+    save_model(path, model)
+    assert "rnn_kind" not in load_tensors(path)[0]["model"]
+    old = _edited_header(path, tmp_path / "old.ckpt",
+                         lambda c: c["model"].update({"rnn_kind": "lightning"}))
+    back = load_model(old)
+    assert back.cfg == cfg
+    assert [n for n, _ in back.named_parameters()] == [n for n, _ in model.named_parameters()]
+    assert back.state_bytes() == model.state_bytes()
+    save_model(tmp_path / "again.ckpt", back)
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_diag_rnn_kind_exits_2(tiny_ckpt, tmp_path, capsys):
+    bad = _edited_header(tiny_ckpt, tmp_path / "diag.ckpt",
+                         lambda c: c["model"].update({"rnn_kind": "diag"}))
+    with pytest.raises(CheckpointError, match="'diag'"):
+        load_model(bad)
+    assert main(["eval", str(bad), "--lengths", "64", "--samples", "2"]) == 2
+    assert "unsupported RNN kind 'diag'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["diag", "lightning"])
+def test_runconfig_rnn_kind_is_an_unknown_key(tmp_path, capsys, kind):
+    cfg = write_cfg(tmp_path, model={"rnn_kind": kind})
+    out = tmp_path / "m.ckpt"
+    assert main(["train", cfg, str(out)]) == 2
+    assert "unknown key model.rnn_kind" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["eval", "--lengths", "512,256"], "sorted ascending"),
+    (["eval", "--samples", "0"], "--samples"),
+    (["bench", "--reps", "0"], "--reps"),
+    (["bench", "--decode-tokens", "0"], "--decode-tokens"),
+    (["bench", "--lengths", "0"], "--lengths"),
+])
+def test_cli_bad_numeric_argument_exits_2(tiny_ckpt, capsys, argv, flag):
+    assert main([argv[0], str(tiny_ckpt)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag in err
+
+
 def test_mixer_checkpoint_validated(tiny_ckpt, tmp_path):
     mixer = load_model(tiny_ckpt).layers[0].mixer
     good = tmp_path / "mixer.ckpt"

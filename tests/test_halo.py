@@ -9,10 +9,10 @@ from hybridkit.halo import (AdamWState, HaloConfig, StageReport, TrainConfig,
                             TrainingDiverged, adamw_step, candidate_model,
                             clip_grad_norm, evaluate_RC, layer_importance,
                             lr_at, run_halo, select_attention_layers,
-                            stage1_align, stage2_distill, stage3_finetune,
+                            stage1_align_all, stage2_distill, stage3_finetune,
                             _train_loop)
 from hybridkit.mixers import lightning_forward_chunked
-from hybridkit.model import (desk_config, forward, forward_capture, init_model,
+from hybridkit.model import (capture_many, desk_config, forward, init_model,
                              init_rnn_from_attention, transformer_config)
 from hybridkit.positional import RopeParams
 from hybridkit.tensor import ConfigError, Rng, Tensor
@@ -247,7 +247,7 @@ def test_stage1_zero_loss_fixed_point():
     cfg = desk_config(L=2, I_attn=(1,), **TINY)
     model = init_model(cfg, seed=5)
     toks = Rng(1).integers(0, cfg.vocab, size=(2, 24))
-    x_in, y_ref = forward_capture(model, toks, 0)  # layer 0 is lightning
+    x_in, y_ref = capture_many(model, toks, [0])[0]  # layer 0 is lightning
     w = model.layers[0].mixer
     y = lightning_forward_chunked(Tensor(x_in.data), w, model.gammas,
                                   cfg.chunk, rope=cfg.rope)
@@ -294,7 +294,7 @@ def test_stage1_transferred_init_carries_teacher_structure():
         return float(((y - alpha * yh) ** 2).mean())
 
     transferred = init_rnn_from_attention(teacher.layers[0].mixer, hyb_cfg, Rng(1))
-    random_w = _init_mixer(Rng(2), hyb_cfg, "lightning")
+    random_w = _init_mixer(Rng(2), hyb_cfg, attn=False)
     assert best_scale_mse(transferred) < best_scale_mse(random_w)
 
 
@@ -303,7 +303,7 @@ def test_stage1_trains_only_target_layer_and_reduces_loss():
     frozen = teacher.state_bytes()
     cfg = TrainConfig(context_len=64, batch_size=2, steps=25, lr_max=3e-3,
                       warmup_steps=2, seed=4)
-    weights, report = stage1_align(teacher, 1, stream_for(cfg), cfg)
+    weights, report = stage1_align_all(teacher, [1], stream_for(cfg), cfg)[1]
     assert teacher.state_bytes() == frozen
     assert len(report.losses) == cfg.steps
     assert report.final_metrics["mse_final"] < report.final_metrics["mse_initial"]
@@ -313,7 +313,7 @@ def test_stage1_rejects_non_attention_layer():
     model = init_model(desk_config(L=2, I_attn=(0,), **TINY), seed=0)
     cfg = TrainConfig(context_len=64, batch_size=1, steps=1, lr_max=1e-3)
     with pytest.raises(ConfigError):
-        stage1_align(model, 1, stream_for(cfg), cfg)
+        stage1_align_all(model, [1], stream_for(cfg), cfg)
 
 
 # --------------------------------------------------------------------------
@@ -338,6 +338,58 @@ def test_stage2_reduces_probe_kl_and_freezes_teacher():
     report = stage2_distill(teacher, hybrid, stream_for(cfg), cfg)
     assert teacher.state_bytes() == frozen
     assert report.final_metrics["kl_final"] < report.final_metrics["kl_initial"]
+
+
+def test_stage2_tape_holds_only_the_student_and_the_loss(monkeypatch):
+    """The teacher's parameters require grad, yet its forward records nothing:
+    each step's tape holds exactly what a student forward plus the KL loss
+    records."""
+    import hybridkit.halo as halo
+    from hybridkit.model import init_hybrid_from_teacher
+
+    teacher = tiny_teacher(L=2, seed=9)
+    hybrid = init_hybrid_from_teacher(teacher, (0,), seed=1)
+    cfg = TrainConfig(context_len=64, batch_size=2, steps=2, lr_max=1e-4, seed=6)
+    stream = stream_for(cfg)
+    x = stream.batch(0)[:, :-1]
+    t_logits = forward(teacher, x).data
+    with T.Tape() as ref:
+        T.kl_divergence(t_logits, forward(hybrid, x, scale_base=None))
+    sizes = []
+
+    class CountingTape(T.Tape):
+        def backward(self, loss):
+            sizes.append(len(self._records))
+            super().backward(loss)
+
+    monkeypatch.setattr(halo, "Tape", CountingTape)
+    stage2_distill(teacher, hybrid, stream, cfg)
+    assert sizes == [len(ref._records)] * cfg.steps
+
+
+def test_stage2_with_the_teacher_off_the_tape_computes_the_same_numbers(monkeypatch):
+    """Recording the teacher's forward (no_record made a no-op) and not
+    recording it give bit-identical losses, gradient norms, probe KLs and
+    weights, in f32 as stage 2 runs."""
+    from contextlib import nullcontext
+
+    from hybridkit.model import init_hybrid_from_teacher
+
+    T.set_precision("standard")
+    teacher = tiny_teacher(L=4, seed=9)
+    cfg = TrainConfig(context_len=64, batch_size=2, steps=3, lr_max=1e-3,
+                      warmup_steps=1, seed=6)
+
+    def run():
+        hybrid = init_hybrid_from_teacher(teacher, (1,), seed=1)
+        report = stage2_distill(teacher, hybrid, stream_for(cfg), cfg)
+        return (report.losses, report.grad_norms, report.final_metrics,
+                hybrid.state_bytes())
+
+    off_tape = run()
+    monkeypatch.setattr(T, "no_record", nullcontext)
+    on_tape = run()
+    assert off_tape == on_tape
 
 
 def test_stage3_zero_steps_leaves_model_unchanged():
@@ -410,7 +462,7 @@ def test_evaluate_rc_zero_mixer_collapses_recall():
 
     teacher = tiny_teacher(L=2, seed=13)
     suite = build_rc_suite(24, seed=0, n_samples=16)
-    dead = _init_mixer(Rng(0), hybrid_config(teacher.cfg, I_attn=()), "lightning")
+    dead = _init_mixer(Rng(0), hybrid_config(teacher.cfg, I_attn=()), attn=False)
     dead.w_o = T.zeros(dead.w_o.shape)  # mixer output identically zero
     cand = candidate_model(teacher, 1, dead)
     r_dead, _ = evaluate_RC(cand, suite)
@@ -457,9 +509,10 @@ def test_run_halo_mini_pipeline():
     assert result.hybrid.cfg.I_attn == result.I_attn
     assert {s["layer"] for s in result.scores} == set(range(4))
     assert len(result.reports["stage2"].losses) == 3
-    # hybrid keeps attention only at selected indices
+    # attention layers keep grouped KV heads, RNN layers one per query head
     for l, lw in enumerate(result.hybrid.layers):
-        assert (lw.mixer_kind == "attention") == (l in result.I_attn)
+        n_kv = teacher.cfg.n_kv_heads if l in result.I_attn else teacher.cfg.n_h
+        assert lw.mixer.n_kv_heads == n_kv
 
 
 def test_select_layers_keeps_the_top_k_by_importance(monkeypatch):
@@ -476,7 +529,7 @@ def test_select_layers_keeps_the_top_k_by_importance(monkeypatch):
     scored = []
 
     def fake_evaluate_rc(model, suite):
-        layer, = [l for l, lw in enumerate(model.layers) if lw.mixer_kind == "lightning"]
+        layer, = [l for l in range(model.cfg.L) if l not in model.cfg.I_attn]
         assert model.layers[layer].mixer is not aligned[layer]  # a copy
         np.testing.assert_array_equal(model.layers[layer].mixer.w_q.data,
                                       aligned[layer].w_q.data)
@@ -537,7 +590,7 @@ def test_stage_reports_record_preclip_grad_norm_per_step(tmp_path):
 
     teacher = tiny_teacher(L=2, seed=7)
     cfg1 = TrainConfig(context_len=64, batch_size=2, steps=3, lr_max=1e-3, seed=4)
-    _, report = stage1_align(teacher, 1, stream_for(cfg1), cfg1)
+    _, report = stage1_align_all(teacher, [1], stream_for(cfg1), cfg1)[1]
     recs = _jsonl_steps(report, tmp_path / "b.jsonl")
     assert [r["step"] for r in recs] == [0, 1, 2]
     assert all(np.isfinite(r["grad_norm"]) and r["grad_norm"] > 0 for r in recs)

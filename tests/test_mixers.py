@@ -7,8 +7,8 @@ import pytest
 from hybridkit import mixers
 from hybridkit import tensor as T
 from hybridkit.mixers import (KvCache, MixerWeights, RecurrentState,
-                              attention_forward, diag_rnn_forward,
-                              gamma_slopes, gqa_to_mha_clone,
+                              attention_forward, gamma_slopes,
+                              gqa_to_mha_clone,
                               lightning_forward_chunked,
                               lightning_forward_recurrent)
 from hybridkit.positional import RopeParams, ScaleBase, scale_vector
@@ -50,7 +50,7 @@ def test_gamma_slopes_properties():
 # --------------------------------------------------------------------------
 # weight builders
 
-def make_weights(rng, d, n_h, n_kv, d_h, gate=True, qk_norm=True, gate_head=False):
+def make_weights(rng, d, n_h, n_kv, d_h, gate=True, qk_norm=True):
     mk = lambda key, shape: T.tensor(rng.child(key).normal(shape, std=0.2), )
     w = MixerWeights(
         n_h=n_h, n_kv_heads=n_kv, d_h=d_h,
@@ -59,7 +59,6 @@ def make_weights(rng, d, n_h, n_kv, d_h, gate=True, qk_norm=True, gate_head=Fals
         w_v=Tensor(rng.child(2).normal((d, n_kv * d_h), std=0.2), requires_grad=True),
         w_o=Tensor(rng.child(3).normal((d, n_h * d_h), std=0.2), requires_grad=True),
         w_z=Tensor(rng.child(4).normal((d, n_h * d_h), std=0.2), requires_grad=True) if gate else None,
-        w_g=Tensor(rng.child(5).normal((d, n_h * d_h), std=0.2), requires_grad=True) if gate_head else None,
         qk_gain_q=Tensor(1.0 + rng.child(6).normal((n_h, 1, d_h), std=0.1), requires_grad=True) if qk_norm else None,
         qk_gain_k=Tensor(1.0 + rng.child(7).normal((n_kv, 1, d_h), std=0.1), requires_grad=True) if qk_norm else None,
         out_gain=Tensor(1.0 + rng.child(8).normal((n_h, 1, d_h), std=0.1), requires_grad=True) if gate else None,
@@ -235,7 +234,7 @@ def test_kv_cache_growth_keeps_contents_and_leaves_headroom():
 
 
 def test_mixer_field_list_orders_parameters_and_copies():
-    w = make_weights(Rng(30), 8, 4, 2, 2, gate_head=True)
+    w = make_weights(Rng(30), 8, 4, 2, 2)
     assert [name for name, _ in w.named()] == list(mixers.MIXER_FIELDS)
     twin = w.copy()
     for (na, ta), (nb, tb) in zip(w.named(), twin.named()):
@@ -464,53 +463,6 @@ def test_lightning_rejects_mismatched_state():
 
 
 # --------------------------------------------------------------------------
-# diagonal-transition RNN
-
-def test_diag_constant_gamma_reduces_to_lightning():
-    rng = Rng(41)
-    w = make_weights(rng, 8, 2, 2, 4, gate=True, qk_norm=False)
-    gam = gamma_slopes(2)
-    x = rng.child(1).normal((6, 8))
-    forget = np.broadcast_to(np.repeat(gam, 4)[None, :], (6, 8)).copy()
-    y_diag, _ = diag_rnn_forward(T.tensor(x), w, T.tensor(forget))
-    y_ltg, _ = lightning_forward_recurrent(T.tensor(x), w, gam, rope=None)
-    assert max_rel_err(y_diag.data, y_ltg.data) < 1e-10
-
-
-def test_diag_no_forgetting_is_cumulative_sum():
-    rng = Rng(42)
-    w = make_weights(rng, 8, 2, 2, 4, gate=False, qk_norm=False)
-    x = rng.child(1).normal((5, 8))
-    y, _ = diag_rnn_forward(T.tensor(x), w, T.ones((5, 8)))
-    ref = lightning_cumsum_oracle(x, w, np.ones(2))
-    assert max_rel_err(y.data, ref) < 1e-10
-
-
-def test_diag_full_forgetting_sees_only_current_token():
-    rng = Rng(43)
-    w = make_weights(rng, 8, 2, 2, 4, gate=False, qk_norm=False)
-    x = rng.child(1).normal((5, 8))
-    eps = 1e-12  # gate of exactly 0 is outside (0, 1]; use the open-interval limit
-    y, _ = diag_rnn_forward(T.tensor(x), w, T.tensor(np.full((5, 8), eps)))
-    nh, dh = 2, 4
-    q = (x @ w.w_q.data).reshape(5, nh, dh)
-    k = (x @ w.w_k.data).reshape(5, nh, dh) / np.sqrt(dh)
-    v = (x @ w.w_v.data).reshape(5, nh, dh)
-    o = np.einsum("thd,thd,the->the", q, k, v)  # q.(k^T v) per token only
-    ref = o.reshape(5, nh * dh) @ w.w_o.data.T
-    assert max_rel_err(y.data, ref) < 1e-9
-
-
-def test_diag_rejects_out_of_range_gates():
-    rng = Rng(44)
-    w = make_weights(rng, 8, 2, 2, 4)
-    with pytest.raises(ValueError, match="forget"):
-        diag_rnn_forward(T.zeros((3, 8)), w, T.tensor(np.full((3, 8), 1.5)))
-    with pytest.raises(ValueError, match="forget"):
-        diag_rnn_forward(T.zeros((3, 8)), w, T.zeros((3, 8)))
-
-
-# --------------------------------------------------------------------------
 # GQA -> MHA cloning
 
 def test_clone_identity_when_g1():
@@ -591,19 +543,6 @@ def test_lightning_backward_finite_diff():
     errs = [_fd_check_mixer(
         lambda t: lightning_forward_chunked(t, w, gam, chunk=3, rope=rope),
         rng.child(k).normal((5, 8))) for k in range(5)]
-    assert max(errs) < 1e-4
-
-
-def test_diag_backward_finite_diff():
-    rng = Rng(63)
-    w = make_weights(rng, 8, 2, 2, 4, gate_head=True)
-
-    def fwd(t):
-        forget = T.sigmoid(T.matmul(t, w.w_g))
-        y, _ = diag_rnn_forward(t, w, forget)
-        return y
-
-    errs = [_fd_check_mixer(fwd, rng.child(k).normal((4, 8))) for k in range(5)]
     assert max(errs) < 1e-4
 
 

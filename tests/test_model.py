@@ -7,7 +7,7 @@ from hybridkit import tensor as T
 from hybridkit.evals import gen_csr_proxy, score_csr
 from hybridkit.mixers import KvCache
 from hybridkit.model import (DecodeSession, Model, ModelConfig, choice_logprobs,
-                             decode_step, desk_config, forward, forward_capture,
+                             capture_many, decode_step, desk_config, forward,
                              generate_greedy, init_hybrid_from_teacher,
                              init_model, mean_nll, new_session, prefill,
                              transformer_config)
@@ -58,7 +58,7 @@ def test_two_layer_forward_matches_composed_oracle():
     x = model.embed.data[toks]
     for l, lw in enumerate(model.layers):
         h_in = np_rmsnorm(x, lw.pre_mixer_gain.data)
-        if lw.mixer_kind == "attention":
+        if l in cfg.I_attn:
             y = attention_loop_oracle(h_in, lw.mixer)  # NoPE attention
         else:
             y = lightning_cumsum_oracle(h_in, lw.mixer, model.gammas, rope=cfg.rope)
@@ -95,7 +95,7 @@ def test_forward_and_prefill_reject_zero_tokens(shape):
 def test_capture_layer0_input_is_normed_embedding():
     model = init_model(tiny_hybrid(), seed=3)
     toks = np.array([4, 2, 9])
-    x_in, _ = forward_capture(model, toks, 0)
+    x_in, _ = capture_many(model, toks, [0])[0]
     e = model.embed.data[toks]
     ref = e / np.sqrt((e * e).mean(-1, keepdims=True) + 1e-6) * model.layers[0].pre_mixer_gain.data
     assert max_rel_err(x_in.data[0], ref) < 1e-12
@@ -106,7 +106,7 @@ def test_capture_residual_identity():
     residual stream, recomputed offline."""
     model = init_model(tiny_hybrid(), seed=4)
     toks = np.array([1, 5, 8, 8])
-    x_in, y_mix = forward_capture(model, toks, 1)
+    x_in, y_mix = capture_many(model, toks, [1])[1]
     # recompute the residual stream entering layer 1 and check Norm matches
     x = model.embed.data[toks]
     lw0 = model.layers[0]
@@ -128,15 +128,16 @@ def test_capture_does_not_perturb_logits():
     model = init_model(tiny_hybrid(), seed=5)
     toks = np.array([0, 1, 2, 3, 4])
     plain = forward(model, toks).data
-    _ = forward_capture(model, toks, 1)
+    _ = capture_many(model, toks, [1])
     again = forward(model, toks).data
     np.testing.assert_array_equal(plain, again)
 
 
 def test_capture_layer_out_of_range():
     model = init_model(tiny_hybrid(), seed=5)
-    with pytest.raises(IndexError):
-        forward_capture(model, np.array([1, 2]), 2)
+    for layers in ([2], [0, 2], [-1]):
+        with pytest.raises(IndexError, match="out of range"):
+            capture_many(model, np.array([1, 2]), layers)
 
 
 # --------------------------------------------------------------------------
@@ -429,7 +430,7 @@ def teacher_model(seed=0, **over):
 def test_hybrid_all_attention_is_teacher_plus_gates():
     teacher = teacher_model(seed=14)
     hyb = init_hybrid_from_teacher(teacher, range(4), seed=1)
-    assert all(lw.mixer_kind == "attention" for lw in hyb.layers)
+    assert hyb.cfg.I_attn == (0, 1, 2, 3)
     for tl, hl in zip(teacher.layers, hyb.layers):
         np.testing.assert_array_equal(tl.mixer.w_q.data, hl.mixer.w_q.data)
         assert hl.mixer.w_z is not None and tl.mixer.w_z is None
@@ -441,7 +442,7 @@ def test_hybrid_rnn_projections_are_bit_copies():
     hyb = init_hybrid_from_teacher(teacher, I_attn=(0,), seed=2)
     for l in range(1, 4):
         tw, hw = teacher.layers[l].mixer, hyb.layers[l].mixer
-        assert hyb.layers[l].mixer_kind == "lightning"
+        assert l not in hyb.cfg.I_attn
         np.testing.assert_array_equal(hw.w_q.data, tw.w_q.data)
         # cloned KV: head i of hybrid equals teacher head i//g
         g = tw.group_size

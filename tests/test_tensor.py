@@ -259,6 +259,23 @@ def test_no_tape_means_no_tracking():
     assert y._tape is None and not y.requires_grad
 
 
+def test_no_record_suspends_an_outer_tape():
+    w = T.tensor([3.0], requires_grad=True)
+    with Tape() as tape:
+        y = T.mul(w, w)
+        with T.no_record():
+            frozen = T.mul(w, w)
+            with Tape() as inner:  # a tape opened inside records again
+                T.mul(w, w)
+        loss = T.sum_all(T.mul(y, T.tensor(frozen.data)))
+    assert frozen._tape is None and not frozen.requires_grad
+    assert len(inner._records) == 1
+    assert len(tape._records) == 3  # y, the product with the constant, the sum
+    tape.backward(loss)
+    np.testing.assert_allclose(w.grad, [2 * 3.0 * 9.0])
+    assert T.mul(w, w)._tape is None  # both contexts closed
+
+
 # --------------------------------------------------------------------------
 # finite differences
 
