@@ -90,6 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        # checked before numpy loads, so no ConfigError yet
+        print(f"config error: --threads must be a positive integer, got {args.threads}",
+              file=sys.stderr)
+        return 2
     if args.threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
@@ -392,12 +397,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    import numpy as np
-
     from .checkpoint import load_model
     from .fileio import write_text_atomic
     from .mixers import KvCache, RecurrentState
     from .model import new_session, prefill, _advance
+    from .tensor import Rng
 
     lengths = _lengths(args.lengths)
     _positive_int("--reps", args.reps)
@@ -405,7 +409,7 @@ def cmd_bench(args) -> int:
     model = load_model(args.ckpt)
     unit = "seconds_per_token" if args.mode == "decode" else "seconds_per_sequence"
     rows = [f"length\tmode\t{unit}\tkv_bytes\tstate_bytes"]
-    rng = np.random.default_rng(0 if args.seed is None else args.seed)
+    rng = Rng(0 if args.seed is None else args.seed)
     for ln in lengths:
         prompt = rng.integers(0, model.cfg.vocab, size=(1, ln))
         times = []

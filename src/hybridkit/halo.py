@@ -170,6 +170,10 @@ class StageReport:
     # pre-clip global gradient norm per step; a step whose loss was
     # non-finite ran no backward and has none
     grad_norms: list[float] = field(default_factory=list)
+    # wall time of each completed step (loss, backward, clip, AdamW) and the
+    # tokens one step trains on (batch_size * context_len)
+    step_s: list[float] = field(default_factory=list)
+    tokens_per_step: int = 0
     wall_time: float = 0.0
     skipped_steps: int = 0
     final_metrics: dict = field(default_factory=dict)
@@ -179,6 +183,9 @@ class StageReport:
             rec = {"step": step, "lr": lr, "loss": loss}
             if step < len(self.grad_norms):
                 rec["grad_norm"] = self.grad_norms[step]
+            if step < len(self.step_s):
+                rec["step_s"] = self.step_s[step]
+                rec["tok_per_s"] = self.tokens_per_step / self.step_s[step]
             yield rec
 
     def write_jsonl(self, path) -> None:
@@ -195,8 +202,10 @@ def _train_step(report: StageReport, params: dict[str, Tensor], state: AdamWStat
     """One optimizer step: loss under a tape, record, backward, clip, AdamW.
 
     Raises TrainingDiverged (report.wall_time counted from t0) when the loss
-    is non-finite; a step whose gradients are non-finite is skipped.
+    is non-finite; a step whose gradients are non-finite is skipped.  A step
+    that completes records its own wall time.
     """
+    start = time.monotonic()
     with Tape() as tape:
         loss = make_loss()
     value = float(loss.data)
@@ -210,6 +219,8 @@ def _train_step(report: StageReport, params: dict[str, Tensor], state: AdamWStat
     report.grad_norms.append(clip_grad_norm(params, cfg.grad_clip))
     if not adamw_step(params, state, lr, cfg.betas, cfg.weight_decay):
         report.skipped_steps += 1
+    report.step_s.append(time.monotonic() - start)
+    report.tokens_per_step = cfg.batch_size * cfg.context_len
 
 
 def _train_loop(stage: str, params: dict[str, Tensor], cfg: TrainConfig,

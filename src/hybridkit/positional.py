@@ -2,8 +2,12 @@
 
 RoPE rotates interleaved channel pairs (2i, 2i+1) of a head vector at
 absolute position t by angle t * theta^(-2i/head_dim).  Inner products of
-rotated q/k then depend only on relative position.  NoPE is simply the
-absence of this rotation.
+rotated q/k then depend only on relative position.  Read as a complex
+number x_2i + i x_2i+1, each pair is multiplied by e^{i t theta_i}
+(RoFormer, arXiv 2104.09864), so a rotation is one complex multiply over a
+complex view of the head axis, by rows of a read-only table of e^{i t
+theta_i} that is built once per (RopeParams, dtype) and grown when a later
+position is asked for.  NoPE is simply the absence of this rotation.
 
 The logits scaling s_t = log_a(t + a) sharpens attention at positions beyond
 the training length; it multiplies q before the attention product and is an
@@ -77,11 +81,41 @@ def scale_vector(positions: np.ndarray, base) -> np.ndarray:
     return np.log(positions + base.a) / math.log(base.a)
 
 
-def _rope_tables(params: RopeParams, start_pos: int, length: int):
-    half = params.head_dim // 2
-    freqs = params.theta ** (-np.arange(half, dtype=np.float64) * 2.0 / params.head_dim)
-    angles = np.arange(start_pos, start_pos + length, dtype=np.float64)[:, None] * freqs[None, :]
-    return np.cos(angles), np.sin(angles)
+# (RopeParams, real dtype) -> read-only complex table [positions, head_dim/2]
+_ROPE_TABLES: dict[tuple[RopeParams, np.dtype], np.ndarray] = {}
+
+
+def _rope_table(params: RopeParams, dtype: np.dtype, stop: int) -> np.ndarray:
+    """Rows e^{i t theta_j} for t in [0, n) with n >= stop, as complex(dtype).
+
+    A table too short for `stop` is replaced by one at least twice as long,
+    so decoding token by token rebuilds it O(log T) times.  Each row is
+    computed in f64 from its own position, so its values do not depend on
+    the table's length, then rounded to the working precision.
+    """
+    key = (params, np.dtype(dtype))
+    table = _ROPE_TABLES.get(key)
+    if table is None or table.shape[0] < stop:
+        n = max(stop, 2 * table.shape[0] if table is not None else 0)
+        half = params.head_dim // 2
+        freqs = params.theta ** (-np.arange(half, dtype=np.float64) * 2.0 / params.head_dim)
+        angles = np.arange(n, dtype=np.float64)[:, None] * freqs[None, :]
+        table = np.empty((n, half), dtype=np.result_type(dtype, np.complex64))
+        table.real = np.cos(angles)
+        table.imag = np.sin(angles)
+        table.flags.writeable = False
+        _ROPE_TABLES[key] = table
+    return table
+
+
+def _rotate(arr: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """Multiply each channel pair of `arr` (last axis) by the complex `rot`."""
+    if arr.strides[-1] != arr.itemsize:  # a complex view needs a contiguous last axis
+        arr = np.ascontiguousarray(arr)
+    pairs = arr.view(rot.dtype)
+    out = np.empty_like(pairs)  # pairs' layout, so its last axis is contiguous too
+    np.multiply(pairs, rot, out=out)
+    return out.view(arr.dtype)
 
 
 def rope_apply(x: Tensor, start_pos: int, params: RopeParams, time_axis: int = 0) -> Tensor:
@@ -91,7 +125,8 @@ def rope_apply(x: Tensor, start_pos: int, params: RopeParams, time_axis: int = 0
     axis (which must equal params.head_dim).  The default time_axis=0 suits
     [seq, heads, head_dim]; mixers pass time_axis=-2 for [..., heads, seq,
     head_dim] layouts.  Rotation is an isometry per pair, and the backward
-    pass is the inverse rotation.
+    pass is the inverse rotation (the conjugate factor).  x is never
+    written.
     """
     if start_pos < 0:
         raise ValueError(f"start_pos must be nonnegative, got {start_pos}")
@@ -101,28 +136,17 @@ def rope_apply(x: Tensor, start_pos: int, params: RopeParams, time_axis: int = 0
     axis = time_axis % X.ndim
     if axis == X.ndim - 1:
         raise ConfigError("time axis cannot be the channel axis")
-    cos, sin = _rope_tables(params, start_pos, X.shape[axis])
-    # Broadcast tables to [.., T, .., head_dim/2]: T at `axis`, half at last.
+    n = X.shape[axis]
+    # Broadcast the rows to [.., T, .., head_dim/2]: T at `axis`, pairs last.
     shape = [1] * X.ndim
-    shape[axis] = X.shape[axis]
+    shape[axis] = n
     shape[-1] = params.head_dim // 2
-    cos = cos.reshape(shape).astype(X.dtype)
-    sin = sin.reshape(shape).astype(X.dtype)
-
-    def rotate(arr, c, s):
-        even, odd = arr[..., 0::2], arr[..., 1::2]
-        out = np.empty_like(arr)
-        out[..., 0::2] = even * c - odd * s
-        out[..., 1::2] = even * s + odd * c
-        return out
-
-    out = rotate(X, cos, sin)
+    rot = _rope_table(params, X.dtype, start_pos + n)[start_pos:start_pos + n].reshape(shape)
 
     def dx(g):
-        # Transpose of a rotation is the rotation by the negated angle.
-        return rotate(g, cos, -sin)
+        return _rotate(g, rot.conj())
 
-    return _emit(out, [(x, dx)])
+    return _emit(_rotate(X, rot), [(x, dx)])
 
 
 def fit_scale_base(model, corpus, candidates) -> ScaleBase:

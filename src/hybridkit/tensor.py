@@ -71,6 +71,8 @@ class Rng:
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.path = tuple(int(p) for p in path)
+        if self.seed < 0 or any(p < 0 for p in self.path):
+            raise ConfigError(f"seeds must be non-negative integers, got {(self.seed, *self.path)}")
         seq = np.random.SeedSequence([self.seed, *self.path])
         self._gen = np.random.Generator(np.random.PCG64(seq))
 
@@ -516,28 +518,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     """y = x / sqrt(mean(x^2, last) + eps) * gain.
 
-    `gain` may carry leading axes of size 1 (or fewer axes) and is broadcast;
-    its last axis must match x's.
+    `gain` may carry leading axes of size 1 (or fewer axes) and is broadcast
+    into x's shape, which the output keeps; its last axis must match x's.
     """
     X, G = x.data, gain.data
     if G.shape[-1] != X.shape[-1]:
         raise ShapeError(f"rmsnorm gain last dim {G.shape} does not match input {X.shape}")
+    n = X.shape[-1]
     # sum of squares as one reduction, without an X*X temporary
     inv = np.einsum("...i,...i->...", X, X)[..., None]
-    inv /= X.shape[-1]
+    inv /= n
     inv += X.dtype.type(eps)
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
+    out = X * inv
+    out *= G
 
     def dx(g):
-        gg = g * G
-        proj = np.mean(gg * X, axis=-1, keepdims=True)
-        return gg * inv - X * (inv**3) * proj
+        # g*G*inv - X * inv^3 * mean(g*G*X), built on the g*G buffer
+        d = g * G
+        c = np.einsum("...i,...i->...", d, X)[..., None]
+        c *= inv ** 3
+        c /= n
+        d *= inv
+        d -= X * c
+        return d
 
     def dgain(g):
-        return _unbroadcast(g * (X * inv), G.shape)
+        d = X * inv
+        d *= g
+        return _unbroadcast(d, G.shape)
 
-    return _emit(X * inv * G, [(x, dx), (gain, dgain)])
+    return _emit(out, [(x, dx), (gain, dgain)])
 
 
 def softmax_rows(x: Tensor, causal: bool = False, offset: int = 0) -> Tensor:

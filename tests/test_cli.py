@@ -1,6 +1,7 @@
 """Checkpoint format, run configs, CLI subcommands, exit codes."""
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -482,6 +483,31 @@ def test_cli_bad_numeric_argument_exits_2(tiny_ckpt, capsys, argv, flag):
     assert main([argv[0], str(tiny_ckpt)] + argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and flag in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "bench"])
+def test_cli_negative_seed_exits_2_and_writes_nothing(tiny_ckpt, tmp_path, capsys, command):
+    out, cfg = tmp_path / "out", write_cfg(tmp_path)
+    argv = {"train": ["--seed", "-1", "train", cfg, str(out)],
+            "eval": ["eval", str(tiny_ckpt), "--lengths", "64", "--samples", "2",
+                     "--eval-seed", "-1", "--out", str(out)],
+            "bench": ["--seed", "-1", "bench", str(tiny_ckpt), "--lengths", "32",
+                      "--reps", "1", "--out", str(out)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "non-negative" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_cli_threads_below_one_exits_2_before_setting_the_environment(
+        tiny_ckpt, capsys, monkeypatch, threads):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    assert main(["--threads", threads, "inspect", str(tiny_ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--threads" in err
+    assert not {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"} & set(os.environ)
 
 
 def test_mixer_checkpoint_validated(tiny_ckpt, tmp_path):

@@ -594,3 +594,14 @@ def test_stage_reports_record_preclip_grad_norm_per_step(tmp_path):
     recs = _jsonl_steps(report, tmp_path / "b.jsonl")
     assert [r["step"] for r in recs] == [0, 1, 2]
     assert all(np.isfinite(r["grad_norm"]) and r["grad_norm"] > 0 for r in recs)
+
+
+def test_stage_reports_record_step_time_and_tokens_per_second(tmp_path):
+    p = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    cfg = TrainConfig(context_len=8, batch_size=3, steps=3, lr_max=1e-3)
+    recs = _jsonl_steps(_train_loop("t", {"p": p}, cfg, lambda step: T.sum_all(T.mul(p, p))),
+                        tmp_path / "a.jsonl")
+    assert [r["step"] for r in recs] == [0, 1, 2]
+    for r in recs:
+        assert np.isfinite(r["step_s"]) and r["step_s"] > 0
+        assert r["tok_per_s"] == pytest.approx(3 * 8 / r["step_s"], rel=1e-12)

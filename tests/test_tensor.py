@@ -181,6 +181,43 @@ def test_rmsnorm_matches_direct_formula():
     assert max_rel_err(got, ref) < 1e-12
 
 
+def rmsnorm_oracle(X, G, g, eps=1e-6):
+    """The pairwise-temporary RMSNorm formulas: (y, dx, dgain) for upstream g."""
+    inv = 1.0 / np.sqrt(np.mean(X * X, axis=-1, keepdims=True) + X.dtype.type(eps))
+    gg = g * G
+    proj = np.mean(gg * X, axis=-1, keepdims=True)
+    dx = gg * inv - X * (inv**3) * proj
+    dgain = T._unbroadcast(g * (X * inv), G.shape)
+    return X * inv * G, dx, dgain
+
+
+@pytest.mark.parametrize("mode,tol", [("extended", 1e-12), ("standard", 1e-6)])
+@pytest.mark.parametrize("case", ["btd", "qk_norm"])
+def test_rmsnorm_output_and_gradients_match_oracle_and_keep_inputs(mode, tol, case):
+    T.set_precision(mode)
+    rng = Rng(13)
+    if case == "btd":  # [B, T, d] with a [d] gain
+        X, G = rng.normal((2, 5, 8)), rng.normal((8,))
+    else:  # QK-norm: a [B, H, T, d_h] head view with a per-head [H, 1, d_h] gain
+        X, G = rng.normal((2, 5, 3, 8)).transpose(0, 2, 1, 3), rng.normal((3, 1, 8))
+    g = rng.normal(X.shape)
+    X_before, G_before = X.copy(), G.copy()
+    x = Tensor(X, requires_grad=True, dtype=X.dtype)
+    gain = Tensor(G, requires_grad=True, dtype=G.dtype)
+    with Tape() as tape:
+        y = T.rmsnorm(x, gain)
+        loss = T.sum_all(T.mul(y, Tensor(g, dtype=g.dtype)))
+    tape.backward(loss)
+    ref_y, ref_dx, ref_dgain = rmsnorm_oracle(X, G, g)
+    assert y.shape == X.shape and x.grad.shape == X.shape and gain.grad.shape == G.shape
+    assert y.dtype == x.grad.dtype == gain.grad.dtype == X.dtype
+    np.testing.assert_allclose(y.data, ref_y, rtol=tol, atol=tol)
+    np.testing.assert_allclose(x.grad, ref_dx, rtol=tol, atol=tol)
+    np.testing.assert_allclose(gain.grad, ref_dgain, rtol=tol, atol=tol)
+    np.testing.assert_array_equal(X, X_before)
+    np.testing.assert_array_equal(G, G_before)
+
+
 def test_sigmoid_and_silu_points():
     assert T.sigmoid(T.tensor([0.0])).data[0] == 0.5
     assert T.silu(T.tensor([0.0])).data[0] == 0.0
@@ -427,6 +464,12 @@ def test_rng_child_streams_independent():
     b = r.child(2).normal((10,))
     assert not np.array_equal(a, b)
     np.testing.assert_array_equal(a, Rng(5).child(1).normal((10,)))
+
+
+def test_rng_rejects_negative_seed_or_path():
+    for seed, path in ((-1, ()), (0, (3, -2))):
+        with pytest.raises(T.ConfigError, match="non-negative"):
+            Rng(seed, path)
 
 
 def test_op_sequence_bit_determinism():
