@@ -11,6 +11,7 @@ native precision, recorded per entry by the dtype code).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -34,7 +35,7 @@ class CheckpointError(RuntimeError):
 
 
 def save_tensors(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
-    """Write a checkpoint with an arbitrary JSON-serializable config block.
+    """Write a checkpoint with a JSON-serializable config object (a dict).
 
     The file is written under a temporary name in the same directory and
     renamed into place, so `path` never holds a partial checkpoint: a save
@@ -66,8 +67,15 @@ def save_tensors(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint; returns (config, name -> array)."""
-    raw = Path(path).read_bytes()
+    """Read a checkpoint; returns (config, name -> array).
+
+    Raises CheckpointError, naming `path`, for a file that cannot be read
+    and for any defect of the container: magic, header, index or payload.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot read ({e.strerror or e})") from None
     if len(raw) < len(MAGIC) + 8 or raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: bad magic (not a checkpoint file)")
     (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
@@ -78,26 +86,49 @@ def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(raw[len(MAGIC) + 8 : header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: undecodable header ({e})") from None
+    if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
+            and isinstance(header.get("tensors"), list)):
+        raise CheckpointError(f"{path}: header must be an object with a 'config' "
+                              f"object and a 'tensors' list")
     payload = raw[header_end:]
     tensors: dict[str, np.ndarray] = {}
     expected_offset = 0
     for entry in header["tensors"]:
-        if entry["offset"] != expected_offset:
+        name, dtype, shape, offset, length = _index_entry(path, entry)
+        if offset != expected_offset:
             raise CheckpointError(f"{path}: tensor offsets must be ascending and "
-                                  f"gap-free (at {entry['name']!r})")
-        dtype = _DTYPE_CODES.get(entry["dtype"])
-        if dtype is None:
-            raise CheckpointError(f"{path}: unknown dtype code {entry['dtype']!r}")
-        end = entry["offset"] + entry["length"]
+                                  f"gap-free (at {name!r})")
+        need = math.prod(shape) * dtype.itemsize
+        if length != need:
+            raise CheckpointError(f"{path}: tensor {name!r} has length {length}, but "
+                                  f"shape {list(shape)} needs {need} bytes")
+        end = offset + length
         if end > len(payload):
-            raise CheckpointError(f"{path}: payload truncated at {entry['name']!r}")
-        arr = np.frombuffer(payload[entry["offset"]:end], dtype=dtype)
-        tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
+            raise CheckpointError(f"{path}: payload truncated at {name!r}")
+        tensors[name] = np.frombuffer(payload[offset:end], dtype=dtype).reshape(shape).copy()
         expected_offset = end
     if expected_offset != len(payload):
         raise CheckpointError(f"{path}: payload has {len(payload) - expected_offset} "
                               f"trailing bytes not covered by the index")
     return header["config"], tensors
+
+
+def _index_entry(path, entry) -> tuple[str, np.dtype, tuple[int, ...], int, int]:
+    """(name, dtype, shape, offset, length) of one tensor-index entry."""
+    try:
+        name, code = entry["name"], entry["dtype"]
+        shape, offset, length = tuple(entry["shape"]), entry["offset"], entry["length"]
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"{path}: malformed tensor index entry, missing or "
+                              f"unreadable field {e}") from None
+    dtype = _DTYPE_CODES.get(code) if isinstance(code, str) else None
+    if dtype is None:
+        raise CheckpointError(f"{path}: unknown dtype code {code!r}")
+    if not (isinstance(name, str)
+            and all(type(n) is int and n >= 0 for n in (*shape, offset, length))):
+        raise CheckpointError(f"{path}: tensor index entry {name!r} needs a string name "
+                              f"and non-negative integer shape, offset and length")
+    return name, dtype, shape, offset, length
 
 
 # --------------------------------------------------------------------------

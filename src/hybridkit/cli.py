@@ -189,11 +189,13 @@ def _print_config(rc, model) -> None:
 def cmd_train(args) -> int:
     from . import tensor as T
     from .checkpoint import save_model
+    from .data import check_vocab
     from .halo import _train_loop, stream_for
     from .model import forward, init_model
     from .runconfig import load_run_config
 
     rc = load_run_config(args.config, seed_override=args.seed)
+    check_vocab(rc.model.vocab, rc.data_kind)
     model = init_model(rc.model, seed=rc.train.seed)
     if args.dry_run:
         _print_config(rc, model)
@@ -240,7 +242,7 @@ def cmd_halo(args) -> int:
     rc = load_run_config(args.config, seed_override=args.seed)
     hc = rc.halo
     teacher = load_model(args.teacher)
-    k = halo.resolve_k(hc.k, teacher.cfg.L)  # a bad k fails before any stage
+    k = halo.check_teacher(teacher, hc)  # a bad k or vocab fails before any stage
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.dry_run:
@@ -365,13 +367,14 @@ def cmd_eval(args) -> int:
     import numpy as np
 
     from .checkpoint import load_model
-    from .data import StreamConfig, TokenStream
+    from .data import StreamConfig, TokenStream, check_vocab
     from .evals import (EvalResult, gen_csr_proxy, length_sweep, perplexity,
                         score_csr, write_plot_data)
 
     lengths = _lengths(args.lengths)
     _positive_int("--samples", args.samples)
     model = load_model(args.ckpt)
+    check_vocab(model.cfg.vocab, args.task)
     scale, tag = _resolve_scale(args)
     if args.task == "niah":
         results = length_sweep(model, lengths, scale_base=scale,

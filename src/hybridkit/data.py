@@ -36,6 +36,22 @@ KV_LO, KV_HI = 256, 512
 #: grammar identity shared by training streams and evaluation suites
 DEFAULT_GRAMMAR_SEED = 7
 
+#: per stream kind or evaluation task, one past the largest token id it
+#: draws: needles (niah_mix, the recall task, perplexity's niah_mix corpus)
+#: reach the key/value alphabet, grammar text and the cloze proxy only the
+#: filler alphabet
+MIN_VOCAB = {"niah_mix": KV_HI, "niah": KV_HI, "ppl": KV_HI,
+             "grammar": FILLER_HI, "csr": FILLER_HI}
+
+
+def check_vocab(vocab: int, kind: str) -> None:
+    """Raise ConfigError unless a model with `vocab` token ids can read the
+    tokens of `kind`, a stream kind or evaluation task named in MIN_VOCAB."""
+    need = MIN_VOCAB[kind]
+    if vocab < need:
+        raise ConfigError(f"vocab {vocab} is too small for {kind!r} data, whose "
+                          f"token ids reach {need - 1}; it needs vocab >= {need}")
+
 
 @dataclass(frozen=True)
 class GrammarTables:

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import (DEFAULT_GRAMMAR_SEED, FILLER_HI, FILLER_LO, KV_HI, KV_LO,
+from .data import (DEFAULT_GRAMMAR_SEED, FILLER_HI, FILLER_LO,
                    SEP, cached_arrays, draw_needles, grammar_chain,
                    grammar_continuation, grammar_tables)
 from .fileio import write_text_atomic
@@ -39,12 +39,8 @@ class NiahSpec:
     filler: str = "grammar"          # "grammar" | "uniform"
     seed: int = 0
     grammar_seed: int = DEFAULT_GRAMMAR_SEED
-    vocab: int = 512
 
     def __post_init__(self):
-        if self.vocab < KV_HI:
-            raise ConfigError(f"vocab {self.vocab} too small for the key/value "
-                              f"alphabet [{KV_LO}, {KV_HI})")
         if self.filler not in ("grammar", "uniform"):
             raise ConfigError(f"unknown filler kind {self.filler!r}")
         needle = self.key_len + self.value_len

@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import tensor as T
-from .data import StreamConfig, TokenStream
+from .data import StreamConfig, TokenStream, check_vocab
 from .evals import RcSuite, build_rc_suite, score_csr, score_recall
 from .fileio import write_text_atomic
 from .mixers import MixerWeights, lightning_forward_chunked
@@ -175,8 +175,13 @@ class StageReport:
     step_s: list[float] = field(default_factory=list)
     tokens_per_step: int = 0
     wall_time: float = 0.0
-    skipped_steps: int = 0
+    # step -> why its update was not applied
+    skipped: dict[int, str] = field(default_factory=dict)
     final_metrics: dict = field(default_factory=dict)
+
+    @property
+    def skipped_steps(self) -> int:
+        return len(self.skipped)
 
     def records(self):
         for step, (loss, lr) in enumerate(zip(self.losses, self.lrs)):
@@ -186,6 +191,8 @@ class StageReport:
             if step < len(self.step_s):
                 rec["step_s"] = self.step_s[step]
                 rec["tok_per_s"] = self.tokens_per_step / self.step_s[step]
+            if step in self.skipped:
+                rec["skipped"] = self.skipped[step]
             yield rec
 
     def write_jsonl(self, path) -> None:
@@ -202,8 +209,8 @@ def _train_step(report: StageReport, params: dict[str, Tensor], state: AdamWStat
     """One optimizer step: loss under a tape, record, backward, clip, AdamW.
 
     Raises TrainingDiverged (report.wall_time counted from t0) when the loss
-    is non-finite; a step whose gradients are non-finite is skipped.  A step
-    that completes records its own wall time.
+    is non-finite; a step whose gradients are non-finite is skipped, and the
+    report records why.  A step that completes records its own wall time.
     """
     start = time.monotonic()
     with Tape() as tape:
@@ -218,7 +225,7 @@ def _train_step(report: StageReport, params: dict[str, Tensor], state: AdamWStat
     tape.backward(loss)
     report.grad_norms.append(clip_grad_norm(params, cfg.grad_clip))
     if not adamw_step(params, state, lr, cfg.betas, cfg.weight_decay):
-        report.skipped_steps += 1
+        report.skipped[step] = "non-finite gradient"
     report.step_s.append(time.monotonic() - start)
     report.tokens_per_step = cfg.batch_size * cfg.context_len
 
@@ -431,6 +438,14 @@ def resolve_k(k: int | None, L: int) -> int:
     return k
 
 
+def check_teacher(teacher: Model, cfg: HaloConfig) -> int:
+    """The k selection keeps for this teacher; raises ConfigError when k
+    exceeds its layers or its vocabulary cannot read the recall suite's
+    token ids (selection scores every candidate on needles)."""
+    check_vocab(teacher.cfg.vocab, "niah")
+    return resolve_k(cfg.k, teacher.cfg.L)
+
+
 @dataclass
 class HaloResult:
     hybrid: Model
@@ -495,7 +510,7 @@ def run_halo(teacher: Model, cfg: HaloConfig) -> HaloResult:
     guards against regressions in any stage.
     """
     frozen = teacher.state_bytes()
-    resolve_k(cfg.k, teacher.cfg.L)  # a bad k fails before any stage
+    check_teacher(teacher, cfg)  # a bad k or vocab fails before any stage
     aligned = run_stage1(teacher, cfg)
     weights = {l: w for l, (w, _) in aligned.items()}
     I_attn, scores = select_layers(teacher, weights, cfg)

@@ -7,6 +7,13 @@ Ops record onto the innermost active ``Tape``; with no tape active, or
 inside ``no_record()``, they are plain numpy computations, which is the
 inference fast path.
 
+A tape holds only what backward reads: per op, its gradient closures
+(each capturing just the arrays, shapes and constants its own formula
+needs) and its inputs, as node numbers for tensors the tape produced or as
+the Tensors themselves for leaves.  It holds no op output, so an
+activation that no closure reads is freed as soon as the caller drops it,
+and backward drops each op's closures as soon as it has run them.
+
 Broadcasting is deliberately narrow: elementwise ops require identical
 shapes, matmul broadcasts leading batch dimensions only, and ``mul_const``
 broadcasts a constant array up to the tensor's shape.
@@ -107,14 +114,16 @@ _TAPE_STACK: list["Tape | None"] = []
 class Tensor:
     """A dense real array plus an optional gradient accumulator."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else active_dtype())
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        # the tape that produced this tensor and its node number there
         self._tape: Tape | None = None
+        self._node: int | None = None
 
     # -- introspection ------------------------------------------------
     @property
@@ -173,16 +182,22 @@ class Tensor:
 class Tape:
     """Ordered record of differentiable ops; backward walks it in reverse.
 
-    A tape is single-shot: backward consumes the records (this breaks the
-    tensor<->tape reference cycles, so per-step training memory is reclaimed
-    by reference counting alone, without waiting for the cycle collector).
+    Record n belongs to the op whose output has node number n, and holds
+    one (input, vjp) pair per input that requires grad.  An input is its
+    node number when this tape produced it, and the Tensor itself when it
+    is a leaf here (a parameter, a constant, or a tensor from an outer
+    tape).  No op output is held, so activations live only as long as the
+    caller or a closure keeps them.
+
+    A tape is single-shot: backward pops each record once it has run it, so
+    its closures and what they captured are freed while backward runs, and
+    the tape is empty when backward returns.
     """
 
-    __slots__ = ("_records", "_produced", "_consumed")
+    __slots__ = ("_records", "_consumed")
 
     def __init__(self):
-        self._records: list[tuple[Tensor, list[tuple[Tensor, Callable]]]] = []
-        self._produced: set[int] = set()
+        self._records: list[list[tuple[int | Tensor, Callable]]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -196,9 +211,8 @@ class Tape:
         return False
 
     def record(self, out: Tensor, pairs: list[tuple[Tensor, Callable]]) -> None:
-        self._records.append((out, pairs))
-        self._produced.add(id(out))
-        out._tape = self
+        self._records.append([(t._node if t._tape is self else t, f) for t, f in pairs])
+        out._tape, out._node = self, len(self._records) - 1
 
     def backward(self, loss: Tensor) -> None:
         """Populate ``grad`` on every requires_grad leaf reachable from loss."""
@@ -206,31 +220,30 @@ class Tape:
             raise RuntimeError("tape already consumed by a previous backward")
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        if id(loss) not in self._produced:
+        if loss._tape is not self:
             raise ValueError("loss was not produced on this tape")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        leaf_grads: dict[int, np.ndarray] = {}
-        leaves: dict[int, Tensor] = {}
-        for out, pairs in reversed(self._records):
-            g = grads.pop(id(out), None)
+        self._consumed = True
+        records = self._records
+        grads: dict[int, np.ndarray] = {loss._node: np.ones_like(loss.data)}
+        leaf_grads: dict[Tensor, np.ndarray] = {}
+        while records:
+            pairs = records.pop()
+            g = grads.pop(len(records), None)  # len(records) is now its node number
             if g is None:
                 continue
-            for t, vjp in pairs:
+            for src, vjp in pairs:
                 contrib = vjp(g)
-                tid = id(t)
-                if tid in self._produced:
-                    prev = grads.get(tid)
-                    grads[tid] = contrib if prev is None else prev + contrib
+                if isinstance(src, int):
+                    prev = grads.get(src)
+                    grads[src] = contrib if prev is None else prev + contrib
                 else:
-                    prev = leaf_grads.get(tid)
-                    leaf_grads[tid] = contrib if prev is None else prev + contrib
-                    leaves[tid] = t
+                    prev = leaf_grads.get(src)
+                    leaf_grads[src] = contrib if prev is None else prev + contrib
         # a vjp may hand the same array (or views of it) to several leaves,
         # e.g. add(a, b); each leaf's grad must own its memory, since
         # clip_grad_norm and optimizers update grads in place
         owners: set[int] = set()
-        for tid, t in leaves.items():
-            g = leaf_grads[tid]
+        for t, g in leaf_grads.items():
             if t.grad is not None:
                 t.grad = t.grad + g
                 continue
@@ -240,9 +253,6 @@ class Tape:
             else:
                 owners.add(root)
             t.grad = g
-        self._consumed = True
-        self._records.clear()
-        self._produced.clear()
 
 
 @contextmanager
@@ -431,9 +441,10 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx = [slice(None)] * x.data.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
+    shape, dtype = x.data.shape, x.data.dtype
 
     def dx(g):
-        buf = np.zeros_like(x.data)
+        buf = np.zeros(shape, dtype=dtype)
         buf[idx] = g
         return buf
 
@@ -493,21 +504,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         # B's gradient is one flattened GEMM instead of a batched GEMM
         # followed by a sum over batch axes
         k, n = B.shape
-        out = (A.reshape(-1, k) @ B).reshape(A.shape[:-1] + (n,))
+        a_shape = A.shape
+        out = (A.reshape(-1, k) @ B).reshape(a_shape[:-1] + (n,))
 
         def da(g):
-            return (g.reshape(-1, n) @ B.T).reshape(A.shape)
+            return (g.reshape(-1, n) @ B.T).reshape(a_shape)
 
         def db(g):
             return A.reshape(-1, k).T @ g.reshape(-1, n)
     else:
         out = A @ B
+        a_shape, b_shape = A.shape, B.shape
 
         def da(g):
-            return _unbroadcast(g @ B.swapaxes(-1, -2), A.shape)
+            return _unbroadcast(g @ B.swapaxes(-1, -2), a_shape)
 
         def db(g):
-            return _unbroadcast(A.swapaxes(-1, -2) @ g, B.shape)
+            return _unbroadcast(A.swapaxes(-1, -2) @ g, b_shape)
 
     return _emit(out, [(a, da), (b, db)])
 
@@ -544,10 +557,12 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
         d -= X * c
         return d
 
+    gain_shape = G.shape
+
     def dgain(g):
         d = X * inv
         d *= g
-        return _unbroadcast(d, G.shape)
+        return _unbroadcast(d, gain_shape)
 
     return _emit(out, [(x, dx), (gain, dgain)])
 
@@ -614,10 +629,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
             f"min={ids.min()}, max={ids.max()}"
         )
     out = table.data[ids]
+    shape, dtype = table.data.shape, table.data.dtype
 
     def dt(g):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, ids.ravel(), g.reshape(-1, table.data.shape[-1]))
+        buf = np.zeros(shape, dtype=dtype)
+        np.add.at(buf, ids.ravel(), g.reshape(-1, shape[-1]))
         return buf
 
     return _emit(out, [(table, dt)])
@@ -640,11 +656,12 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     logp = _log_softmax(flat)
     n = flat.shape[0]
     nll = -logp[np.arange(n), tflat].mean()
+    shape, dtype = X.shape, X.dtype
 
     def dx(g):
         p = np.exp(logp)
         p[np.arange(n), tflat] -= 1.0
-        return (p * (g / n)).reshape(X.shape).astype(X.dtype, copy=False)
+        return (p * (g / n)).reshape(shape).astype(dtype, copy=False)
 
     return _emit(np.asarray(nll, dtype=X.dtype), [(logits, dx)])
 
@@ -666,10 +683,11 @@ def kl_divergence(ref_logits: np.ndarray, logits: Tensor) -> Tensor:
     log_q = _log_softmax(xflat)
     n = xflat.shape[0]
     val = (p * (log_p - log_q)).sum(axis=-1).mean()
+    shape, dtype = X.shape, X.dtype
 
     def dx(g):
         q = np.exp(log_q)
-        return ((q - p) * (g / n)).reshape(X.shape).astype(X.dtype, copy=False)
+        return ((q - p) * (g / n)).reshape(shape).astype(dtype, copy=False)
 
     return _emit(np.asarray(val, dtype=X.dtype), [(logits, dx)])
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybridkit import tensor as T
-from hybridkit.tensor import _log_softmax
+from hybridkit.tensor import ShapeError, _log_softmax
 
 
 @pytest.fixture(autouse=True)
@@ -41,3 +41,68 @@ def reference_choice_logprobs(model, prefixes, choices, scale_base=None,
         for j in range(chunk.shape[0]):
             scores[lo + j] = logp[j, pos, chunk[j, pos + 1]].sum()
     return scores.reshape(n, n_choices)
+
+
+class OracleTape:
+    """The tape as it was before it kept only what backward reads: each
+    record holds its op's output Tensor and its input Tensors until backward
+    returns, and inputs are told apart by ``id()``.  Same walk, same
+    accumulation order, so its gradients are the reference that
+    ``tensor.Tape`` must match bit for bit."""
+
+    def __init__(self):
+        self._records = []
+        self._produced = set()
+        self._consumed = False
+
+    def __enter__(self):
+        T._TAPE_STACK.append(self)
+        return self
+
+    def __exit__(self, *exc):
+        assert T._TAPE_STACK.pop() is self
+        return False
+
+    def record(self, out, pairs):
+        self._records.append((out, pairs))
+        self._produced.add(id(out))
+        out._tape = self
+
+    def backward(self, loss):
+        if self._consumed:
+            raise RuntimeError("tape already consumed by a previous backward")
+        if loss.data.size != 1:
+            raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        if id(loss) not in self._produced:
+            raise ValueError("loss was not produced on this tape")
+        grads = {id(loss): np.ones_like(loss.data)}
+        leaf_grads, leaves = {}, {}
+        for out, pairs in reversed(self._records):
+            g = grads.pop(id(out), None)
+            if g is None:
+                continue
+            for t, vjp in pairs:
+                contrib = vjp(g)
+                tid = id(t)
+                if tid in self._produced:
+                    prev = grads.get(tid)
+                    grads[tid] = contrib if prev is None else prev + contrib
+                else:
+                    prev = leaf_grads.get(tid)
+                    leaf_grads[tid] = contrib if prev is None else prev + contrib
+                    leaves[tid] = t
+        owners = set()
+        for tid, t in leaves.items():
+            g = leaf_grads[tid]
+            if t.grad is not None:
+                t.grad = t.grad + g
+                continue
+            root = id(g if g.base is None else g.base)
+            if root in owners:
+                g = g.copy()
+            else:
+                owners.add(root)
+            t.grad = g
+        self._consumed = True
+        self._records.clear()
+        self._produced.clear()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -308,14 +309,91 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+def _teacher_with_vocab(tmp_path, vocab: int):
+    """An untrained all-attention checkpoint of the tiny shape."""
+    cfg = desk_config(L=2, I_attn=(0, 1), d=16, d_h=4, n_h=4, n_kv_heads=2,
+                      ffn_width=24, vocab=vocab, rope=RopeParams(theta=1000.0, head_dim=4))
+    path = tmp_path / f"vocab{vocab}.ckpt"
+    save_model(path, init_model(cfg, seed=1))
+    return path
+
+
+def test_cli_train_vocab_below_the_data_exits_2(tmp_path, capsys):
+    """niah_mix ids reach 511 and grammar ids 247: a vocabulary short of the
+    data is a config error, and grammar trains at vocab 256."""
+    for data, vocab in (("niah_mix", 128), ("niah_mix", 256), ("grammar", 200)):
+        out = tmp_path / f"{data}{vocab}.ckpt"
+        cfg = write_cfg(tmp_path, train={"data": data}, model={"vocab": vocab})
+        assert main(["train", cfg, str(out)]) == 2
+        assert f"vocab {vocab} is too small for '{data}'" in capsys.readouterr().err
+        assert not out.exists()
+    cfg = write_cfg(tmp_path, train={"data": "grammar", "steps": 1, "warmup_steps": 0},
+                    model={"vocab": 256})
+    assert main(["train", cfg, str(tmp_path / "grammar.ckpt")]) == 0
+
+
+def test_cli_eval_vocab_below_the_task_exits_2(tmp_path, capsys):
+    """Recall prompts and the perplexity corpus carry needle ids up to 511;
+    the cloze proxy stays in the filler alphabet."""
+    ckpt = str(_teacher_with_vocab(tmp_path, 256))
+    for task in ("niah", "ppl"):
+        assert main(["eval", ckpt, "--task", task, "--lengths", "64",
+                     "--samples", "2"]) == 2
+        assert f"vocab 256 is too small for '{task}'" in capsys.readouterr().err
+    assert main(["eval", ckpt, "--task", "csr", "--samples", "2"]) == 0
+
+
+def test_cli_halo_vocab_below_the_recall_suite_exits_2_before_any_stage(tmp_path, capsys):
+    """Selection scores candidates on needles, so even a grammar-data run
+    needs vocab 512; the run stops before it creates the output directory."""
+    teacher = _teacher_with_vocab(tmp_path, 256)
+    cfg = write_cfg(tmp_path, halo={"data": "grammar"})
+    out = tmp_path / "halo"
+    assert main(["halo", str(teacher), cfg, str(out)]) == 2
+    assert "vocab 256 is too small for 'niah'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_config_exit_2(tmp_path):
     assert main(["train", str(tmp_path / "absent.json"), "x.ckpt"]) == 2
 
 
-def test_cli_bad_checkpoint_exit_2(tmp_path):
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"garbage!")
-    assert main(["inspect", str(bad)]) == 2
+def _raw_checkpoint(path, header, payload: bytes):
+    """A file in the checkpoint container with `header` as its JSON header."""
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<Q", len(text)) + text + payload)
+    return path
+
+
+def test_cli_bad_checkpoint_exit_2(tmp_path, capsys):
+    """Each defect raises a CheckpointError naming the path, and every
+    command that reads a checkpoint exits 2 on it."""
+    garbage = tmp_path / "bad.ckpt"
+    garbage.write_bytes(b"garbage!")
+    entry = {"name": "a", "dtype": "f32", "shape": [3], "offset": 0, "length": 12}
+    payload = np.arange(3, dtype=np.float32).tobytes()
+    no_offset = {k: v for k, v in entry.items() if k != "offset"}
+    corrupt = {
+        "garbage": garbage,
+        "missing file": tmp_path / "absent.ckpt",
+        "directory": tmp_path,
+        "header is a list": _raw_checkpoint(tmp_path / "list.ckpt", [entry], payload),
+        "no tensors key": _raw_checkpoint(tmp_path / "notensors.ckpt",
+                                          {"config": {}}, payload),
+        "entry without offset": _raw_checkpoint(tmp_path / "nooffset.ckpt",
+                                                {"config": {}, "tensors": [no_offset]},
+                                                payload),
+        "length disagrees with shape": _raw_checkpoint(
+            tmp_path / "length.ckpt",
+            {"config": {}, "tensors": [{**entry, "shape": [2]}]}, payload),
+    }
+    for what, path in corrupt.items():
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_tensors(path)
+        for argv in (["inspect", str(path)],
+                     ["eval", str(path), "--lengths", "64", "--samples", "2"]):
+            assert main(argv) == 2, (what, argv)
+            assert f"checkpoint error: {path}" in capsys.readouterr().err, (what, argv)
 
 
 # --------------------------------------------------------------------------

@@ -367,6 +367,42 @@ def test_stage2_tape_holds_only_the_student_and_the_loss(monkeypatch):
     assert sizes == [len(ref._records)] * cfg.steps
 
 
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+def test_stage2_step_gradients_match_the_tape_that_keeps_everything(mode):
+    """The tape that keeps only what backward reads gives a stage-2 loss and
+    per-parameter gradients bit-identical to the oracle tape, which holds
+    every op's output and inputs until backward returns.  The context spans
+    two attention query blocks, so the key slices are differentiated too."""
+    from hybridkit.model import init_hybrid_from_teacher
+
+    from conftest import OracleTape
+
+    T.set_precision(mode)
+    teacher = tiny_teacher(L=2, seed=9)
+    hybrid = init_hybrid_from_teacher(teacher, (0,), seed=1)
+    cfg = TrainConfig(context_len=192, batch_size=2, steps=1, lr_max=1e-4, seed=6)
+    x = stream_for(cfg).batch(0)[:, :-1]
+    with T.no_record():
+        t_logits = forward(teacher, x).data
+
+    def loss_and_grads(tape_cls):
+        with tape_cls() as tape:
+            loss = T.kl_divergence(t_logits, forward(hybrid, x, scale_base=None))
+        tape.backward(loss)
+        grads = {name: p.grad for name, p in hybrid.named_parameters()}
+        for p in hybrid.parameters():
+            p.grad = None
+        return loss.data, grads
+
+    loss, grads = loss_and_grads(T.Tape)
+    ref_loss, ref_grads = loss_and_grads(OracleTape)
+    assert loss.tobytes() == ref_loss.tobytes()
+    assert list(grads) == list(ref_grads)
+    for name, g in grads.items():
+        assert g.dtype == ref_grads[name].dtype
+        np.testing.assert_array_equal(g, ref_grads[name], err_msg=name)
+
+
 def test_stage2_with_the_teacher_off_the_tape_computes_the_same_numbers(monkeypatch):
     """Recording the teacher's forward (no_record made a no-op) and not
     recording it give bit-identical losses, gradient norms, probe KLs and
@@ -605,3 +641,29 @@ def test_stage_reports_record_step_time_and_tokens_per_second(tmp_path):
     for r in recs:
         assert np.isfinite(r["step_s"]) and r["step_s"] > 0
         assert r["tok_per_s"] == pytest.approx(3 * 8 / r["step_s"], rel=1e-12)
+
+
+def test_stage_report_says_why_a_step_was_skipped(tmp_path):
+    """Step 1's loss is finite but its gradient is not: AdamW skips it, its
+    record says why, and the other records carry no skip key."""
+    import json
+
+    p = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    cfg = TrainConfig(context_len=8, batch_size=1, steps=3, lr_max=1e-3)
+    after = []
+
+    def make_loss(step):
+        after.append(p.data.copy())
+        if step == 1:
+            return T._emit(np.asarray(p.data.sum()),
+                           [(p, lambda g: np.full(p.shape, np.nan))])
+        return T.sum_all(T.mul(p, p))
+
+    report = _train_loop("t", {"p": p}, cfg, make_loss)
+    recs = _jsonl_steps(report, tmp_path / "a.jsonl")
+    assert [r.get("skipped") for r in recs] == [None, "non-finite gradient", None]
+    assert np.isfinite(recs[1]["loss"])
+    np.testing.assert_array_equal(after[2], after[1])  # step 1 left p alone
+    assert not np.array_equal(after[1], after[0])
+    final = json.loads((tmp_path / "a.jsonl").read_text().splitlines()[-1])
+    assert final["skipped_steps"] == report.skipped_steps == 1

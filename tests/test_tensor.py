@@ -1,5 +1,7 @@
 """Numeric core: op correctness against naive oracles, tape behavior, RNG."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -311,6 +313,92 @@ def test_no_record_suspends_an_outer_tape():
     tape.backward(loss)
     np.testing.assert_allclose(w.grad, [2 * 3.0 * 9.0])
     assert T.mul(w, w)._tape is None  # both contexts closed
+
+
+BOTH_PRECISIONS = pytest.mark.parametrize("mode", ["standard", "extended"])
+
+
+@BOTH_PRECISIONS
+def test_tape_does_not_keep_an_output_no_closure_reads(mode):
+    """matmul's output h feeds only scale, whose gradient reads a constant,
+    and sum_all, whose gradient reads a shape: once the caller drops h its
+    buffer is freed although the tape is still live."""
+    T.set_precision(mode)
+    rng = Rng(3)
+    x = Tensor(rng.normal((4, 5)), requires_grad=True)
+    w = Tensor(rng.normal((5, 3)), requires_grad=True)
+    with Tape() as tape:
+        h = T.matmul(x, w)
+        h_buf = weakref.ref(h.data)
+        loss = T.sum_all(T.scale(h, 2.0))
+        del h
+    assert h_buf() is None
+    assert len(tape._records) == 3
+    tape.backward(loss)
+    g = np.full((4, 3), 2.0, dtype=x.dtype)
+    np.testing.assert_array_equal(x.grad, g @ w.data.T)
+    np.testing.assert_array_equal(w.grad, x.data.T @ g)
+
+
+@BOTH_PRECISIONS
+def test_backward_frees_each_record_once_it_has_run(mode):
+    """sigmoid's closure is the only holder of its output; backward has
+    dropped that closure before it reaches the op recorded earlier."""
+    T.set_precision(mode)
+    x = Tensor(Rng(4).normal((6,)), requires_grad=True)
+    s_buf, seen = [], []
+
+    def identity_probe(t):
+        def vjp(g):
+            seen.append(s_buf[0]())
+            return g
+        return T._emit(t.data.copy(), [(t, vjp)])
+
+    with Tape() as tape:
+        s = T.sigmoid(identity_probe(x))
+        s_buf.append(weakref.ref(s.data))
+        loss = T.sum_all(s)
+        del s
+    assert s_buf[0]() is not None  # sigmoid's closure reads it
+    tape.backward(loss)
+    assert seen == [None]
+    assert tape._records == []
+    s = T._sigmoid_np(x.data)
+    np.testing.assert_array_equal(x.grad, (1.0 - s) * s)
+
+
+@BOTH_PRECISIONS
+def test_slice_axis_gradient_keeps_no_input_buffer(mode):
+    T.set_precision(mode)
+    x = Tensor(Rng(5).normal((2, 4)), requires_grad=True)
+    with Tape() as tape:
+        h = T.scale(x, 3.0)
+        h_buf = weakref.ref(h.data)
+        loss = T.sum_all(T.slice_axis(h, 1, 1, 3))
+        del h  # the slice is a view of h; sum_all keeps neither
+    assert h_buf() is None
+    tape.backward(loss)
+    expected = np.zeros((2, 4), dtype=x.dtype)
+    expected[:, 1:3] = 3.0
+    np.testing.assert_array_equal(x.grad, expected)
+
+
+@BOTH_PRECISIONS
+def test_outer_tape_tensor_is_a_leaf_of_an_inner_tape(mode):
+    """A tensor produced on the outer tape gets .grad from the inner
+    backward, and the outer backward still reaches the outer leaves."""
+    T.set_precision(mode)
+    w = Tensor(Rng(6).normal((3,)), requires_grad=True)
+    with Tape() as outer:
+        h = T.scale(w, 3.0)
+        with Tape() as inner:
+            inner_loss = T.sum_all(T.mul(h, h))
+        inner.backward(inner_loss)
+        outer_loss = T.sum_all(h)
+    np.testing.assert_array_equal(h.grad, h.data + h.data)
+    assert w.grad is None
+    outer.backward(outer_loss)
+    np.testing.assert_array_equal(w.grad, np.full(3, 3.0, dtype=w.dtype))
 
 
 # --------------------------------------------------------------------------
