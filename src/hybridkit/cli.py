@@ -61,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate a checkpoint")
     e.add_argument("ckpt")
     e.add_argument("--task", choices=("niah", "csr", "ppl"), default="niah")
-    e.add_argument("--lengths", default="256,512,1024",
-                   help="comma-separated context lengths")
+    e.add_argument("--lengths", default=None,
+                   help="comma-separated context lengths for niah and ppl "
+                        "(default 256,512,1024); csr has a fixed length")
     e.add_argument("--samples", type=int, default=200)
     e.add_argument("--eval-seed", type=int, default=0)
     g = e.add_mutually_exclusive_group()
@@ -370,8 +371,12 @@ def cmd_eval(args) -> int:
     from .data import StreamConfig, TokenStream, check_vocab
     from .evals import (EvalResult, gen_csr_proxy, length_sweep, perplexity,
                         score_csr, write_plot_data)
+    from .tensor import ConfigError
 
-    lengths = _lengths(args.lengths)
+    if args.task == "csr" and args.lengths is not None:
+        raise ConfigError("--lengths does not apply to --task csr: the cloze proxy "
+                          "scores fixed-length prefixes and continuations")
+    lengths = _lengths(args.lengths or "256,512,1024")
     _positive_int("--samples", args.samples)
     model = load_model(args.ckpt)
     check_vocab(model.cfg.vocab, args.task)

@@ -277,11 +277,12 @@ def stage1_align_all(teacher: Model, layers: Sequence[int], stream: TokenStream,
     params = {l: dict(candidates[l].named()) for l in layers}
 
     probe = TokenStream(replace(stream.cfg, seed=stream.cfg.seed + 7919)).batch(0)[:, :-1]
+    # the teacher is frozen, so one capture serves both probe measurements
+    probe_caps = capture_many(teacher, probe, layers)
 
     def probe_mse(key: str) -> None:
-        caps = capture_many(teacher, probe, layers)
         for l in layers:
-            x_in, y_ref = caps[l]
+            x_in, y_ref = probe_caps[l]
             reports[l].final_metrics[key] = float(
                 _candidate_loss(candidates[l], x_in.data, y_ref.data, teacher).data)
 

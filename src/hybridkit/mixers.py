@@ -12,13 +12,19 @@ with optional per-head QK-RMSNorm before scaling, optional rotary encoding
 (NoPE when absent), grouped KV heads, and an optional output gate
     y = (Norm(o) * sigmoid(x W_z)) W_o^T.
 
-Grouped KV heads are shared by broadcasting, never copied: q is viewed as
-[B, n_kv, g, Tq, d_h] and K^T, V as [B, n_kv, 1, d_h, Tk] and
-[B, n_kv, 1, Tk, d_h], so query head h = kv * g + j reads KV head h // g.
-Queries run in causal blocks of rows; the block [row0, row0 + rows)
-multiplies only keys [0, offset + row0 + rows), because every later key is
-masked for all of its rows.  Only the diagonal blocks compute masked
-scores; prefill, KV-cache decode and training share this one path.
+Grouped KV heads are shared, never copied: the g query heads that read one
+KV head are stacked as rows of one GEMM.  q is viewed as
+[B, n_kv, g, Tq, d_h], so query head h = kv * g + j reads KV head h // g,
+and a block's g * rows query rows multiply K^T [B, n_kv, d_h, keys] and
+then V [B, n_kv, keys, d_h] in one GEMM per KV head each; the softmax sees
+the scores as [B, n_kv, g, rows, keys].  Queries run in causal blocks of
+rows; the block [row0, row0 + rows) multiplies only keys
+[0, offset + row0 + rows), because every later key is masked for all of
+its rows.  Only the diagonal blocks compute masked scores; prefill,
+KV-cache decode, cloze scoring and training share this one path.  A caller
+that reads only the last position's output (`last_only`) still projects
+and caches K and V for every new position, but computes queries, scores
+and the output for the last position alone.
 
 Lightning Attention is an outer-product RNN with a scalar,
 data-independent decay gamma_h per head:
@@ -206,6 +212,11 @@ def _merge_heads(x: Tensor) -> Tensor:
     return T.reshape(T.permute(x, (0, 2, 1, 3)), (b, t, h * d_h))
 
 
+def last_position(x: Tensor) -> Tensor:
+    """The last position of a [B, T, ...] tensor, as [B, 1, ...]."""
+    return T.slice_axis(x, 1, x.shape[1] - 1, x.shape[1])
+
+
 def _project_heads(x3: Tensor, w: Tensor, n_heads: int, d_h: int) -> Tensor:
     return _split_heads(T.matmul(x3, w), n_heads, d_h)
 
@@ -238,27 +249,34 @@ def attention_forward(
     scale_base: ScaleBase | None = None,
     start_pos: int = 0,
     cache: KvCache | None = None,
+    last_only: bool = False,
 ) -> Tensor:
     """Causal softmax attention over x ([T, d] or [B, T, d]).
 
     `rope=None` means NoPE; `scale_base` enables the position-dependent
     logits scaling (applied to q, so cached keys are never rescaled).  With a
     cache, x holds only the new tokens, `start_pos` must equal cache.pos, and
-    keys/values are appended before attending.
+    keys/values are appended before attending.  With `last_only`, the output
+    is that of the last position only ([1, d] or [B, 1, d], equal to the
+    last row of the full output): keys and values still cover (and enter the
+    cache for) every new position, but queries, scores and the output
+    projection run for the last position alone.
     """
     x3, squeeze = _as_batched(x)
-    tq = x3.shape[1]
-    q = _project_heads(x3, w.w_q, w.n_h, w.d_h)
+    xq = last_position(x3) if last_only else x3
+    tq = xq.shape[1]
+    q_pos = start_pos + x3.shape[1] - tq  # position of the first query row
+    q = _project_heads(xq, w.w_q, w.n_h, w.d_h)
     k = _project_heads(x3, w.w_k, w.n_kv_heads, w.d_h)
     v = _project_heads(x3, w.w_v, w.n_kv_heads, w.d_h)
     if w.qk_gain_q is not None:
         q = T.rmsnorm(q, w.qk_gain_q)
         k = T.rmsnorm(k, w.qk_gain_k)
     if rope is not None:
-        q = rope_apply(q, start_pos, rope, time_axis=-2)
+        q = rope_apply(q, q_pos, rope, time_axis=-2)
         k = rope_apply(k, start_pos, rope, time_axis=-2)
 
-    positions = np.arange(start_pos, start_pos + tq)
+    positions = np.arange(q_pos, q_pos + tq)
     s_vec = scale_vector(positions, scale_base) / math.sqrt(w.d_h)
     q = T.mul_const(q, s_vec.reshape(1, 1, tq, 1))
 
@@ -271,29 +289,31 @@ def attention_forward(
         v = Tensor(cache.v, dtype=v.data.dtype)
 
     # GQA without copies: query head h = kv * g + j reads KV head kv = h // g
-    # (the np.repeat mapping); K and V get a unit group axis that matmul
-    # broadcasts over.
+    # (the np.repeat mapping); a block's g query heads are the rows of one
+    # GEMM against their KV head.
     b, n_kv, tk, d_h = k.shape
     g = w.group_size
     q = T.reshape(q, (b, n_kv, g, tq, d_h))
-    kt = T.swap_last(T.reshape(k, (b, n_kv, 1, tk, d_h)))  # [B, n_kv, 1, d_h, Tk]
-    v = T.reshape(v, (b, n_kv, 1, tk, d_h))
+    kt = T.swap_last(k)  # [B, n_kv, d_h, Tk]
 
-    offset = start_pos if cache is not None else 0
+    offset = tk - tq  # keys before the first query row
     blocks = []
     for row0 in range(0, tq, _QUERY_BLOCK):
         rows = min(_QUERY_BLOCK, tq - row0)
         # keys past the block's last row are masked for every row: skip them
         keys = offset + row0 + rows
-        kt_b = kt if keys == tk else T.slice_axis(kt, 4, 0, keys)
-        v_b = v if keys == tk else T.slice_axis(v, 3, 0, keys)
+        kt_b = kt if keys == tk else T.slice_axis(kt, 3, 0, keys)
+        v_b = v if keys == tk else T.slice_axis(v, 2, 0, keys)
         q_b = q if rows == tq else T.slice_axis(q, 3, row0, row0 + rows)
-        att = T.softmax_rows(T.matmul(q_b, kt_b), causal=True, offset=offset + row0)
-        blocks.append(T.matmul(att, v_b))
+        scores = T.matmul(T.reshape(q_b, (b, n_kv, g * rows, d_h)), kt_b)
+        att = T.softmax_rows(T.reshape(scores, (b, n_kv, g, rows, keys)),
+                             causal=True, offset=offset + row0)
+        o_b = T.matmul(T.reshape(att, (b, n_kv, g * rows, keys)), v_b)
+        blocks.append(T.reshape(o_b, (b, n_kv, g, rows, d_h)))
     o = T.concat(blocks, axis=3) if len(blocks) > 1 else blocks[0]
     o = T.reshape(o, (b, w.n_h, tq, d_h))
 
-    y = _finish_output(x3, o, w)
+    y = _finish_output(xq, o, w)
     return T.reshape(y, y.shape[1:]) if squeeze else y
 
 

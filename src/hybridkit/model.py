@@ -21,7 +21,8 @@ import numpy as np
 
 from . import tensor as T
 from .mixers import (KvCache, MixerWeights, RecurrentState, attention_forward,
-                     gamma_slopes, gqa_to_mha_clone, lightning_forward_chunked)
+                     gamma_slopes, gqa_to_mha_clone, last_position,
+                     lightning_forward_chunked)
 from .positional import RopeParams, ScaleBase
 from .tensor import ConfigError, Rng, Tensor
 
@@ -330,14 +331,14 @@ def _resolve_scale(model: Model, scale_base):
 
 
 def _mixer_apply(model: Model, l: int, h: Tensor, session: DecodeSession | None,
-                 scale_base, start_pos: int) -> Tensor:
+                 scale_base, start_pos: int, last_only: bool) -> Tensor:
     cfg = model.cfg
     lw = model.layers[l]
     if l in cfg.I_attn:
         rope = cfg.rope if cfg.pe_attention == "rope" else None
         cache = session.states[l] if session is not None else None
         return attention_forward(h, lw.mixer, rope=rope, scale_base=scale_base,
-                                 start_pos=start_pos, cache=cache)
+                                 start_pos=start_pos, cache=cache, last_only=last_only)
     rope = cfg.rope if cfg.pe_rnn == "rope" else None
     state = session.states[l] if session is not None else None
     y, new_state = lightning_forward_chunked(
@@ -345,11 +346,7 @@ def _mixer_apply(model: Model, l: int, h: Tensor, session: DecodeSession | None,
         return_state=True)
     if session is not None:
         session.states[l] = new_state
-    return y
-
-
-def _last_position(x: Tensor) -> Tensor:
-    return T.slice_axis(x, 1, x.shape[1] - 1, x.shape[1])
+    return last_position(y) if last_only else y
 
 
 def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
@@ -357,9 +354,11 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
              last_only: bool = False) -> Tensor:
     """Shared layer loop for full forward (session=None) and cached decode.
 
-    With last_only, every mixer still sees all positions (so a session's
-    caches and states are complete), but the final MLP, the final norm and
-    the unembedding run on the last position only.
+    With last_only, every layer before the last runs on all positions, and
+    the final layer's mixer sees them all (so a session's caches and states
+    are complete) but returns the last position only: an attention mixer
+    computes its queries for that position alone.  The final residual add,
+    MLP, norm and unembedding then run on the last position only.
     """
     scale_base = _resolve_scale(model, scale_base)
     tokens = np.asarray(tokens)
@@ -372,15 +371,16 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
     x = T.embedding(model.embed, tokens)
     last_layer = len(model.layers) - 1
     if last_only and last_layer < 0:
-        x = _last_position(x)
+        x = last_position(x)
     for l, lw in enumerate(model.layers):
+        last = last_only and l == last_layer
         h_in = T.rmsnorm(x, lw.pre_mixer_gain)
-        y = _mixer_apply(model, l, h_in, session, scale_base, start_pos)
+        y = _mixer_apply(model, l, h_in, session, scale_base, start_pos, last_only=last)
         if capture is not None and l in capture:
             capture[l] = (h_in.detach(), y.detach())
+        if last:
+            x = last_position(x)
         x = T.add(x, y)
-        if last_only and l == last_layer:
-            x = _last_position(x)
         m_in = T.rmsnorm(x, lw.pre_mlp_gain)
         mlp = lw.mlp
         inner = T.mul(T.silu(T.matmul(m_in, mlp.w_gate)), T.matmul(m_in, mlp.w_up))
@@ -421,10 +421,11 @@ def prefill(model: Model, session: DecodeSession, tokens: np.ndarray,
     """Feed a whole prompt through a session; returns logits for all positions.
 
     With last_only=True the logits are those of the last position only,
-    [B, 1, V] (equal to the last row of the full result), and the work
-    after the final layer's mixer is done for that position alone; the
-    session ends in the same state either way.  Raises ValueError on an
-    empty prompt.
+    [B, 1, V] (equal to the last row of the full result): a final attention
+    layer computes its queries, scores and output for that position alone,
+    and everything after the final mixer runs on it alone.  The session
+    ends in the same state either way (every position's keys and values
+    are cached).  Raises ValueError on an empty prompt.
     """
     return _advance(model, tokens, session, scale_base=scale_base, last_only=last_only)
 

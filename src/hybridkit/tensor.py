@@ -408,11 +408,11 @@ def silu(x: Tensor) -> Tensor:
     out = X * s
 
     def dx(g):
-        # s * (1 + x * (1 - s)), built on one buffer
+        # s + x * s * (1 - s) = s + out * (1 - s), built on one buffer; reading
+        # out (which the gating mul keeps anyway) instead of x lets x go
         d = 1.0 - s
-        d *= X
-        d += 1.0
-        d *= s
+        d *= out
+        d += s
         d *= g
         return d
 

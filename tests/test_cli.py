@@ -563,6 +563,21 @@ def test_cli_bad_numeric_argument_exits_2(tiny_ckpt, capsys, argv, flag):
     assert err.startswith("config error:") and flag in err
 
 
+def test_cli_eval_csr_refuses_lengths(tiny_ckpt, tmp_path, capsys):
+    """The cloze proxy has a fixed length, so an explicit --lengths is an
+    error rather than a flag that is silently ignored; niah and ppl keep
+    their default lengths."""
+    out = tmp_path / "csr.tsv"
+    assert main(["eval", str(tiny_ckpt), "--task", "csr", "--lengths", "4096",
+                 "--samples", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--lengths" in err and "csr" in err
+    assert not out.exists()
+    assert main(["eval", str(tiny_ckpt), "--task", "ppl", "--samples", "2"]) == 0
+    assert [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()] == [
+        "256", "512", "1024"]
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "bench"])
 def test_cli_negative_seed_exits_2_and_writes_nothing(tiny_ckpt, tmp_path, capsys, command):
     out, cfg = tmp_path / "out", write_cfg(tmp_path)

@@ -309,6 +309,27 @@ def test_stage1_trains_only_target_layer_and_reduces_loss():
     assert report.final_metrics["mse_final"] < report.final_metrics["mse_initial"]
 
 
+def test_stage1_captures_the_probe_batch_once(monkeypatch):
+    """The teacher is frozen, so one probe capture serves both mse_initial
+    and mse_final: a run captures steps + 1 batches."""
+    import hybridkit.halo as halo
+
+    teacher = tiny_teacher(L=2, seed=8)
+    real, batches = halo.capture_many, []
+
+    def counting(model, tokens, layers):
+        batches.append(np.asarray(tokens).shape)
+        return real(model, tokens, layers)
+
+    monkeypatch.setattr(halo, "capture_many", counting)
+    cfg = TrainConfig(context_len=64, batch_size=2, steps=3, lr_max=1e-3,
+                      warmup_steps=1, seed=4)
+    reports = stage1_align_all(teacher, [0, 1], stream_for(cfg), cfg)
+    assert len(batches) == cfg.steps + 1
+    for _, report in reports.values():
+        assert set(report.final_metrics) >= {"mse_initial", "mse_final"}
+
+
 def test_stage1_rejects_non_attention_layer():
     model = init_model(desk_config(L=2, I_attn=(0,), **TINY), seed=0)
     cfg = TrainConfig(context_len=64, batch_size=1, steps=1, lr_max=1e-3)

@@ -326,6 +326,50 @@ def test_blocked_gqa_attention_f32_gradients_match_f64(monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# last_only: the last query row alone, every key and value cached
+
+@pytest.mark.parametrize("mode,tol", [("extended", 1e-12), ("standard", 2e-6)])
+@pytest.mark.parametrize("n_kv", [4, 2])  # g = 1 and g = 2
+@pytest.mark.parametrize("start", [0, 5], ids=["no_cache", "cache_at_5"])
+def test_attention_last_only_is_the_last_row_and_caches_every_key(
+        monkeypatch, mode, tol, n_kv, start):
+    """Three 4-row blocks of keys for the one query row, rope and logits
+    scaling at absolute positions; with a cache, 5 positions precede it."""
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
+    T.set_precision(mode)
+    rng = Rng(32)
+    w = make_weights(rng, 12, 4, n_kv, 6)
+    rope = RopeParams(theta=500.0, head_dim=6)
+    base = ScaleBase(3.0)
+    x = rng.child(99).normal((2, start + 11, 12))
+
+    def run(last_only):
+        cache = None
+        if start:
+            cache = KvCache(2, n_kv, 6, T.active_dtype(), capacity=4)
+            attention_forward(T.tensor(x[:, :start]), w, rope=rope, scale_base=base,
+                              cache=cache)
+        y = attention_forward(T.tensor(x[:, start:]), w, rope=rope, scale_base=base,
+                              start_pos=start, cache=cache, last_only=last_only)
+        return y.data, cache
+
+    full, full_cache = run(False)
+    last, last_cache = run(True)
+    assert last.shape == (2, 1, 12) and last.dtype == T.active_dtype()
+    assert max_rel_err(last, full[:, -1:]) < tol
+    if start:
+        assert last_cache.pos == full_cache.pos == start + 11
+        np.testing.assert_array_equal(last_cache.k, full_cache.k)
+        np.testing.assert_array_equal(last_cache.v, full_cache.v)
+    # a [T, d] input gives a [1, d] output
+    one = attention_forward(T.tensor(x[0, :11]), w, rope=rope, scale_base=base,
+                            last_only=True).data
+    ref = attention_forward(T.tensor(x[0, :11]), w, rope=rope, scale_base=base).data
+    assert one.shape == (1, 12)
+    assert max_rel_err(one, ref[-1:]) < tol
+
+
+# --------------------------------------------------------------------------
 # lightning attention
 
 def lightning_cumsum_oracle(X, w, gammas, rope=None):

@@ -5,7 +5,7 @@ import pytest
 
 from hybridkit import tensor as T
 from hybridkit.evals import gen_csr_proxy, score_csr
-from hybridkit.mixers import KvCache
+from hybridkit.mixers import KvCache, last_position
 from hybridkit.model import (DecodeSession, Model, ModelConfig, choice_logprobs,
                              capture_many, decode_step, desk_config, forward,
                              generate_greedy, init_hybrid_from_teacher,
@@ -224,7 +224,7 @@ def test_decode_after_prefill_appends_without_regrowing_the_kv_cache():
     """Greedy decode after a prefill longer than the cache's first capacity:
     tokens and logits equal the full forward's, and the steps right after the
     prefill write into the buffers the prefill grew."""
-    from hybridkit.mixers import KvCache
+    from hybridkit.mixers import KvCache, last_position
     from hybridkit.model import _advance
 
     cfg = tiny_hybrid(L=3, I_attn=(0, 2))
@@ -352,6 +352,70 @@ def test_greedy_tokens_equal_repeated_full_forward(tol, I_attn):
         for tok in row:
             assert tok == int(forward(model, np.array(seq)).data[-1].argmax())
             seq.append(int(tok))
+
+
+def _full_prefill_last_row(monkeypatch):
+    """Make prefill ignore last_only: a full prefill, sliced to its last row."""
+    import hybridkit.model as hm
+
+    real = hm.prefill
+
+    def full(model, session, tokens, scale_base="config", last_only=False):
+        logits = real(model, session, tokens, scale_base=scale_base)
+        return last_position(logits) if last_only else logits
+
+    monkeypatch.setattr(hm, "prefill", full)
+
+
+@pytest.mark.parametrize("I_attn", [(2,), (0, 1, 2)], ids=["attention_last", "all_attention"])
+def test_greedy_tokens_after_last_only_prefill_equal_full_prefill(tol, I_attn, monkeypatch):
+    cfg = tiny_hybrid(L=3, I_attn=I_attn)
+    model = init_model(cfg, seed=25)
+    prompts = Rng(12).integers(0, cfg.vocab, size=(3, 13))
+    got = generate_greedy(model, prompts, n_new=8)
+    _full_prefill_last_row(monkeypatch)
+    np.testing.assert_array_equal(got, generate_greedy(model, prompts, n_new=8))
+
+
+def _prefill_flop(model, prompts, last_only, monkeypatch):
+    """FLOP that tensor.matmul runs in one prefill: 2 * out.size * inner."""
+    real = T.matmul
+    work = []
+
+    def counting(a, b):
+        out = real(a, b)
+        work.append(2 * out.data.size * a.shape[-1])
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(T, "matmul", counting)
+        prefill(model, new_session(model, batch=prompts.shape[0]), prompts,
+                last_only=last_only)
+    return sum(work)
+
+
+def test_last_only_prefill_of_attention_final_model_runs_one_query_row(monkeypatch):
+    """The final attention layer projects, scores and outputs one query row:
+    count the matmul work against its closed form (two 4-row query blocks)."""
+    import hybridkit.mixers as mixers
+
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
+    cfg = tiny_hybrid(L=2, I_attn=(0, 1), attn_gate=True)
+    model = init_model(cfg, seed=26)
+    B, t = 2, 7
+    prompts = Rng(13).integers(0, cfg.vocab, size=(B, t))
+    d, hd, kvd, f, V = cfg.d, cfg.n_h * cfg.d_h, cfg.n_kv_heads * cfg.d_h, cfg.ffn_width, cfg.vocab
+
+    def attention(rows, keys_per_block):
+        proj = 2 * B * d * (t * 2 * kvd + rows * 3 * hd)  # k, v; q, gate, output
+        return proj + 2 * 2 * B * hd * sum(r * k for r, k in keys_per_block)
+
+    mlp = 2 * B * 3 * d * f
+    full_attn = attention(t, [(4, 4), (3, 7)])
+    full = 2 * (full_attn + t * mlp) + 2 * B * t * d * V
+    last = full_attn + attention(1, [(1, t)]) + (t + 1) * mlp + 2 * B * d * V
+    assert _prefill_flop(model, prompts, False, monkeypatch) == full
+    assert _prefill_flop(model, prompts, True, monkeypatch) == last
 
 
 class _FullRows:

@@ -368,6 +368,29 @@ def test_backward_frees_each_record_once_it_has_run(mode):
 
 
 @BOTH_PRECISIONS
+def test_swiglu_gate_input_is_freed_after_the_forward(mode):
+    """silu's closure reads its output, which the gating mul keeps anyway,
+    and not its input: the gate GEMM's output h goes once the caller drops
+    it, and the gradient is still s * (1 + h * (1 - s))."""
+    T.set_precision(mode)
+    rng = Rng(7)
+    x = Tensor(rng.normal((4, 5)), requires_grad=True)
+    w = Tensor(rng.normal((5, 3)), requires_grad=True)
+    up = Tensor(rng.normal((4, 3)))
+    with Tape() as tape:
+        h = T.matmul(x, w)
+        h_np, h_buf = h.data.copy(), weakref.ref(h.data)
+        loss = T.sum_all(T.mul(T.silu(h), up))
+        del h
+    assert h_buf() is None
+    tape.backward(loss)
+    s = 1.0 / (1.0 + np.exp(-h_np.astype(np.float64)))
+    ref = (up.data * s * (1.0 + h_np * (1.0 - s))) @ w.data.T
+    tol = 1e-6 if mode == "standard" else 1e-14
+    assert np.abs(x.grad - ref).max() <= tol * np.abs(ref).max()
+
+
+@BOTH_PRECISIONS
 def test_slice_axis_gradient_keeps_no_input_buffer(mode):
     T.set_precision(mode)
     x = Tensor(Rng(5).normal((2, 4)), requires_grad=True)
