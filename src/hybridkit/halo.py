@@ -327,17 +327,21 @@ def select_attention_layers(importance: Sequence[float], k: int) -> list[int]:
 
 
 def candidate_model(teacher: Model, layer: int, rnn_weights: MixerWeights) -> Model:
-    """The teacher with exactly one mixer swapped for its aligned RNN.
+    """The teacher with exactly one mixer swapped for (a copy of) its aligned RNN.
 
     Nothing else changes: remaining attention layers keep their rotary
     encoding, and the swapped layer follows the hybrid RNN conventions.
+    Every other tensor (embedding, final gain, the other layers, the
+    swapped layer's norms and MLP) is the teacher's own, shared rather than
+    copied, so the candidate is for evaluation only: training it would
+    train the teacher.
     """
-    m = teacher.copy()
-    m.layers[layer].mixer = rnn_weights.copy()
-    m.cfg = replace(teacher.cfg,
-                    I_attn=tuple(i for i in teacher.cfg.I_attn if i != layer),
-                    pe_rnn="rope")
-    return m
+    cfg = replace(teacher.cfg,
+                  I_attn=tuple(i for i in teacher.cfg.I_attn if i != layer),
+                  pe_rnn="rope")
+    layers = list(teacher.layers)
+    layers[layer] = replace(layers[layer], mixer=rnn_weights.copy())
+    return Model(cfg, teacher.embed, layers, teacher.final_gain, teacher.unembed)
 
 
 def evaluate_RC(model: Model, suite: RcSuite) -> tuple[float, float]:

@@ -222,12 +222,16 @@ def _project_heads(x3: Tensor, w: Tensor, n_heads: int, d_h: int) -> Tensor:
 
 
 def _finish_output(x3: Tensor, o_heads: Tensor, w: MixerWeights) -> Tensor:
-    """Per-head output norm, sigmoid gate, and output projection."""
+    """Per-head output norm, sigmoid gate, and output projection.
+
+    The gate and the projection are one ``gated_matmul``: a tape keeps the
+    merged heads and the gate, never their product.
+    """
     if w.out_gain is not None:
         o_heads = T.rmsnorm(o_heads, w.out_gain)
     o = _merge_heads(o_heads)
     if w.w_z is not None:
-        o = T.mul(o, T.sigmoid(T.matmul(x3, w.w_z)))
+        return T.gated_matmul(o, T.sigmoid(T.matmul(x3, w.w_z)), T.swap_last(w.w_o))
     return T.matmul(o, T.swap_last(w.w_o))
 
 
@@ -384,6 +388,39 @@ def _decay_powers(log_gam: np.ndarray, exponents: np.ndarray, dtype) -> np.ndarr
     return out.astype(dtype, copy=False)
 
 
+# (gammas as f64 bytes, chunk width, dtype) -> read-only per-chunk decay tables
+_DECAY_TABLES: dict[tuple[bytes, int, np.dtype], tuple[np.ndarray, ...]] = {}
+
+
+def _decay_tables(gammas: np.ndarray, c: int, dtype) -> tuple[np.ndarray, ...]:
+    """The decay constants of one chunk of width c, built once per key.
+
+    Returns (gamma^(i+1) [1,H,c,1], gamma^(i-j) masked to i >= j [1,H,c,c],
+    gamma^(c-1-j) [1,H,c,1], gamma^c [1,H,1,1]) in `dtype`, all read-only.
+    """
+    gam64 = np.asarray(gammas, dtype=np.float64)
+    key = (gam64.tobytes(), c, np.dtype(dtype))
+    tables = _DECAY_TABLES.get(key)
+    if tables is None:
+        log_gam = np.log(gam64)
+        steps = np.arange(1, c + 1, dtype=np.float64)
+        delta = steps[:, None] - steps[None, :]  # i - j, local indices
+        mask_log = np.where(delta < 0, -np.inf, delta)
+        decay_mask = np.exp(
+            log_gam[:, None, None] * np.where(np.isneginf(mask_log), 1.0, mask_log))
+        decay_mask = np.where(np.isneginf(mask_log), 0.0, decay_mask)
+        tables = (
+            _decay_powers(log_gam, steps, dtype),
+            decay_mask.astype(dtype)[None],
+            _decay_powers(log_gam, c - steps, dtype),
+            _decay_powers(log_gam, np.array([float(c)]), dtype),
+        )
+        for table in tables:
+            table.flags.writeable = False
+        _DECAY_TABLES[key] = tables
+    return tables
+
+
 def lightning_forward_chunked(
     x: Tensor,
     w: MixerWeights,
@@ -397,7 +434,8 @@ def lightning_forward_chunked(
 
     Within a chunk, outputs come from decay-masked attention; across chunks a
     carried state is advanced with per-step decay powers (computed in
-    log-space so long chunks underflow to zero instead of denormals).
+    log-space so long chunks underflow to zero instead of denormals).  The
+    decay tables of each chunk width are built once and cached read-only.
     """
     if chunk < 1:
         raise ConfigError(f"chunk size must be >= 1, got {chunk}")
@@ -406,28 +444,12 @@ def lightning_forward_chunked(
     state = _check_state(state, b, w.n_h, w.d_h, x3.data.dtype)
     q, k, v = _lightning_qkv(x3, w, rope, state.pos)
     dtype = x3.data.dtype
-    log_gam = np.log(np.asarray(gammas, dtype=np.float64))
-    gam_full = None  # per-chunk constants, rebuilt when the chunk width changes
 
     s = Tensor(state.s, dtype=dtype)
     outs = []
     for lo in range(0, t, chunk):
         hi = min(lo + chunk, t)
-        c = hi - lo
-        if gam_full is None or gam_full[0].shape[2] != c:
-            steps = np.arange(1, c + 1, dtype=np.float64)
-            delta = steps[:, None] - steps[None, :]  # i - j, local indices
-            mask_log = np.where(delta < 0, -np.inf, delta)
-            decay_mask = np.exp(
-                log_gam[:, None, None] * np.where(np.isneginf(mask_log), 1.0, mask_log))
-            decay_mask = np.where(np.isneginf(mask_log), 0.0, decay_mask)
-            gam_full = (
-                _decay_powers(log_gam, steps, dtype),          # gamma^(i+1), [1,H,c,1]
-                decay_mask.astype(dtype)[None],                # gamma^(i-j) masked, [1,H,c,c]
-                _decay_powers(log_gam, c - steps, dtype),      # gamma^(c-1-j), [1,H,c,1]
-                _decay_powers(log_gam, np.array([float(c)]), dtype),  # gamma^c, [1,H,1,1]
-            )
-        g_in, g_mask, g_rev, g_all = gam_full
+        g_in, g_mask, g_rev, g_all = _decay_tables(gammas, hi - lo, dtype)
         qc = T.slice_axis(q, 2, lo, hi)
         kc = T.slice_axis(k, 2, lo, hi)
         vc = T.slice_axis(v, 2, lo, hi)

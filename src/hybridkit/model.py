@@ -359,6 +359,9 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
     are complete) but returns the last position only: an attention mixer
     computes its queries for that position alone.  The final residual add,
     MLP, norm and unembedding then run on the last position only.
+
+    The SwiGLU MLP is one ``gated_matmul``, so a tape keeps its gate and up
+    projections but not their product; backward recomputes it.
     """
     scale_base = _resolve_scale(model, scale_base)
     tokens = np.asarray(tokens)
@@ -383,8 +386,8 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
         x = T.add(x, y)
         m_in = T.rmsnorm(x, lw.pre_mlp_gain)
         mlp = lw.mlp
-        inner = T.mul(T.silu(T.matmul(m_in, mlp.w_gate)), T.matmul(m_in, mlp.w_up))
-        x = T.add(x, T.matmul(inner, mlp.w_down))
+        x = T.add(x, T.gated_matmul(T.silu(T.matmul(m_in, mlp.w_gate)),
+                                    T.matmul(m_in, mlp.w_up), mlp.w_down))
     x = T.rmsnorm(x, model.final_gain)
     logits = T.matmul(x, T.swap_last(model.out_matrix))
     if session is not None:

@@ -12,7 +12,10 @@ A tape holds only what backward reads: per op, its gradient closures
 needs) and its inputs, as node numbers for tensors the tape produced or as
 the Tensors themselves for leaves.  It holds no op output, so an
 activation that no closure reads is freed as soon as the caller drops it,
-and backward drops each op's closures as soon as it has run them.
+and backward drops each op's closures as soon as it has run them.  A
+product that only feeds a projection is not kept either: ``gated_matmul``
+records a * b @ w as one op, and backward recomputes the product from a and
+b, which the tape holds anyway.
 
 Broadcasting is deliberately narrow: elementwise ops require identical
 shapes, matmul broadcasts leading batch dimensions only, and ``mul_const``
@@ -523,6 +526,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return _unbroadcast(A.swapaxes(-1, -2) @ g, b_shape)
 
     return _emit(out, [(a, da), (b, db)])
+
+
+def gated_matmul(a: Tensor, b: Tensor, w: Tensor) -> Tensor:
+    """matmul(mul(a, b), w) for a 2-D w, as one record that keeps no product.
+
+    The forward runs the public ``mul`` and ``matmul`` outside the tape, so
+    their values (and anything that wraps them) are unchanged.  The record
+    keeps a, b and w; backward forms g @ w.T once for both gates' gradients
+    and recomputes a * b for w's gradient only.  Every gradient is the
+    expression ``mul`` and ``matmul`` evaluate, so results are bit-identical
+    to the composition.
+    """
+    _check_same_shape(a, b, "gated_matmul")
+    if w.ndim != 2:
+        raise ShapeError(f"gated_matmul needs a 2-D weight, got {w.shape}")
+    with no_record():
+        out = matmul(mul(a, b), w).data
+    A, B, W = a.data, b.data, w.data
+    k, n = W.shape
+    a_shape = A.shape
+    gp: list[np.ndarray] = []  # g @ w.T, shared by da and db
+
+    def grad_product(g):
+        if not gp:
+            gp.append((g.reshape(-1, n) @ W.T).reshape(a_shape))
+        return gp[0]
+
+    def da(g):
+        return grad_product(g) * B
+
+    def db(g):
+        return grad_product(g) * A
+
+    def dw(g):
+        return (A * B).reshape(-1, k).T @ g.reshape(-1, n)
+
+    return _emit(out, [(a, da), (b, db), (w, dw)])
 
 
 # --------------------------------------------------------------------------

@@ -106,3 +106,36 @@ class OracleTape:
         self._consumed = True
         self._records.clear()
         self._produced.clear()
+
+
+def _base_array(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def tape_held_bytes(tape, params=()) -> int:
+    """Bytes of the distinct base arrays that a tape's gradient closures
+    capture (through nested closures, lists and tuples too), leaving out the
+    data of `params`.  Views count as their base, once."""
+    skip = {id(_base_array(p.data)) for p in params}
+    held, seen = {}, set()
+    stack = [vjp for pairs in tape._records for _, vjp in pairs]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            base = _base_array(obj)
+            if id(base) not in skip:
+                held[id(base)] = base
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif getattr(obj, "__closure__", None):
+            for cell in obj.__closure__:
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # a cell not yet assigned
+                    pass
+    return sum(a.nbytes for a in held.values())

@@ -449,6 +449,29 @@ def test_stage2_with_the_teacher_off_the_tape_computes_the_same_numbers(monkeypa
     assert off_tape == on_tape
 
 
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+def test_stage2_with_gated_matmul_computes_the_unfused_numbers(mode, monkeypatch):
+    """gated_matmul in the MLP and the mixers' output gate changes what the
+    tape keeps, not what it computes: five stage-2 steps give the losses,
+    gradient norms and weights of matmul(mul(a, b), w)."""
+    from hybridkit.model import init_hybrid_from_teacher
+
+    T.set_precision(mode)
+    teacher = tiny_teacher(L=4, seed=9)
+    cfg = TrainConfig(context_len=64, batch_size=2, steps=5, lr_max=1e-3,
+                      warmup_steps=1, seed=7)
+
+    def run():
+        hybrid = init_hybrid_from_teacher(teacher, (1,), seed=1)
+        report = stage2_distill(teacher, hybrid, stream_for(cfg), cfg)
+        return (report.losses, report.grad_norms, report.final_metrics,
+                hybrid.state_bytes())
+
+    fused = run()
+    monkeypatch.setattr(T, "gated_matmul", lambda a, b, w: T.matmul(T.mul(a, b), w))
+    assert fused == run()
+
+
 def test_stage3_zero_steps_leaves_model_unchanged():
     model = tiny_teacher(L=2, seed=10)
     before = model.state_bytes()
@@ -525,6 +548,35 @@ def test_evaluate_rc_zero_mixer_collapses_recall():
     r_dead, _ = evaluate_RC(cand, suite)
     r_teacher, _ = evaluate_RC(teacher, suite)
     assert r_dead <= r_teacher + 0.02
+
+
+def test_candidate_shares_every_teacher_tensor_but_the_swapped_mixer():
+    from hybridkit.evals import build_rc_suite
+    from hybridkit.halo import candidate_model
+
+    teacher = tiny_teacher(L=3, seed=14)
+    rnn = init_rnn_from_attention(teacher.layers[1].mixer, teacher.cfg, Rng(3))
+    cand = candidate_model(teacher, 1, rnn)
+    assert cand.cfg.I_attn == (0, 2)
+    swapped = {id(t) for _, t in cand.layers[1].mixer.named()}
+    assert not swapped & {id(t) for t in teacher.parameters()}
+    assert not swapped & {id(t) for _, t in rnn.named()}
+    for (name, t), (t_name, t_ref) in zip(
+            [(n, t) for n, t in cand.named_parameters() if not n.startswith("layers.1.mixer.")],
+            [(n, t) for n, t in teacher.named_parameters()
+             if not n.startswith("layers.1.mixer.")]):
+        assert name == t_name and t is t_ref, name
+    assert teacher.layers[1].mixer is not cand.layers[1].mixer  # teacher untouched
+    assert teacher.cfg.I_attn == (0, 1, 2)
+
+    suite = build_rc_suite(24, seed=0, n_samples=16)
+    before = teacher.state_bytes()
+    shared = evaluate_RC(cand, suite)
+    assert teacher.state_bytes() == before
+    deep = teacher.copy()
+    deep.layers[1].mixer = rnn.copy()
+    deep.cfg = cand.cfg
+    assert evaluate_RC(deep, suite) == shared
 
 
 def test_evaluate_rc_deterministic():

@@ -475,6 +475,50 @@ def test_lightning_chunked_equals_recurrent(chunk):
     assert got_state.pos == ref_state.pos == 23
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lightning_decay_tables_are_cached_read_only_and_equal_a_fresh_build(
+        monkeypatch, dtype):
+    gam = gamma_slopes(3)
+    first = mixers._decay_tables(gam, 5, dtype)
+    assert mixers._decay_tables(gam.copy(), 5, dtype) is first
+    for table in first:
+        assert table.dtype == dtype and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[...] = 0
+    monkeypatch.setattr(mixers, "_DECAY_TABLES", {})
+    fresh = mixers._decay_tables(gam, 5, dtype)
+    assert fresh is not first
+    for cached, rebuilt in zip(first, fresh):
+        np.testing.assert_array_equal(cached, rebuilt)
+    # the tables' definitions: gamma^(i+1), gamma^(i-j) for i >= j, gamma^(c-1-j), gamma^c
+    i = np.arange(5)
+    g = gam[:, None]
+    tol = 1e-6 if dtype == np.float32 else 1e-14
+    np.testing.assert_allclose(first[0][0, :, :, 0], g ** (i + 1), rtol=tol)
+    mask = np.where(i[:, None] >= i[None, :],
+                    gam[:, None, None] ** np.maximum(i[:, None] - i[None, :], 0), 0.0)
+    np.testing.assert_allclose(first[1][0], mask, rtol=tol)
+    np.testing.assert_allclose(first[2][0, :, :, 0], g ** (4 - i), rtol=tol)
+    np.testing.assert_allclose(first[3].reshape(-1), gam ** 5, rtol=tol)
+
+
+@pytest.mark.parametrize("mode,tol", PRECISIONS)
+def test_lightning_chunked_on_cached_tables_matches_recurrent(mode, tol):
+    """A second call, and a decode step, run on the tables the first built."""
+    T.set_precision(mode)
+    rng = Rng(39)
+    w = make_weights(rng, 8, 2, 2, 4)
+    gam = gamma_slopes(2)
+    rope = RopeParams(theta=1000.0, head_dim=4)
+    x = rng.child(1).normal((11, 8))
+    ref, ref_state = lightning_forward_recurrent(T.tensor(x), w, gam, rope=rope)
+    for _ in range(2):
+        got, st = lightning_forward_chunked(T.tensor(x[:10]), w, gam, 4, rope=rope,
+                                            return_state=True)
+        last = lightning_forward_chunked(T.tensor(x[10:]), w, gam, 4, rope=rope, state=st)
+        assert max_rel_err(np.concatenate([got.data, last.data]), ref.data) < tol
+
+
 def test_lightning_single_chunk_is_parallel_form():
     rng = Rng(37)
     w = make_weights(rng, 8, 2, 2, 4)

@@ -14,7 +14,7 @@ from hybridkit.model import (DecodeSession, Model, ModelConfig, choice_logprobs,
 from hybridkit.positional import RopeParams, ScaleBase
 from hybridkit.tensor import ConfigError, Rng
 
-from conftest import max_rel_err, reference_choice_logprobs
+from conftest import max_rel_err, reference_choice_logprobs, tape_held_bytes
 from test_mixers import attention_loop_oracle, lightning_cumsum_oracle, _np_rms
 
 TINY = dict(d=16, d_h=4, n_h=4, n_kv_heads=2, ffn_width=24, vocab=32,
@@ -542,6 +542,33 @@ def test_teacher_untouched_by_surgery():
     before = teacher.state_bytes()
     init_hybrid_from_teacher(teacher, (1, 3), seed=4)
     assert teacher.state_bytes() == before
+
+
+# --------------------------------------------------------------------------
+# tape memory
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+def test_training_tape_keeps_no_gated_product(mode, monkeypatch):
+    """Per layer, the tape holds neither the SwiGLU product silu(a) * b
+    ([B, T, ffn_width]) nor the gated mixer output o * sigmoid(z)
+    ([B, T, n_h * d_h]): against the unfused composition it holds exactly
+    those bytes less."""
+    T.set_precision(mode)
+    cfg = tiny_hybrid(L=3, I_attn=(1,), attn_gate=True, chunk=4)
+    model = init_model(cfg, seed=27)
+    B, t = 2, 9
+    tokens = Rng(14).integers(0, cfg.vocab, size=(B, t))
+
+    def held():
+        with T.Tape() as tape:
+            forward(model, tokens)
+        return tape_held_bytes(tape, model.parameters())
+
+    fused = held()
+    monkeypatch.setattr(T, "gated_matmul", lambda a, b, w: T.matmul(T.mul(a, b), w))
+    unfused = held()
+    itemsize = np.dtype(T.active_dtype()).itemsize
+    assert unfused - fused == cfg.L * B * t * (cfg.ffn_width + cfg.n_h * cfg.d_h) * itemsize
 
 
 # --------------------------------------------------------------------------

@@ -425,6 +425,124 @@ def test_outer_tape_tensor_is_a_leaf_of_an_inner_tape(mode):
 
 
 # --------------------------------------------------------------------------
+# gated_matmul
+
+def unfused_gated_matmul(a, b, w):
+    return T.matmul(T.mul(a, b), w)
+
+
+def _gated_operands(mode, a_shape, seed=21):
+    T.set_precision(mode)
+    rng = Rng(seed)
+    k, n = a_shape[-1], 3
+    a = Tensor(rng.normal(a_shape), requires_grad=True)
+    b = Tensor(rng.normal(a_shape), requires_grad=True)
+    w = Tensor(rng.normal((k, n)), requires_grad=True)
+    r = Tensor(rng.normal(a_shape[:-1] + (n,)))
+    return a, b, w, r
+
+
+@BOTH_PRECISIONS
+@pytest.mark.parametrize("a_shape", [(4, 5), (2, 3, 5)])
+def test_gated_matmul_finite_diff(mode, a_shape):
+    """The loss is linear in each single entry of a, b and w, so a large step
+    leaves only rounding in the central difference, even in f32."""
+    a, b, w, r = _gated_operands(mode, a_shape)
+    step, tol = (0.5, 1e-3) if mode == "standard" else (1e-4, 1e-7)
+    assert T.finite_diff_check(
+        lambda t: T.sum_all(T.mul(T.gated_matmul(t, b, w), r)), a, step=step) < tol
+    assert T.finite_diff_check(
+        lambda t: T.sum_all(T.mul(T.gated_matmul(a, t, w), r)), b, step=step) < tol
+    assert T.finite_diff_check(
+        lambda t: T.sum_all(T.mul(T.gated_matmul(a, b, t), r)), w, step=step) < tol
+
+
+def _gated_run(op, a, b, w, r):
+    for t in (a, b, w):
+        t.grad = None
+    with Tape() as tape:
+        out = op(a, b, w)
+        loss = T.sum_all(T.mul(out, r))
+    tape.backward(loss)
+    return out.data, [t.grad for t in (a, b, w)]
+
+
+@BOTH_PRECISIONS
+@pytest.mark.parametrize("a_shape", [(4, 5), (2, 3, 5)])
+def test_gated_matmul_is_bitwise_the_composition(mode, a_shape):
+    a, b, w, r = _gated_operands(mode, a_shape)
+    out, grads = _gated_run(T.gated_matmul, a, b, w, r)
+    ref_out, ref_grads = _gated_run(unfused_gated_matmul, a, b, w, r)
+    np.testing.assert_array_equal(out, ref_out)
+    for g, ref in zip(grads, ref_grads):
+        assert g.dtype == ref.dtype
+        np.testing.assert_array_equal(g, ref)
+
+
+@BOTH_PRECISIONS
+def test_gated_matmul_keeps_no_product_after_the_forward(mode, monkeypatch):
+    a, b, w, r = _gated_operands(mode, (2, 3, 5))
+    real_mul, products = T.mul, []
+
+    def watched_mul(x, y):
+        out = real_mul(x, y)
+        products.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(T, "mul", watched_mul)
+    with Tape() as tape:
+        out = T.gated_matmul(a, b, w)
+        assert len(products) == 1 and products[0]() is None
+        loss = T.sum_all(T.mul(out, r))
+    tape.backward(loss)
+    monkeypatch.undo()
+    _, ref_grads = _gated_run(unfused_gated_matmul, a, b, w, r)
+    for t, ref in zip((a, b, w), ref_grads):
+        np.testing.assert_array_equal(t.grad, ref)
+
+
+@BOTH_PRECISIONS
+def test_gated_matmul_accepts_a_non_leaf_weight(mode):
+    """The mixers' output projection: w is swap_last of a parameter."""
+    a, b, _, r = _gated_operands(mode, (2, 3, 5))
+    w_o = Tensor(Rng(22).normal((3, 5)), requires_grad=True)
+
+    def run(op):
+        for t in (a, b, w_o):
+            t.grad = None
+        with Tape() as tape:
+            loss = T.sum_all(T.mul(op(a, b, T.swap_last(w_o)), r))
+        tape.backward(loss)
+        return [t.grad for t in (a, b, w_o)]
+
+    for g, ref in zip(run(T.gated_matmul), run(unfused_gated_matmul)):
+        np.testing.assert_array_equal(g, ref)
+
+
+def test_gated_matmul_rejects_bad_operands():
+    a = T.tensor(np.ones((2, 4)))
+    w = T.tensor(np.ones((4, 3)))
+    with pytest.raises(ShapeError):
+        T.gated_matmul(a, T.tensor(np.ones((2, 3))), w)
+    with pytest.raises(ShapeError):
+        T.gated_matmul(a, Tensor(np.ones((2, 4)), dtype=np.float32), w)
+    with pytest.raises(ShapeError):
+        T.gated_matmul(a, a, T.tensor(np.ones((1, 4, 3))))
+    with pytest.raises(ShapeError):
+        T.gated_matmul(a, a, T.tensor(np.ones(4)))
+
+
+def test_gated_matmul_records_nothing_under_no_record():
+    a, b, w, _ = _gated_operands("extended", (2, 3, 5))
+    with Tape() as tape:
+        with T.no_record():
+            out = T.gated_matmul(a, b, w)
+    assert out._tape is None and not out.requires_grad
+    assert tape._records == []
+    np.testing.assert_array_equal(out.data, unfused_gated_matmul(a, b, w).data)
+
+
+# --------------------------------------------------------------------------
 # finite differences
 
 def test_finite_diff_quadratic_exact():
