@@ -204,15 +204,16 @@ def cmd_train(args) -> int:
     stream = stream_for(rc.train, rc.data_kind)
     params = dict(model.named_parameters())
 
-    def make_loss(step):
+    def make_loss(step):  # s_t = 1 in training; the checkpoint keeps the base
         batch = stream.batch(step)
-        return T.cross_entropy(forward(model, batch[:, :-1]), batch[:, 1:])
+        return T.cross_entropy(forward(model, batch[:, :-1], scale_base=None),
+                               batch[:, 1:])
 
     report = _train_loop("train", params, rc.train, make_loss)
     save_model(args.out, model)
     report.write_jsonl(str(args.out) + ".report.jsonl")
-    print(f"trained {rc.train.steps} steps; final loss "
-          f"{report.losses[-1]:.4f}; wrote {args.out}")
+    final = f"; final loss {report.losses[-1]:.4f}" if report.losses else ""
+    print(f"trained {rc.train.steps} steps{final}; wrote {args.out}")
     return 0
 
 
@@ -371,6 +372,7 @@ def cmd_eval(args) -> int:
     from .data import StreamConfig, TokenStream, check_vocab
     from .evals import (EvalResult, gen_csr_proxy, length_sweep, perplexity,
                         score_csr, write_plot_data)
+    from .model import with_scaling
     from .tensor import ConfigError
 
     if args.task == "csr" and args.lengths is not None:
@@ -381,19 +383,19 @@ def cmd_eval(args) -> int:
     model = load_model(args.ckpt)
     check_vocab(model.cfg.vocab, args.task)
     scale, tag = _resolve_scale(args)
+    if scale != "config":  # another scaling is another model over the same weights
+        model = with_scaling(model, scale)
     if args.task == "niah":
-        results = length_sweep(model, lengths, scale_base=scale,
-                               n_samples=args.samples, seed=args.eval_seed)
+        results = length_sweep(model, lengths, n_samples=args.samples, seed=args.eval_seed)
     elif args.task == "csr":
         samples = gen_csr_proxy(args.eval_seed, args.samples)
-        res = score_csr(model, samples, scale_base=scale)
-        results = [res]
+        results = [score_csr(model, samples)]
     else:
         stream = TokenStream(StreamConfig(kind="niah_mix", context_len=max(lengths),
                                           batch_size=1, seed=args.eval_seed))
         corpus = np.concatenate([stream.batch(i)[0] for i in range(8)])
         results = [EvalResult(task="ppl", context_len=ln,
-                              value=perplexity(model, corpus, ln, scale_base=scale),
+                              value=perplexity(model, corpus, ln),
                               metric="perplexity", n_samples=corpus.size // ln,
                               seed=args.eval_seed) for ln in lengths]
     for r in results:

@@ -36,6 +36,9 @@ KV_LO, KV_HI = 256, 512
 #: grammar identity shared by training streams and evaluation suites
 DEFAULT_GRAMMAR_SEED = 7
 
+#: the training-stream kinds StreamConfig accepts
+STREAM_KINDS = ("niah_mix", "grammar")
+
 #: per stream kind or evaluation task, one past the largest token id it
 #: draws: needles (niah_mix, the recall task, perplexity's niah_mix corpus)
 #: reach the key/value alphabet, grammar text and the cloze proxy only the
@@ -148,7 +151,7 @@ def niah_document(rng: Rng, tables: GrammarTables, length: int,
 class StreamConfig:
     """Deterministic training-stream description (tokens are f(seed, step))."""
 
-    kind: str = "niah_mix"  # "niah_mix" | "grammar"
+    kind: str = "niah_mix"  # one of STREAM_KINDS
     context_len: int = 256
     batch_size: int = 16
     seed: int = 0
@@ -157,7 +160,7 @@ class StreamConfig:
     max_queries: int = 3
 
     def __post_init__(self):
-        if self.kind not in ("niah_mix", "grammar"):
+        if self.kind not in STREAM_KINDS:
             raise ConfigError(f"unknown stream kind {self.kind!r}")
         if self.context_len < 64:
             raise ConfigError("context_len below 64 leaves no room for needles")

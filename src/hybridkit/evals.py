@@ -9,9 +9,11 @@ chain by model likelihood (chance level 0.25).  It is deliberately synthetic:
 it exists to drive layer-importance scores and ablation orderings, not to be
 comparable to any published reasoning benchmark.
 
-Models enter through three duck-typed methods: ``logits(tokens, scale_base)``,
-``generate(prompts, n_new, scale_base)`` and ``choice_logprobs(prefixes,
-choices, scale_base, eval_batch)``; test oracles implement the same surface.
+Models enter through three duck-typed methods: ``logits(tokens)``,
+``generate(prompts, n_new)`` and ``choice_logprobs(prefixes, choices,
+eval_batch)``; test oracles implement the same surface.  A model scores with
+the logits scaling its config names; to score another scaling, evaluate
+``hybridkit.model.with_scaling(model, base)``.
 """
 
 from __future__ import annotations
@@ -92,14 +94,14 @@ def gen_niah(spec: NiahSpec) -> tuple[np.ndarray, np.ndarray]:
     return arrays["prompts"], arrays["answers"]
 
 
-def score_recall(model, samples, scale_base=None, eval_batch: int = 16) -> EvalResult:
+def score_recall(model, samples, eval_batch: int = 16) -> EvalResult:
     """Greedy-decode the value tokens after each prompt; exact-match accuracy."""
     prompts, answers = samples
     n, ctx = prompts.shape
     correct = 0
     for lo in range(0, n, eval_batch):
         chunk = prompts[lo:lo + eval_batch]
-        out = model.generate(chunk, answers.shape[1], scale_base=scale_base)
+        out = model.generate(chunk, answers.shape[1])
         correct += int((out == answers[lo:lo + eval_batch]).all(axis=1).sum())
     return EvalResult(task="niah", context_len=ctx, value=correct / n,
                       metric="accuracy", n_samples=n, seed=0)
@@ -152,19 +154,18 @@ def gen_csr_proxy(seed: int, n: int, prefix_len: int = 24, cont_len: int = 4,
     return ClozeSamples(prefixes, choices, labels)
 
 
-def score_csr(model, samples: ClozeSamples, scale_base=None,
-              eval_batch: int = 16) -> EvalResult:
+def score_csr(model, samples: ClozeSamples, eval_batch: int = 16) -> EvalResult:
     """Accuracy of likelihood-ranked choices (chance = 1 / n_choices).
 
     The model scores the choices: ``model.choice_logprobs(prefixes, choices,
-    scale_base, eval_batch)`` returns each choice's summed continuation
+    eval_batch)`` returns each choice's summed continuation
     log-probability given its prefix, [n, n_choices], and the highest one
     is the pick (ties to the lower index).
     """
     n, n_choices, cont_len = samples.choices.shape
     prefix_len = samples.prefixes.shape[1]
     scores = model.choice_logprobs(samples.prefixes, samples.choices,
-                                   scale_base=scale_base, eval_batch=eval_batch)
+                                   eval_batch=eval_batch)
     picked = np.asarray(scores).argmax(axis=1)
     acc = float((picked == samples.labels).mean())
     return EvalResult(task="csr_proxy", context_len=prefix_len + cont_len,
@@ -174,7 +175,7 @@ def score_csr(model, samples: ClozeSamples, scale_base=None,
 # --------------------------------------------------------------------------
 # perplexity
 
-def perplexity(model, corpus: np.ndarray, context_len: int, scale_base=None,
+def perplexity(model, corpus: np.ndarray, context_len: int,
                eval_batch: int = 16) -> float:
     """exp(mean next-token negative log-likelihood) over the whole corpus."""
     corpus = np.asarray(corpus).ravel()
@@ -192,7 +193,7 @@ def perplexity(model, corpus: np.ndarray, context_len: int, scale_base=None,
 
     def add_rows(rows: np.ndarray):
         nonlocal total_nll, total_tokens
-        logits = model.logits(rows[:, :-1], scale_base=scale_base)
+        logits = model.logits(rows[:, :-1])
         logp = _log_softmax(logits)
         b, t = rows.shape[0], rows.shape[1] - 1
         ii, jj = np.meshgrid(np.arange(b), np.arange(t), indexing="ij")
@@ -211,8 +212,8 @@ def perplexity(model, corpus: np.ndarray, context_len: int, scale_base=None,
 # --------------------------------------------------------------------------
 # sweeps and suites
 
-def length_sweep(model, lengths, scale_base=None, n_samples: int = 200,
-                 seed: int = 0, eval_batch: int = 16) -> list[EvalResult]:
+def length_sweep(model, lengths, n_samples: int = 200, seed: int = 0,
+                 eval_batch: int = 16) -> list[EvalResult]:
     """Recall accuracy at each context length, in the given order.
 
     Raises ConfigError unless the lengths are sorted ascending.
@@ -222,8 +223,7 @@ def length_sweep(model, lengths, scale_base=None, n_samples: int = 200,
     results = []
     for length in lengths:
         spec = NiahSpec(context_len=int(length), n_samples=n_samples, seed=seed)
-        res = score_recall(model, gen_niah(spec), scale_base=scale_base,
-                           eval_batch=eval_batch)
+        res = score_recall(model, gen_niah(spec), eval_batch=eval_batch)
         results.append(EvalResult(task=res.task, context_len=res.context_len,
                                   value=res.value, metric=res.metric,
                                   n_samples=res.n_samples, seed=seed))
@@ -244,7 +244,6 @@ class RcSuite:
 
     niah_samples: tuple[np.ndarray, np.ndarray]
     csr_samples: ClozeSamples
-    scale_base: object = None
     eval_batch: int = 16
 
 

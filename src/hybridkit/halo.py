@@ -52,6 +52,13 @@ class TrainingDiverged(RuntimeError):
         self.report = report
 
 
+def _check_count(name: str, value, lo: int) -> None:
+    """Raise ConfigError unless `value` is an integer (not a bool) >= lo."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        what = "a non-negative integer" if lo == 0 else f"an integer >= {lo}"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """One training stage's budget and optimizer settings."""
@@ -69,6 +76,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("steps", "warmup_steps", "seed"):
+            _check_count(name, getattr(self, name), 0)
+        for name in ("batch_size", "context_len"):
+            _check_count(name, getattr(self, name), 1)
         if self.lr_min > self.lr_max:
             raise ConfigError(f"lr_min {self.lr_min} exceeds lr_max {self.lr_max}")
         if self.warmup_steps > self.steps:
@@ -196,11 +207,22 @@ class StageReport:
             yield rec
 
     def write_jsonl(self, path) -> None:
-        lines = [json.dumps(r) for r in self.records()]
-        lines.append(json.dumps({"final": self.final_metrics,
+        """One strict JSON object per step, then a summary line; a non-finite
+        number (a skipped step's grad_norm, say) is written as null."""
+        lines = [_json_line(r) for r in self.records()]
+        lines.append(_json_line({"final": self.final_metrics,
                                  "wall_time": self.wall_time,
                                  "skipped_steps": self.skipped_steps}))
         write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def _json_line(obj) -> str:
+    def finite(v):
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        return None if isinstance(v, float) and not np.isfinite(v) else v
+
+    return json.dumps(finite(obj), allow_nan=False)
 
 
 def _train_step(report: StageReport, params: dict[str, Tensor], state: AdamWState,
@@ -247,8 +269,8 @@ def _train_loop(stage: str, params: dict[str, Tensor], cfg: TrainConfig,
 def _candidate_loss(cand: MixerWeights, x_in: np.ndarray, y_ref: np.ndarray,
                     model: Model) -> Tensor:
     rope = model.cfg.rope  # hybrid RNN layers carry rotary encoding
-    y = lightning_forward_chunked(Tensor(x_in, dtype=x_in.dtype), cand,
-                                  model.gammas, model.cfg.chunk, rope=rope)
+    y, _ = lightning_forward_chunked(Tensor(x_in, dtype=x_in.dtype), cand,
+                                     model.gammas, model.cfg.chunk, rope=rope)
     d = T.sub(y, Tensor(y_ref, dtype=y_ref.dtype))
     return T.mean_all(T.mul(d, d))
 
@@ -330,7 +352,8 @@ def candidate_model(teacher: Model, layer: int, rnn_weights: MixerWeights) -> Mo
     """The teacher with exactly one mixer swapped for (a copy of) its aligned RNN.
 
     Nothing else changes: remaining attention layers keep their rotary
-    encoding, and the swapped layer follows the hybrid RNN conventions.
+    encoding and the teacher's logits scaling, and the swapped layer
+    follows the hybrid RNN conventions.
     Every other tensor (embedding, final gain, the other layers, the
     swapped layer's norms and MLP) is the teacher's own, shared rather than
     copied, so the candidate is for evaluation only: training it would
@@ -346,10 +369,8 @@ def candidate_model(teacher: Model, layer: int, rnn_weights: MixerWeights) -> Mo
 
 def evaluate_RC(model: Model, suite: RcSuite) -> tuple[float, float]:
     """(recall accuracy, cloze accuracy) on the fixed synthetic suites."""
-    r = score_recall(model, suite.niah_samples, scale_base=suite.scale_base,
-                     eval_batch=suite.eval_batch)
-    c = score_csr(model, suite.csr_samples, scale_base=suite.scale_base,
-                  eval_batch=suite.eval_batch)
+    r = score_recall(model, suite.niah_samples, eval_batch=suite.eval_batch)
+    c = score_csr(model, suite.csr_samples, eval_batch=suite.eval_batch)
     return r.value, c.value
 
 
@@ -427,9 +448,10 @@ class HaloConfig:
     seed: int = 0
 
     def __post_init__(self):
-        k = self.k
-        if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
-            raise ConfigError(f"halo.k must be a positive integer or null, got {k!r}")
+        if self.k is not None:
+            _check_count("halo.k", self.k, 1)
+        _check_count("halo.rc_samples", self.rc_samples, 1)
+        _check_count("halo.rc_seed", self.rc_seed, 0)
 
 
 def resolve_k(k: int | None, L: int) -> int:

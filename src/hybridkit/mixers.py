@@ -428,9 +428,9 @@ def lightning_forward_chunked(
     chunk: int,
     rope: RopeParams | None = None,
     state: RecurrentState | None = None,
-    return_state: bool = False,
-):
-    """Chunked Lightning forward, mathematically equal to the recurrent form.
+) -> tuple[Tensor, RecurrentState]:
+    """Chunked Lightning forward, mathematically equal to the recurrent form;
+    returns output and the final state, as `lightning_forward_recurrent` does.
 
     Within a chunk, outputs come from decay-masked attention; across chunks a
     carried state is advanced with per-step decay powers (computed in
@@ -460,9 +460,7 @@ def lightning_forward_chunked(
     o = T.concat(outs, axis=2) if len(outs) > 1 else outs[0]
     y = _finish_output(x3, o, w)
     y = T.reshape(y, y.shape[1:]) if squeeze else y
-    if return_state:
-        return y, RecurrentState(s.data, state.pos + t)
-    return y
+    return y, RecurrentState(s.data, state.pos + t)
 
 
 # --------------------------------------------------------------------------

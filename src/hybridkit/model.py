@@ -5,7 +5,9 @@ the config's attention index set `I_attn` and a Lightning RNN mixer
 otherwise; `I_attn` is the only record of a layer's kind.  The hybrid
 position convention keeps rotary encoding inside RNN layers and leaves
 attention layers position-free (positions then enter attention only
-through causality), with optional logits scaling at inference time.
+through causality).  The config's `scale_base` is the logits scaling the
+model applies at inference; `with_scaling` gives the same weights under
+another scaling, and training runs `forward(..., scale_base=None)`.
 
 One layer computes (all norms are RMSNorm):
     H = Mixer(Norm(X)) + X
@@ -23,7 +25,7 @@ from . import tensor as T
 from .mixers import (KvCache, MixerWeights, RecurrentState, attention_forward,
                      gamma_slopes, gqa_to_mha_clone, last_position,
                      lightning_forward_chunked)
-from .positional import RopeParams, ScaleBase
+from .positional import ConstantScale, RopeParams, ScaleBase
 from .tensor import ConfigError, Rng, Tensor
 
 
@@ -41,7 +43,7 @@ class ModelConfig:
     ffn_width: int
     vocab: int
     rope: RopeParams
-    scale_base: ScaleBase | None = None
+    scale_base: ScaleBase | ConstantScale | None = None
     pe_attention: str = "nope"   # "rope" | "nope"
     pe_rnn: str = "rope"
     tie_embeddings: bool = True
@@ -168,16 +170,23 @@ class Model:
         return b"".join(t.data.tobytes() for t in self.parameters())
 
     # convenience entry points used by the eval suites
-    def logits(self, tokens, scale_base="config") -> np.ndarray:
-        return forward(self, tokens, scale_base=scale_base).data
+    def logits(self, tokens) -> np.ndarray:
+        return forward(self, tokens).data
 
-    def generate(self, prompts: np.ndarray, n_new: int, scale_base="config") -> np.ndarray:
-        return generate_greedy(self, prompts, n_new, scale_base=scale_base)
+    def generate(self, prompts: np.ndarray, n_new: int) -> np.ndarray:
+        return generate_greedy(self, prompts, n_new)
 
     def choice_logprobs(self, prefixes: np.ndarray, choices: np.ndarray,
-                        scale_base="config", eval_batch: int = 16) -> np.ndarray:
-        return choice_logprobs(self, prefixes, choices, scale_base=scale_base,
-                               eval_batch=eval_batch)
+                        eval_batch: int = 16) -> np.ndarray:
+        return choice_logprobs(self, prefixes, choices, eval_batch=eval_batch)
+
+
+def with_scaling(model: Model, base) -> Model:
+    """The same model under logits scaling `base` (None, a ScaleBase or a
+    ConstantScale): a view that shares every tensor with `model` and copies
+    none, so training it would train `model`."""
+    return Model(replace(model.cfg, scale_base=base), model.embed, model.layers,
+                 model.final_gain, model.unembed)
 
 
 # --------------------------------------------------------------------------
@@ -326,32 +335,26 @@ def new_session(model: Model, batch: int = 1) -> DecodeSession:
 # --------------------------------------------------------------------------
 # forward
 
-def _resolve_scale(model: Model, scale_base):
-    return model.cfg.scale_base if isinstance(scale_base, str) and scale_base == "config" else scale_base
-
-
 def _mixer_apply(model: Model, l: int, h: Tensor, session: DecodeSession | None,
-                 scale_base, start_pos: int, last_only: bool) -> Tensor:
+                 start_pos: int, last_only: bool) -> Tensor:
     cfg = model.cfg
     lw = model.layers[l]
     if l in cfg.I_attn:
         rope = cfg.rope if cfg.pe_attention == "rope" else None
         cache = session.states[l] if session is not None else None
-        return attention_forward(h, lw.mixer, rope=rope, scale_base=scale_base,
+        return attention_forward(h, lw.mixer, rope=rope, scale_base=cfg.scale_base,
                                  start_pos=start_pos, cache=cache, last_only=last_only)
     rope = cfg.rope if cfg.pe_rnn == "rope" else None
     state = session.states[l] if session is not None else None
     y, new_state = lightning_forward_chunked(
-        h, lw.mixer, model.gammas, cfg.chunk, rope=rope, state=state,
-        return_state=True)
+        h, lw.mixer, model.gammas, cfg.chunk, rope=rope, state=state)
     if session is not None:
         session.states[l] = new_state
     return last_position(y) if last_only else y
 
 
 def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
-             scale_base="config", capture: dict | None = None,
-             last_only: bool = False) -> Tensor:
+             capture: dict | None = None, last_only: bool = False) -> Tensor:
     """Shared layer loop for full forward (session=None) and cached decode.
 
     With last_only, every layer before the last runs on all positions, and
@@ -363,7 +366,6 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
     The SwiGLU MLP is one ``gated_matmul``, so a tape keeps its gate and up
     projections but not their product; backward recomputes it.
     """
-    scale_base = _resolve_scale(model, scale_base)
     tokens = np.asarray(tokens)
     squeeze = tokens.ndim == 1
     if squeeze:
@@ -378,7 +380,7 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
     for l, lw in enumerate(model.layers):
         last = last_only and l == last_layer
         h_in = T.rmsnorm(x, lw.pre_mixer_gain)
-        y = _mixer_apply(model, l, h_in, session, scale_base, start_pos, last_only=last)
+        y = _mixer_apply(model, l, h_in, session, start_pos, last_only=last)
         if capture is not None and l in capture:
             capture[l] = (h_in.detach(), y.detach())
         if last:
@@ -398,9 +400,13 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
 def forward(model: Model, tokens, scale_base="config") -> Tensor:
     """Logits over the vocabulary for token ids [T] or [B, T].
 
-    Raises ValueError when there are no tokens (T = 0 or B = 0).
+    The logits scaling is the config's unless `scale_base` overrides it;
+    every training path passes None (s_t = 1).  Raises ValueError when
+    there are no tokens (T = 0 or B = 0).
     """
-    return _advance(model, tokens, session=None, scale_base=scale_base)
+    if scale_base != "config":
+        model = with_scaling(model, scale_base)
+    return _advance(model, tokens, session=None)
 
 
 def capture_many(model: Model, tokens, layers) -> dict:
@@ -420,7 +426,7 @@ def capture_many(model: Model, tokens, layers) -> dict:
 
 
 def prefill(model: Model, session: DecodeSession, tokens: np.ndarray,
-            scale_base="config", last_only: bool = False) -> Tensor:
+            last_only: bool = False) -> Tensor:
     """Feed a whole prompt through a session; returns logits for all positions.
 
     With last_only=True the logits are those of the last position only,
@@ -430,20 +436,18 @@ def prefill(model: Model, session: DecodeSession, tokens: np.ndarray,
     ends in the same state either way (every position's keys and values
     are cached).  Raises ValueError on an empty prompt.
     """
-    return _advance(model, tokens, session, scale_base=scale_base, last_only=last_only)
+    return _advance(model, tokens, session, last_only=last_only)
 
 
-def decode_step(model: Model, session: DecodeSession, token: int,
-                scale_base="config") -> Tensor:
+def decode_step(model: Model, session: DecodeSession, token: int) -> Tensor:
     """Consume one token, returning next-token logits [vocab] (batch 1)."""
     if session.batch != 1:
         raise ValueError("decode_step is the single-sequence API; use generate_greedy")
-    logits = _advance(model, np.array([[int(token)]]), session, scale_base=scale_base)
+    logits = _advance(model, np.array([[int(token)]]), session)
     return T.reshape(logits, (model.cfg.vocab,))
 
 
-def generate_greedy(model: Model, prompts: np.ndarray, n_new: int,
-                    scale_base="config") -> np.ndarray:
+def generate_greedy(model: Model, prompts: np.ndarray, n_new: int) -> np.ndarray:
     """Greedy continuation of a batch of equal-length prompts: [B, n_new] ids.
 
     The prefill yields the first new token and each of the n_new - 1 decode
@@ -456,16 +460,16 @@ def generate_greedy(model: Model, prompts: np.ndarray, n_new: int,
     if prompts.ndim == 1:
         prompts = prompts[None, :]
     session = new_session(model, batch=prompts.shape[0])
-    logits = prefill(model, session, prompts, scale_base=scale_base, last_only=True)
+    logits = prefill(model, session, prompts, last_only=True)
     out = [logits.data[:, -1, :].argmax(axis=-1)]
     for _ in range(n_new - 1):
-        step_logits = _advance(model, out[-1][:, None], session, scale_base=scale_base)
+        step_logits = _advance(model, out[-1][:, None], session)
         out.append(step_logits.data[:, -1, :].argmax(axis=-1))
     return np.stack(out, axis=1)
 
 
 def choice_logprobs(model: Model, prefixes: np.ndarray, choices: np.ndarray,
-                    scale_base="config", eval_batch: int = 16) -> np.ndarray:
+                    eval_batch: int = 16) -> np.ndarray:
     """Summed log-probability of each choice after its prefix: [n, n_choices].
 
     prefixes is [n, P] and choices [n, n_choices, C]; entry (i, c) is the
@@ -485,7 +489,7 @@ def choice_logprobs(model: Model, prefixes: np.ndarray, choices: np.ndarray,
         pre, ch = prefixes[lo:lo + per], choices[lo:lo + per]
         b = pre.shape[0]
         session = new_session(model, batch=b)
-        last = prefill(model, session, pre, scale_base=scale_base, last_only=True)
+        last = prefill(model, session, pre, last_only=True)
         first = T._log_softmax(last.data)[:, 0]
         tok_logp[lo:lo + b, :, 0] = np.take_along_axis(first, ch[:, :, 0], axis=1)
         if cont_len == 1:
@@ -494,18 +498,9 @@ def choice_logprobs(model: Model, prefixes: np.ndarray, choices: np.ndarray,
             grp = ch[:, c0:c0 + width]
             w = grp.shape[1]
             logits = prefill(model, session.repeat(w),
-                             grp[..., :-1].reshape(b * w, cont_len - 1),
-                             scale_base=scale_base)
+                             grp[..., :-1].reshape(b * w, cont_len - 1))
             picked = np.take_along_axis(T._log_softmax(logits.data),
                                         grp[..., 1:].reshape(b * w, cont_len - 1, 1), axis=2)
             tok_logp[lo:lo + b, c0:c0 + w, 1:] = picked.reshape(b, w, cont_len - 1)
     return tok_logp.sum(axis=2)
 
-
-def mean_nll(model: Model, seq: np.ndarray, scale_base="config") -> float:
-    """Mean next-token negative log-likelihood over one sequence."""
-    seq = np.asarray(seq)
-    if seq.ndim != 1 or seq.size < 2:
-        raise ValueError("mean_nll needs one sequence of >= 2 tokens")
-    logits = forward(model, seq[:-1], scale_base=scale_base)
-    return float(T.cross_entropy(logits, seq[1:]).data)

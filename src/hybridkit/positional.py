@@ -10,8 +10,10 @@ theta_i} that is built once per (RopeParams, dtype) and grown when a later
 position is asked for.  NoPE is simply the absence of this rotation.
 
 The logits scaling s_t = log_a(t + a) sharpens attention at positions beyond
-the training length; it multiplies q before the attention product and is an
-inference-time mechanism (s_t = 1 during training).
+the training length; it multiplies q before the attention product.  It is an
+inference-time mechanism: a model applies the base its config records
+(`ModelConfig.scale_base`) at inference, and every training path runs at
+s_t = 1 whatever the config says.
 """
 
 from __future__ import annotations
@@ -60,15 +62,9 @@ class ConstantScale:
             raise ConfigError(f"constant scale must be positive, got {self.s}")
 
 
-def logits_scale(t: int, base: ScaleBase) -> float:
-    """s_t = log_a(t + a); equals 1 at t = 0 and grows without bound."""
-    if t < 0:
-        raise ValueError(f"position must be nonnegative, got {t}")
-    return math.log(t + base.a) / math.log(base.a)
-
-
 def scale_vector(positions: np.ndarray, base) -> np.ndarray:
-    """Vectorized s_t per absolute position.
+    """s_t per absolute position; for a ScaleBase, s_t = log_a(t + a), which
+    equals 1 at t = 0 and grows without bound.
 
     `base` may be None (no scaling), a ScaleBase (position-dependent), or a
     ConstantScale (the same factor everywhere).
@@ -149,32 +145,25 @@ def rope_apply(x: Tensor, start_pos: int, params: RopeParams, time_axis: int = 0
     return _emit(_rotate(X, rot), [(x, dx)])
 
 
-def fit_scale_base(model, corpus, candidates) -> ScaleBase:
-    """Pick the scaling base minimizing mean next-token loss on a corpus.
-
-    `corpus` is a sequence of token-id arrays longer than the model's
-    training context; ties break toward the smaller base.  This is a
-    post-training grid search: model weights are not touched.
+def fit_scale_base(model, corpus: np.ndarray, context_len: int, candidates) -> ScaleBase:
+    """Pick the scaling base with the lowest `evals.perplexity` of `model`
+    on `corpus` at `context_len`, which should exceed the model's training
+    context; ties break toward the smaller base, and a candidate <= 1 is a
+    ConfigError.  This is a post-training grid search: each candidate scores
+    a `with_scaling` view of the model, and the weights are not touched.
     """
-    from .model import mean_nll  # local import: positional must stay below model
+    # local imports: positional must stay below model and evals
+    from .evals import perplexity
+    from .model import with_scaling
 
-    candidates = [float(a) for a in candidates]
+    candidates = sorted(float(a) for a in candidates)
     if not candidates:
         raise ValueError("fit_scale_base needs at least one candidate")
-    if any(a <= 1.0 for a in candidates):
-        raise ConfigError(f"all candidates must exceed 1, got {candidates}")
-    seqs = list(corpus)
-    if not seqs:
-        raise ValueError("fit_scale_base needs a non-empty corpus")
-
-    best_a, best_loss = None, None
-    for a in sorted(candidates):
-        base = ScaleBase(a)
-        losses = [mean_nll(model, seq, scale_base=base) for seq in seqs]
-        loss = float(np.mean(losses))
-        if best_loss is None or loss < best_loss:
-            best_a, best_loss = a, loss
-    return ScaleBase(best_a)
+    if np.asarray(corpus).size < 2:
+        raise ValueError("fit_scale_base needs a corpus of at least two tokens")
+    ppl = {a: perplexity(with_scaling(model, ScaleBase(a)), corpus, context_len)
+           for a in candidates}
+    return ScaleBase(min(candidates, key=ppl.__getitem__))
 
 
 DEFAULT_BASE_GRID = (100.0, 200.0, 300.0, 500.0, 1000.0, 2000.0, 5000.0)

@@ -1,8 +1,10 @@
 """Validated JSON run configuration.
 
-A run document has sections ``model``, ``train`` and (for conversions)
-``halo``; every key has a default listed below, and unknown keys are hard
-errors so typos cannot silently fall back to defaults.
+A run document is a JSON object with sections ``model``, ``train`` and (for
+conversions) ``halo``; every key has a default listed below, and unknown keys
+are hard errors so typos cannot silently fall back to defaults.  A value
+must have its default's JSON type (an integer is a number, but true is not
+an integer); null is allowed only where the default is null.
 
 model keys (defaults in parentheses):
   arch ("hypenet")          "transformer" (attention-only) or "hypenet"
@@ -25,7 +27,9 @@ model keys (defaults in parentheses):
   attn_gate (null)          output gates on attention; null = arch default
   rnn_gate (true)           output gates on RNN layers
   chunk (64)                chunk width of the RNN training form, tokens
-  scale_base (null)         attention-logits scaling base a (> 1), or null
+  scale_base (null)         attention-logits scaling base a (> 1), or null;
+                            saved in the checkpoint and applied at
+                            inference, never in training (s_t = 1)
 
 train keys:
   steps (600)               optimizer steps
@@ -39,14 +43,16 @@ train keys:
   grad_clip (1.0)           global gradient-norm cap
   seed (0)                  run seed (overridden by the global --seed flag)
   data ("niah_mix")         "niah_mix" | "grammar" stream kind
+Counts are integers: steps, warmup_steps and seed >= 0, batch_size and
+context_len >= 1.
 
 halo keys: stage1/stage2/stage3 (sub-objects of the train keys other than
 data), plus
   k (null)                  attention layers kept, a positive integer
                             <= L; null = floor(L/4), at least 1
   data ("niah_mix")         stream kind for all stages
-  rc_samples (64)           samples per metric during layer selection
-  rc_seed (0)               selection-suite seed
+  rc_samples (64)           samples per metric during layer selection, >= 1
+  rc_seed (0)               selection-suite seed, >= 0
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .data import STREAM_KINDS
 from .halo import HaloConfig, TrainConfig
 from .model import ModelConfig
 from .positional import RopeParams, ScaleBase
@@ -88,16 +95,63 @@ HALO_STAGE_DEFAULTS = {
 
 HALO_EXTRA_DEFAULTS = {"k": None, "data": "niah_mix", "rc_samples": 64, "rc_seed": 0}
 
+DOCUMENT_DEFAULTS = {"model": {}, "train": {}, "halo": {}}
 
-def _merge(section: str, user: dict, defaults: dict) -> dict:
+# the type of the values other than null that a key with a null default takes
+NULLABLE = {"model.I_attn": list, "model.pe_attention": str, "model.attn_gate": bool,
+            "model.scale_base": float, "halo.k": int}
+
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "true or false",
+               int: "an integer", float: "a number"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_value(name: str, value, default) -> None:
+    """Raise ConfigError, naming the key, unless `value` has the JSON type of
+    `default` (or the type NULLABLE gives a key whose default is null)."""
+    if value is None and default is None:
+        return
+    kind = NULLABLE[name] if default is None else type(default)
+    if kind is int:
+        ok = _is_int(value)
+    elif kind is float:
+        ok = _is_int(value) or isinstance(value, float)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+    if name == "model.I_attn" and not all(_is_int(i) for i in value):
+        raise ConfigError(f"model.I_attn must be a list of integers, got {json.dumps(value)}")
+    if name in ("train.data", "halo.data") and value not in STREAM_KINDS:
+        raise ConfigError(f"{name} must be one of {', '.join(STREAM_KINDS)}, "
+                          f"got {json.dumps(value)}")
+
+
+def _merge(section: str, user, defaults: dict) -> dict:
+    """`defaults` updated with the keys of the JSON object `user`, each
+    checked by _check_value; `section` prefixes the key names ('' for the
+    whole document)."""
     if not isinstance(user, dict):
-        raise ConfigError(f"section {section!r} must be an object")
-    unknown = sorted(set(user) - set(defaults))
-    if unknown:
-        raise ConfigError(f"unknown key {section}.{unknown[0]}")
+        raise ConfigError(f"{section or 'a run config'} must be a JSON object, "
+                          f"got {json.dumps(user)}")
+    for key, value in user.items():
+        name = f"{section}.{key}" if section else key
+        if key not in defaults:
+            raise ConfigError(f"unknown key {name}" if section else f"unknown section {key!r}")
+        _check_value(name, value, defaults[key])
     out = dict(defaults)
     out.update(user)
     return out
+
+
+def _train_config(section: str, values: dict) -> TrainConfig:
+    try:
+        return TrainConfig(**values)
+    except ConfigError as e:
+        raise ConfigError(f"{section}: {e}") from None
 
 
 def build_model_config(md: dict) -> ModelConfig:
@@ -111,7 +165,7 @@ def build_model_config(md: dict) -> ModelConfig:
         else:
             md["I_attn"] = tuple(range(0, md["L"], 4))
     else:
-        md["I_attn"] = tuple(int(i) for i in md["I_attn"])
+        md["I_attn"] = tuple(md["I_attn"])
     if md["pe_attention"] is None:
         md["pe_attention"] = "rope" if arch == "transformer" else "nope"
     if md["attn_gate"] is None:
@@ -128,7 +182,7 @@ def build_train_config(td: dict, seed_override: int | None = None) -> tuple[Trai
     data = td.pop("data")
     if seed_override is not None:
         td["seed"] = seed_override
-    return TrainConfig(**td), data
+    return _train_config("train", td), data
 
 
 def build_halo_config(hd: dict, seed_override: int | None = None) -> HaloConfig:
@@ -140,7 +194,7 @@ def build_halo_config(hd: dict, seed_override: int | None = None) -> HaloConfig:
         sd = _merge(f"halo.{name}", hd[name], HALO_STAGE_DEFAULTS[name])
         if seed_override is not None:
             sd["seed"] = seed_override
-        stages[name] = TrainConfig(**sd)
+        stages[name] = _train_config(f"halo.{name}", sd)
     return HaloConfig(stage1=stages["stage1"], stage2=stages["stage2"],
                       stage3=stages["stage3"], data_kind=hd["data"],
                       k=hd["k"], rc_samples=hd["rc_samples"],
@@ -152,13 +206,10 @@ class RunConfig:
     """Parsed and validated run document."""
 
     def __init__(self, doc: dict, seed_override: int | None = None):
-        unknown = sorted(set(doc) - {"model", "train", "halo"})
-        if unknown:
-            raise ConfigError(f"unknown section {unknown[0]!r}")
-        self.model = build_model_config(doc.get("model", {}))
-        self.train, self.data_kind = build_train_config(doc.get("train", {}),
-                                                        seed_override)
-        self.halo = build_halo_config(doc.get("halo", {}), seed_override)
+        sections = _merge("", doc, DOCUMENT_DEFAULTS)
+        self.model = build_model_config(sections["model"])
+        self.train, self.data_kind = build_train_config(sections["train"], seed_override)
+        self.halo = build_halo_config(sections["halo"], seed_override)
         self.raw = doc
 
 

@@ -22,8 +22,7 @@ def max_rel_err(got: np.ndarray, ref: np.ndarray) -> float:
     return float(np.abs(got - ref).max() / denom)
 
 
-def reference_choice_logprobs(model, prefixes, choices, scale_base=None,
-                              eval_batch: int = 16) -> np.ndarray:
+def reference_choice_logprobs(model, prefixes, choices, eval_batch: int = 16) -> np.ndarray:
     """Cloze scores from full rows: one `logits` call per eval_batch rows of
     [prefix, choice], summing each choice's next-token log-probabilities.
     Returns [n, n_choices]."""
@@ -37,7 +36,7 @@ def reference_choice_logprobs(model, prefixes, choices, scale_base=None,
     pos = np.arange(prefix_len - 1, prefix_len + cont_len - 1)
     for lo in range(0, len(rows), eval_batch):
         chunk = rows[lo:lo + eval_batch]
-        logp = _log_softmax(model.logits(chunk, scale_base=scale_base))
+        logp = _log_softmax(model.logits(chunk))
         for j in range(chunk.shape[0]):
             scores[lo + j] = logp[j, pos, chunk[j, pos + 1]].sum()
     return scores.reshape(n, n_choices)

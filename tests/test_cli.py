@@ -14,7 +14,7 @@ from hybridkit.checkpoint import (MAGIC, CheckpointError, load_mixer,
                                   load_model, load_tensors, save_mixer,
                                   save_model, save_tensors)
 from hybridkit.cli import main
-from hybridkit.model import desk_config, forward, init_model
+from hybridkit.model import desk_config, forward, init_model, with_scaling
 from hybridkit.positional import RopeParams
 from hybridkit.runconfig import RunConfig, build_halo_config, load_run_config
 from hybridkit.tensor import ConfigError, Rng
@@ -309,6 +309,92 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+def test_cli_train_zero_steps_writes_the_untrained_model(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, train={"steps": 0, "warmup_steps": 0})
+    out = tmp_path / "m.ckpt"
+    assert main(["--seed", "3", "train", cfg, str(out)]) == 0
+    assert capsys.readouterr().out.startswith("trained 0 steps; wrote")
+    T.set_precision("standard")  # the CLI's default
+    untrained = init_model(load_run_config(cfg, seed_override=3).model, seed=3)
+    assert load_model(out).state_bytes() == untrained.state_bytes()
+
+
+def _write_doc(tmp_path, bad) -> str:
+    """The small train-and-halo document with `bad`'s keys put into its
+    sections; a `bad` that is not an object is the whole document."""
+    path = Path(write_cfg(tmp_path, halo=SMALL_HALO))
+    if isinstance(bad, dict):
+        doc = json.loads(path.read_text())
+        for section, values in bad.items():
+            if isinstance(values, dict):
+                doc[section].update(values)
+            else:
+                doc[section] = values
+        bad = doc
+    path.write_text(json.dumps(bad))
+    return str(path)
+
+
+# (bad part of a run config, the key its error names)
+BAD_DOCUMENTS = [([], "run config"), (5, "run config"), (None, "run config"),
+                 ({"halo": []}, "halo")]
+BAD_TRAIN_VALUES = [
+    ({"model": {"L": "8"}}, "model.L"),
+    ({"model": {"L": True}}, "model.L"),
+    ({"model": {"I_attn": [0, "a"]}}, "model.I_attn"),
+    ({"model": {"scale_base": "2"}}, "model.scale_base"),
+    ({"model": {"tie_embeddings": None}}, "model.tie_embeddings"),
+    ({"train": {"grad_clip": "a"}}, "train.grad_clip"),
+    ({"train": {"data": 3}}, "train.data"),
+    ({"train": {"data": "nope"}}, "train.data"),
+    ({"train": {"seed": 1.5}}, "train.seed"),
+    ({"train": {"batch_size": 0}}, "train: batch_size"),
+    ({"train": {"batch_size": -2}}, "train: batch_size"),
+    ({"train": {"context_len": 0}}, "train: context_len"),
+    ({"train": {"warmup_steps": -3}}, "train: warmup_steps"),
+    ({"train": {"steps": -1, "warmup_steps": 0}}, "train: steps"),
+]
+BAD_HALO_VALUES = [
+    ({"halo": {"rc_samples": -1}}, "halo.rc_samples"),
+    ({"halo": {"rc_samples": 2.5}}, "halo.rc_samples"),
+    ({"halo": {"rc_samples": 0}}, "halo.rc_samples"),
+    ({"halo": {"rc_seed": -1}}, "halo.rc_seed"),
+    ({"halo": {"data": "nope"}}, "halo.data"),
+    ({"halo": {"stage2": {"batch_size": 0}}}, "halo.stage2: batch_size"),
+    ({"halo": {"stage3": {"seed": -4}}}, "halo.stage3: seed"),
+]
+
+
+def _ids(cases):
+    return [json.dumps(bad) for bad, _ in cases]
+
+
+def _assert_config_error(capsys, key):
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
+@pytest.mark.parametrize("bad, key", BAD_DOCUMENTS + BAD_TRAIN_VALUES,
+                         ids=_ids(BAD_DOCUMENTS + BAD_TRAIN_VALUES))
+def test_cli_train_bad_config_value_exits_2_and_writes_nothing(tmp_path, capsys, bad, key,
+                                                               dry_run):
+    cfg = _write_doc(tmp_path, bad)
+    assert main(["--dry-run"] * dry_run + ["train", cfg, str(tmp_path / "m.ckpt")]) == 2
+    _assert_config_error(capsys, key)
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("bad, key", BAD_DOCUMENTS + BAD_HALO_VALUES,
+                         ids=_ids(BAD_DOCUMENTS + BAD_HALO_VALUES))
+def test_cli_halo_bad_config_value_exits_2_before_any_stage(tmp_path, capsys, bad, key):
+    teacher = _teacher_with_vocab(tmp_path, 512)
+    out = tmp_path / "halo"
+    assert main(["halo", str(teacher), _write_doc(tmp_path, bad), str(out)]) == 2
+    _assert_config_error(capsys, key)
+    assert not out.exists()
+
+
 def _teacher_with_vocab(tmp_path, vocab: int):
     """An untrained all-attention checkpoint of the tiny shape."""
     cfg = desk_config(L=2, I_attn=(0, 1), d=16, d_h=4, n_h=4, n_kv_heads=2,
@@ -418,8 +504,8 @@ def test_cli_eval_matches_library_calls(tiny_ckpt, tmp_path):
 
     from hybridkit.evals import length_sweep
     T.set_precision("standard")
-    model = load_model(tiny_ckpt)
-    ref = length_sweep(model, [64, 96], scale_base=None, n_samples=8, seed=0)
+    model = with_scaling(load_model(tiny_ckpt), None)
+    ref = length_sweep(model, [64, 96], n_samples=8, seed=0)
     for line, r in zip(lines[1:], ref):
         cols = line.split("\t")
         assert int(cols[0]) == r.context_len
@@ -438,6 +524,59 @@ def test_cli_eval_scaling_variants_distinct_files(tiny_ckpt, tmp_path):
 def test_cli_eval_rejects_conflicting_scaling(tiny_ckpt):
     with pytest.raises(SystemExit):
         main(["eval", str(tiny_ckpt), "--no-scaling", "--scale-base", "5"])
+
+
+@pytest.fixture(scope="module")
+def scaled_ckpt(tmp_path_factory):
+    """The tiny checkpoint trained with scale_base 2.0 in its config, and the
+    same run with null."""
+    tmp = tmp_path_factory.mktemp("scaled")
+    paths = {}
+    for name, base in (("scaled", 2.0), ("plain", None)):
+        run = tmp / name
+        run.mkdir()
+        paths[name] = run / "model.ckpt"
+        cfg = write_cfg(run, model={"scale_base": base})
+        assert main(["--seed", "1", "train", cfg, str(paths[name])]) == 0
+    return paths
+
+
+def test_cli_train_runs_at_unit_scaling_and_keeps_the_base(scaled_ckpt):
+    """Training ignores the configured base (s_t = 1); the checkpoint saves
+    it for inference."""
+    (cfg_s, scaled), (cfg_p, plain) = (load_tensors(scaled_ckpt[k]) for k in ("scaled", "plain"))
+    assert cfg_s["model"]["scale_base"] == 2.0 and cfg_p["model"]["scale_base"] is None
+    assert {**cfg_s["model"], "scale_base": None} == cfg_p["model"]
+    assert scaled.keys() == plain.keys()
+    for name in scaled:
+        np.testing.assert_array_equal(scaled[name], plain[name], err_msg=name)
+
+
+def _eval_values(argv, capsys) -> list[str]:
+    assert main(["eval"] + argv) == 0
+    return [line.split("\t")[2] for line in capsys.readouterr().out.splitlines()]
+
+
+def test_library_evals_apply_the_configured_base_as_the_cli_does(scaled_ckpt, capsys):
+    from hybridkit.data import StreamConfig, TokenStream
+    from hybridkit.evals import NiahSpec, gen_csr_proxy, gen_niah, perplexity, score_csr, score_recall
+
+    ckpt = str(scaled_ckpt["scaled"])
+    cli_ppl = _eval_values([ckpt, "--task", "ppl", "--lengths", "64,128"], capsys)
+    cli_niah = _eval_values([ckpt, "--task", "niah", "--lengths", "64", "--samples", "8"],
+                            capsys)
+    cli_csr = _eval_values([ckpt, "--task", "csr", "--samples", "16"], capsys)
+    T.set_precision("standard")  # the CLI's default
+    model = load_model(ckpt)
+    stream = TokenStream(StreamConfig(kind="niah_mix", context_len=128, batch_size=1, seed=0))
+    corpus = np.concatenate([stream.batch(i)[0] for i in range(8)])
+    lib_ppl = [f"perplexity={perplexity(model, corpus, ln):.6f}" for ln in (64, 128)]
+    assert lib_ppl == cli_ppl
+    unscaled = with_scaling(model, None)
+    assert [f"perplexity={perplexity(unscaled, corpus, ln):.6f}" for ln in (64, 128)] != lib_ppl
+    recall = score_recall(model, gen_niah(NiahSpec(context_len=64, n_samples=8, seed=0)))
+    assert [f"accuracy={recall.value:.6f}"] == cli_niah
+    assert [f"accuracy={score_csr(model, gen_csr_proxy(0, 16)).value:.6f}"] == cli_csr
 
 
 def test_cli_bench_decode_and_prefill(tiny_ckpt, capsys):

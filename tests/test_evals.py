@@ -23,7 +23,7 @@ class LookupOracle:
         prompts, answers = samples
         self.table = {tuple(p.tolist()): a for p, a in zip(prompts, answers)}
 
-    def generate(self, prompts, n_new, scale_base=None):
+    def generate(self, prompts, n_new):
         return np.stack([self.table[tuple(p.tolist())] for p in prompts])
 
 
@@ -31,7 +31,7 @@ class ConstantModel:
     def __init__(self, token: int):
         self.token = token
 
-    def generate(self, prompts, n_new, scale_base=None):
+    def generate(self, prompts, n_new):
         return np.full((prompts.shape[0], n_new), self.token, dtype=np.int64)
 
 
@@ -40,21 +40,21 @@ class RandomModel:
         self.vocab = vocab
         self.rng = Rng(seed)
 
-    def generate(self, prompts, n_new, scale_base=None):
+    def generate(self, prompts, n_new):
         return self.rng.integers(0, self.vocab, size=(prompts.shape[0], n_new))
 
-    def logits(self, tokens, scale_base=None):
+    def logits(self, tokens):
         return self.rng.normal(tokens.shape + (self.vocab,))
 
-    def choice_logprobs(self, prefixes, choices, scale_base=None, eval_batch=16):
-        return reference_choice_logprobs(self, prefixes, choices, scale_base, eval_batch)
+    def choice_logprobs(self, prefixes, choices, eval_batch=16):
+        return reference_choice_logprobs(self, prefixes, choices, eval_batch)
 
 
 class UniformModel:
     def __init__(self, vocab: int):
         self.vocab = vocab
 
-    def logits(self, tokens, scale_base=None):
+    def logits(self, tokens):
         return np.zeros(tokens.shape + (self.vocab,))
 
 
@@ -65,7 +65,7 @@ class MemorizingModel:
         self.next_of = {int(a): int(b) for a, b in zip(seq[:-1], seq[1:])}
         self.vocab = vocab
 
-    def logits(self, tokens, scale_base=None):
+    def logits(self, tokens):
         out = np.zeros(tokens.shape + (self.vocab,))
         for idx in np.ndindex(tokens.shape):
             nxt = self.next_of.get(int(tokens[idx]))
@@ -152,8 +152,8 @@ def test_score_recall_accuracy_is_exact_fraction():
     samples = gen_niah(NiahSpec(context_len=64, n_samples=8, seed=10))
 
     class HalfOracle(LookupOracle):
-        def generate(self, prompts, n_new, scale_base=None):
-            out = super().generate(prompts, n_new, scale_base)
+        def generate(self, prompts, n_new):
+            out = super().generate(prompts, n_new)
             out[::2] = 0  # corrupt every other answer
             return out
 
@@ -171,7 +171,7 @@ def test_csr_oracle_scorer_perfect():
     samples = gen_csr_proxy(seed=1, n=12)
 
     class CsrOracle:
-        def logits(self, tokens, scale_base=None):
+        def logits(self, tokens):
             # next-token table of the generating grammar: follow both successors
             tables = grammar_tables()
             out = np.full(tokens.shape + (512,), -100.0)
@@ -182,9 +182,8 @@ def test_csr_oracle_scorer_perfect():
                         out[idx + (int(s),)] = 10.0
             return out
 
-        def choice_logprobs(self, prefixes, choices, scale_base=None, eval_batch=16):
-            return reference_choice_logprobs(self, prefixes, choices, scale_base,
-                                             eval_batch)
+        def choice_logprobs(self, prefixes, choices, eval_batch=16):
+            return reference_choice_logprobs(self, prefixes, choices, eval_batch)
 
     res = score_csr(CsrOracle(), samples)
     assert res.value == 1.0

@@ -249,8 +249,8 @@ def test_stage1_zero_loss_fixed_point():
     toks = Rng(1).integers(0, cfg.vocab, size=(2, 24))
     x_in, y_ref = capture_many(model, toks, [0])[0]  # layer 0 is lightning
     w = model.layers[0].mixer
-    y = lightning_forward_chunked(Tensor(x_in.data), w, model.gammas,
-                                  cfg.chunk, rope=cfg.rope)
+    y, _ = lightning_forward_chunked(Tensor(x_in.data), w, model.gammas,
+                                     cfg.chunk, rope=cfg.rope)
     mse = float(T.mean_all(T.mul(T.sub(y, Tensor(y_ref.data)),
                                  T.sub(y, Tensor(y_ref.data)))).data)
     assert mse < 1e-10
@@ -289,7 +289,7 @@ def test_stage1_transferred_init_carries_teacher_structure():
 
     def best_scale_mse(w):
         yh = lightning_forward_chunked(Tensor(x_in.data), w, teacher.gammas,
-                                       teacher.cfg.chunk, rope=teacher.cfg.rope).data
+                                       teacher.cfg.chunk, rope=teacher.cfg.rope)[0].data
         alpha = float((y * yh).sum() / ((yh * yh).sum() + 1e-30))
         return float(((y - alpha * yh) ** 2).mean())
 
@@ -677,10 +677,19 @@ def test_stage_report_jsonl(tmp_path):
     assert lines[-1]["final"] == {"x": 1.0}
 
 
-def _jsonl_steps(report, path):
+def _strict_json(line):
+    """json.loads that refuses NaN and Infinity, as RFC 8259 parsers do."""
     import json
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+def _jsonl_steps(report, path):
     report.write_jsonl(path)
-    return [json.loads(l) for l in path.read_text().splitlines()[:-1]]
+    return [_strict_json(l) for l in path.read_text().splitlines()[:-1]]
 
 
 def test_stage_reports_record_preclip_grad_norm_per_step(tmp_path):
@@ -718,9 +727,8 @@ def test_stage_reports_record_step_time_and_tokens_per_second(tmp_path):
 
 def test_stage_report_says_why_a_step_was_skipped(tmp_path):
     """Step 1's loss is finite but its gradient is not: AdamW skips it, its
-    record says why, and the other records carry no skip key."""
-    import json
-
+    record says why, and the other records carry no skip key.  Every line
+    is strict JSON: the skipped step's non-finite grad_norm is null."""
     p = Tensor(np.array([3.0, 4.0]), requires_grad=True)
     cfg = TrainConfig(context_len=8, batch_size=1, steps=3, lr_max=1e-3)
     after = []
@@ -736,7 +744,8 @@ def test_stage_report_says_why_a_step_was_skipped(tmp_path):
     recs = _jsonl_steps(report, tmp_path / "a.jsonl")
     assert [r.get("skipped") for r in recs] == [None, "non-finite gradient", None]
     assert np.isfinite(recs[1]["loss"])
+    assert not np.isfinite(report.grad_norms[1]) and recs[1]["grad_norm"] is None
     np.testing.assert_array_equal(after[2], after[1])  # step 1 left p alone
     assert not np.array_equal(after[1], after[0])
-    final = json.loads((tmp_path / "a.jsonl").read_text().splitlines()[-1])
+    final = _strict_json((tmp_path / "a.jsonl").read_text().splitlines()[-1])
     assert final["skipped_steps"] == report.skipped_steps == 1

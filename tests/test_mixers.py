@@ -468,8 +468,7 @@ def test_lightning_chunked_equals_recurrent(chunk):
     rope = RopeParams(theta=1000.0, head_dim=4)
     x = rng.child(chunk).normal((23, 8))
     ref, ref_state = lightning_forward_recurrent(T.tensor(x), w, gam, rope=rope)
-    got, got_state = lightning_forward_chunked(T.tensor(x), w, gam, chunk,
-                                               rope=rope, return_state=True)
+    got, got_state = lightning_forward_chunked(T.tensor(x), w, gam, chunk, rope=rope)
     assert max_rel_err(got.data, ref.data) < 1e-5
     assert max_rel_err(got_state.s, ref_state.s) < 1e-5
     assert got_state.pos == ref_state.pos == 23
@@ -513,9 +512,8 @@ def test_lightning_chunked_on_cached_tables_matches_recurrent(mode, tol):
     x = rng.child(1).normal((11, 8))
     ref, ref_state = lightning_forward_recurrent(T.tensor(x), w, gam, rope=rope)
     for _ in range(2):
-        got, st = lightning_forward_chunked(T.tensor(x[:10]), w, gam, 4, rope=rope,
-                                            return_state=True)
-        last = lightning_forward_chunked(T.tensor(x[10:]), w, gam, 4, rope=rope, state=st)
+        got, st = lightning_forward_chunked(T.tensor(x[:10]), w, gam, 4, rope=rope)
+        last, _ = lightning_forward_chunked(T.tensor(x[10:]), w, gam, 4, rope=rope, state=st)
         assert max_rel_err(np.concatenate([got.data, last.data]), ref.data) < tol
 
 
@@ -525,7 +523,7 @@ def test_lightning_single_chunk_is_parallel_form():
     gam = gamma_slopes(2)
     x = rng.child(1).normal((16, 8))
     ref, _ = lightning_forward_recurrent(T.tensor(x), w, gam)
-    got = lightning_forward_chunked(T.tensor(x), w, gam, chunk=16)
+    got, _ = lightning_forward_chunked(T.tensor(x), w, gam, chunk=16)
     assert max_rel_err(got.data, ref.data) < 1e-5
 
 
@@ -536,9 +534,8 @@ def test_lightning_chunked_with_state_continuation():
     rope = RopeParams(theta=1000.0, head_dim=4)
     x = rng.child(1).normal((20, 8))
     ref, _ = lightning_forward_recurrent(T.tensor(x), w, gam, rope=rope)
-    y1, st = lightning_forward_chunked(T.tensor(x[:9]), w, gam, 4, rope=rope,
-                                       return_state=True)
-    y2 = lightning_forward_chunked(T.tensor(x[9:]), w, gam, 4, rope=rope, state=st)
+    y1, st = lightning_forward_chunked(T.tensor(x[:9]), w, gam, 4, rope=rope)
+    y2, _ = lightning_forward_chunked(T.tensor(x[9:]), w, gam, 4, rope=rope, state=st)
     assert max_rel_err(np.concatenate([y1.data, y2.data]), ref.data) < 1e-10
 
 
@@ -629,7 +626,7 @@ def test_lightning_backward_finite_diff():
     gam = gamma_slopes(2)
     rope = RopeParams(theta=200.0, head_dim=4)
     errs = [_fd_check_mixer(
-        lambda t: lightning_forward_chunked(t, w, gam, chunk=3, rope=rope),
+        lambda t: lightning_forward_chunked(t, w, gam, chunk=3, rope=rope)[0],
         rng.child(k).normal((5, 8))) for k in range(5)]
     assert max(errs) < 1e-4
 
@@ -643,7 +640,7 @@ def test_lightning_weight_gradients_finite_diff():
     probe = T.tensor(rng.child(98).normal((4, 6)))
     for name, tens in w.named():
         def f(t):
-            y = lightning_forward_chunked(x, w, gam, chunk=2)
+            y, _ = lightning_forward_chunked(x, w, gam, chunk=2)
             return T.add(T.sum_all(T.mul(y, probe)), T.scale(T.sum_all(t), 0.5))
 
         # smaller step: norm-of-small-vector curvature dominates at 1e-4

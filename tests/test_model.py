@@ -9,8 +9,8 @@ from hybridkit.mixers import KvCache, last_position
 from hybridkit.model import (DecodeSession, Model, ModelConfig, choice_logprobs,
                              capture_many, decode_step, desk_config, forward,
                              generate_greedy, init_hybrid_from_teacher,
-                             init_model, mean_nll, new_session, prefill,
-                             transformer_config)
+                             init_model, new_session, prefill,
+                             transformer_config, with_scaling)
 from hybridkit.positional import RopeParams, ScaleBase
 from hybridkit.tensor import ConfigError, Rng
 
@@ -256,6 +256,27 @@ def test_decode_scaling_uses_absolute_positions():
     assert max_rel_err(np.array(outs), full) < 1e-10
 
 
+def test_with_scaling_is_the_same_weights_under_another_scaling():
+    """A view, not a copy: every tensor is the source's; its logits are those
+    of the same weights built with the other base in the config."""
+    from dataclasses import replace
+
+    cfg = tiny_hybrid(L=3, I_attn=(0, 2))
+    model = init_model(cfg, seed=28)
+    base = ScaleBase(3.0)
+    view = with_scaling(model, base)
+    assert view.cfg == replace(cfg, scale_base=base) and model.cfg == cfg
+    assert [n for n, _ in view.named_parameters()] == [n for n, _ in model.named_parameters()]
+    assert all(a is b for a, b in zip(view.parameters(), model.parameters()))
+    toks = Rng(15).integers(0, cfg.vocab, size=(2, 40))
+    scaled = forward(view, toks).data
+    np.testing.assert_array_equal(
+        scaled, forward(init_model(replace(cfg, scale_base=base), seed=28), toks).data)
+    assert not np.array_equal(scaled, forward(model, toks).data)
+    np.testing.assert_array_equal(forward(with_scaling(view, None), toks).data,
+                                  forward(model, toks).data)
+
+
 def test_causality_shared_prefix_identical_logits():
     cfg = tiny_hybrid(L=2, I_attn=(0,))
     model = init_model(cfg, seed=12)
@@ -360,8 +381,8 @@ def _full_prefill_last_row(monkeypatch):
 
     real = hm.prefill
 
-    def full(model, session, tokens, scale_base="config", last_only=False):
-        logits = real(model, session, tokens, scale_base=scale_base)
+    def full(model, session, tokens, last_only=False):
+        logits = real(model, session, tokens)
         return last_position(logits) if last_only else logits
 
     monkeypatch.setattr(hm, "prefill", full)
@@ -424,11 +445,11 @@ class _FullRows:
     def __init__(self, model):
         self.model = model
 
-    def logits(self, tokens, scale_base="config"):
-        return forward(self.model, tokens, scale_base=scale_base).data
+    def logits(self, tokens):
+        return forward(self.model, tokens).data
 
-    def choice_logprobs(self, prefixes, choices, scale_base="config", eval_batch=16):
-        return reference_choice_logprobs(self, prefixes, choices, scale_base, eval_batch)
+    def choice_logprobs(self, prefixes, choices, eval_batch=16):
+        return reference_choice_logprobs(self, prefixes, choices, eval_batch)
 
 
 @pytest.mark.parametrize("scale_base", [None, ScaleBase(10.0)], ids=["plain", "scalebase"])
@@ -436,7 +457,7 @@ def test_choice_logprobs_match_full_row_formula(tol, scale_base, monkeypatch):
     import hybridkit.model as hm
 
     cfg = tiny_hybrid(L=3, I_attn=(0, 2), vocab=256)  # cloze tokens lie below 248
-    model = init_model(cfg, seed=24)
+    model = with_scaling(init_model(cfg, seed=24), scale_base)
     samples = gen_csr_proxy(seed=3, n=5, prefix_len=9, cont_len=4, n_choices=4)
     rows = []
     real = hm._advance
@@ -446,21 +467,21 @@ def test_choice_logprobs_match_full_row_formula(tol, scale_base, monkeypatch):
         return real(model, tokens, session, *args, **kwargs)
 
     monkeypatch.setattr(hm, "_advance", counting)
-    ref = _FullRows(model).choice_logprobs(samples.prefixes, samples.choices, scale_base)
+    ref = _FullRows(model).choice_logprobs(samples.prefixes, samples.choices)
     for eval_batch in (1, 3, 4, 6, 16):
         rows.clear()
         got = model.choice_logprobs(samples.prefixes, samples.choices,
-                                    scale_base=scale_base, eval_batch=eval_batch)
+                                    eval_batch=eval_batch)
         assert got.shape == (5, 4)
         assert max(rows) <= eval_batch
         assert max_rel_err(got, ref) < tol
         np.testing.assert_array_equal(got.argmax(axis=1), ref.argmax(axis=1))
-        assert (score_csr(model, samples, scale_base=scale_base, eval_batch=eval_batch)
-                == score_csr(_FullRows(model), samples, scale_base=scale_base))
+        assert (score_csr(model, samples, eval_batch=eval_batch)
+                == score_csr(_FullRows(model), samples))
     # one-token continuations come from the prefix pass alone
-    one = choice_logprobs(model, samples.prefixes, samples.choices[..., :1], scale_base)
+    one = choice_logprobs(model, samples.prefixes, samples.choices[..., :1])
     ref_one = reference_choice_logprobs(_FullRows(model), samples.prefixes,
-                                        samples.choices[..., :1], scale_base)
+                                        samples.choices[..., :1])
     assert max_rel_err(one, ref_one) < tol
 
 
@@ -573,20 +594,6 @@ def test_training_tape_keeps_no_gated_product(mode, monkeypatch):
 
 # --------------------------------------------------------------------------
 # misc
-
-def test_mean_nll_matches_manual_loop():
-    cfg = tiny_hybrid()
-    model = init_model(cfg, seed=18)
-    seq = Rng(5).integers(0, cfg.vocab, size=24)
-    got = mean_nll(model, seq)
-    logits = forward(model, seq[:-1]).data
-    ref = []
-    for i in range(len(seq) - 1):
-        row = logits[i] - logits[i].max()
-        logp = row - np.log(np.exp(row).sum())
-        ref.append(-logp[seq[i + 1]])
-    assert abs(got - np.mean(ref)) < 1e-10
-
 
 def test_config_validation():
     with pytest.raises(ConfigError):

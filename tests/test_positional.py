@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from hybridkit import tensor as T
 from hybridkit.positional import (DEFAULT_BASE_GRID, RopeParams, ScaleBase,
-                                  fit_scale_base, logits_scale, rope_apply,
-                                  scale_vector)
+                                  fit_scale_base, rope_apply, scale_vector)
 from hybridkit.tensor import ConfigError, Rng
 
 PARAMS = RopeParams(theta=10_000.0, head_dim=8)
@@ -173,16 +172,16 @@ def test_rope_finite_diff_past_position_zero():
 
 def test_scale_at_zero_is_one():
     for a in (1.5, 10.0, 500.0):
-        assert logits_scale(0, ScaleBase(a)) == 1.0
+        assert scale_vector(np.array([0]), ScaleBase(a))[0] == 1.0
 
 
 def test_scale_reaches_two_at_a_squared_minus_a():
     base = ScaleBase(500.0)
-    assert abs(logits_scale(500**2 - 500, base) - 2.0) < 1e-12
+    assert abs(scale_vector(np.array([500**2 - 500]), base)[0] - 2.0) < 1e-12
 
 
 def test_scale_direct_evaluation():
-    got = logits_scale(128_000, ScaleBase(500.0))
+    got = scale_vector(np.array([128_000]), ScaleBase(500.0))[0]
     assert abs(got - math.log(128_500) / math.log(500)) < 1e-15
     assert abs(got - 1.8927) < 5e-4
 
@@ -217,34 +216,37 @@ def test_fit_scale_base_single_candidate():
     from hybridkit.model import desk_config, init_model
 
     model = init_model(desk_config(L=1, I_attn=(0,), vocab=64), seed=0)
-    corpus = [Rng(0).integers(0, 64, size=48)]
-    got = fit_scale_base(model, corpus, [123.0])
+    corpus = Rng(0).integers(0, 64, size=48)
+    got = fit_scale_base(model, corpus, 47, [123.0])
     assert got.a == 123.0
 
 
 def test_fit_scale_base_matches_exhaustive_loss_oracle():
-    from hybridkit.model import desk_config, init_model, mean_nll
+    from hybridkit.model import desk_config, forward, init_model
 
     cfg = desk_config(L=1, I_attn=(0,), d=32, d_h=8, n_h=4, n_kv_heads=2,
                       ffn_width=48, vocab=64,
                       rope=RopeParams(theta=1000.0, head_dim=8))
     model = init_model(cfg, seed=3)
-    corpus = [Rng(i).integers(0, 64, size=96) for i in range(3)]
-    candidates = [2.0, 10.0, 100.0, 1000.0]
-    # oracle: evaluate every candidate loss independently
-    losses = {a: float(np.mean([mean_nll(model, s, scale_base=ScaleBase(a))
-                                for s in corpus])) for a in candidates}
+    ctx = 96
+    corpus = Rng(0).integers(0, 64, size=3 * ctx + 1)
+    rows = np.stack([corpus[i * ctx:(i + 1) * ctx + 1] for i in range(3)])
+    candidates = [1000.0, 2.0, 100.0, 10.0]
+    # oracle: every candidate's mean next-token loss over the same windows
+    losses = {a: float(T.cross_entropy(forward(model, rows[:, :-1], scale_base=ScaleBase(a)),
+                                       rows[:, 1:]).data) for a in candidates}
     best = min(sorted(candidates), key=lambda a: losses[a])
-    assert fit_scale_base(model, corpus, candidates).a == best
+    assert len(set(losses.values())) == len(candidates)
+    assert fit_scale_base(model, corpus, ctx, candidates).a == best
 
 
 def test_fit_scale_base_validates_inputs():
     with pytest.raises(ValueError):
-        fit_scale_base(None, [np.arange(4)], [])
+        fit_scale_base(None, np.arange(4), 3, [])
     with pytest.raises(ConfigError):
-        fit_scale_base(None, [np.arange(4)], [0.5])
+        fit_scale_base(None, np.arange(4), 3, [0.5])
     with pytest.raises(ValueError):
-        fit_scale_base(None, [], [10.0])
+        fit_scale_base(None, np.arange(1), 3, [10.0])
 
 
 def test_default_grid_covers_reported_bases():
