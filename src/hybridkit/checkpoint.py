@@ -6,6 +6,11 @@ offset/length), then the raw little-endian tensor payload.  Offsets are
 ascending, non-overlapping, and cover the payload exactly; loading what was
 saved reproduces every tensor bit for bit (tensors are stored in their
 native precision, recorded per entry by the dtype code).
+
+A model header's config lists the `ModelConfig` fields.  Older headers also
+carry keys for switches that are now fixed conventions (`RETIRED_KEYS`);
+such a header loads when each key holds the one value the model keeps, and
+is refused, naming the key, otherwise.  New headers omit these keys.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .fileio import write_atomic
 from .mixers import MIXER_FIELDS
 from .model import (LayerWeights, MixerWeights, MlpWeights, Model, ModelConfig)
 from .positional import RopeParams, ScaleBase
-from .tensor import Tensor
+from .tensor import ConfigError, Tensor
 
 MAGIC = b"HYPENET1"
 
@@ -135,6 +140,11 @@ def _index_entry(path, entry) -> tuple[str, np.dtype, tuple[int, ...], int, int]
 # model (de)serialization
 
 def config_to_dict(cfg: ModelConfig) -> dict:
+    """The header form of `cfg`; raises ConfigError for a logits scaling
+    other than None or a ScaleBase, which a header cannot record."""
+    if not (cfg.scale_base is None or isinstance(cfg.scale_base, ScaleBase)):
+        raise ConfigError(f"a checkpoint cannot record the logits scaling "
+                          f"{cfg.scale_base!r}, only a ScaleBase or none")
     d = asdict(cfg)
     d["rope"] = {"theta": cfg.rope.theta, "head_dim": cfg.rope.head_dim}
     d["scale_base"] = None if cfg.scale_base is None else cfg.scale_base.a
@@ -156,6 +166,8 @@ def _layer_kinds(cfg: ModelConfig) -> list[str]:
 
 
 def save_model(path, model: Model) -> None:
+    """Write `model` to `path`; raises ConfigError, writing nothing, when
+    its config cannot be recorded (see `config_to_dict`)."""
     tensors = {name: t.data for name, t in model.named_parameters()}
     config = {"kind": "model", "model": config_to_dict(model.cfg),
               "layer_kinds": _layer_kinds(model.cfg)}
@@ -207,26 +219,34 @@ class _Reader:
             raise CheckpointError(f"{self.path}: unexpected tensor {extra[0]!r}")
 
 
+# header keys of retired switches, each with the one value the model keeps
+RETIRED_KEYS = {"rnn_kind": "lightning", "pe_rnn": "rope", "tie_embeddings": True,
+                "attn_qk_norm": True, "rnn_qk_norm": True, "rnn_gate": True}
+
+
 def load_model(path) -> Model:
     """Load a model checkpoint.
 
-    Raises CheckpointError when a required tensor is missing, a tensor's
-    shape disagrees with the stored config, a tensor is not part of the
-    model, or the stored layer kinds disagree with the config's I_attn.
+    Raises CheckpointError when the stored config is malformed or holds a
+    retired key with another value than the one the model keeps, a required
+    tensor is missing, a tensor's shape disagrees with the stored config, a
+    tensor is not part of the model, or the stored layer kinds disagree with
+    the config's I_attn.
     """
     config, tensors = load_tensors(path)
     if config.get("kind") != "model":
         raise CheckpointError(f"{path}: not a model checkpoint")
     try:
         stored = dict(config["model"])
-        # older headers name the RNN family, which can only be Lightning
-        rnn_kind = stored.pop("rnn_kind", "lightning")
+        for key, kept in RETIRED_KEYS.items():
+            value = stored.pop(key, kept)
+            if value != kept or type(value) is not type(kept):
+                raise CheckpointError(f"{path}: unsupported {key} {json.dumps(value)}; "
+                                      f"only {json.dumps(kept)} is supported")
         cfg = config_from_dict(stored)
         kinds = list(config["layer_kinds"])
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ConfigError) as e:
         raise CheckpointError(f"{path}: malformed model config ({e!r})") from None
-    if rnn_kind != "lightning":
-        raise CheckpointError(f"{path}: unsupported RNN kind {rnn_kind!r}")
     if kinds != _layer_kinds(cfg):
         raise CheckpointError(f"{path}: layer kinds {kinds} disagree with "
                               f"I_attn={list(cfg.I_attn)} for L={cfg.L}")
@@ -245,10 +265,9 @@ def load_model(path) -> Model:
                            r.take(p + "mlp.w_down", (f, d))),
         ))
     embed = r.take("embed", (cfg.vocab, d))
-    unembed = None if cfg.tie_embeddings else r.take("unembed", (cfg.vocab, d))
     final_gain = r.take("final_gain", (d,))
     r.finish()
-    return Model(cfg, embed, layers, final_gain, unembed)
+    return Model(cfg, embed, layers, final_gain)
 
 
 def save_mixer(path, mixer: MixerWeights, meta: dict | None = None) -> None:

@@ -1,7 +1,8 @@
 """Operator command line.
 
-Subcommands: train, halo, select-layers, distill, finetune, eval, bench,
-inspect.  Global flags: --seed, --precision {extended,standard}, --threads N,
+Subcommands: train, halo, eval, bench, inspect; `halo --stage` runs one
+HALO stage (1, select, 2 or 3) from the artifacts of the earlier ones.
+Global flags: --seed, --precision {extended,standard}, --threads N,
 --dry-run.  Exit codes: 0 success, 2 configuration error, 3 runtime abort.
 
 Heavy imports happen inside handlers so --threads can pin BLAS thread counts
@@ -41,22 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("out", help="output directory")
     h.add_argument("--stage", choices=("all", "1", "select", "2", "3"),
                    default="all", help="run one stage from persisted artifacts")
-
-    s = sub.add_parser("select-layers", help="score layers and pick attention set")
-    s.add_argument("teacher", help="teacher checkpoint")
-    s.add_argument("stage1_dir", help="directory with stage1_layer*.ckpt")
-    s.add_argument("--config", default=None, help="run-config JSON path")
-
-    d = sub.add_parser("distill", help="stage-2 distillation from artifacts")
-    d.add_argument("teacher", help="teacher checkpoint")
-    d.add_argument("hybrid", help="assembled hybrid checkpoint")
-    d.add_argument("config", help="run-config JSON path")
-    d.add_argument("out", help="checkpoint output path")
-
-    f = sub.add_parser("finetune", help="stage-3 long-context finetuning")
-    f.add_argument("ckpt", help="hybrid checkpoint")
-    f.add_argument("config", help="run-config JSON path")
-    f.add_argument("out", help="checkpoint output path")
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
     e.add_argument("ckpt")
@@ -124,9 +109,6 @@ def _dispatch(args) -> int:
     handler = {
         "train": cmd_train,
         "halo": cmd_halo,
-        "select-layers": cmd_select_layers,
-        "distill": cmd_distill,
-        "finetune": cmd_finetune,
         "eval": cmd_eval,
         "bench": cmd_bench,
         "inspect": cmd_inspect,
@@ -245,12 +227,12 @@ def cmd_halo(args) -> int:
     hc = rc.halo
     teacher = load_model(args.teacher)
     k = halo.check_teacher(teacher, hc)  # a bad k or vocab fails before any stage
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.dry_run:
         print(json.dumps({"stages": args.stage, "teacher_params": teacher.num_params(),
                           "k": k}, indent=2))
         return 0
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     paths = _halo_paths(out)
     stages = ("1", "select", "2", "3") if args.stage == "all" else (args.stage,)
     alone = len(stages) == 1  # a stage run alone reads its inputs from out
@@ -266,8 +248,7 @@ def cmd_halo(args) -> int:
         I_attn = _select(teacher, aligned, hc, paths)
     if "2" in stages:
         if alone:
-            I_attn = json.loads(_require(paths["selection"], "selection artifact")
-                                .read_text())["I_attn"]
+            I_attn = _load_selection(paths["selection"], teacher.cfg.L)
             aligned = _load_stage1(teacher.cfg.L, paths)
         hybrid = halo.assemble_hybrid(teacher, I_attn, aligned, hc.seed)
         save_model(paths["hybrid_init"], hybrid)
@@ -289,6 +270,22 @@ def _require(path: Path, what: str) -> Path:
     if not path.exists():
         raise CheckpointError(f"missing {what}: {path}")
     return path
+
+
+def _load_selection(path: Path, L: int) -> list[int]:
+    """The I_attn of a selection artifact: distinct layer indices in [0, L).
+    Raises CheckpointError, naming the file, for a missing or malformed one."""
+    from .checkpoint import CheckpointError
+
+    try:
+        I_attn = json.loads(_require(path, "selection artifact").read_text())["I_attn"]
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise CheckpointError(f"{path}: malformed selection ({e!r})") from None
+    if not (isinstance(I_attn, list) and all(type(i) is int and 0 <= i < L for i in I_attn)
+            and len(set(I_attn)) == len(I_attn)):
+        raise CheckpointError(f"{path}: I_attn must be a list of distinct layer "
+                              f"indices in [0, {L}), got {json.dumps(I_attn)}")
+    return I_attn
 
 
 def _load_stage1(L: int, paths: dict) -> dict:
@@ -322,44 +319,6 @@ def _select(teacher, aligned: dict, hc, paths: dict) -> tuple:
     print("\n".join(lines))
     print(f"selected I_attn = {list(I_attn)}")
     return I_attn
-
-
-def cmd_select_layers(args) -> int:
-    from .checkpoint import load_model
-    from .runconfig import RunConfig, load_run_config
-
-    teacher = load_model(args.teacher)
-    rc = (load_run_config(args.config, seed_override=args.seed)
-          if args.config else RunConfig({}, seed_override=args.seed))
-    paths = _halo_paths(Path(args.stage1_dir))
-    _select(teacher, _load_stage1(teacher.cfg.L, paths), rc.halo, paths)
-    return 0
-
-
-def cmd_distill(args) -> int:
-    from .checkpoint import load_model, save_model
-    from .halo import run_stage2
-    from .runconfig import load_run_config
-
-    rc = load_run_config(args.config, seed_override=args.seed)
-    teacher, hybrid = load_model(args.teacher), load_model(args.hybrid)
-    report = run_stage2(teacher, hybrid, rc.halo)
-    save_model(args.out, hybrid)
-    _write_report(report, f"{args.out}.report.jsonl")
-    return 0
-
-
-def cmd_finetune(args) -> int:
-    from .checkpoint import load_model, save_model
-    from .halo import run_stage3
-    from .runconfig import load_run_config
-
-    rc = load_run_config(args.config, seed_override=args.seed)
-    hybrid = load_model(args.ckpt)
-    report = run_stage3(hybrid, rc.halo)
-    save_model(args.out, hybrid)
-    _write_report(report, f"{args.out}.report.jsonl")
-    return 0
 
 
 # --------------------------------------------------------------------------

@@ -39,9 +39,9 @@ from .data import StreamConfig, TokenStream, check_vocab
 from .evals import RcSuite, build_rc_suite, score_csr, score_recall
 from .fileio import write_text_atomic
 from .mixers import MixerWeights, lightning_forward_chunked
-from .model import (Model, capture_many, forward, hybrid_config,
-                    init_hybrid_from_teacher, init_rnn_from_attention)
-from .tensor import ConfigError, Rng, Tape, Tensor
+from .model import (Model, capture_many, forward, init_hybrid_from_teacher,
+                    init_rnn_from_attention)
+from .tensor import ConfigError, Rng, Tape, Tensor, check_count
 
 
 class TrainingDiverged(RuntimeError):
@@ -50,13 +50,6 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, stage: str, report: "StageReport"):
         super().__init__(f"{stage}: loss became non-finite at step {len(report.losses) - 1}")
         self.report = report
-
-
-def _check_count(name: str, value, lo: int) -> None:
-    """Raise ConfigError unless `value` is an integer (not a bool) >= lo."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
-        what = "a non-negative integer" if lo == 0 else f"an integer >= {lo}"
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,9 +70,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("steps", "warmup_steps", "seed"):
-            _check_count(name, getattr(self, name), 0)
+            check_count(name, getattr(self, name), 0)
         for name in ("batch_size", "context_len"):
-            _check_count(name, getattr(self, name), 1)
+            check_count(name, getattr(self, name), 1)
         if self.lr_min > self.lr_max:
             raise ConfigError(f"lr_min {self.lr_min} exceeds lr_max {self.lr_max}")
         if self.warmup_steps > self.steps:
@@ -284,7 +277,6 @@ def stage1_align_all(teacher: Model, layers: Sequence[int], stream: TokenStream,
     error on a fixed probe batch lands in each report's final_metrics.
     """
     layers = [int(l) for l in layers]
-    hyb_cfg = hybrid_config(teacher.cfg, I_attn=())
     seed_rng = Rng(cfg.seed, (17,))
     candidates: dict[int, MixerWeights] = {}
     opt_states: dict[int, AdamWState] = {}
@@ -292,8 +284,7 @@ def stage1_align_all(teacher: Model, layers: Sequence[int], stream: TokenStream,
     for l in layers:
         if l not in teacher.cfg.I_attn:
             raise ConfigError(f"teacher layer {l} is not attention")
-        candidates[l] = init_rnn_from_attention(teacher.layers[l].mixer, hyb_cfg,
-                                                seed_rng.child(l))
+        candidates[l] = init_rnn_from_attention(teacher.layers[l].mixer, seed_rng.child(l))
         opt_states[l] = AdamWState()
         reports[l] = StageReport(stage=f"stage1/layer{l}")
     params = {l: dict(candidates[l].named()) for l in layers}
@@ -352,19 +343,17 @@ def candidate_model(teacher: Model, layer: int, rnn_weights: MixerWeights) -> Mo
     """The teacher with exactly one mixer swapped for (a copy of) its aligned RNN.
 
     Nothing else changes: remaining attention layers keep their rotary
-    encoding and the teacher's logits scaling, and the swapped layer
-    follows the hybrid RNN conventions.
+    encoding and the teacher's logits scaling, and the swapped layer is an
+    RNN layer like any other.
     Every other tensor (embedding, final gain, the other layers, the
     swapped layer's norms and MLP) is the teacher's own, shared rather than
     copied, so the candidate is for evaluation only: training it would
     train the teacher.
     """
-    cfg = replace(teacher.cfg,
-                  I_attn=tuple(i for i in teacher.cfg.I_attn if i != layer),
-                  pe_rnn="rope")
+    cfg = replace(teacher.cfg, I_attn=tuple(i for i in teacher.cfg.I_attn if i != layer))
     layers = list(teacher.layers)
     layers[layer] = replace(layers[layer], mixer=rnn_weights.copy())
-    return Model(cfg, teacher.embed, layers, teacher.final_gain, teacher.unembed)
+    return Model(cfg, teacher.embed, layers, teacher.final_gain)
 
 
 def evaluate_RC(model: Model, suite: RcSuite) -> tuple[float, float]:
@@ -449,9 +438,9 @@ class HaloConfig:
 
     def __post_init__(self):
         if self.k is not None:
-            _check_count("halo.k", self.k, 1)
-        _check_count("halo.rc_samples", self.rc_samples, 1)
-        _check_count("halo.rc_seed", self.rc_seed, 0)
+            check_count("halo.k", self.k, 1)
+        check_count("halo.rc_samples", self.rc_samples, 1)
+        check_count("halo.rc_seed", self.rc_seed, 0)
 
 
 def resolve_k(k: int | None, L: int) -> int:

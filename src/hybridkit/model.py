@@ -2,17 +2,20 @@
 
 A model is a list of layers; layer l uses softmax attention when l is in
 the config's attention index set `I_attn` and a Lightning RNN mixer
-otherwise; `I_attn` is the only record of a layer's kind.  The hybrid
-position convention keeps rotary encoding inside RNN layers and leaves
-attention layers position-free (positions then enter attention only
-through causality).  The config's `scale_base` is the logits scaling the
-model applies at inference; `with_scaling` gives the same weights under
-another scaling, and training runs `forward(..., scale_base=None)`.
+otherwise; `I_attn` is the only record of a layer's kind.  HypeNet's
+conventions are fixed, not configured: every layer is built with QK-norm,
+RNN layers always carry rotary encoding and output gates, and the embedding
+doubles as the unembedding.  Only what differs between a teacher and a
+hybrid is configured: `pe_attention` (the hybrid leaves attention
+position-free, so positions enter it only through causality) and
+`attn_gate`.  The config's `scale_base` is the logits scaling the model
+applies at inference; `with_scaling` gives the same weights under another
+scaling, and training runs `forward(..., scale_base=None)`.
 
 One layer computes (all norms are RMSNorm):
     H = Mixer(Norm(X)) + X
     X' = MLP(Norm(H)) + H
-and the stack ends with a final norm and the (tied) unembedding.
+and the stack ends with a final norm and the tied unembedding.
 """
 
 from __future__ import annotations
@@ -26,13 +29,15 @@ from .mixers import (KvCache, MixerWeights, RecurrentState, attention_forward,
                      gamma_slopes, gqa_to_mha_clone, last_position,
                      lightning_forward_chunked)
 from .positional import ConstantScale, RopeParams, ScaleBase
-from .tensor import ConfigError, Rng, Tensor
+from .tensor import ConfigError, Rng, Tensor, check_count
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture description; `I_attn` lists the attention layer indices
-    and every other layer is a Lightning RNN layer."""
+    and every other layer is a Lightning RNN layer.  Raises ConfigError,
+    naming the field, for a count that is not an integer >= 1 (L may be 0)
+    and for inconsistent fields."""
 
     L: int
     I_attn: tuple[int, ...]
@@ -45,26 +50,21 @@ class ModelConfig:
     rope: RopeParams
     scale_base: ScaleBase | ConstantScale | None = None
     pe_attention: str = "nope"   # "rope" | "nope"
-    pe_rnn: str = "rope"
-    tie_embeddings: bool = True
-    attn_qk_norm: bool = True
-    rnn_qk_norm: bool = True
     attn_gate: bool = False
-    rnn_gate: bool = True
     chunk: int = 64
 
     def __post_init__(self):
-        if self.L < 0:
-            raise ConfigError(f"layer count must be >= 0, got {self.L}")
+        check_count("L", self.L, 0)
+        for name in ("d", "d_h", "n_h", "n_kv_heads", "ffn_width", "vocab", "chunk"):
+            check_count(name, getattr(self, name), 1)
         if any(i < 0 or i >= self.L for i in self.I_attn):
             raise ConfigError(f"I_attn {self.I_attn} out of range for L={self.L}")
         if tuple(sorted(set(self.I_attn))) != tuple(self.I_attn):
             raise ConfigError("I_attn must be sorted and duplicate-free")
         if self.n_h % self.n_kv_heads != 0:
             raise ConfigError(f"n_h={self.n_h} not divisible by n_kv_heads={self.n_kv_heads}")
-        for name in ("pe_attention", "pe_rnn"):
-            if getattr(self, name) not in ("rope", "nope"):
-                raise ConfigError(f"{name} must be 'rope' or 'nope'")
+        if self.pe_attention not in ("rope", "nope"):
+            raise ConfigError(f"pe_attention must be 'rope' or 'nope', got {self.pe_attention!r}")
         if self.rope.head_dim != self.d_h:
             raise ConfigError(f"rope head_dim {self.rope.head_dim} != d_h {self.d_h}")
 
@@ -126,29 +126,18 @@ class LayerWeights:
 
 
 class Model:
-    """Weights plus config; embedding doubles as unembedding when tied."""
+    """Weights plus config; the embedding doubles as the unembedding."""
 
     def __init__(self, cfg: ModelConfig, embed: Tensor, layers: list[LayerWeights],
-                 final_gain: Tensor, unembed: Tensor | None = None):
-        if cfg.tie_embeddings and unembed is not None:
-            raise ConfigError("tied model must not carry a separate unembedding")
-        if not cfg.tie_embeddings and unembed is None:
-            raise ConfigError("untied model needs an unembedding matrix")
+                 final_gain: Tensor):
         self.cfg = cfg
         self.embed = embed
-        self.unembed = unembed
         self.layers = layers
         self.final_gain = final_gain
         self.gammas = gamma_slopes(cfg.n_h)
 
-    @property
-    def out_matrix(self) -> Tensor:
-        return self.embed if self.cfg.tie_embeddings else self.unembed
-
     def named_parameters(self):
         yield "embed", self.embed
-        if self.unembed is not None:
-            yield "unembed", self.unembed
         for i, lw in enumerate(self.layers):
             yield from lw.named(f"layers.{i}.")
         yield "final_gain", self.final_gain
@@ -162,8 +151,7 @@ class Model:
 
     def copy(self) -> "Model":
         return Model(self.cfg, self.embed.copy(), [lw.copy() for lw in self.layers],
-                     self.final_gain.copy(),
-                     None if self.unembed is None else self.unembed.copy())
+                     self.final_gain.copy())
 
     def state_bytes(self) -> bytes:
         """Concatenated raw bytes of all parameters (frozen-weight checks)."""
@@ -186,7 +174,7 @@ def with_scaling(model: Model, base) -> Model:
     ConstantScale): a view that shares every tensor with `model` and copies
     none, so training it would train `model`."""
     return Model(replace(model.cfg, scale_base=base), model.embed, model.layers,
-                 model.final_gain, model.unembed)
+                 model.final_gain)
 
 
 # --------------------------------------------------------------------------
@@ -196,20 +184,18 @@ def _init_mixer(rng: Rng, cfg: ModelConfig, attn: bool) -> MixerWeights:
     d, d_h = cfg.d, cfg.d_h
     n_h = cfg.n_h
     n_kv = cfg.n_kv_heads if attn else cfg.n_h
-    qk_norm = cfg.attn_qk_norm if attn else cfg.rnn_qk_norm
-    gate = cfg.attn_gate if attn else cfg.rnn_gate
-    w = MixerWeights(
+    gate = cfg.attn_gate if attn else True
+    return MixerWeights(
         n_h=n_h, n_kv_heads=n_kv, d_h=d_h,
         w_q=T.param(rng.child(0), (d, n_h * d_h)),
         w_k=T.param(rng.child(1), (d, n_kv * d_h)),
         w_v=T.param(rng.child(2), (d, n_kv * d_h)),
         w_o=T.param(rng.child(3), (d, n_h * d_h)),
         w_z=T.param(rng.child(4), (d, n_h * d_h)) if gate else None,
-        qk_gain_q=T.ones((n_h, 1, d_h), requires_grad=True) if qk_norm else None,
-        qk_gain_k=T.ones((n_kv, 1, d_h), requires_grad=True) if qk_norm else None,
+        qk_gain_q=T.ones((n_h, 1, d_h), requires_grad=True),
+        qk_gain_k=T.ones((n_kv, 1, d_h), requires_grad=True),
         out_gain=T.ones((n_h, 1, d_h), requires_grad=True) if gate else None,
     )
-    return w
 
 
 def init_model(cfg: ModelConfig, seed: int) -> Model:
@@ -231,11 +217,10 @@ def init_model(cfg: ModelConfig, seed: int) -> Model:
             mlp=mlp,
         ))
     embed = T.param(rng.child(1), (cfg.vocab, cfg.d))
-    unembed = None if cfg.tie_embeddings else T.param(rng.child(2), (cfg.vocab, cfg.d))
-    return Model(cfg, embed, layers, T.ones((cfg.d,), requires_grad=True), unembed)
+    return Model(cfg, embed, layers, T.ones((cfg.d,), requires_grad=True))
 
 
-def init_rnn_from_attention(attn: MixerWeights, cfg: ModelConfig, rng: Rng) -> MixerWeights:
+def init_rnn_from_attention(attn: MixerWeights, rng: Rng) -> MixerWeights:
     """Weight transfer: clone attention projections into an RNN mixer.
 
     GQA KV heads are decoupled first; the output gate is fresh (normal 0.02
@@ -244,10 +229,9 @@ def init_rnn_from_attention(attn: MixerWeights, cfg: ModelConfig, rng: Rng) -> M
     """
     w = gqa_to_mha_clone(attn, attn.group_size)
     d, n_h, d_h = w.d, w.n_h, w.d_h
-    if cfg.rnn_gate:
-        w.w_z = T.param(rng.child(0), (d, n_h * d_h))
-        w.out_gain = T.ones((n_h, 1, d_h), requires_grad=True)
-    if cfg.rnn_qk_norm and w.qk_gain_q is None:
+    w.w_z = T.param(rng.child(0), (d, n_h * d_h))
+    w.out_gain = T.ones((n_h, 1, d_h), requires_grad=True)
+    if w.qk_gain_q is None:
         w.qk_gain_q = T.ones((n_h, 1, d_h), requires_grad=True)
         w.qk_gain_k = T.ones((n_h, 1, d_h), requires_grad=True)
     return w
@@ -256,12 +240,13 @@ def init_rnn_from_attention(attn: MixerWeights, cfg: ModelConfig, rng: Rng) -> M
 def hybrid_config(teacher_cfg: ModelConfig, I_attn) -> ModelConfig:
     """The hybrid conventions applied to a teacher's architecture.
 
-    Attention at I_attn without rotary encoding, Lightning RNN layers with
-    rotary encoding elsewhere, output gates on both, no logits scaling.
+    Attention at I_attn without rotary encoding and with output gates, no
+    logits scaling.  The Lightning RNN layers elsewhere need no setting:
+    rotary encoding, QK-norm and output gates are fixed parts of every RNN
+    layer.
     """
     return replace(teacher_cfg, I_attn=tuple(sorted(int(i) for i in I_attn)),
-                   pe_attention="nope", pe_rnn="rope", attn_gate=True,
-                   rnn_gate=True, scale_base=None)
+                   pe_attention="nope", attn_gate=True, scale_base=None)
 
 
 def init_hybrid_from_teacher(teacher: Model, I_attn, seed: int = 0) -> Model:
@@ -284,15 +269,14 @@ def init_hybrid_from_teacher(teacher: Model, I_attn, seed: int = 0) -> Model:
             mixer.w_z = T.param(rng.child(2 * l), (cfg.d, cfg.n_h * cfg.d_h))
             mixer.out_gain = T.ones((cfg.n_h, 1, cfg.d_h), requires_grad=True)
         else:
-            mixer = init_rnn_from_attention(tlw.mixer, cfg, rng.child(2 * l + 1))
+            mixer = init_rnn_from_attention(tlw.mixer, rng.child(2 * l + 1))
         layers.append(LayerWeights(
             mixer=mixer,
             pre_mixer_gain=tlw.pre_mixer_gain.copy(),
             pre_mlp_gain=tlw.pre_mlp_gain.copy(),
             mlp=tlw.mlp.copy(),
         ))
-    unembed = None if cfg.tie_embeddings else teacher.unembed.copy()
-    return Model(cfg, teacher.embed.copy(), layers, teacher.final_gain.copy(), unembed)
+    return Model(cfg, teacher.embed.copy(), layers, teacher.final_gain.copy())
 
 
 # --------------------------------------------------------------------------
@@ -344,10 +328,9 @@ def _mixer_apply(model: Model, l: int, h: Tensor, session: DecodeSession | None,
         cache = session.states[l] if session is not None else None
         return attention_forward(h, lw.mixer, rope=rope, scale_base=cfg.scale_base,
                                  start_pos=start_pos, cache=cache, last_only=last_only)
-    rope = cfg.rope if cfg.pe_rnn == "rope" else None
     state = session.states[l] if session is not None else None
     y, new_state = lightning_forward_chunked(
-        h, lw.mixer, model.gammas, cfg.chunk, rope=rope, state=state)
+        h, lw.mixer, model.gammas, cfg.chunk, rope=cfg.rope, state=state)
     if session is not None:
         session.states[l] = new_state
     return last_position(y) if last_only else y
@@ -391,7 +374,7 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
         x = T.add(x, T.gated_matmul(T.silu(T.matmul(m_in, mlp.w_gate)),
                                     T.matmul(m_in, mlp.w_up), mlp.w_down))
     x = T.rmsnorm(x, model.final_gain)
-    logits = T.matmul(x, T.swap_last(model.out_matrix))
+    logits = T.matmul(x, T.swap_last(model.embed))
     if session is not None:
         session.pos = start_pos + tokens.shape[1]
     return T.reshape(logits, logits.shape[1:]) if squeeze else logits

@@ -8,7 +8,7 @@ an integer); null is allowed only where the default is null.
 
 model keys (defaults in parentheses):
   arch ("hypenet")          "transformer" (attention-only) or "hypenet"
-  L (8)                     layer count
+  L (8)                     layer count, >= 0
   d (256)                   hidden size, channels
   d_h (64)                  head width, channels
   n_h (4)                   query heads
@@ -20,16 +20,14 @@ model keys (defaults in parentheses):
                             a Lightning RNN layer; null = arch default
                             (all layers / every fourth layer from 0)
   pe_attention (null)       "rope"|"nope"; null = arch default
-  pe_rnn ("rope")           position encoding inside RNN layers
-  tie_embeddings (true)     share the unembedding with the embedding
-  attn_qk_norm (true)       QK-RMSNorm in attention layers
-  rnn_qk_norm (true)        QK-RMSNorm in RNN layers
   attn_gate (null)          output gates on attention; null = arch default
-  rnn_gate (true)           output gates on RNN layers
   chunk (64)                chunk width of the RNN training form, tokens
   scale_base (null)         attention-logits scaling base a (> 1), or null;
                             saved in the checkpoint and applied at
                             inference, never in training (s_t = 1)
+d, d_h, n_h, n_kv_heads, ffn_width, vocab and chunk are integers >= 1.
+Fixed, not keys: RNN layers carry rotary encoding, QK-norm and output
+gates, attention layers QK-norm, and the unembedding is the embedding.
 
 train keys:
   steps (600)               optimizer steps
@@ -69,9 +67,7 @@ from .tensor import ConfigError
 MODEL_DEFAULTS = {
     "arch": "hypenet", "L": 8, "d": 256, "d_h": 64, "n_h": 4, "n_kv_heads": 2,
     "ffn_width": 768, "vocab": 512, "rope_theta": 50_000.0, "I_attn": None,
-    "pe_attention": None, "pe_rnn": "rope", "tie_embeddings": True,
-    "attn_qk_norm": True, "rnn_qk_norm": True, "attn_gate": None,
-    "rnn_gate": True, "chunk": 64, "scale_base": None,
+    "pe_attention": None, "attn_gate": None, "chunk": 64, "scale_base": None,
 }
 
 # the keys TrainConfig reads; a halo stage section accepts only these
@@ -147,11 +143,13 @@ def _merge(section: str, user, defaults: dict) -> dict:
     return out
 
 
-def _train_config(section: str, values: dict) -> TrainConfig:
+def _naming(prefix: str, make):
+    """make(), with `prefix`, which names the run-config keys, put before the
+    message of any ConfigError it raises."""
     try:
-        return TrainConfig(**values)
+        return make()
     except ConfigError as e:
-        raise ConfigError(f"{section}: {e}") from None
+        raise ConfigError(f"{prefix}{e}") from None
 
 
 def build_model_config(md: dict) -> ModelConfig:
@@ -170,11 +168,14 @@ def build_model_config(md: dict) -> ModelConfig:
         md["pe_attention"] = "rope" if arch == "transformer" else "nope"
     if md["attn_gate"] is None:
         md["attn_gate"] = arch != "transformer"
-    theta = md.pop("rope_theta")
-    md["rope"] = RopeParams(theta=float(theta), head_dim=md["d_h"])
-    sb = md.pop("scale_base")
-    md["scale_base"] = None if sb is None else ScaleBase(float(sb))
-    return ModelConfig(**md)
+    theta, sb = md.pop("rope_theta"), md.pop("scale_base")
+    # the rotary head width is d_h
+    md["rope"] = _naming("model.d_h / model.rope_theta: ",
+                         lambda: RopeParams(theta=float(theta), head_dim=md["d_h"]))
+    md["scale_base"] = None if sb is None else _naming("model.scale_base: ",
+                                                       lambda: ScaleBase(float(sb)))
+    # ModelConfig's messages begin with the field's name
+    return _naming("model.", lambda: ModelConfig(**md))
 
 
 def build_train_config(td: dict, seed_override: int | None = None) -> tuple[TrainConfig, str]:
@@ -182,7 +183,7 @@ def build_train_config(td: dict, seed_override: int | None = None) -> tuple[Trai
     data = td.pop("data")
     if seed_override is not None:
         td["seed"] = seed_override
-    return _train_config("train", td), data
+    return _naming("train: ", lambda: TrainConfig(**td)), data
 
 
 def build_halo_config(hd: dict, seed_override: int | None = None) -> HaloConfig:
@@ -194,7 +195,7 @@ def build_halo_config(hd: dict, seed_override: int | None = None) -> HaloConfig:
         sd = _merge(f"halo.{name}", hd[name], HALO_STAGE_DEFAULTS[name])
         if seed_override is not None:
             sd["seed"] = seed_override
-        stages[name] = _train_config(f"halo.{name}", sd)
+        stages[name] = _naming(f"halo.{name}: ", lambda: TrainConfig(**sd))
     return HaloConfig(stage1=stages["stage1"], stage2=stages["stage2"],
                       stage3=stages["stage3"], data_kind=hd["data"],
                       k=hd["k"], rc_samples=hd["rc_samples"],

@@ -39,6 +39,14 @@ class ConfigError(ValueError):
     """A configuration value violates its contract."""
 
 
+def check_count(name: str, value, lo: int) -> None:
+    """Raise ConfigError, naming `name`, unless `value` is an integer (not a
+    bool) >= lo."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        what = "a non-negative integer" if lo == 0 else f"an integer >= {lo}"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 # --------------------------------------------------------------------------
 # precision
 

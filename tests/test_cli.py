@@ -15,7 +15,7 @@ from hybridkit.checkpoint import (MAGIC, CheckpointError, load_mixer,
                                   save_model, save_tensors)
 from hybridkit.cli import main
 from hybridkit.model import desk_config, forward, init_model, with_scaling
-from hybridkit.positional import RopeParams
+from hybridkit.positional import ConstantScale, RopeParams
 from hybridkit.runconfig import RunConfig, build_halo_config, load_run_config
 from hybridkit.tensor import ConfigError, Rng
 
@@ -68,6 +68,17 @@ def test_checkpoint_double_roundtrip_stable(tmp_path):
     save_model(p1, model)
     save_model(p2, load_model(p1))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_save_model_refuses_a_constant_scaling_and_writes_nothing(tmp_path):
+    """A header records a ScaleBase or no scaling; a ConstantScale view is an
+    eval-time ablation and is refused before the file is opened."""
+    cfg = desk_config(L=1, I_attn=(0,), d=16, d_h=4, n_h=4, n_kv_heads=2,
+                      ffn_width=24, vocab=64, rope=RopeParams(theta=100.0, head_dim=4))
+    path = tmp_path / "const.ckpt"
+    with pytest.raises(ConfigError, match=r"ConstantScale\(s=1.5\)"):
+        save_model(path, with_scaling(init_model(cfg, seed=2), ConstantScale(1.5)))
+    assert not path.exists() and not any(tmp_path.iterdir())
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -343,7 +354,17 @@ BAD_TRAIN_VALUES = [
     ({"model": {"L": True}}, "model.L"),
     ({"model": {"I_attn": [0, "a"]}}, "model.I_attn"),
     ({"model": {"scale_base": "2"}}, "model.scale_base"),
-    ({"model": {"tie_embeddings": None}}, "model.tie_embeddings"),
+    ({"model": {"scale_base": 0.5}}, "model.scale_base"),
+    ({"model": {"rope_theta": 0}}, "model.rope_theta"),
+    ({"model": {"attn_gate": 1}}, "model.attn_gate"),
+    ({"model": {"L": -1}}, "model.L"),
+    ({"model": {"d": 0}}, "model.d"),
+    ({"model": {"d_h": 0}}, "model.d_h"),
+    ({"model": {"n_h": 0}}, "model.n_h"),
+    ({"model": {"n_kv_heads": 0}}, "model.n_kv_heads"),
+    ({"model": {"ffn_width": 0}}, "model.ffn_width"),
+    ({"model": {"vocab": 0}}, "model.vocab"),
+    ({"model": {"chunk": 0}}, "model.chunk"),
     ({"train": {"grad_clip": "a"}}, "train.grad_clip"),
     ({"train": {"data": 3}}, "train.data"),
     ({"train": {"data": "nope"}}, "train.data"),
@@ -652,17 +673,26 @@ def test_checkpoint_layer_kinds_must_agree_with_I_attn(tiny_ckpt, tmp_path, caps
         assert "layer kinds" in capsys.readouterr().err
 
 
-def test_checkpoint_header_naming_lightning_rnn_kind_loads(tmp_path):
-    """Headers that still carry `rnn_kind: "lightning"` load with the same
-    tensors and config; saving again drops the key."""
+# header keys of retired switches, each with the one value the model keeps
+RETIRED = [("rnn_kind", "lightning"), ("pe_rnn", "rope"), ("tie_embeddings", True),
+           ("attn_qk_norm", True), ("rnn_qk_norm", True), ("rnn_gate", True)]
+
+
+def _key_ids(cases):
+    return [f"{key}={json.dumps(value)}" for key, value in cases]
+
+
+@pytest.mark.parametrize("key, kept", RETIRED, ids=_key_ids(RETIRED))
+def test_checkpoint_header_with_a_retired_key_loads(tmp_path, key, kept):
+    """Older headers that still carry a retired key with its one value load
+    with the same tensors and config; saving again drops the key."""
     cfg = desk_config(L=2, I_attn=(1,), d=16, d_h=4, n_h=4, n_kv_heads=2,
                       ffn_width=24, vocab=64, rope=RopeParams(theta=100.0, head_dim=4))
     model = init_model(cfg, seed=3)
     path = tmp_path / "m.ckpt"
     save_model(path, model)
-    assert "rnn_kind" not in load_tensors(path)[0]["model"]
-    old = _edited_header(path, tmp_path / "old.ckpt",
-                         lambda c: c["model"].update({"rnn_kind": "lightning"}))
+    assert key not in load_tensors(path)[0]["model"]
+    old = _edited_header(path, tmp_path / "old.ckpt", lambda c: c["model"].update({key: kept}))
     back = load_model(old)
     assert back.cfg == cfg
     assert [n for n, _ in back.named_parameters()] == [n for n, _ in model.named_parameters()]
@@ -671,21 +701,32 @@ def test_checkpoint_header_naming_lightning_rnn_kind_loads(tmp_path):
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
-def test_checkpoint_diag_rnn_kind_exits_2(tiny_ckpt, tmp_path, capsys):
-    bad = _edited_header(tiny_ckpt, tmp_path / "diag.ckpt",
-                         lambda c: c["model"].update({"rnn_kind": "diag"}))
-    with pytest.raises(CheckpointError, match="'diag'"):
+# (header key, a value the model cannot take)
+BAD_HEADER_VALUES = [("rnn_kind", "diag"), ("pe_rnn", "nope"), ("tie_embeddings", False),
+                     ("attn_qk_norm", False), ("rnn_qk_norm", False), ("rnn_gate", False),
+                     ("rnn_gate", 1), ("n_kv_heads", 0)]
+
+
+@pytest.mark.parametrize("key, value", BAD_HEADER_VALUES, ids=_key_ids(BAD_HEADER_VALUES))
+def test_checkpoint_header_value_the_model_cannot_take_exits_2(tiny_ckpt, tmp_path, capsys,
+                                                               key, value):
+    bad = _edited_header(tiny_ckpt, tmp_path / "bad.ckpt",
+                         lambda c: c["model"].update({key: value}))
+    with pytest.raises(CheckpointError, match=key):
         load_model(bad)
     assert main(["eval", str(bad), "--lengths", "64", "--samples", "2"]) == 2
-    assert "unsupported RNN kind 'diag'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and str(bad) in err and key in err
+    assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("kind", ["diag", "lightning"])
-def test_runconfig_rnn_kind_is_an_unknown_key(tmp_path, capsys, kind):
-    cfg = write_cfg(tmp_path, model={"rnn_kind": kind})
+@pytest.mark.parametrize("key, value", RETIRED + [("rnn_kind", "diag")],
+                         ids=_key_ids(RETIRED + [("rnn_kind", "diag")]))
+def test_runconfig_retired_key_is_an_unknown_key(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path, model={key: value})
     out = tmp_path / "m.ckpt"
     assert main(["train", cfg, str(out)]) == 2
-    assert "unknown key model.rnn_kind" in capsys.readouterr().err
+    assert f"unknown key model.{key}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -804,14 +845,28 @@ def test_cli_halo_end_to_end_and_stage_rerun(tmp_path):
     assert (out / "hybrid_stage2.ckpt").read_bytes() == first
 
 
-def test_cli_select_layers_missing_artifact_names_layer(tmp_path, capsys):
+def test_cli_halo_select_missing_artifact_names_layer(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     teacher_path = tmp_path / "t.ckpt"
     assert main(["train", cfg, str(teacher_path)]) == 0
     empty = tmp_path / "empty"
     empty.mkdir()
-    assert main(["select-layers", str(teacher_path), str(empty)]) == 2
+    assert main(["halo", str(teacher_path), cfg, str(empty), "--stage", "select"]) == 2
     assert "layer 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"k": 1}', '{"I_attn": [0', '{"I_attn": ["a"]}',
+                                  '{"I_attn": 5}'])
+def test_cli_halo_stage2_malformed_selection_exits_2(tmp_path, capsys, text):
+    teacher = _teacher_with_vocab(tmp_path, 512)
+    out = tmp_path / "halo"
+    out.mkdir()
+    (out / "selection.json").write_text(text)
+    assert main(["halo", str(teacher), write_cfg(tmp_path), str(out), "--stage", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and "selection.json" in err
+    assert "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == ["selection.json"]
 
 
 @pytest.mark.parametrize("k", [0, -1, 2.5, "x", True])
@@ -846,6 +901,7 @@ def test_cli_halo_dry_run_and_selection_agree_on_default_k(tmp_path, capsys):
     assert main(["--dry-run", "halo", str(teacher_path), cfg, str(out)]) == 0
     dry_k = json.loads(capsys.readouterr().out)["k"]
     assert dry_k == 2  # floor(8 / 4)
+    assert not out.exists()
     assert main(["halo", str(teacher_path), cfg, str(out), "--stage", "1"]) == 0
     assert main(["halo", str(teacher_path), cfg, str(out), "--stage", "select"]) == 0
     sel = json.loads((out / "selection.json").read_text())

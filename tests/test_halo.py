@@ -293,7 +293,7 @@ def test_stage1_transferred_init_carries_teacher_structure():
         alpha = float((y * yh).sum() / ((yh * yh).sum() + 1e-30))
         return float(((y - alpha * yh) ** 2).mean())
 
-    transferred = init_rnn_from_attention(teacher.layers[0].mixer, hyb_cfg, Rng(1))
+    transferred = init_rnn_from_attention(teacher.layers[0].mixer, Rng(1))
     random_w = _init_mixer(Rng(2), hyb_cfg, attn=False)
     assert best_scale_mse(transferred) < best_scale_mse(random_w)
 
@@ -555,7 +555,7 @@ def test_candidate_shares_every_teacher_tensor_but_the_swapped_mixer():
     from hybridkit.halo import candidate_model
 
     teacher = tiny_teacher(L=3, seed=14)
-    rnn = init_rnn_from_attention(teacher.layers[1].mixer, teacher.cfg, Rng(3))
+    rnn = init_rnn_from_attention(teacher.layers[1].mixer, Rng(3))
     cand = candidate_model(teacher, 1, rnn)
     assert cand.cfg.I_attn == (0, 2)
     swapped = {id(t) for _, t in cand.layers[1].mixer.named()}
@@ -631,7 +631,7 @@ def test_select_layers_keeps_the_top_k_by_importance(monkeypatch):
     import hybridkit.halo as halo
 
     teacher = tiny_teacher(L=5, seed=16)
-    aligned = {l: init_rnn_from_attention(lw.mixer, teacher.cfg, Rng(l))
+    aligned = {l: init_rnn_from_attention(lw.mixer, Rng(l))
                for l, lw in enumerate(teacher.layers)}
     rc = {0: (0.9, 0.5), 1: (0.2, 0.5 - 1e-3), 2: (0.6, 0.4), 3: (0.1, 0.45),
           4: (0.8, 0.3)}

@@ -490,17 +490,10 @@ def test_choice_logprobs_match_full_row_formula(tol, scale_base, monkeypatch):
 
 def test_tied_embeddings_share_storage():
     model = init_model(tiny_hybrid(), seed=13)
-    assert model.out_matrix is model.embed
     before = forward(model, np.array([1, 2])).data.copy()
     model.embed.data[5] += 1.0
     after = forward(model, np.array([1, 2])).data
     assert not np.array_equal(before, after)
-
-
-def test_untied_embeddings_are_separate():
-    model = init_model(tiny_hybrid(tie_embeddings=False), seed=13)
-    assert model.out_matrix is model.unembed
-    assert model.unembed is not model.embed
 
 
 # --------------------------------------------------------------------------
@@ -601,7 +594,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         desk_config(L=2, I_attn=(1, 0), **TINY)
     with pytest.raises(ConfigError):
-        desk_config(L=2, I_attn=(0,), pe_rnn="bogus", **TINY)
+        desk_config(L=2, I_attn=(0,), pe_attention="bogus", **TINY)
+    for bad in (dict(n_kv_heads=0), dict(chunk=True), dict(L=-1, I_attn=())):
+        name = next(iter(bad))
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            desk_config(**{**TINY, "L": 2, "I_attn": (0,), **bad})
 
 
 def test_model_copy_is_deep():
