@@ -248,7 +248,7 @@ def cmd_halo(args) -> int:
         I_attn = _select(teacher, aligned, hc, paths)
     if "2" in stages:
         if alone:
-            I_attn = _load_selection(paths["selection"], teacher.cfg.L)
+            I_attn = _load_selection(paths["selection"], teacher.cfg)
             aligned = _load_stage1(teacher.cfg.L, paths)
         hybrid = halo.assemble_hybrid(teacher, I_attn, aligned, hc.seed)
         save_model(paths["hybrid_init"], hybrid)
@@ -272,19 +272,20 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-def _load_selection(path: Path, L: int) -> list[int]:
-    """The I_attn of a selection artifact: distinct layer indices in [0, L).
-    Raises CheckpointError, naming the file, for a missing or malformed one."""
+def _load_selection(path: Path, teacher_cfg) -> list[int]:
+    """The I_attn of a selection artifact, checked by building the hybrid
+    config it selects from `teacher_cfg`.  Raises CheckpointError, naming
+    the file, for a missing or malformed one."""
     from .checkpoint import CheckpointError
+    from .model import hybrid_config
 
     try:
         I_attn = json.loads(_require(path, "selection artifact").read_text())["I_attn"]
-    except (OSError, ValueError, KeyError, TypeError) as e:
+        if not (isinstance(I_attn, list) and all(type(i) is int for i in I_attn)):
+            raise TypeError(f"I_attn must be a list of integers, got {json.dumps(I_attn)}")
+        hybrid_config(teacher_cfg, I_attn)
+    except (OSError, ValueError, KeyError, TypeError) as e:  # ConfigError is a ValueError
         raise CheckpointError(f"{path}: malformed selection ({e!r})") from None
-    if not (isinstance(I_attn, list) and all(type(i) is int and 0 <= i < L for i in I_attn)
-            and len(set(I_attn)) == len(I_attn)):
-        raise CheckpointError(f"{path}: I_attn must be a list of distinct layer "
-                              f"indices in [0, {L}), got {json.dumps(I_attn)}")
     return I_attn
 
 

@@ -26,6 +26,13 @@ import numpy as np
 from .tensor import ConfigError, Tensor, _emit
 
 
+def check_rope_head_dim(head_dim: int) -> None:
+    """Raise ConfigError unless `head_dim` is even and positive: the rotary
+    encoding turns its dimensions in pairs."""
+    if head_dim % 2 != 0 or head_dim < 2:
+        raise ConfigError(f"RoPE head_dim must be even and positive, got {head_dim}")
+
+
 @dataclass(frozen=True)
 class RopeParams:
     """Base frequency and head width for the rotary encoding."""
@@ -34,8 +41,7 @@ class RopeParams:
     head_dim: int
 
     def __post_init__(self):
-        if self.head_dim % 2 != 0 or self.head_dim < 2:
-            raise ConfigError(f"RoPE head_dim must be even and positive, got {self.head_dim}")
+        check_rope_head_dim(self.head_dim)
         if self.theta <= 0:
             raise ConfigError(f"RoPE theta must be positive, got {self.theta}")
 

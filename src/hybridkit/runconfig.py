@@ -61,7 +61,7 @@ from pathlib import Path
 from .data import STREAM_KINDS
 from .halo import HaloConfig, TrainConfig
 from .model import ModelConfig
-from .positional import RopeParams, ScaleBase
+from .positional import RopeParams, ScaleBase, check_rope_head_dim
 from .tensor import ConfigError
 
 MODEL_DEFAULTS = {
@@ -169,8 +169,9 @@ def build_model_config(md: dict) -> ModelConfig:
     if md["attn_gate"] is None:
         md["attn_gate"] = arch != "transformer"
     theta, sb = md.pop("rope_theta"), md.pop("scale_base")
-    # the rotary head width is d_h
-    md["rope"] = _naming("model.d_h / model.rope_theta: ",
+    # the rotary head width is d_h; checking it first leaves theta to RopeParams
+    _naming("model.d_h: ", lambda: check_rope_head_dim(md["d_h"]))
+    md["rope"] = _naming("model.rope_theta: ",
                          lambda: RopeParams(theta=float(theta), head_dim=md["d_h"]))
     md["scale_base"] = None if sb is None else _naming("model.scale_base: ",
                                                        lambda: ScaleBase(float(sb)))

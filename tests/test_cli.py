@@ -357,9 +357,11 @@ BAD_TRAIN_VALUES = [
     ({"model": {"scale_base": 0.5}}, "model.scale_base"),
     ({"model": {"rope_theta": 0}}, "model.rope_theta"),
     ({"model": {"attn_gate": 1}}, "model.attn_gate"),
+    ({"model": {"chunk": None}}, "model.chunk"),
     ({"model": {"L": -1}}, "model.L"),
     ({"model": {"d": 0}}, "model.d"),
     ({"model": {"d_h": 0}}, "model.d_h"),
+    ({"model": {"d_h": 3}}, "model.d_h"),
     ({"model": {"n_h": 0}}, "model.n_h"),
     ({"model": {"n_kv_heads": 0}}, "model.n_kv_heads"),
     ({"model": {"ffn_width": 0}}, "model.ffn_width"),
@@ -393,6 +395,8 @@ def _ids(cases):
 def _assert_config_error(capsys, key):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and "Traceback" not in err
+    if re.fullmatch(r"\w+\.\w+", key):  # the error blames no other key of the section
+        assert set(re.findall(rf"\b{key.split('.')[0]}\.\w+", err)) == {key}
 
 
 @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
@@ -707,16 +711,24 @@ BAD_HEADER_VALUES = [("rnn_kind", "diag"), ("pe_rnn", "nope"), ("tie_embeddings"
                      ("rnn_gate", 1), ("n_kv_heads", 0)]
 
 
+def _header_error(key, value) -> str:
+    """The part of load_model's error that names `key` and `value`."""
+    if key in dict(RETIRED):
+        return f"unsupported {key} {json.dumps(value)}"
+    return f"{key} must be an integer >= 1, got {value!r}"  # ModelConfig's message
+
+
 @pytest.mark.parametrize("key, value", BAD_HEADER_VALUES, ids=_key_ids(BAD_HEADER_VALUES))
 def test_checkpoint_header_value_the_model_cannot_take_exits_2(tiny_ckpt, tmp_path, capsys,
                                                                key, value):
     bad = _edited_header(tiny_ckpt, tmp_path / "bad.ckpt",
                          lambda c: c["model"].update({key: value}))
-    with pytest.raises(CheckpointError, match=key):
+    with pytest.raises(CheckpointError, match=re.escape(_header_error(key, value))):
         load_model(bad)
     assert main(["eval", str(bad), "--lengths", "64", "--samples", "2"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("checkpoint error:") and str(bad) in err and key in err
+    assert err.startswith("checkpoint error:") and str(bad) in err
+    assert _header_error(key, value) in err
     assert "Traceback" not in err
 
 
@@ -856,7 +868,7 @@ def test_cli_halo_select_missing_artifact_names_layer(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ['{"k": 1}', '{"I_attn": [0', '{"I_attn": ["a"]}',
-                                  '{"I_attn": 5}'])
+                                  '{"I_attn": 5}', '{"I_attn": [2]}', '{"I_attn": [1, 1]}'])
 def test_cli_halo_stage2_malformed_selection_exits_2(tmp_path, capsys, text):
     teacher = _teacher_with_vocab(tmp_path, 512)
     out = tmp_path / "halo"
