@@ -49,7 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--lengths", default=None,
                    help="comma-separated context lengths for niah and ppl "
                         "(default 256,512,1024); csr has a fixed length")
-    e.add_argument("--samples", type=int, default=200)
+    e.add_argument("--samples", type=int, default=None,
+                   help="samples per length for niah and csr (default 200); "
+                        "ppl reads a fixed corpus")
     e.add_argument("--eval-seed", type=int, default=0)
     g = e.add_mutually_exclusive_group()
     g.add_argument("--scale-base", type=float, default=None,
@@ -244,12 +246,12 @@ def cmd_halo(args) -> int:
             aligned[l] = weights
     if "select" in stages:
         if alone:
-            aligned = _load_stage1(teacher.cfg.L, paths)
+            aligned = _load_stage1(teacher.cfg, paths)
         I_attn = _select(teacher, aligned, hc, paths)
     if "2" in stages:
         if alone:
             I_attn = _load_selection(paths["selection"], teacher.cfg)
-            aligned = _load_stage1(teacher.cfg.L, paths)
+            aligned = _load_stage1(teacher.cfg, paths)
         hybrid = halo.assemble_hybrid(teacher, I_attn, aligned, hc.seed)
         save_model(paths["hybrid_init"], hybrid)
         report = halo.run_stage2(teacher, hybrid, hc)
@@ -289,11 +291,24 @@ def _load_selection(path: Path, teacher_cfg) -> list[int]:
     return I_attn
 
 
-def _load_stage1(L: int, paths: dict) -> dict:
-    from .checkpoint import load_mixer
+def _load_stage1(cfg, paths: dict) -> dict:
+    """Every layer's stage-1 mixer for the teacher config `cfg`.  Raises
+    CheckpointError, naming the file, for a missing one or one whose
+    (d, n_h, n_kv_heads, d_h) is not the teacher's RNN layout: one KV head
+    per query head."""
+    from .checkpoint import CheckpointError, load_mixer
 
-    return {l: load_mixer(_require(paths["stage1"](l), f"stage-1 weights for layer {l}"))
-            for l in range(L)}
+    want = (cfg.d, cfg.n_h, cfg.n_h, cfg.d_h)
+    aligned = {}
+    for l in range(cfg.L):
+        path = _require(paths["stage1"](l), f"stage-1 weights for layer {l}")
+        mixer = load_mixer(path)
+        got = (mixer.d, mixer.n_h, mixer.n_kv_heads, mixer.d_h)
+        if got != want:
+            raise CheckpointError(f"{path}: mixer (d, n_h, n_kv_heads, d_h) = {got} does "
+                                  f"not fit the teacher's RNN layout {want}")
+        aligned[l] = mixer
+    return aligned
 
 
 def _write_report(report, path) -> None:
@@ -338,17 +353,20 @@ def cmd_eval(args) -> int:
     if args.task == "csr" and args.lengths is not None:
         raise ConfigError("--lengths does not apply to --task csr: the cloze proxy "
                           "scores fixed-length prefixes and continuations")
+    if args.task == "ppl" and args.samples is not None:
+        raise ConfigError("--samples does not apply to --task ppl: perplexity reads "
+                          "a fixed corpus of 8 documents")
     lengths = _lengths(args.lengths or "256,512,1024")
-    _positive_int("--samples", args.samples)
+    n_samples = 200 if args.samples is None else _positive_int("--samples", args.samples)
     model = load_model(args.ckpt)
     check_vocab(model.cfg.vocab, args.task)
     scale, tag = _resolve_scale(args)
     if scale != "config":  # another scaling is another model over the same weights
         model = with_scaling(model, scale)
     if args.task == "niah":
-        results = length_sweep(model, lengths, n_samples=args.samples, seed=args.eval_seed)
+        results = length_sweep(model, lengths, n_samples=n_samples, seed=args.eval_seed)
     elif args.task == "csr":
-        samples = gen_csr_proxy(args.eval_seed, args.samples)
+        samples = gen_csr_proxy(args.eval_seed, n_samples)
         results = [score_csr(model, samples)]
     else:
         stream = TokenStream(StreamConfig(kind="niah_mix", context_len=max(lengths),
@@ -416,16 +434,21 @@ def cmd_bench(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    from .checkpoint import load_tensors
+    from .checkpoint import CheckpointError, load_tensors
 
     config, tensors = load_tensors(args.ckpt)
+    is_model = config.get("kind") == "model"
+    if is_model and not (isinstance(config.get("model"), dict)
+                         and "I_attn" in config["model"]):
+        raise CheckpointError(f"{args.ckpt}: a model header needs a 'model' object "
+                              f"with I_attn")
     print(json.dumps(config, indent=2))
     total = 0
     for name, arr in tensors.items():
         print(f"{name}\t{arr.dtype}\t{list(arr.shape)}")
         total += arr.size
     print(f"parameters: {total}")
-    if config.get("kind") == "model":
+    if is_model:
         print(f"I_attn: {config['model']['I_attn']}")
     return 0
 

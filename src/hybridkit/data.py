@@ -10,22 +10,19 @@ Two ingredients compose every stream:
   values come from an alphabet disjoint from the filler alphabet, so answers
   can never occur in filler by construction.
 
-Streams are pure functions of (seed, step): any batch can be regenerated
-independently, which is what makes training runs bit-reproducible and
-resumable.
+The shape is fixed: one grammar (GRAMMAR_SEED), keys and values of KEY_LEN
+and VALUE_LEN tokens, and training documents with up to MAX_PAIRS needles
+and MAX_QUERIES queries.  Streams are pure functions of (seed, step): any
+batch can be regenerated independently, which is what makes training runs
+bit-reproducible and resumable.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .fileio import write_atomic
 from .tensor import ConfigError, Rng
 
 VOCAB = 512
@@ -34,7 +31,13 @@ FILLER_LO, FILLER_HI = 8, 248
 KV_LO, KV_HI = 256, 512
 
 #: grammar identity shared by training streams and evaluation suites
-DEFAULT_GRAMMAR_SEED = 7
+GRAMMAR_SEED = 7
+
+#: tokens per needle key and per needle value
+KEY_LEN = VALUE_LEN = 4
+
+#: most needles planted in, and most queries asked of, one training document
+MAX_PAIRS, MAX_QUERIES = 4, 3
 
 #: the training-stream kinds StreamConfig accepts
 STREAM_KINDS = ("niah_mix", "grammar")
@@ -62,25 +65,20 @@ class GrammarTables:
 
     succ: np.ndarray  # [n_filler, 2] of token ids
 
-    @property
-    def n_symbols(self) -> int:
-        return self.succ.shape[0]
 
-
-def grammar_tables(seed: int = DEFAULT_GRAMMAR_SEED) -> GrammarTables:
-    rng = Rng(seed, (101,))
+def grammar_tables() -> GrammarTables:
+    rng = Rng(GRAMMAR_SEED, (101,))
     n = FILLER_HI - FILLER_LO
     succ = np.stack([rng.permutation(n), rng.permutation(n)], axis=1) + FILLER_LO
     return GrammarTables(succ)
 
 
-def grammar_chain(rng: Rng, tables: GrammarTables, length: int,
-                  start: int | None = None) -> np.ndarray:
+def grammar_chain(rng: Rng, tables: GrammarTables, length: int) -> np.ndarray:
     """Random walk over the successor table; tokens lie in the filler alphabet."""
     if length <= 0:
         return np.zeros(0, dtype=np.int64)
     out = np.empty(length, dtype=np.int64)
-    cur = int(rng.integers(FILLER_LO, FILLER_HI)) if start is None else int(start)
+    cur = int(rng.integers(FILLER_LO, FILLER_HI))
     picks = rng.integers(0, 2, size=length)
     for i in range(length):
         out[i] = cur
@@ -100,34 +98,33 @@ def grammar_continuation(tables: GrammarTables, rng: Rng, start: int,
     return out
 
 
-def draw_needles(rng: Rng, n_pairs: int, key_len: int, value_len: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def draw_needles(rng: Rng, n_pairs: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Distinct-key needle pairs from the key/value alphabet."""
     firsts = KV_LO + rng.choice(KV_HI - KV_LO, size=n_pairs, replace=False)
     pairs = []
     for i in range(n_pairs):
-        key = np.concatenate([[firsts[i]], rng.integers(KV_LO, KV_HI, size=key_len - 1)])
-        value = rng.integers(KV_LO, KV_HI, size=value_len)
+        key = np.concatenate([[firsts[i]], rng.integers(KV_LO, KV_HI, size=KEY_LEN - 1)])
+        value = rng.integers(KV_LO, KV_HI, size=VALUE_LEN)
         pairs.append((key.astype(np.int64), value.astype(np.int64)))
     return pairs
 
 
 def niah_document(rng: Rng, tables: GrammarTables, length: int,
-                  n_pairs: int, n_queries: int,
-                  key_len: int = 4, value_len: int = 4) -> np.ndarray:
+                  n_pairs: int, n_queries: int) -> np.ndarray:
     """One training document: grammar filler, planted needles, query block.
 
     Layout: [filler+needles ...][SEP key value] * n_queries, total `length`
     tokens.  Queried pairs are a subset of the planted ones, so the value is
     always recoverable from the document body.
     """
-    needle_len = key_len + value_len
+    needle_len = KEY_LEN + VALUE_LEN
     q_len = 1 + needle_len
     tail = n_queries * q_len
     body_len = length - tail
     if body_len < n_pairs * needle_len + 1:
         raise ConfigError(f"document length {length} too small for "
                           f"{n_pairs} needles and {n_queries} queries")
-    pairs = draw_needles(rng, n_pairs, key_len, value_len)
+    pairs = draw_needles(rng, n_pairs)
     filler = grammar_chain(rng, tables, body_len - n_pairs * needle_len)
     # splice needles at sorted random filler offsets
     cuts = np.sort(rng.integers(0, len(filler) + 1, size=n_pairs))
@@ -155,9 +152,6 @@ class StreamConfig:
     context_len: int = 256
     batch_size: int = 16
     seed: int = 0
-    grammar_seed: int = DEFAULT_GRAMMAR_SEED
-    max_pairs: int = 4
-    max_queries: int = 3
 
     def __post_init__(self):
         if self.kind not in STREAM_KINDS:
@@ -171,7 +165,7 @@ class TokenStream:
 
     def __init__(self, cfg: StreamConfig):
         self.cfg = cfg
-        self.tables = grammar_tables(cfg.grammar_seed)
+        self.tables = grammar_tables()
 
     def batch(self, step: int) -> np.ndarray:
         cfg = self.cfg
@@ -181,36 +175,9 @@ class TokenStream:
             if cfg.kind == "grammar":
                 out[b] = grammar_chain(rng, self.tables, cfg.context_len + 1)
             else:
-                n_pairs = int(rng.integers(1, cfg.max_pairs + 1))
-                n_q = int(rng.integers(1, min(n_pairs, cfg.max_queries) + 1))
+                n_pairs = int(rng.integers(1, MAX_PAIRS + 1))
+                n_q = int(rng.integers(1, min(n_pairs, MAX_QUERIES) + 1))
                 out[b] = niah_document(rng, self.tables, cfg.context_len + 1,
                                        n_pairs, n_q)
         return out
 
-
-# --------------------------------------------------------------------------
-# corpus caching
-
-def cache_dir() -> Path | None:
-    root = os.environ.get("HYBRIDKIT_CACHE")
-    return Path(root) if root else None
-
-
-def cached_arrays(key: dict, builder) -> dict[str, np.ndarray]:
-    """Build-or-load a dict of arrays, keyed by a stable hash of `key`.
-
-    Caching only happens when HYBRIDKIT_CACHE is set; otherwise the builder
-    runs every time.
-    """
-    root = cache_dir()
-    if root is None:
-        return builder()
-    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:24]
-    path = root / f"corpus_{digest}.npz"
-    if path.exists():
-        with np.load(path) as z:
-            return {k: z[k] for k in z.files}
-    arrays = builder()
-    root.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, lambda f: np.savez(f, **arrays))
-    return arrays

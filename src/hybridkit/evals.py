@@ -2,11 +2,13 @@
 classification proxy for short-range reasoning, perplexity, and the
 length-generalization sweep.
 
-The recall task plants one ``key value`` pair inside filler and asks for the
+Each suite has one shape; only its length, size and seed vary.  The recall
+task plants one ``key value`` pair (KEY_LEN + VALUE_LEN tokens of the data
+module) inside grammar filler at a uniformly drawn depth and asks for the
 value after ``SEP key``; scoring is exact match on greedy-decoded value
-tokens.  The cloze proxy scores four candidate continuations of a grammar
-chain by model likelihood (chance level 0.25).  It is deliberately synthetic:
-it exists to drive layer-importance scores and ablation orderings, not to be
+tokens.  The cloze proxy gives a 24-token grammar chain and scores four
+candidate continuations of 4 tokens by model likelihood (chance level
+0.25).  It is deliberately synthetic: it exists to drive layer-importance scores and ablation orderings, not to be
 comparable to any published reasoning benchmark.
 
 Models enter through three duck-typed methods: ``logits(tokens)``,
@@ -18,35 +20,32 @@ the logits scaling its config names; to score another scaling, evaluate
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (DEFAULT_GRAMMAR_SEED, FILLER_HI, FILLER_LO,
-                   SEP, cached_arrays, draw_needles, grammar_chain,
-                   grammar_continuation, grammar_tables)
+from .data import (FILLER_HI, FILLER_LO, KEY_LEN, SEP, VALUE_LEN, draw_needles,
+                   grammar_chain, grammar_continuation, grammar_tables)
 from .fileio import write_text_atomic
 from .tensor import ConfigError, Rng, _log_softmax
 
 
 @dataclass(frozen=True)
 class NiahSpec:
-    """Recall-task description; generation is bit-deterministic per seed."""
+    """Recall-task description; generation is bit-deterministic per seed.
+
+    Every prompt holds one needle of KEY_LEN + VALUE_LEN tokens at a depth
+    drawn uniformly per sample, in filler from the one grammar, and ends in
+    the query ``SEP key``.
+    """
 
     context_len: int
     n_samples: int = 200
-    key_len: int = 4
-    value_len: int = 4
-    depth: float | None = None       # None: uniform per sample; else fixed in [0, 1]
-    filler: str = "grammar"          # "grammar" | "uniform"
     seed: int = 0
-    grammar_seed: int = DEFAULT_GRAMMAR_SEED
 
     def __post_init__(self):
-        if self.filler not in ("grammar", "uniform"):
-            raise ConfigError(f"unknown filler kind {self.filler!r}")
-        needle = self.key_len + self.value_len
-        query = 1 + self.key_len
+        needle = KEY_LEN + VALUE_LEN
+        query = 1 + KEY_LEN
         if self.context_len < needle + query + 2:
             raise ConfigError(f"context_len {self.context_len} cannot fit the "
                               f"needle plus query suffix")
@@ -63,35 +62,25 @@ class EvalResult:
 
 
 def gen_niah(spec: NiahSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Prompts [n, context_len] and answers [n, value_len].
+    """Prompts [n, context_len] and answers [n, VALUE_LEN].
 
     Prompt layout: pre-filler, key+value needle at the sampled depth,
     post-filler, then the query suffix ``SEP key``; the prompt length equals
     context_len exactly.  Value tokens never occur in filler (disjoint
     alphabets).
     """
-    def build() -> dict[str, np.ndarray]:
-        tables = grammar_tables(spec.grammar_seed)
-        needle_len = spec.key_len + spec.value_len
-        filler_len = spec.context_len - needle_len - (1 + spec.key_len)
-        prompts = np.empty((spec.n_samples, spec.context_len), dtype=np.int64)
-        answers = np.empty((spec.n_samples, spec.value_len), dtype=np.int64)
-        for i in range(spec.n_samples):
-            rng = Rng(spec.seed, (331, i))
-            (key, value), = draw_needles(rng, 1, spec.key_len, spec.value_len)
-            depth = rng.uniform(()) if spec.depth is None else spec.depth
-            pre = int(round(float(depth) * filler_len))
-            if spec.filler == "grammar":
-                filler = grammar_chain(rng, tables, filler_len)
-            else:
-                filler = rng.integers(FILLER_LO, FILLER_HI, size=filler_len)
-            prompts[i] = np.concatenate([
-                filler[:pre], key, value, filler[pre:], [SEP], key])
-            answers[i] = value
-        return {"prompts": prompts, "answers": answers}
-
-    arrays = cached_arrays({"niah": asdict(spec)}, build)
-    return arrays["prompts"], arrays["answers"]
+    tables = grammar_tables()
+    filler_len = spec.context_len - (KEY_LEN + VALUE_LEN) - (1 + KEY_LEN)
+    prompts = np.empty((spec.n_samples, spec.context_len), dtype=np.int64)
+    answers = np.empty((spec.n_samples, VALUE_LEN), dtype=np.int64)
+    for i in range(spec.n_samples):
+        rng = Rng(spec.seed, (331, i))
+        (key, value), = draw_needles(rng, 1)
+        pre = int(round(float(rng.uniform(())) * filler_len))
+        chain = grammar_chain(rng, tables, filler_len)
+        prompts[i] = np.concatenate([chain[:pre], key, value, chain[pre:], [SEP], key])
+        answers[i] = value
+    return prompts, answers
 
 
 def score_recall(model, samples, eval_batch: int = 16) -> EvalResult:
@@ -117,17 +106,18 @@ class ClozeSamples:
     labels: np.ndarray    # [n]
 
 
-def gen_csr_proxy(seed: int, n: int, prefix_len: int = 24, cont_len: int = 4,
-                  n_choices: int = 4,
-                  grammar_seed: int = DEFAULT_GRAMMAR_SEED) -> ClozeSamples:
+def gen_csr_proxy(seed: int, n: int) -> ClozeSamples:
     """Cloze classification: pick the grammar-consistent continuation.
 
-    Distractors are grammar chains too, but continue from the wrong symbol,
-    so only local knowledge of the successor table separates them.
+    Each of the n samples is a 24-token grammar chain (the prefix) and four
+    continuations of 4 tokens (the choices), one of them the true one.
+    Distractors are grammar chains too, but continue from the wrong
+    symbol, so only local knowledge of the successor table separates them.
     """
     if n < 1:
         raise ConfigError("need at least one sample")
-    tables = grammar_tables(grammar_seed)
+    prefix_len, cont_len, n_choices = 24, 4, 4
+    tables = grammar_tables()
     prefixes = np.empty((n, prefix_len), dtype=np.int64)
     choices = np.empty((n, n_choices, cont_len), dtype=np.int64)
     labels = np.empty(n, dtype=np.int64)
@@ -244,15 +234,10 @@ class RcSuite:
 
     niah_samples: tuple[np.ndarray, np.ndarray]
     csr_samples: ClozeSamples
-    eval_batch: int = 16
 
 
-def build_rc_suite(train_context_len: int, seed: int = 0, n_samples: int = 64,
-                   grammar_seed: int = DEFAULT_GRAMMAR_SEED) -> RcSuite:
+def build_rc_suite(train_context_len: int, seed: int = 0, n_samples: int = 64) -> RcSuite:
     """Recall at twice the training length plus the cloze proxy."""
-    spec = NiahSpec(context_len=2 * train_context_len, n_samples=n_samples,
-                    seed=seed, grammar_seed=grammar_seed)
-    return RcSuite(
-        niah_samples=gen_niah(spec),
-        csr_samples=gen_csr_proxy(seed + 1, n_samples, grammar_seed=grammar_seed),
-    )
+    spec = NiahSpec(context_len=2 * train_context_len, n_samples=n_samples, seed=seed)
+    return RcSuite(niah_samples=gen_niah(spec),
+                   csr_samples=gen_csr_proxy(seed + 1, n_samples))

@@ -358,8 +358,8 @@ def candidate_model(teacher: Model, layer: int, rnn_weights: MixerWeights) -> Mo
 
 def evaluate_RC(model: Model, suite: RcSuite) -> tuple[float, float]:
     """(recall accuracy, cloze accuracy) on the fixed synthetic suites."""
-    r = score_recall(model, suite.niah_samples, eval_batch=suite.eval_batch)
-    c = score_csr(model, suite.csr_samples, eval_batch=suite.eval_batch)
+    r = score_recall(model, suite.niah_samples)
+    c = score_csr(model, suite.csr_samples)
     return r.value, c.value
 
 

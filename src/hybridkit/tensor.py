@@ -153,9 +153,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
 
@@ -165,30 +162,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
-
-    # -- operator sugar (delegates to module-level ops) -----------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return NotImplemented
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Tape:
     """Ordered record of differentiable ops; backward walks it in reverse.
@@ -352,10 +325,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     A, B = a.data, b.data
     return _emit(A * B, [(a, lambda g: g * B), (b, lambda g: g * A)])
-
-
-def neg(x: Tensor) -> Tensor:
-    return _emit(-x.data, [(x, lambda g: -g)])
 
 
 def scale(x: Tensor, c: float) -> Tensor:

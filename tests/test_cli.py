@@ -447,9 +447,8 @@ def test_cli_eval_vocab_below_the_task_exits_2(tmp_path, capsys):
     """Recall prompts and the perplexity corpus carry needle ids up to 511;
     the cloze proxy stays in the filler alphabet."""
     ckpt = str(_teacher_with_vocab(tmp_path, 256))
-    for task in ("niah", "ppl"):
-        assert main(["eval", ckpt, "--task", task, "--lengths", "64",
-                     "--samples", "2"]) == 2
+    for task, samples in (("niah", ["--samples", "2"]), ("ppl", [])):
+        assert main(["eval", ckpt, "--task", task, "--lengths", "64"] + samples) == 2
         assert f"vocab 256 is too small for '{task}'" in capsys.readouterr().err
     assert main(["eval", ckpt, "--task", "csr", "--samples", "2"]) == 0
 
@@ -498,9 +497,18 @@ def test_cli_bad_checkpoint_exit_2(tmp_path, capsys):
             tmp_path / "length.ckpt",
             {"config": {}, "tensors": [{**entry, "shape": [2]}]}, payload),
     }
-    for what, path in corrupt.items():
+    # sound containers whose model header lacks a model object
+    headers = {
+        "model header without model": _raw_checkpoint(
+            tmp_path / "nomodel.ckpt", {"config": {"kind": "model"}, "tensors": []}, b""),
+        "model header with a number for model": _raw_checkpoint(
+            tmp_path / "number.ckpt", {"config": {"kind": "model", "model": 5},
+                                       "tensors": []}, b""),
+    }
+    for path in corrupt.values():
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_tensors(path)
+    for what, path in {**corrupt, **headers}.items():
         for argv in (["inspect", str(path)],
                      ["eval", str(path), "--lengths", "64", "--samples", "2"]):
             assert main(argv) == 2, (what, argv)
@@ -765,9 +773,33 @@ def test_cli_eval_csr_refuses_lengths(tiny_ckpt, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "--lengths" in err and "csr" in err
     assert not out.exists()
-    assert main(["eval", str(tiny_ckpt), "--task", "ppl", "--samples", "2"]) == 0
+    assert main(["eval", str(tiny_ckpt), "--task", "ppl"]) == 0
     assert [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()] == [
         "256", "512", "1024"]
+
+
+def test_cli_eval_ppl_refuses_samples(tiny_ckpt, tmp_path, capsys):
+    """Perplexity reads a fixed 8-document corpus, so --samples is an error
+    rather than a flag that is silently ignored; without it ppl prints the
+    library's perplexity at the default lengths."""
+    from hybridkit.data import StreamConfig, TokenStream
+    from hybridkit.evals import perplexity
+
+    out = tmp_path / "ppl.tsv"
+    for samples in ("1", "200"):
+        assert main(["eval", str(tiny_ckpt), "--task", "ppl", "--samples", samples,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--samples" in err and "ppl" in err
+    assert not out.exists()
+    assert main(["eval", str(tiny_ckpt), "--task", "ppl"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    T.set_precision("standard")  # the CLI's default
+    model = load_model(tiny_ckpt)
+    stream = TokenStream(StreamConfig(kind="niah_mix", context_len=1024, batch_size=1, seed=0))
+    corpus = np.concatenate([stream.batch(i)[0] for i in range(8)])
+    assert printed == [f"ppl\t{ln}\tperplexity={perplexity(model, corpus, ln):.6f}"
+                       f"\tn={corpus.size // ln}" for ln in (256, 512, 1024)]
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "bench"])
@@ -865,6 +897,35 @@ def test_cli_halo_select_missing_artifact_names_layer(tmp_path, capsys):
     empty.mkdir()
     assert main(["halo", str(teacher_path), cfg, str(empty), "--stage", "select"]) == 2
     assert "layer 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["select", "2"])
+@pytest.mark.parametrize("misfit", ["d24", "gqa"])
+def test_cli_halo_stage1_mixer_that_does_not_fit_the_teacher_exits_2(tmp_path, capsys,
+                                                                      stage, misfit):
+    """Stage-1 mixers of another width (d=24 for a d=16 teacher), or with
+    the attention layout's shared KV heads, are refused naming the file."""
+    from hybridkit.model import init_rnn_from_attention
+
+    teacher = _teacher_with_vocab(tmp_path, 512)
+    if misfit == "d24":
+        cfg = desk_config(L=2, I_attn=(0, 1), d=24, d_h=4, n_h=4, n_kv_heads=2,
+                          ffn_width=24, vocab=512, rope=RopeParams(theta=1000.0, head_dim=4))
+        other = init_model(cfg, seed=3)
+        mixers = [init_rnn_from_attention(lw.mixer, Rng(l)) for l, lw in enumerate(other.layers)]
+    else:
+        mixers = [lw.mixer for lw in load_model(teacher).layers]
+    out = tmp_path / "halo"
+    out.mkdir()
+    for l, mixer in enumerate(mixers):
+        save_mixer(out / f"stage1_layer{l}.ckpt", mixer, meta={"layer": l})
+    (out / "selection.json").write_text('{"I_attn": [0], "k": 1}\n')
+    before = sorted(p.name for p in out.iterdir())
+    assert main(["halo", str(teacher), write_cfg(tmp_path), str(out), "--stage", stage]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and "stage1_layer0.ckpt" in err
+    assert "RNN layout" in err and "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == before
 
 
 @pytest.mark.parametrize("text", ['{"k": 1}', '{"I_attn": [0', '{"I_attn": ["a"]}',

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from hybridkit.data import (FILLER_HI, FILLER_LO, KV_LO, SEP, StreamConfig,
-                            TokenStream, grammar_tables, niah_document)
-from hybridkit.evals import (ClozeSamples, EvalResult, NiahSpec, gen_csr_proxy,
-                             gen_niah, length_sweep, perplexity, score_csr,
-                             score_recall, write_plot_data)
+from hybridkit.data import (FILLER_HI, FILLER_LO, KEY_LEN, KV_LO, SEP, VALUE_LEN,
+                            StreamConfig, TokenStream, grammar_tables, niah_document)
+from hybridkit.evals import (ClozeSamples, EvalResult, NiahSpec, build_rc_suite,
+                             gen_csr_proxy, gen_niah, length_sweep, perplexity,
+                             score_csr, score_recall, write_plot_data)
 from hybridkit.tensor import ConfigError, Rng
 
 from conftest import max_rel_err, reference_choice_logprobs
@@ -77,16 +77,27 @@ class MemorizingModel:
 # --------------------------------------------------------------------------
 # recall generator
 
-def test_niah_depth_zero_needle_at_start_exact_length():
-    spec = NiahSpec(context_len=64, n_samples=3, depth=0.0, seed=1)
-    prompts, answers = gen_niah(spec)
-    assert prompts.shape == (3, 64)
-    # needle occupies the first 8 tokens: key then value, all from the KV alphabet
-    assert (prompts[:, :8] >= KV_LO).all()
-    np.testing.assert_array_equal(prompts[:, 4:8], answers)
-    # query suffix: SEP then the key
-    assert (prompts[:, -5] == SEP).all()
-    np.testing.assert_array_equal(prompts[:, -4:], prompts[:, 0:4])
+def test_niah_needle_at_the_sampled_depth_exact_length():
+    prompts, answers = gen_niah(NiahSpec(context_len=64, n_samples=6, seed=1))
+    assert prompts.shape == (6, 64) and answers.shape == (6, VALUE_LEN)
+    succ = grammar_tables().succ
+    starts = []
+    for p, a in zip(prompts, answers):
+        body = p[:-(1 + KEY_LEN)]
+        at = np.flatnonzero(body >= KV_LO)
+        # one run of needle tokens from the KV alphabet: the key, then the value
+        assert len(at) == KEY_LEN + VALUE_LEN
+        np.testing.assert_array_equal(at, at[0] + np.arange(KEY_LEN + VALUE_LEN))
+        np.testing.assert_array_equal(body[at[KEY_LEN:]], a)
+        # query suffix: SEP then the key
+        assert p[-(1 + KEY_LEN)] == SEP
+        np.testing.assert_array_equal(p[-KEY_LEN:], body[at[:KEY_LEN]])
+        # the filler around the needle is one grammar chain
+        chain = np.delete(body, at)
+        assert ((chain >= FILLER_LO) & (chain < FILLER_HI)).all()
+        assert all(nxt in succ[cur - FILLER_LO] for cur, nxt in zip(chain[:-1], chain[1:]))
+        starts.append(int(at[0]))
+    assert len(set(starts)) > 1  # the depth is drawn per sample
 
 
 def test_niah_deterministic_per_seed():
@@ -117,12 +128,12 @@ def test_niah_too_small_context_errors():
         NiahSpec(context_len=12, n_samples=1)
 
 
-def test_niah_uniform_filler_variant():
-    spec = NiahSpec(context_len=64, n_samples=4, seed=6, filler="uniform")
-    prompts, _ = gen_niah(spec)
-    body = prompts[:, :-5]
-    filler = body[body < KV_LO]
-    assert (filler >= FILLER_LO).all() and (filler < FILLER_HI).all()
+def test_build_rc_suite_writes_no_corpus_cache(tmp_path, monkeypatch):
+    """Suites are rebuilt from their seeds on each call and nothing is kept
+    on disk, not even where the retired HYBRIDKIT_CACHE variable points."""
+    monkeypatch.setenv("HYBRIDKIT_CACHE", str(tmp_path))
+    build_rc_suite(24, seed=0, n_samples=4)
+    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------------

@@ -458,7 +458,7 @@ def test_choice_logprobs_match_full_row_formula(tol, scale_base, monkeypatch):
 
     cfg = tiny_hybrid(L=3, I_attn=(0, 2), vocab=256)  # cloze tokens lie below 248
     model = with_scaling(init_model(cfg, seed=24), scale_base)
-    samples = gen_csr_proxy(seed=3, n=5, prefix_len=9, cont_len=4, n_choices=4)
+    samples = gen_csr_proxy(seed=3, n=5)
     rows = []
     real = hm._advance
 
