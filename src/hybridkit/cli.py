@@ -229,6 +229,7 @@ def cmd_halo(args) -> int:
     hc = rc.halo
     teacher = load_model(args.teacher)
     k = halo.check_teacher(teacher, hc)  # a bad k or vocab fails before any stage
+    _check_precision(teacher, args.teacher)
     if args.dry_run:
         print(json.dumps({"stages": args.stage, "teacher_params": teacher.num_params(),
                           "k": k}, indent=2))
@@ -264,6 +265,21 @@ def cmd_halo(args) -> int:
         save_model(paths["stage3"], hybrid)
         _write_report(report, paths["stage3_report"])
     return 0
+
+
+def _check_precision(teacher, path) -> None:
+    """Raise ConfigError, naming the dtype and the flag, unless the teacher's
+    tensors (f32 or f64, as checkpoints store them) have the dtype the
+    --precision mode computes in: the stages mix the teacher's activations
+    with tensors made at that precision."""
+    from .tensor import ConfigError, active_dtype, precision
+
+    dtype = teacher.embed.data.dtype
+    if dtype != active_dtype():
+        fits = "extended" if dtype == "float64" else "standard"
+        raise ConfigError(f"teacher {path} holds {dtype} tensors, but --precision "
+                          f"{precision()} computes in {active_dtype()}; rerun with "
+                          f"--precision {fits}")
 
 
 def _require(path: Path, what: str) -> Path:

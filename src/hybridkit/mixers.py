@@ -31,6 +31,24 @@ data-independent decay gamma_h per head:
     S_t = gamma_h S_{t-1} + k~_t^T v_t,   o_t = q~_t S_t.
 It applies RMSNorm then rotary encoding to q and k and scales k by
 1/sqrt(d_h).
+
+Each mixer's core is one tape record with a hand-written backward; the
+projections, norms, rotary encoding and output stage around it are ordinary
+ops.  Both forwards run their GEMMs through the public ``T.matmul`` (and
+attention its softmax through ``T.softmax_rows``), so outputs equal the
+composition of generic ops bit for bit and a tracer of those calls still
+sees every mixer GEMM.  With no tape, neither keeps anything.
+- The chunked Lightning core keeps q, k, v and each chunk's starting state
+  ([B, H, d_h, d_h]).  Its backward walks the chunks in reverse carrying
+  dS, the state's gradient, and recomputes the decay-masked intra-chunk
+  scores (the chunkwise backward of Lightning Attention-2, arXiv
+  2401.04658).
+- The causal attention core keeps q, k and v, and no probabilities.  Its
+  backward recomputes each query block's scores and softmax with the
+  forward's calls, so it sees the forward's probabilities bit for bit, and
+  adds dK and dV into one buffer each (as FlashAttention-2 does, arXiv
+  2307.08691).
+Gradients equal the composition's up to summation order.
 """
 
 from __future__ import annotations
@@ -235,12 +253,91 @@ def _finish_output(x3: Tensor, o_heads: Tensor, w: MixerWeights) -> Tensor:
     return T.matmul(o, T.swap_last(w.w_o))
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The public ``T.matmul`` on two arrays, so that a mixer core's GEMMs
+    are the calls (and the values) the composed ops ran."""
+    return T.matmul(Tensor(a, dtype=a.dtype), Tensor(b, dtype=b.dtype)).data
+
+
+def _joint_vjps(n: int, backward) -> list:
+    """n vjps that share one call backward(g) -> (n gradients), made by the
+    first of them to run."""
+    grads: list = []
+
+    def vjp(i):
+        def f(g):
+            if not grads:
+                grads.append(backward(g))
+            return grads[0][i]
+        return f
+
+    return [vjp(i) for i in range(n)]
+
+
 # Rows per causal query block.  Small blocks skip more of the masked
 # triangle (at T = 512, 128-row blocks compute 10/16 of the full score
 # matrix) and keep each block's scores near cache size; 2048 skipped
 # nothing at the benchmark's lengths, 256 gave about half the gain of 128
 # on layer selection, and 64 was no faster than 128.
 _QUERY_BLOCK = 128
+
+
+def _query_blocks(Q, K, V, offset: int, block: int):
+    """Per causal query block of at most `block` rows: (row0, rows, keys, q_b,
+    kt_b, v_b, p), where q_b [B, n_kv, g * rows, d_h] holds the block's rows
+    of Q [B, n_kv, g, Tq, d_h], kt_b and v_b the first `keys` keys of K^T and
+    V, and p [B, n_kv, g * rows, keys] their causal probabilities, from
+    ``T.matmul`` and ``T.softmax_rows``."""
+    b, n_kv, g, tq, d_h = Q.shape
+    tk = K.shape[2]
+    kt = K.swapaxes(-1, -2)  # [B, n_kv, d_h, Tk]
+    for row0 in range(0, tq, block):
+        rows = min(block, tq - row0)
+        # keys past the block's last row are masked for every row: skip them
+        keys = offset + row0 + rows
+        kt_b = kt if keys == tk else kt[..., :keys]
+        v_b = V if keys == tk else V[:, :, :keys]
+        q_b = (Q if rows == tq else Q[:, :, :, row0:row0 + rows]).reshape(b, n_kv, g * rows, d_h)
+        scores = _mm(q_b, kt_b).reshape(b, n_kv, g, rows, keys)
+        p = T.softmax_rows(Tensor(scores, dtype=scores.dtype), causal=True, offset=offset + row0)
+        yield row0, rows, keys, q_b, kt_b, v_b, p.data.reshape(b, n_kv, g * rows, keys)
+
+
+def _causal_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor:
+    """softmax(q K^T, causal) V over q [B, n_kv, g, Tq, d_h] and k, v
+    [B, n_kv, Tk, d_h], where `offset` keys precede the first query row, as
+    one op.
+
+    The record keeps q, k and v.  Backward recomputes each block's
+    probabilities with the forward's calls, so they are the forward's bit
+    for bit, and adds dK and dV into one buffer each.
+    """
+    Q, K, V = q.data, k.data, v.data
+    b, n_kv, g, tq, d_h = Q.shape
+    block = _QUERY_BLOCK
+    o = np.empty(Q.shape, dtype=Q.dtype)
+    with T.no_record():
+        for row0, rows, _, _, _, v_b, p in _query_blocks(Q, K, V, offset, block):
+            o[:, :, :, row0:row0 + rows] = _mm(p, v_b).reshape(b, n_kv, g, rows, d_h)
+
+    def backward(gout):
+        dq = np.empty(Q.shape, dtype=Q.dtype)
+        dk, dv = np.zeros(K.shape, dtype=K.dtype), np.zeros(V.shape, dtype=V.dtype)
+        with T.no_record():
+            for row0, rows, keys, q_b, kt_b, v_b, p in _query_blocks(Q, K, V, offset, block):
+                g_b = gout[:, :, :, row0:row0 + rows].reshape(b, n_kv, g * rows, d_h)
+                dv[:, :, :keys] += p.swapaxes(-1, -2) @ g_b
+                # softmax backward, as softmax_rows': p * (dp - sum(dp * p))
+                dp = g_b @ v_b.swapaxes(-1, -2)
+                ds = dp * p
+                np.subtract(dp, ds.sum(axis=-1, keepdims=True), out=ds)
+                ds *= p
+                dq[:, :, :, row0:row0 + rows] = (ds @ kt_b.swapaxes(-1, -2)).reshape(
+                    b, n_kv, g, rows, d_h)
+                dk[:, :, :keys] += ds.swapaxes(-1, -2) @ q_b
+        return dq, dk, dv
+
+    return T.emit(o, list(zip((q, k, v), _joint_vjps(3, backward))))
 
 
 # --------------------------------------------------------------------------
@@ -296,26 +393,8 @@ def attention_forward(
     # (the np.repeat mapping); a block's g query heads are the rows of one
     # GEMM against their KV head.
     b, n_kv, tk, d_h = k.shape
-    g = w.group_size
-    q = T.reshape(q, (b, n_kv, g, tq, d_h))
-    kt = T.swap_last(k)  # [B, n_kv, d_h, Tk]
-
-    offset = tk - tq  # keys before the first query row
-    blocks = []
-    for row0 in range(0, tq, _QUERY_BLOCK):
-        rows = min(_QUERY_BLOCK, tq - row0)
-        # keys past the block's last row are masked for every row: skip them
-        keys = offset + row0 + rows
-        kt_b = kt if keys == tk else T.slice_axis(kt, 3, 0, keys)
-        v_b = v if keys == tk else T.slice_axis(v, 2, 0, keys)
-        q_b = q if rows == tq else T.slice_axis(q, 3, row0, row0 + rows)
-        scores = T.matmul(T.reshape(q_b, (b, n_kv, g * rows, d_h)), kt_b)
-        att = T.softmax_rows(T.reshape(scores, (b, n_kv, g, rows, keys)),
-                             causal=True, offset=offset + row0)
-        o_b = T.matmul(T.reshape(att, (b, n_kv, g * rows, keys)), v_b)
-        blocks.append(T.reshape(o_b, (b, n_kv, g, rows, d_h)))
-    o = T.concat(blocks, axis=3) if len(blocks) > 1 else blocks[0]
-    o = T.reshape(o, (b, w.n_h, tq, d_h))
+    q = T.reshape(q, (b, n_kv, w.group_size, tq, d_h))
+    o = T.reshape(_causal_attention(q, k, v, tk - tq), (b, w.n_h, tq, d_h))
 
     y = _finish_output(xq, o, w)
     return T.reshape(y, y.shape[1:]) if squeeze else y
@@ -421,6 +500,59 @@ def _decay_tables(gammas: np.ndarray, c: int, dtype) -> tuple[np.ndarray, ...]:
     return tables
 
 
+def _lightning_chunks(q: Tensor, k: Tensor, v: Tensor, s0: np.ndarray,
+                      gammas: np.ndarray, chunk: int) -> tuple[Tensor, np.ndarray]:
+    """The chunked Lightning recurrence over q, k, v [B, H, T, d_h] from the
+    start state s0, as one op; returns the output and the final state.
+
+    The record keeps q, k, v and each chunk's starting state.  Backward
+    walks the chunks in reverse carrying dS, the gradient of the state
+    after the chunk, and recomputes the decay-masked intra-chunk scores.
+    """
+    Q, K, V = q.data, k.data, v.data
+    dtype, t = Q.dtype, Q.shape[2]
+    # each chunk's starting state, for the record; only inputs that require
+    # grad can make one
+    keep = q.requires_grad or k.requires_grad or v.requires_grad
+    starts = []
+    s = np.asarray(s0, dtype=dtype)
+    o = np.empty(Q.shape, dtype=dtype)
+    with T.no_record():
+        for lo in range(0, t, chunk):
+            hi = min(lo + chunk, t)
+            g_in, g_mask, g_rev, g_all = _decay_tables(gammas, hi - lo, dtype)
+            qc, kc, vc = Q[:, :, lo:hi], K[:, :, lo:hi], V[:, :, lo:hi]
+            if keep:
+                starts.append(s)
+            inter = _mm(qc * g_in, s)
+            intra = _mm(_mm(qc, kc.swapaxes(-1, -2)) * g_mask, vc)
+            o[:, :, lo:hi] = inter + intra
+            s = s * g_all + _mm((kc * g_rev).swapaxes(-1, -2), vc)
+
+    def backward(g):
+        dq, dk, dv = (np.empty(Q.shape, dtype=dtype) for _ in range(3))
+        ds = None  # gradient of the state after the chunk; none after the last
+        for i in reversed(range(len(starts))):
+            lo = i * chunk
+            hi = min(lo + chunk, t)
+            g_in, g_mask, g_rev, g_all = _decay_tables(gammas, hi - lo, dtype)
+            qc, kc, vc, gc = Q[:, :, lo:hi], K[:, :, lo:hi], V[:, :, lo:hi], g[:, :, lo:hi]
+            d_scores = (gc @ vc.swapaxes(-1, -2)) * g_mask
+            dq[:, :, lo:hi] = (gc @ starts[i].swapaxes(-1, -2)) * g_in + d_scores @ kc
+            dkc = d_scores.swapaxes(-1, -2) @ qc
+            dvc = ((qc @ kc.swapaxes(-1, -2)) * g_mask).swapaxes(-1, -2) @ gc
+            if ds is not None:
+                dkc += (vc @ ds.swapaxes(-1, -2)) * g_rev
+                dvc += (kc * g_rev) @ ds
+            dk[:, :, lo:hi], dv[:, :, lo:hi] = dkc, dvc
+            if i:  # the starting state is a constant: no gradient past chunk 0
+                ds_in = (qc * g_in).swapaxes(-1, -2) @ gc
+                ds = ds_in if ds is None else ds_in + ds * g_all
+        return dq, dk, dv
+
+    return T.emit(o, list(zip((q, k, v), _joint_vjps(3, backward)))), s
+
+
 def lightning_forward_chunked(
     x: Tensor,
     w: MixerWeights,
@@ -443,24 +575,10 @@ def lightning_forward_chunked(
     b, t, _ = x3.shape
     state = _check_state(state, b, w.n_h, w.d_h, x3.data.dtype)
     q, k, v = _lightning_qkv(x3, w, rope, state.pos)
-    dtype = x3.data.dtype
-
-    s = Tensor(state.s, dtype=dtype)
-    outs = []
-    for lo in range(0, t, chunk):
-        hi = min(lo + chunk, t)
-        g_in, g_mask, g_rev, g_all = _decay_tables(gammas, hi - lo, dtype)
-        qc = T.slice_axis(q, 2, lo, hi)
-        kc = T.slice_axis(k, 2, lo, hi)
-        vc = T.slice_axis(v, 2, lo, hi)
-        inter = T.matmul(T.mul_const(qc, g_in), s)
-        intra = T.matmul(T.mul_const(T.matmul(qc, T.swap_last(kc)), g_mask), vc)
-        outs.append(T.add(inter, intra))
-        s = T.add(T.mul_const(s, g_all), T.matmul(T.swap_last(T.mul_const(kc, g_rev)), vc))
-    o = T.concat(outs, axis=2) if len(outs) > 1 else outs[0]
+    o, s = _lightning_chunks(q, k, v, state.s, gammas, chunk)
     y = _finish_output(x3, o, w)
     y = T.reshape(y, y.shape[1:]) if squeeze else y
-    return y, RecurrentState(s.data, state.pos + t)
+    return y, RecurrentState(s, state.pos + t)
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConfigError, Tensor, _emit
+from .tensor import ConfigError, Tensor, emit
 
 
 def check_rope_head_dim(head_dim: int) -> None:
@@ -148,7 +148,7 @@ def rope_apply(x: Tensor, start_pos: int, params: RopeParams, time_axis: int = 0
     def dx(g):
         return _rotate(g, rot.conj())
 
-    return _emit(_rotate(X, rot), [(x, dx)])
+    return emit(_rotate(X, rot), [(x, dx)])
 
 
 def fit_scale_base(model, corpus: np.ndarray, context_len: int, candidates) -> ScaleBase:

@@ -17,6 +17,15 @@ product that only feeds a projection is not kept either: ``gated_matmul``
 records a * b @ w as one op, and backward recomputes the product from a and
 b, which the tape holds anyway.
 
+Ops outside this module are written on ``emit``, the same way.  One record
+each, with a hand-written backward, are:
+- ``gated_matmul`` (here): keeps a, b and w, recomputes a * b;
+- ``positional.rope_apply``: keeps the rotation table only;
+- the chunked Lightning core of ``mixers.lightning_forward_chunked``: keeps
+  q, k, v and each chunk's starting state;
+- the causal block loop of ``mixers.attention_forward``: keeps q, k and v,
+  and recomputes each query block's probabilities in backward.
+
 Broadcasting is deliberately narrow: elementwise ops require identical
 shapes, matmul broadcasts leading batch dimensions only, and ``mul_const``
 broadcasts a constant array up to the tensor's shape.
@@ -261,7 +270,14 @@ def backward(loss: Tensor) -> None:
     loss._tape.backward(loss)
 
 
-def _emit(out_data: np.ndarray, pairs: Sequence[tuple[Tensor, Callable]]) -> Tensor:
+def emit(out_data: np.ndarray, pairs: Sequence[tuple[Tensor, Callable]]) -> Tensor:
+    """Wrap `out_data` as the output of one op over the tensors in `pairs`.
+
+    Each pair is (input, vjp), where vjp maps the output's gradient to that
+    input's.  The op is recorded on the innermost tape when one is active
+    and some input requires grad; otherwise nothing is kept.  Ops written
+    outside this module (rotary encoding, the mixer cores) build on it.
+    """
     tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     track = tape is not None and any(t.requires_grad for t, _ in pairs)
     out = Tensor(out_data, requires_grad=track, dtype=out_data.dtype)
@@ -313,24 +329,24 @@ def param(rng: Rng, shape, std: float = 0.02) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
-    return _emit(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
+    return emit(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
-    return _emit(a.data - b.data, [(a, lambda g: g), (b, lambda g: -g)])
+    return emit(a.data - b.data, [(a, lambda g: g), (b, lambda g: -g)])
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     A, B = a.data, b.data
-    return _emit(A * B, [(a, lambda g: g * B), (b, lambda g: g * A)])
+    return emit(A * B, [(a, lambda g: g * B), (b, lambda g: g * A)])
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar constant."""
     c = x.data.dtype.type(c)
-    return _emit(x.data * c, [(x, lambda g: g * c)])
+    return emit(x.data * c, [(x, lambda g: g * c)])
 
 
 def mul_const(x: Tensor, arr: np.ndarray) -> Tensor:
@@ -343,7 +359,7 @@ def mul_const(x: Tensor, arr: np.ndarray) -> Tensor:
     out = x.data * arr
     if out.shape != x.data.shape:
         raise ShapeError(f"mul_const constant {arr.shape} must broadcast into {x.data.shape}")
-    return _emit(out, [(x, lambda g: g * arr)])
+    return emit(out, [(x, lambda g: g * arr)])
 
 
 def _sigmoid_np(X: np.ndarray) -> np.ndarray:
@@ -378,7 +394,7 @@ def sigmoid(x: Tensor) -> Tensor:
         d *= g
         return d
 
-    return _emit(out, [(x, dx)])
+    return emit(out, [(x, dx)])
 
 
 def silu(x: Tensor) -> Tensor:
@@ -396,7 +412,7 @@ def silu(x: Tensor) -> Tensor:
         d *= g
         return d
 
-    return _emit(out, [(x, dx)])
+    return emit(out, [(x, dx)])
 
 
 # --------------------------------------------------------------------------
@@ -404,17 +420,17 @@ def silu(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.data.shape
-    return _emit(x.data.reshape(shape), [(x, lambda g: g.reshape(old))])
+    return emit(x.data.reshape(shape), [(x, lambda g: g.reshape(old))])
 
 
 def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     inv = np.argsort(axes)
-    return _emit(np.transpose(x.data, axes), [(x, lambda g: np.transpose(g, inv))])
+    return emit(np.transpose(x.data, axes), [(x, lambda g: np.transpose(g, inv))])
 
 
 def swap_last(x: Tensor) -> Tensor:
     """Transpose the last two axes."""
-    return _emit(x.data.swapaxes(-1, -2), [(x, lambda g: g.swapaxes(-1, -2))])
+    return emit(x.data.swapaxes(-1, -2), [(x, lambda g: g.swapaxes(-1, -2))])
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -428,7 +444,7 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
         buf[idx] = g
         return buf
 
-    return _emit(x.data[idx], [(x, dx)])
+    return emit(x.data[idx], [(x, dx)])
 
 
 def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
@@ -446,7 +462,7 @@ def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
 
         return dx
 
-    return _emit(out, [(x, make_dx(i)) for i, x in enumerate(xs)])
+    return emit(out, [(x, make_dx(i)) for i, x in enumerate(xs)])
 
 
 def repeat_axis(x: Tensor, repeats: int, axis: int) -> Tensor:
@@ -463,7 +479,7 @@ def repeat_axis(x: Tensor, repeats: int, axis: int) -> Tensor:
         shp[axis : axis + 1] = [n, repeats]
         return g.reshape(shp).sum(axis=axis + 1)
 
-    return _emit(out, [(x, dx)])
+    return emit(out, [(x, dx)])
 
 
 # --------------------------------------------------------------------------
@@ -502,7 +518,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def db(g):
             return _unbroadcast(A.swapaxes(-1, -2) @ g, b_shape)
 
-    return _emit(out, [(a, da), (b, db)])
+    return emit(out, [(a, da), (b, db)])
 
 
 def gated_matmul(a: Tensor, b: Tensor, w: Tensor) -> Tensor:
@@ -539,7 +555,7 @@ def gated_matmul(a: Tensor, b: Tensor, w: Tensor) -> Tensor:
     def dw(g):
         return (A * B).reshape(-1, k).T @ g.reshape(-1, n)
 
-    return _emit(out, [(a, da), (b, db), (w, dw)])
+    return emit(out, [(a, da), (b, db), (w, dw)])
 
 
 # --------------------------------------------------------------------------
@@ -581,7 +597,7 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
         d *= g
         return _unbroadcast(d, gain_shape)
 
-    return _emit(out, [(x, dx), (gain, dgain)])
+    return emit(out, [(x, dx), (gain, dgain)])
 
 
 def softmax_rows(x: Tensor, causal: bool = False, offset: int = 0) -> Tensor:
@@ -618,7 +634,7 @@ def softmax_rows(x: Tensor, causal: bool = False, offset: int = 0) -> Tensor:
         d *= out
         return d
 
-    return _emit(out, [(x, dx)])
+    return emit(out, [(x, dx)])
 
 
 # --------------------------------------------------------------------------
@@ -626,15 +642,15 @@ def softmax_rows(x: Tensor, causal: bool = False, offset: int = 0) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     shape, dtype = x.data.shape, x.data.dtype
-    return _emit(np.asarray(x.data.sum(), dtype=dtype),
-                 [(x, lambda g: np.full(shape, g, dtype=dtype))])
+    return emit(np.asarray(x.data.sum(), dtype=dtype),
+                [(x, lambda g: np.full(shape, g, dtype=dtype))])
 
 
 def mean_all(x: Tensor) -> Tensor:
     shape, dtype = x.data.shape, x.data.dtype
     n = dtype.type(x.data.size)
-    return _emit(np.asarray(x.data.mean(), dtype=dtype),
-                 [(x, lambda g: np.full(shape, g / n, dtype=dtype))])
+    return emit(np.asarray(x.data.mean(), dtype=dtype),
+                [(x, lambda g: np.full(shape, g / n, dtype=dtype))])
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -653,7 +669,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(buf, ids.ravel(), g.reshape(-1, shape[-1]))
         return buf
 
-    return _emit(out, [(table, dt)])
+    return emit(out, [(table, dt)])
 
 
 def _log_softmax(X: np.ndarray) -> np.ndarray:
@@ -680,7 +696,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         p[np.arange(n), tflat] -= 1.0
         return (p * (g / n)).reshape(shape).astype(dtype, copy=False)
 
-    return _emit(np.asarray(nll, dtype=X.dtype), [(logits, dx)])
+    return emit(np.asarray(nll, dtype=X.dtype), [(logits, dx)])
 
 
 def kl_divergence(ref_logits: np.ndarray, logits: Tensor) -> Tensor:
@@ -706,7 +722,7 @@ def kl_divergence(ref_logits: np.ndarray, logits: Tensor) -> Tensor:
         q = np.exp(log_q)
         return ((q - p) * (g / n)).reshape(shape).astype(dtype, copy=False)
 
-    return _emit(np.asarray(val, dtype=X.dtype), [(logits, dx)])
+    return emit(np.asarray(val, dtype=X.dtype), [(logits, dx)])
 
 
 # --------------------------------------------------------------------------

@@ -420,12 +420,18 @@ def test_cli_halo_bad_config_value_exits_2_before_any_stage(tmp_path, capsys, ba
     assert not out.exists()
 
 
-def _teacher_with_vocab(tmp_path, vocab: int):
-    """An untrained all-attention checkpoint of the tiny shape."""
+def _teacher_with_vocab(tmp_path, vocab: int, precision: str = "standard"):
+    """An untrained all-attention checkpoint of the tiny shape, saved at
+    `precision` (by default the CLI's)."""
     cfg = desk_config(L=2, I_attn=(0, 1), d=16, d_h=4, n_h=4, n_kv_heads=2,
                       ffn_width=24, vocab=vocab, rope=RopeParams(theta=1000.0, head_dim=4))
     path = tmp_path / f"vocab{vocab}.ckpt"
-    save_model(path, init_model(cfg, seed=1))
+    before = T.precision()
+    T.set_precision(precision)
+    try:
+        save_model(path, init_model(cfg, seed=1))
+    finally:
+        T.set_precision(before)
     return path
 
 
@@ -462,6 +468,24 @@ def test_cli_halo_vocab_below_the_recall_suite_exits_2_before_any_stage(tmp_path
     assert main(["halo", str(teacher), cfg, str(out)]) == 2
     assert "vocab 256 is too small for 'niah'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("saved,flag", [("extended", "standard"), ("standard", "extended")])
+def test_cli_halo_teacher_of_another_precision_exits_2_before_any_stage(
+        tmp_path, capsys, saved, flag):
+    """A teacher saved in f64 run at --precision standard (and an f32 one at
+    extended) is refused, naming its dtype and the flag, before the output
+    directory is made; at its own precision the dry run passes."""
+    teacher = _teacher_with_vocab(tmp_path, 512, precision=saved)
+    dtype = {"extended": "float64", "standard": "float32"}[saved]
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "halo"
+    for dry in ([], ["--dry-run"]):
+        assert main(dry + ["--precision", flag, "halo", str(teacher), cfg, str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"holds {dtype} tensors" in err and f"--precision {saved}" in err
+        assert not out.exists()
+    assert main(["--precision", saved, "--dry-run", "halo", str(teacher), cfg, str(out)]) == 0
 
 
 def test_cli_missing_config_exit_2(tmp_path):

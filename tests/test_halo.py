@@ -736,7 +736,7 @@ def test_stage_report_says_why_a_step_was_skipped(tmp_path):
     def make_loss(step):
         after.append(p.data.copy())
         if step == 1:
-            return T._emit(np.asarray(p.data.sum()),
+            return T.emit(np.asarray(p.data.sum()),
                            [(p, lambda g: np.full(p.shape, np.nan))])
         return T.sum_all(T.mul(p, p))
 

@@ -1,5 +1,6 @@
 """Mixer oracles: per-position attention loop, cumulative outer products,
-recurrent/chunked equivalence, GQA surgery, gradient checks."""
+recurrent/chunked equivalence, GQA surgery, gradient checks, and the one-op
+mixer cores against their composition of generic ops."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hybridkit.mixers import (KvCache, MixerWeights, RecurrentState,
 from hybridkit.positional import RopeParams, ScaleBase, scale_vector
 from hybridkit.tensor import ConfigError, Rng, Tape, Tensor
 
-from conftest import max_rel_err
+from conftest import max_rel_err, tape_held_bytes
 
 # Verbatim per-head decay values printed for 32 heads.
 GAMMA_TABLE_32 = [
@@ -646,3 +647,271 @@ def test_lightning_weight_gradients_finite_diff():
         # smaller step: norm-of-small-vector curvature dominates at 1e-4
         err = T.finite_diff_check(f, tens, step=2e-5)
         assert err < 1e-4, f"{name}: {err:.2e}"
+
+
+# --------------------------------------------------------------------------
+# the mixer cores as one op each, against the composition of public ops
+#
+# `lightning_composition` and `attention_composition` write the chunk and
+# block loops as compositions of generic slice, matmul and concat ops, each
+# its own tape record.  The ops must give the same outputs bit for bit (the
+# forward runs the same expressions) and the same gradients up to summation
+# order: GRAD_TOLS, relative to the largest gradient entry.
+
+GRAD_TOLS = [("extended", 1e-10), ("standard", 1e-5)]
+
+
+def lightning_composition(q, k, v, s0, gammas, chunk):
+    t = q.shape[2]
+    dtype = q.data.dtype
+    s = Tensor(s0, dtype=dtype)
+    outs = []
+    for lo in range(0, t, chunk):
+        hi = min(lo + chunk, t)
+        g_in, g_mask, g_rev, g_all = mixers._decay_tables(gammas, hi - lo, dtype)
+        qc = T.slice_axis(q, 2, lo, hi)
+        kc = T.slice_axis(k, 2, lo, hi)
+        vc = T.slice_axis(v, 2, lo, hi)
+        inter = T.matmul(T.mul_const(qc, g_in), s)
+        intra = T.matmul(T.mul_const(T.matmul(qc, T.swap_last(kc)), g_mask), vc)
+        outs.append(T.add(inter, intra))
+        s = T.add(T.mul_const(s, g_all), T.matmul(T.swap_last(T.mul_const(kc, g_rev)), vc))
+    o = T.concat(outs, axis=2) if len(outs) > 1 else outs[0]
+    return o, s.data
+
+
+def attention_composition(q, k, v, offset):
+    b, n_kv, g, tq, d_h = q.shape
+    tk = k.shape[2]
+    kt = T.swap_last(k)
+    blocks = []
+    for row0 in range(0, tq, mixers._QUERY_BLOCK):
+        rows = min(mixers._QUERY_BLOCK, tq - row0)
+        keys = offset + row0 + rows
+        kt_b = kt if keys == tk else T.slice_axis(kt, 3, 0, keys)
+        v_b = v if keys == tk else T.slice_axis(v, 2, 0, keys)
+        q_b = q if rows == tq else T.slice_axis(q, 3, row0, row0 + rows)
+        scores = T.matmul(T.reshape(q_b, (b, n_kv, g * rows, d_h)), kt_b)
+        att = T.softmax_rows(T.reshape(scores, (b, n_kv, g, rows, keys)),
+                             causal=True, offset=offset + row0)
+        o_b = T.matmul(T.reshape(att, (b, n_kv, g * rows, keys)), v_b)
+        blocks.append(T.reshape(o_b, (b, n_kv, g, rows, d_h)))
+    return T.concat(blocks, axis=3) if len(blocks) > 1 else blocks[0]
+
+
+def _leaves(rng, *shapes):
+    return [Tensor(rng.child(i).normal(shape), requires_grad=True)
+            for i, shape in enumerate(shapes)]
+
+
+def _probe_grads(run, leaves, probe):
+    """run() -> output Tensor; the leaves' gradients of sum(output * probe)."""
+    for t in leaves:
+        t.grad = None
+    with Tape() as tape:
+        out = run()
+        loss = T.sum_all(T.mul(out, probe))
+    tape.backward(loss)
+    return out.data, [t.grad for t in leaves]
+
+
+def _assert_op_matches(op_run, ref_run, leaves, probe, tol):
+    got, got_grads = _probe_grads(op_run, leaves, probe)
+    ref, ref_grads = _probe_grads(ref_run, leaves, probe)
+    np.testing.assert_array_equal(got, ref)
+    for name, a, b in zip("qkv", got_grads, ref_grads):
+        assert a.dtype == T.active_dtype()
+        assert max_rel_err(a, b) < tol, name
+
+
+LIGHTNING_C = 4
+
+
+@pytest.mark.parametrize("mode,tol", GRAD_TOLS)
+@pytest.mark.parametrize("t", [1, LIGHTNING_C - 1, LIGHTNING_C, LIGHTNING_C + 1,
+                               2 * LIGHTNING_C + 3])
+@pytest.mark.parametrize("carried", [False, True], ids=["fresh", "carried"])
+def test_lightning_op_matches_composition(mode, tol, t, carried):
+    T.set_precision(mode)
+    rng = Rng(70 + t)
+    b, h, d_h = 2, 3, 5
+    gam = gamma_slopes(h)
+    q, k, v = _leaves(rng, *[(b, h, t, d_h)] * 3)
+    s0 = (rng.child(9).normal((b, h, d_h, d_h)) if carried
+          else np.zeros((b, h, d_h, d_h), dtype=T.active_dtype()))
+    probe = T.tensor(rng.child(8).normal((b, h, t, d_h)))
+    # outputs and the final state are the composition's, bit for bit
+    (o, s), (o_ref, s_ref) = (fn(q, k, v, s0, gam, LIGHTNING_C) for fn in
+                              (mixers._lightning_chunks, lightning_composition))
+    np.testing.assert_array_equal(o.data, o_ref.data)
+    np.testing.assert_array_equal(s, s_ref)
+    _assert_op_matches(lambda: mixers._lightning_chunks(q, k, v, s0, gam, LIGHTNING_C)[0],
+                       lambda: lightning_composition(q, k, v, s0, gam, LIGHTNING_C)[0],
+                       (q, k, v), probe, tol)
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["fresh", "carried"])
+def test_lightning_op_finite_diff(carried):
+    rng = Rng(80)
+    b, h, t, d_h = 1, 2, 2 * LIGHTNING_C + 3, 3
+    gam = gamma_slopes(h)
+    leaves = _leaves(rng, *[(b, h, t, d_h)] * 3)
+    s0 = rng.child(9).normal((b, h, d_h, d_h)) if carried else np.zeros((b, h, d_h, d_h))
+    probe = T.tensor(rng.child(8).normal((b, h, t, d_h)))
+    for i, name in enumerate("qkv"):
+        def f(x):
+            args = leaves[:i] + [x] + leaves[i + 1:]
+            o, _ = mixers._lightning_chunks(*args, s0, gam, LIGHTNING_C)
+            return T.sum_all(T.mul(o, probe))
+
+        err = T.finite_diff_check(f, leaves[i])
+        assert err < 1e-4, f"{name}: {err:.2e}"
+
+
+@pytest.mark.parametrize("mode,tol", GRAD_TOLS)
+@pytest.mark.parametrize("tq", [3, 4, 5, 9])
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("offset", [0, 6], ids=["no_cache", "cached"])
+def test_attention_op_matches_composition(monkeypatch, mode, tol, tq, g, offset):
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
+    T.set_precision(mode)
+    rng = Rng(90 + tq)
+    b, n_kv, d_h = 2, 2, 3
+    tk = offset + tq
+    q, k, v = _leaves(rng, (b, n_kv, g, tq, d_h), (b, n_kv, tk, d_h), (b, n_kv, tk, d_h))
+    probe = T.tensor(rng.child(8).normal((b, n_kv, g, tq, d_h)))
+    _assert_op_matches(lambda: mixers._causal_attention(q, k, v, offset),
+                       lambda: attention_composition(q, k, v, offset),
+                       (q, k, v), probe, tol)
+
+
+@pytest.mark.parametrize("tq,offset", [(9, 0), (5, 6), (1, 8)],
+                         ids=["no_cache", "cached", "last_only"])
+def test_attention_op_finite_diff(monkeypatch, tq, offset):
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
+    rng = Rng(100 + tq)
+    b, n_kv, g, d_h = 1, 2, 2, 3
+    tk = offset + tq
+    leaves = _leaves(rng, (b, n_kv, g, tq, d_h), (b, n_kv, tk, d_h), (b, n_kv, tk, d_h))
+    probe = T.tensor(rng.child(8).normal((b, n_kv, g, tq, d_h)))
+    for i, name in enumerate("qkv"):
+        def f(x):
+            args = leaves[:i] + [x] + leaves[i + 1:]
+            return T.sum_all(T.mul(mixers._causal_attention(*args, offset), probe))
+
+        err = T.finite_diff_check(f, leaves[i])
+        assert err < 1e-4, f"{name}: {err:.2e}"
+
+
+def _mixer_grads(run, x, w, probe):
+    """Output and gradients (x, then every weight) of sum(run(x) * probe)."""
+    return _probe_grads(lambda: run(x), [x] + [t for _, t in w.named()], probe)
+
+
+@pytest.mark.parametrize("mode,tol", GRAD_TOLS)
+@pytest.mark.parametrize("n_kv", [4, 2])  # g = 1 and g = 2
+@pytest.mark.parametrize("case", ["prefill", "cached", "last_only"])
+def test_attention_mixer_with_the_op_matches_the_composition(monkeypatch, mode, tol, n_kv, case):
+    """Whole mixers, rope and a ScaleBase, through a cache and last_only:
+    outputs bit-identical, every gradient within GRAD_TOLS."""
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
+    T.set_precision(mode)
+    rng = Rng(110)
+    w = make_weights(rng, 12, 4, n_kv, 6)
+    rope = RopeParams(theta=500.0, head_dim=6)
+    base = ScaleBase(3.0)
+    start = 5 if case == "cached" else 0
+    x_all = rng.child(99).normal((2, start + 9, 12))
+    x = Tensor(x_all[:, start:], requires_grad=True)
+    rows = 1 if case == "last_only" else 9
+    probe = T.tensor(rng.child(98).normal((2, rows, 12)))
+
+    def run(x):
+        cache = None
+        if start:
+            cache = KvCache(2, n_kv, 6, T.active_dtype(), capacity=4)
+            with T.no_record():
+                attention_forward(T.tensor(x_all[:, :start]), w, rope=rope,
+                                  scale_base=base, cache=cache)
+        return attention_forward(x, w, rope=rope, scale_base=base, start_pos=start,
+                                 cache=cache, last_only=case == "last_only")
+
+    got, got_grads = _mixer_grads(run, x, w, probe)
+    monkeypatch.setattr(mixers, "_causal_attention", attention_composition)
+    ref, ref_grads = _mixer_grads(run, x, w, probe)
+    np.testing.assert_array_equal(got, ref)
+    for a, b in zip(got_grads, ref_grads):
+        # with a cache, keys and values are constants: w_k, w_v and the k
+        # gain get no gradient from either form
+        assert (a is None) == (b is None)
+        assert a is None or max_rel_err(a, b) < tol
+
+
+@pytest.mark.parametrize("mode,tol", GRAD_TOLS)
+@pytest.mark.parametrize("carried", [False, True], ids=["fresh", "carried"])
+def test_lightning_mixer_with_the_op_matches_the_composition(monkeypatch, mode, tol, carried):
+    T.set_precision(mode)
+    rng = Rng(111)
+    w = make_weights(rng, 8, 2, 2, 4)
+    gam = gamma_slopes(2)
+    rope = RopeParams(theta=1000.0, head_dim=4)
+    x_all = rng.child(99).normal((2, 4 + 11, 8))
+    state = None
+    if carried:
+        _, state = lightning_forward_chunked(T.tensor(x_all[:, :4]), w, gam, 4, rope=rope)
+    x = Tensor(x_all[:, 4:], requires_grad=True)
+    probe = T.tensor(rng.child(98).normal((2, 11, 8)))
+
+    def run(x):
+        return lightning_forward_chunked(x, w, gam, 4, rope=rope, state=state)[0]
+
+    got, got_grads = _mixer_grads(run, x, w, probe)
+    monkeypatch.setattr(mixers, "_lightning_chunks", lightning_composition)
+    ref, ref_grads = _mixer_grads(run, x, w, probe)
+    np.testing.assert_array_equal(got, ref)
+    for a, b in zip(got_grads, ref_grads):
+        assert max_rel_err(a, b) < tol
+
+
+# --------------------------------------------------------------------------
+# what each mixer op's tape record keeps
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+def test_lightning_op_record_keeps_qkv_and_chunk_start_states(mode):
+    """One record, holding q, k, v, one [B, H, d_h, d_h] state per chunk
+    (the first is the start state itself) and the H decay rates: no scores,
+    no decay-scaled copies, no output."""
+    T.set_precision(mode)
+    rng = Rng(120)
+    b, h, t, d_h = 2, 3, 2 * LIGHTNING_C + 3, 5
+    gam = gamma_slopes(h)
+    q, k, v = _leaves(rng, *[(b, h, t, d_h)] * 3)
+    s0 = rng.child(9).normal((b, h, d_h, d_h))
+    with Tape() as tape:
+        mixers._lightning_chunks(q, k, v, s0, gam, LIGHTNING_C)
+    assert len(tape._records) == 1
+    itemsize = np.dtype(T.active_dtype()).itemsize
+    n_chunks = 3
+    assert tape_held_bytes(tape) == (3 * b * h * t * d_h + n_chunks * b * h * d_h * d_h) \
+        * itemsize + gam.nbytes
+    # with no tape, nothing is kept
+    with Tape() as tape:
+        with T.no_record():
+            mixers._lightning_chunks(q, k, v, s0, gam, LIGHTNING_C)
+    assert tape._records == []
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("g", [1, 2])
+def test_attention_op_record_keeps_qkv_and_no_probabilities(monkeypatch, mode, g):
+    """One record over three query blocks, holding q, k and v alone: no
+    [rows, keys] scores or probabilities."""
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
+    T.set_precision(mode)
+    rng = Rng(121)
+    b, n_kv, tq, d_h = 2, 2, 11, 3
+    q, k, v = _leaves(rng, (b, n_kv, g, tq, d_h), (b, n_kv, tq, d_h), (b, n_kv, tq, d_h))
+    with Tape() as tape:
+        mixers._causal_attention(q, k, v, 0)
+    assert len(tape._records) == 1
+    assert tape_held_bytes(tape) == q.data.nbytes + k.data.nbytes + v.data.nbytes

@@ -398,8 +398,9 @@ def test_greedy_tokens_after_last_only_prefill_equal_full_prefill(tol, I_attn, m
     np.testing.assert_array_equal(got, generate_greedy(model, prompts, n_new=8))
 
 
-def _prefill_flop(model, prompts, last_only, monkeypatch):
-    """FLOP that tensor.matmul runs in one prefill: 2 * out.size * inner."""
+def _prefill_flop(model, prompts, last_only, monkeypatch, taped=False):
+    """FLOP that tensor.matmul runs in one prefill, or with `taped` in one
+    training forward on a tape: 2 * out.size * inner."""
     real = T.matmul
     work = []
 
@@ -410,8 +411,12 @@ def _prefill_flop(model, prompts, last_only, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(T, "matmul", counting)
-        prefill(model, new_session(model, batch=prompts.shape[0]), prompts,
-                last_only=last_only)
+        if taped:
+            with T.Tape():
+                forward(model, prompts, scale_base=None)
+        else:
+            prefill(model, new_session(model, batch=prompts.shape[0]), prompts,
+                    last_only=last_only)
     return sum(work)
 
 
@@ -437,6 +442,33 @@ def test_last_only_prefill_of_attention_final_model_runs_one_query_row(monkeypat
     last = full_attn + attention(1, [(1, t)]) + (t + 1) * mlp + 2 * B * d * V
     assert _prefill_flop(model, prompts, False, monkeypatch) == full
     assert _prefill_flop(model, prompts, True, monkeypatch) == last
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["prefill", "taped_forward"])
+def test_matmul_counts_every_mixer_gemm_of_a_hybrid(taped, monkeypatch):
+    """Both mixer cores are one op each, but run their GEMMs through
+    tensor.matmul: the count equals the closed form of every projection,
+    Lightning chunk term and attention block, in a prefill and in a
+    training forward on a tape."""
+    import hybridkit.mixers as mixers
+
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
+    cfg = tiny_hybrid(L=3, I_attn=(1,), attn_gate=True, chunk=4)
+    model = init_model(cfg, seed=28)
+    B, t = 2, 10
+    prompts = Rng(15).integers(0, cfg.vocab, size=(B, t))
+    d, d_h, n_h, f, V = cfg.d, cfg.d_h, cfg.n_h, cfg.ffn_width, cfg.vocab
+    hd, kvd = n_h * d_h, cfg.n_kv_heads * d_h
+    # q, k, v and gate projections, output projection; per chunk of width c:
+    # (q * decay) @ S, q @ k^T, scores @ v and the state update
+    lightning = 2 * B * t * d * 5 * hd + sum(
+        2 * B * n_h * (2 * c * d_h * d_h + 2 * c * c * d_h) for c in (4, 4, 2))
+    keys_per_block = [(4, 4), (4, 8), (2, 10)]
+    attention = (2 * B * d * t * (2 * kvd + 3 * hd)
+                 + 2 * 2 * B * hd * sum(r * k for r, k in keys_per_block))
+    mlp = 2 * B * t * 3 * d * f
+    total = 2 * lightning + attention + 3 * mlp + 2 * B * t * d * V
+    assert _prefill_flop(model, prompts, False, monkeypatch, taped=taped) == total
 
 
 class _FullRows:

@@ -352,7 +352,7 @@ def test_backward_frees_each_record_once_it_has_run(mode):
         def vjp(g):
             seen.append(s_buf[0]())
             return g
-        return T._emit(t.data.copy(), [(t, vjp)])
+        return T.emit(t.data.copy(), [(t, vjp)])
 
     with Tape() as tape:
         s = T.sigmoid(identity_probe(x))
@@ -569,7 +569,7 @@ def test_finite_diff_detects_wrong_gradient():
 
     def bad_op(t):
         # deliberately corrupted vjp: claims dx = g instead of 2g
-        return T._emit(t.data * 2.0, [(t, lambda g: g)])
+        return T.emit(t.data * 2.0, [(t, lambda g: g)])
 
     err = T.finite_diff_check(lambda t: T.sum_all(bad_op(t)), x, step=1e-4)
     assert err > 1e-1
