@@ -11,6 +11,13 @@ A model header's config lists the `ModelConfig` fields.  Older headers also
 carry keys for switches that are now fixed conventions (`RETIRED_KEYS`);
 such a header loads when each key holds the one value the model keeps, and
 is refused, naming the key, otherwise.  New headers omit these keys.
+
+A model's tensors are exactly those its config implies: per layer, the
+mixer layout of `model.mixer_layout` (KV heads, and whether w_z and
+out_gain are present; QK-norm gains always), norms and MLP.  A stage-1
+mixer file holds one mixer of the RNN layout.  A missing, misshapen or
+extra tensor is a CheckpointError that names it, so no file loads as a
+model other than the one its header describes.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ import numpy as np
 
 from .fileio import write_atomic
 from .mixers import MIXER_FIELDS
-from .model import (LayerWeights, MixerWeights, MlpWeights, Model, ModelConfig)
+from .model import (LayerWeights, MixerWeights, MlpWeights, Model, ModelConfig,
+                    mixer_layout)
 from .positional import RopeParams, ScaleBase
 from .tensor import ConfigError, Tensor
 
@@ -175,7 +183,7 @@ def save_model(path, model: Model) -> None:
 
 
 def _mixer_shapes(d: int, n_h: int, n_kv: int, d_h: int) -> dict[str, tuple]:
-    """Shape of every mixer tensor, optional ones included: projections are
+    """Shape of every mixer tensor, the gate's included: projections are
     [d, heads * d_h] and gains [heads, 1, d_h], with one head per KV head on
     the key/value side."""
     heads = {name: n_kv if name in ("w_k", "w_v", "qk_gain_k") else n_h
@@ -184,33 +192,30 @@ def _mixer_shapes(d: int, n_h: int, n_kv: int, d_h: int) -> dict[str, tuple]:
             for name, h in heads.items()}
 
 
-_MIXER_REQUIRED = ("w_q", "w_k", "w_v", "w_o")
-
-
 class _Reader:
     """Hands out checkpoint tensors as parameters, checking name and shape."""
 
     def __init__(self, path, tensors: dict[str, np.ndarray]):
         self.path, self.tensors, self.seen = path, tensors, set()
 
-    def take(self, name: str, shape: tuple, required: bool = True) -> Tensor | None:
+    def take(self, name: str, shape: tuple) -> Tensor:
         arr = self.tensors.get(name)
         if arr is None:
-            if required:
-                raise CheckpointError(f"{self.path}: missing tensor {name!r}")
-            return None
+            raise CheckpointError(f"{self.path}: missing tensor {name!r}")
         self.seen.add(name)
         if arr.shape != shape:
             raise CheckpointError(f"{self.path}: tensor {name!r} has shape "
                                   f"{list(arr.shape)}, expected {list(shape)}")
         return Tensor(arr, requires_grad=True, dtype=arr.dtype)
 
-    def mixer(self, prefix: str, d: int, n_h: int, n_kv: int, d_h: int) -> MixerWeights:
-        kw = {name: self.take(prefix + name, shape, name in _MIXER_REQUIRED)
-              for name, shape in _mixer_shapes(d, n_h, n_kv, d_h).items()}
-        if (kw["qk_gain_q"] is None) != (kw["qk_gain_k"] is None):
-            raise CheckpointError(f"{self.path}: {prefix}qk_gain_q and "
-                                  f"{prefix}qk_gain_k must come together")
+    def mixer(self, prefix: str, d: int, n_h: int, d_h: int, n_kv: int,
+              gated: bool) -> MixerWeights:
+        """The mixer of that layout: every tensor but the gate's, and the
+        gate's (w_z, out_gain) exactly when `gated`.  A gate tensor of an
+        ungated mixer stays unseen, so `finish` reports it."""
+        kw = {name: self.take(prefix + name, shape)
+              for name, shape in _mixer_shapes(d, n_h, n_kv, d_h).items()
+              if gated or name not in ("w_z", "out_gain")}
         return MixerWeights(n_h=n_h, n_kv_heads=n_kv, d_h=d_h, **kw)
 
     def finish(self) -> None:
@@ -228,10 +233,10 @@ def load_model(path) -> Model:
     """Load a model checkpoint.
 
     Raises CheckpointError when the stored config is malformed or holds a
-    retired key with another value than the one the model keeps, a required
-    tensor is missing, a tensor's shape disagrees with the stored config, a
-    tensor is not part of the model, or the stored layer kinds disagree with
-    the config's I_attn.
+    retired key with another value than the one the model keeps, the stored
+    layer kinds disagree with the config's I_attn, or the tensors are not
+    exactly those of the layout the config implies: one is missing, has
+    another shape, or is not part of it (a gate on an ungated layer, say).
     """
     config, tensors = load_tensors(path)
     if config.get("kind") != "model":
@@ -255,9 +260,8 @@ def load_model(path) -> Model:
     layers = []
     for l in range(cfg.L):
         p = f"layers.{l}."
-        n_kv = cfg.n_kv_heads if l in cfg.I_attn else cfg.n_h
         layers.append(LayerWeights(
-            mixer=r.mixer(p + "mixer.", d, cfg.n_h, n_kv, cfg.d_h),
+            mixer=r.mixer(p + "mixer.", d, cfg.n_h, cfg.d_h, *mixer_layout(cfg, l)),
             pre_mixer_gain=r.take(p + "pre_mixer_gain", (d,)),
             pre_mlp_gain=r.take(p + "pre_mlp_gain", (d,)),
             mlp=MlpWeights(r.take(p + "mlp.w_gate", (d, f)),
@@ -278,7 +282,9 @@ def save_mixer(path, mixer: MixerWeights, meta: dict | None = None) -> None:
 
 
 def load_mixer(path) -> MixerWeights:
-    """Load one mixer; raises CheckpointError like ``load_model``."""
+    """Load one stage-1 mixer, which has the RNN layout (`mixer_layout`):
+    one KV head per query head and an output gate.  Raises CheckpointError
+    like ``load_model``, and for a header of another layout."""
     config, tensors = load_tensors(path)
     if config.get("kind") != "mixer":
         raise CheckpointError(f"{path}: not a mixer checkpoint")
@@ -286,6 +292,9 @@ def load_mixer(path) -> MixerWeights:
         n_h, n_kv, d_h = (int(config[k]) for k in ("n_h", "n_kv_heads", "d_h"))
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed mixer config ({e!r})") from None
+    if n_kv != n_h:
+        raise CheckpointError(f"{path}: mixer has n_kv_heads={n_kv} for n_h={n_h}, but "
+                              f"the RNN layout has one KV head per query head")
     w_q = tensors.get("w_q")
     if w_q is None:
         raise CheckpointError(f"{path}: missing tensor 'w_q'")
@@ -293,6 +302,6 @@ def load_mixer(path) -> MixerWeights:
         raise CheckpointError(f"{path}: tensor 'w_q' has shape {list(w_q.shape)}, "
                               f"expected [d, {n_h * d_h}]")
     r = _Reader(path, tensors)
-    mixer = r.mixer("", w_q.shape[0], n_h, n_kv, d_h)
+    mixer = r.mixer("", w_q.shape[0], n_h, d_h, n_h, gated=True)
     r.finish()
     return mixer

@@ -228,8 +228,7 @@ def cmd_halo(args) -> int:
     rc = load_run_config(args.config, seed_override=args.seed)
     hc = rc.halo
     teacher = load_model(args.teacher)
-    k = halo.check_teacher(teacher, hc)  # a bad k or vocab fails before any stage
-    _check_precision(teacher, args.teacher)
+    k = halo.check_teacher(teacher, hc)  # a bad k, vocab or dtype fails before any stage
     if args.dry_run:
         print(json.dumps({"stages": args.stage, "teacher_params": teacher.num_params(),
                           "k": k}, indent=2))
@@ -267,21 +266,6 @@ def cmd_halo(args) -> int:
     return 0
 
 
-def _check_precision(teacher, path) -> None:
-    """Raise ConfigError, naming the dtype and the flag, unless the teacher's
-    tensors (f32 or f64, as checkpoints store them) have the dtype the
-    --precision mode computes in: the stages mix the teacher's activations
-    with tensors made at that precision."""
-    from .tensor import ConfigError, active_dtype, precision
-
-    dtype = teacher.embed.data.dtype
-    if dtype != active_dtype():
-        fits = "extended" if dtype == "float64" else "standard"
-        raise ConfigError(f"teacher {path} holds {dtype} tensors, but --precision "
-                          f"{precision()} computes in {active_dtype()}; rerun with "
-                          f"--precision {fits}")
-
-
 def _require(path: Path, what: str) -> Path:
     from .checkpoint import CheckpointError
 
@@ -310,19 +294,19 @@ def _load_selection(path: Path, teacher_cfg) -> list[int]:
 def _load_stage1(cfg, paths: dict) -> dict:
     """Every layer's stage-1 mixer for the teacher config `cfg`.  Raises
     CheckpointError, naming the file, for a missing one or one whose
-    (d, n_h, n_kv_heads, d_h) is not the teacher's RNN layout: one KV head
-    per query head."""
+    (d, n_h, d_h) is not the teacher's (`load_mixer` checks the rest of the
+    RNN layout)."""
     from .checkpoint import CheckpointError, load_mixer
 
-    want = (cfg.d, cfg.n_h, cfg.n_h, cfg.d_h)
+    want = (cfg.d, cfg.n_h, cfg.d_h)
     aligned = {}
     for l in range(cfg.L):
         path = _require(paths["stage1"](l), f"stage-1 weights for layer {l}")
         mixer = load_mixer(path)
-        got = (mixer.d, mixer.n_h, mixer.n_kv_heads, mixer.d_h)
+        got = (mixer.d, mixer.n_h, mixer.d_h)
         if got != want:
-            raise CheckpointError(f"{path}: mixer (d, n_h, n_kv_heads, d_h) = {got} does "
-                                  f"not fit the teacher's RNN layout {want}")
+            raise CheckpointError(f"{path}: mixer (d, n_h, d_h) = {got} does not fit "
+                                  f"the teacher's RNN layout {want}")
         aligned[l] = mixer
     return aligned
 
@@ -390,8 +374,8 @@ def cmd_eval(args) -> int:
         corpus = np.concatenate([stream.batch(i)[0] for i in range(8)])
         results = [EvalResult(task="ppl", context_len=ln,
                               value=perplexity(model, corpus, ln),
-                              metric="perplexity", n_samples=corpus.size // ln,
-                              seed=args.eval_seed) for ln in lengths]
+                              metric="perplexity", n_samples=corpus.size // ln)
+                   for ln in lengths]
     for r in results:
         print(f"{r.task}\t{r.context_len}\t{r.metric}={r.value:.6f}\tn={r.n_samples}")
     if args.out:

@@ -58,7 +58,6 @@ class EvalResult:
     value: float        # accuracy in [0, 1] or perplexity > 0
     metric: str         # "accuracy" | "perplexity"
     n_samples: int
-    seed: int
 
 
 def gen_niah(spec: NiahSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -93,7 +92,7 @@ def score_recall(model, samples, eval_batch: int = 16) -> EvalResult:
         out = model.generate(chunk, answers.shape[1])
         correct += int((out == answers[lo:lo + eval_batch]).all(axis=1).sum())
     return EvalResult(task="niah", context_len=ctx, value=correct / n,
-                      metric="accuracy", n_samples=n, seed=0)
+                      metric="accuracy", n_samples=n)
 
 
 # --------------------------------------------------------------------------
@@ -159,7 +158,7 @@ def score_csr(model, samples: ClozeSamples, eval_batch: int = 16) -> EvalResult:
     picked = np.asarray(scores).argmax(axis=1)
     acc = float((picked == samples.labels).mean())
     return EvalResult(task="csr_proxy", context_len=prefix_len + cont_len,
-                      value=acc, metric="accuracy", n_samples=n, seed=0)
+                      value=acc, metric="accuracy", n_samples=n)
 
 
 # --------------------------------------------------------------------------
@@ -213,10 +212,7 @@ def length_sweep(model, lengths, n_samples: int = 200, seed: int = 0,
     results = []
     for length in lengths:
         spec = NiahSpec(context_len=int(length), n_samples=n_samples, seed=seed)
-        res = score_recall(model, gen_niah(spec), eval_batch=eval_batch)
-        results.append(EvalResult(task=res.task, context_len=res.context_len,
-                                  value=res.value, metric=res.metric,
-                                  n_samples=res.n_samples, seed=seed))
+        results.append(score_recall(model, gen_niah(spec), eval_batch=eval_batch))
     return results
 
 

@@ -456,10 +456,19 @@ def resolve_k(k: int | None, L: int) -> int:
 
 def check_teacher(teacher: Model, cfg: HaloConfig) -> int:
     """The k selection keeps for this teacher; raises ConfigError when k
-    exceeds its layers or its vocabulary cannot read the recall suite's
-    token ids (selection scores every candidate on needles)."""
+    exceeds its layers, its vocabulary cannot read the recall suite's
+    token ids (selection scores every candidate on needles), or its tensors
+    (f32 or f64, as checkpoints store them) are not of the dtype the active
+    precision computes in (the stages mix the teacher's activations with
+    tensors made at that precision)."""
     check_vocab(teacher.cfg.vocab, "niah")
-    return resolve_k(cfg.k, teacher.cfg.L)
+    k = resolve_k(cfg.k, teacher.cfg.L)
+    dtype = teacher.embed.data.dtype
+    if dtype != T.active_dtype():
+        fits = "extended" if dtype == np.float64 else "standard"
+        raise ConfigError(f"teacher holds {dtype} tensors, but precision {T.precision()} "
+                          f"computes in {T.active_dtype()}; rerun with --precision {fits}")
+    return k
 
 
 @dataclass
@@ -526,7 +535,7 @@ def run_halo(teacher: Model, cfg: HaloConfig) -> HaloResult:
     guards against regressions in any stage.
     """
     frozen = teacher.state_bytes()
-    check_teacher(teacher, cfg)  # a bad k or vocab fails before any stage
+    check_teacher(teacher, cfg)  # a bad k, vocab or dtype fails before any stage
     aligned = run_stage1(teacher, cfg)
     weights = {l: w for l, (w, _) in aligned.items()}
     I_attn, scores = select_layers(teacher, weights, cfg)

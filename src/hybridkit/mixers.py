@@ -1,15 +1,16 @@
 """Token mixers: causal softmax attention and Lightning Attention.
 
-Both mixers share one weight layout (projections of shape [d, heads*d_h]
-plus optional gate/norm parameters), which is what makes attention-to-RNN
-weight transfer possible.  Internally all math runs on a heads-major
-[batch, heads, time, d_h] layout; public entry points accept [T, d] or
-[B, T, d] inputs and mirror the input's rank.
+Both mixers share one weight layout (projections of shape [d, heads*d_h],
+per-head QK-RMSNorm gains, and an optional output gate), which is what
+makes attention-to-RNN weight transfer possible.  Internally all math runs
+on a heads-major [batch, heads, time, d_h] layout; the entry points take
+[B, T, d] inputs and return [B, T, d] outputs.  Both start with one q/k/v
+prologue: projection, then per-head QK-RMSNorm, then rotary encoding.
 
 Attention follows the per-head form
     q~ = s_t * q / sqrt(d_h),   o_t = softmax(q~ K^T) V,
-with optional per-head QK-RMSNorm before scaling, optional rotary encoding
-(NoPE when absent), grouped KV heads, and an optional output gate
+with optional rotary encoding (NoPE when absent), grouped KV heads, and an
+optional output gate
     y = (Norm(o) * sigmoid(x W_z)) W_o^T.
 
 Grouped KV heads are shared, never copied: the g query heads that read one
@@ -29,8 +30,7 @@ and the output for the last position alone.
 Lightning Attention is an outer-product RNN with a scalar,
 data-independent decay gamma_h per head:
     S_t = gamma_h S_{t-1} + k~_t^T v_t,   o_t = q~_t S_t.
-It applies RMSNorm then rotary encoding to q and k and scales k by
-1/sqrt(d_h).
+Its prologue always applies rotary encoding, and it scales k by 1/sqrt(d_h).
 
 Each mixer's core is one tape record with a hand-written backward; the
 projections, norms, rotary encoding and output stage around it are ordinary
@@ -74,8 +74,8 @@ def gamma_slopes(n_heads: int) -> np.ndarray:
     return np.exp(-np.power(2.0, -8.0 * h / n_heads))
 
 
-# Every mixer tensor, in parameter and checkpoint order; all but the first
-# four are optional.
+# Every mixer tensor, in parameter and checkpoint order; the output gate,
+# w_z with out_gain, is the one optional pair.
 MIXER_FIELDS = ("w_q", "w_k", "w_v", "w_o", "w_z",
                 "qk_gain_q", "qk_gain_k", "out_gain")
 
@@ -86,8 +86,8 @@ class MixerWeights:
 
     Head-count metadata travels with the weights so surgeries (GQA
     decoupling, weight transfer) can be expressed on the weights alone.
-    Optional members switch features: w_z enables the output gate (with
-    out_gain) and qk_gain_* enable QK-RMSNorm.
+    Every mixer has QK-RMSNorm gains; a gated one also has w_z and out_gain
+    (which layers are gated is `model.mixer_layout`'s decision).
     """
 
     n_h: int
@@ -97,10 +97,10 @@ class MixerWeights:
     w_k: Tensor  # [d, n_kv*d_h]
     w_v: Tensor  # [d, n_kv*d_h]
     w_o: Tensor  # [d, n_h*d_h]
-    w_z: Tensor | None = None
-    qk_gain_q: Tensor | None = None  # [n_h, 1, d_h]
-    qk_gain_k: Tensor | None = None  # [n_kv, 1, d_h]
-    out_gain: Tensor | None = None   # [n_h, 1, d_h]
+    qk_gain_q: Tensor  # [n_h, 1, d_h]
+    qk_gain_k: Tensor  # [n_kv, 1, d_h]
+    w_z: Tensor | None = None       # [d, n_h*d_h]
+    out_gain: Tensor | None = None  # [n_h, 1, d_h]
 
     def __post_init__(self):
         if self.n_h < 1 or self.n_kv_heads < 1:
@@ -212,14 +212,6 @@ class KvCache:
 # --------------------------------------------------------------------------
 # shared plumbing
 
-def _as_batched(x: Tensor) -> tuple[Tensor, bool]:
-    if x.ndim == 2:
-        return T.reshape(x, (1,) + x.shape), True
-    if x.ndim == 3:
-        return x, False
-    raise ShapeError(f"mixer input must be [T, d] or [B, T, d], got {x.shape}")
-
-
 def _split_heads(x: Tensor, n_heads: int, d_h: int) -> Tensor:
     b, t, _ = x.shape
     return T.permute(T.reshape(x, (b, t, n_heads, d_h)), (0, 2, 1, 3))
@@ -235,11 +227,30 @@ def last_position(x: Tensor) -> Tensor:
     return T.slice_axis(x, 1, x.shape[1] - 1, x.shape[1])
 
 
-def _project_heads(x3: Tensor, w: Tensor, n_heads: int, d_h: int) -> Tensor:
-    return _split_heads(T.matmul(x3, w), n_heads, d_h)
+def _project_heads(x: Tensor, w: Tensor, n_heads: int, d_h: int) -> Tensor:
+    return _split_heads(T.matmul(x, w), n_heads, d_h)
 
 
-def _finish_output(x3: Tensor, o_heads: Tensor, w: MixerWeights) -> Tensor:
+def _qkv_heads(xq: Tensor, x: Tensor, w: MixerWeights, rope: RopeParams | None,
+               start_pos: int) -> tuple[Tensor, Tensor, Tensor]:
+    """The q heads of xq, the last rows of x [B, T, d], and the k and v heads
+    of x, as [B, heads, rows, d_h]: projection, then QK-norm, then rotary
+    encoding at absolute positions from start_pos (none when `rope` is None).
+    """
+    if x.ndim != 3:
+        raise ShapeError(f"mixer input must be [B, T, d], got {x.shape}")
+    q = _project_heads(xq, w.w_q, w.n_h, w.d_h)
+    k = _project_heads(x, w.w_k, w.n_kv_heads, w.d_h)
+    v = _project_heads(x, w.w_v, w.n_kv_heads, w.d_h)
+    q = T.rmsnorm(q, w.qk_gain_q)
+    k = T.rmsnorm(k, w.qk_gain_k)
+    if rope is not None:
+        q = rope_apply(q, start_pos + x.shape[1] - xq.shape[1], rope)
+        k = rope_apply(k, start_pos, rope)
+    return q, k, v
+
+
+def _finish_output(x: Tensor, o_heads: Tensor, w: MixerWeights) -> Tensor:
     """Per-head output norm, sigmoid gate, and output projection.
 
     The gate and the projection are one ``gated_matmul``: a tape keeps the
@@ -249,7 +260,7 @@ def _finish_output(x3: Tensor, o_heads: Tensor, w: MixerWeights) -> Tensor:
         o_heads = T.rmsnorm(o_heads, w.out_gain)
     o = _merge_heads(o_heads)
     if w.w_z is not None:
-        return T.gated_matmul(o, T.sigmoid(T.matmul(x3, w.w_z)), T.swap_last(w.w_o))
+        return T.gated_matmul(o, T.sigmoid(T.matmul(x, w.w_z)), T.swap_last(w.w_o))
     return T.matmul(o, T.swap_last(w.w_o))
 
 
@@ -352,31 +363,21 @@ def attention_forward(
     cache: KvCache | None = None,
     last_only: bool = False,
 ) -> Tensor:
-    """Causal softmax attention over x ([T, d] or [B, T, d]).
+    """Causal softmax attention over x [B, T, d].
 
     `rope=None` means NoPE; `scale_base` enables the position-dependent
     logits scaling (applied to q, so cached keys are never rescaled).  With a
     cache, x holds only the new tokens, `start_pos` must equal cache.pos, and
     keys/values are appended before attending.  With `last_only`, the output
-    is that of the last position only ([1, d] or [B, 1, d], equal to the
-    last row of the full output): keys and values still cover (and enter the
-    cache for) every new position, but queries, scores and the output
-    projection run for the last position alone.
+    is that of the last position only ([B, 1, d], equal to the last row of
+    the full output): keys and values still cover (and enter the cache for)
+    every new position, but queries, scores and the output projection run
+    for the last position alone.
     """
-    x3, squeeze = _as_batched(x)
-    xq = last_position(x3) if last_only else x3
+    xq = last_position(x) if last_only else x
+    q, k, v = _qkv_heads(xq, x, w, rope, start_pos)
     tq = xq.shape[1]
-    q_pos = start_pos + x3.shape[1] - tq  # position of the first query row
-    q = _project_heads(xq, w.w_q, w.n_h, w.d_h)
-    k = _project_heads(x3, w.w_k, w.n_kv_heads, w.d_h)
-    v = _project_heads(x3, w.w_v, w.n_kv_heads, w.d_h)
-    if w.qk_gain_q is not None:
-        q = T.rmsnorm(q, w.qk_gain_q)
-        k = T.rmsnorm(k, w.qk_gain_k)
-    if rope is not None:
-        q = rope_apply(q, q_pos, rope, time_axis=-2)
-        k = rope_apply(k, start_pos, rope, time_axis=-2)
-
+    q_pos = start_pos + x.shape[1] - tq  # position of the first query row
     positions = np.arange(q_pos, q_pos + tq)
     s_vec = scale_vector(positions, scale_base) / math.sqrt(w.d_h)
     q = T.mul_const(q, s_vec.reshape(1, 1, tq, 1))
@@ -395,28 +396,17 @@ def attention_forward(
     b, n_kv, tk, d_h = k.shape
     q = T.reshape(q, (b, n_kv, w.group_size, tq, d_h))
     o = T.reshape(_causal_attention(q, k, v, tk - tq), (b, w.n_h, tq, d_h))
-
-    y = _finish_output(xq, o, w)
-    return T.reshape(y, y.shape[1:]) if squeeze else y
+    return _finish_output(xq, o, w)
 
 
 # --------------------------------------------------------------------------
 # Lightning Attention (data-independent scalar decay)
 
-def _lightning_qkv(x3: Tensor, w: MixerWeights, rope: RopeParams | None, start_pos: int):
+def _lightning_qkv(x: Tensor, w: MixerWeights, rope: RopeParams, start_pos: int):
     if w.n_kv_heads != w.n_h:
         raise ConfigError("RNN mixers use one KV head per query head; clone GQA weights first")
-    q = _project_heads(x3, w.w_q, w.n_h, w.d_h)
-    k = _project_heads(x3, w.w_k, w.n_h, w.d_h)
-    v = _project_heads(x3, w.w_v, w.n_h, w.d_h)
-    if w.qk_gain_q is not None:
-        q = T.rmsnorm(q, w.qk_gain_q)
-        k = T.rmsnorm(k, w.qk_gain_k)
-    if rope is not None:
-        q = rope_apply(q, start_pos, rope, time_axis=-2)
-        k = rope_apply(k, start_pos, rope, time_axis=-2)
-    k = T.scale(k, 1.0 / math.sqrt(w.d_h))
-    return q, k, v
+    q, k, v = _qkv_heads(x, x, w, rope, start_pos)
+    return q, T.mul_const(k, 1.0 / math.sqrt(w.d_h)), v
 
 
 def _check_state(state: RecurrentState | None, batch: int, n_h: int, d_h: int, dtype):
@@ -433,20 +423,20 @@ def lightning_forward_recurrent(
     x: Tensor,
     w: MixerWeights,
     gammas: np.ndarray,
+    rope: RopeParams,
     state: RecurrentState | None = None,
-    rope: RopeParams | None = None,
 ) -> tuple[Tensor, RecurrentState]:
-    """Step-by-step Lightning forward; returns output and the final state.
+    """Step-by-step Lightning forward over x [B, T, d]; returns output and
+    the final state.
 
     The definitional form: S_t = gamma_h S_{t-1} + k~_t^T v_t, o_t = q~_t S_t.
     Positions continue from state.pos, so a sequence may be fed in any
     partition of consecutive calls with identical results.
     """
-    x3, squeeze = _as_batched(x)
-    b, t, _ = x3.shape
-    state = _check_state(state, b, w.n_h, w.d_h, x3.data.dtype)
-    q, k, v = _lightning_qkv(x3, w, rope, state.pos)
-    gam = np.asarray(gammas, dtype=x3.data.dtype).reshape(1, w.n_h, 1, 1)
+    state = _check_state(state, x.shape[0], w.n_h, w.d_h, x.data.dtype)
+    q, k, v = _lightning_qkv(x, w, rope, state.pos)
+    t = x.shape[1]
+    gam = np.asarray(gammas, dtype=x.data.dtype).reshape(1, w.n_h, 1, 1)
     s = Tensor(state.s, dtype=state.s.dtype)
     outs = []
     for i in range(t):
@@ -456,9 +446,7 @@ def lightning_forward_recurrent(
         s = T.add(T.mul_const(s, gam), T.matmul(T.swap_last(ki), vi))
         outs.append(T.matmul(qi, s))
     o = T.concat(outs, axis=2) if len(outs) > 1 else outs[0]
-    y = _finish_output(x3, o, w)
-    new_state = RecurrentState(s.data, state.pos + t)
-    return (T.reshape(y, y.shape[1:]) if squeeze else y), new_state
+    return _finish_output(x, o, w), RecurrentState(s.data, state.pos + t)
 
 
 def _decay_powers(log_gam: np.ndarray, exponents: np.ndarray, dtype) -> np.ndarray:
@@ -558,7 +546,7 @@ def lightning_forward_chunked(
     w: MixerWeights,
     gammas: np.ndarray,
     chunk: int,
-    rope: RopeParams | None = None,
+    rope: RopeParams,
     state: RecurrentState | None = None,
 ) -> tuple[Tensor, RecurrentState]:
     """Chunked Lightning forward, mathematically equal to the recurrent form;
@@ -571,31 +559,24 @@ def lightning_forward_chunked(
     """
     if chunk < 1:
         raise ConfigError(f"chunk size must be >= 1, got {chunk}")
-    x3, squeeze = _as_batched(x)
-    b, t, _ = x3.shape
-    state = _check_state(state, b, w.n_h, w.d_h, x3.data.dtype)
-    q, k, v = _lightning_qkv(x3, w, rope, state.pos)
+    state = _check_state(state, x.shape[0], w.n_h, w.d_h, x.data.dtype)
+    q, k, v = _lightning_qkv(x, w, rope, state.pos)
     o, s = _lightning_chunks(q, k, v, state.s, gammas, chunk)
-    y = _finish_output(x3, o, w)
-    y = T.reshape(y, y.shape[1:]) if squeeze else y
-    return y, RecurrentState(s, state.pos + t)
+    return _finish_output(x, o, w), RecurrentState(s, state.pos + x.shape[1])
 
 
 # --------------------------------------------------------------------------
 # surgeries
 
-def gqa_to_mha_clone(w: MixerWeights, g: int) -> MixerWeights:
-    """Decouple grouped KV heads by cloning: query head i gets KV head i//g.
+def gqa_to_mha_clone(w: MixerWeights) -> MixerWeights:
+    """Decouple grouped KV heads by cloning: with g = w.group_size, query
+    head i gets KV head i // g.
 
     The cloned weights compute exactly what the grouped layer computed, so
     forward outputs are preserved; parameter count grows by
-    (g-1) * n_kv * d * d_h * 2.
+    (g-1) * n_kv * d * d_h * 2, plus (g-1) * n_kv * d_h for the k gains.
     """
-    if g < 1:
-        raise ConfigError(f"group size must be >= 1, got {g}")
-    if w.group_size != g:
-        raise ConfigError(f"group size {g} does not match layout "
-                          f"(n_h={w.n_h}, n_kv={w.n_kv_heads})")
+    g = w.group_size
     if g == 1:
         return w.copy()
 
@@ -603,12 +584,9 @@ def gqa_to_mha_clone(w: MixerWeights, g: int) -> MixerWeights:
         d = t.shape[0]
         per_head = t.data.reshape(d, w.n_kv_heads, w.d_h)
         wide = np.repeat(per_head, g, axis=1).reshape(d, w.n_h * w.d_h)
-        return Tensor(wide.copy(), requires_grad=t.requires_grad, dtype=t.data.dtype)
+        return Tensor(wide, requires_grad=t.requires_grad, dtype=t.data.dtype)
 
-    gain_k = None
-    if w.qk_gain_k is not None:
-        gain_k = Tensor(np.repeat(w.qk_gain_k.data, g, axis=0).copy(),
-                        requires_grad=w.qk_gain_k.requires_grad,
-                        dtype=w.qk_gain_k.data.dtype)
+    gain_k = Tensor(np.repeat(w.qk_gain_k.data, g, axis=0),
+                    requires_grad=w.qk_gain_k.requires_grad, dtype=w.qk_gain_k.data.dtype)
     return replace(w.copy(), n_kv_heads=w.n_h, w_k=widen(w.w_k), w_v=widen(w.w_v),
                    qk_gain_k=gain_k)

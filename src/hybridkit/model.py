@@ -8,9 +8,11 @@ RNN layers always carry rotary encoding and output gates, and the embedding
 doubles as the unembedding.  Only what differs between a teacher and a
 hybrid is configured: `pe_attention` (the hybrid leaves attention
 position-free, so positions enter it only through causality) and
-`attn_gate`.  The config's `scale_base` is the logits scaling the model
-applies at inference; `with_scaling` gives the same weights under another
-scaling, and training runs `forward(..., scale_base=None)`.
+`attn_gate`.  `mixer_layout` is the one place that derives a layer's KV
+heads and output gate from the config.  The config's `scale_base` is the
+logits scaling the model applies at inference; `with_scaling` gives the
+same weights under another scaling, and training runs
+`forward(..., scale_base=None)`.
 
 One layer computes (all norms are RMSNorm):
     H = Mixer(Norm(X)) + X
@@ -180,11 +182,20 @@ def with_scaling(model: Model, base) -> Model:
 # --------------------------------------------------------------------------
 # initialization
 
-def _init_mixer(rng: Rng, cfg: ModelConfig, attn: bool) -> MixerWeights:
+def mixer_layout(cfg: ModelConfig, l: int) -> tuple[int, bool]:
+    """(KV heads, gated) of layer l's mixer: an attention layer has the
+    config's KV heads and an output gate only under `attn_gate`; an RNN
+    layer has one KV head per query head and always a gate.  Every mixer
+    has QK-norm gains."""
+    if l in cfg.I_attn:
+        return cfg.n_kv_heads, cfg.attn_gate
+    return cfg.n_h, True
+
+
+def _init_mixer(rng: Rng, cfg: ModelConfig, l: int) -> MixerWeights:
     d, d_h = cfg.d, cfg.d_h
     n_h = cfg.n_h
-    n_kv = cfg.n_kv_heads if attn else cfg.n_h
-    gate = cfg.attn_gate if attn else True
+    n_kv, gate = mixer_layout(cfg, l)
     return MixerWeights(
         n_h=n_h, n_kv_heads=n_kv, d_h=d_h,
         w_q=T.param(rng.child(0), (d, n_h * d_h)),
@@ -204,7 +215,7 @@ def init_model(cfg: ModelConfig, seed: int) -> Model:
     layers = []
     for l in range(cfg.L):
         lrng = rng.child(100 + l)
-        mixer = _init_mixer(lrng, cfg, attn=l in cfg.I_attn)
+        mixer = _init_mixer(lrng, cfg, l)
         mlp = MlpWeights(
             w_gate=T.param(lrng.child(50), (cfg.d, cfg.ffn_width)),
             w_up=T.param(lrng.child(51), (cfg.d, cfg.ffn_width)),
@@ -223,17 +234,13 @@ def init_model(cfg: ModelConfig, seed: int) -> Model:
 def init_rnn_from_attention(attn: MixerWeights, rng: Rng) -> MixerWeights:
     """Weight transfer: clone attention projections into an RNN mixer.
 
-    GQA KV heads are decoupled first; the output gate is fresh (normal 0.02
-    for w_z, unit out_gain) and QK-norm gains are copied when the attention
-    layer has them, fresh units otherwise.
+    GQA KV heads are decoupled first and the QK-norm gains copied; the
+    output gate is fresh (normal 0.02 for w_z, unit out_gain).
     """
-    w = gqa_to_mha_clone(attn, attn.group_size)
+    w = gqa_to_mha_clone(attn)
     d, n_h, d_h = w.d, w.n_h, w.d_h
     w.w_z = T.param(rng.child(0), (d, n_h * d_h))
     w.out_gain = T.ones((n_h, 1, d_h), requires_grad=True)
-    if w.qk_gain_q is None:
-        w.qk_gain_q = T.ones((n_h, 1, d_h), requires_grad=True)
-        w.qk_gain_k = T.ones((n_h, 1, d_h), requires_grad=True)
     return w
 
 
@@ -350,11 +357,9 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
     projections but not their product; backward recomputes it.
     """
     tokens = np.asarray(tokens)
-    squeeze = tokens.ndim == 1
-    if squeeze:
-        tokens = tokens[None, :]
-    if tokens.size == 0:
-        raise ValueError(f"need at least one token, got token ids of shape {tokens.shape}")
+    if tokens.ndim != 2 or tokens.size == 0:
+        raise ValueError(f"need token ids [B, T] with at least one token, got shape "
+                         f"{tokens.shape}")
     start_pos = session.pos if session is not None else 0
     x = T.embedding(model.embed, tokens)
     last_layer = len(model.layers) - 1
@@ -377,15 +382,15 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
     logits = T.matmul(x, T.swap_last(model.embed))
     if session is not None:
         session.pos = start_pos + tokens.shape[1]
-    return T.reshape(logits, logits.shape[1:]) if squeeze else logits
+    return logits
 
 
 def forward(model: Model, tokens, scale_base="config") -> Tensor:
-    """Logits over the vocabulary for token ids [T] or [B, T].
+    """Logits [B, T, V] over the vocabulary for token ids [B, T].
 
     The logits scaling is the config's unless `scale_base` overrides it;
-    every training path passes None (s_t = 1).  Raises ValueError when
-    there are no tokens (T = 0 or B = 0).
+    every training path passes None (s_t = 1).  Raises ValueError when the
+    ids are not [B, T] or there are none (T = 0 or B = 0).
     """
     if scale_base != "config":
         model = with_scaling(model, scale_base)
@@ -410,14 +415,14 @@ def capture_many(model: Model, tokens, layers) -> dict:
 
 def prefill(model: Model, session: DecodeSession, tokens: np.ndarray,
             last_only: bool = False) -> Tensor:
-    """Feed a whole prompt through a session; returns logits for all positions.
+    """Feed prompts [B, T] through a session; returns logits for all positions.
 
     With last_only=True the logits are those of the last position only,
     [B, 1, V] (equal to the last row of the full result): a final attention
     layer computes its queries, scores and output for that position alone,
     and everything after the final mixer runs on it alone.  The session
     ends in the same state either way (every position's keys and values
-    are cached).  Raises ValueError on an empty prompt.
+    are cached).  Raises ValueError on an empty prompt or ids not [B, T].
     """
     return _advance(model, tokens, session, last_only=last_only)
 
@@ -431,7 +436,7 @@ def decode_step(model: Model, session: DecodeSession, token: int) -> Tensor:
 
 
 def generate_greedy(model: Model, prompts: np.ndarray, n_new: int) -> np.ndarray:
-    """Greedy continuation of a batch of equal-length prompts: [B, n_new] ids.
+    """Greedy continuation of equal-length prompts [B, T]: [B, n_new] ids.
 
     The prefill yields the first new token and each of the n_new - 1 decode
     steps one more; the last token is never fed back.  Raises ValueError
@@ -440,8 +445,6 @@ def generate_greedy(model: Model, prompts: np.ndarray, n_new: int) -> np.ndarray
     if n_new < 1:
         raise ValueError(f"need at least one new token, got n_new={n_new}")
     prompts = np.asarray(prompts)
-    if prompts.ndim == 1:
-        prompts = prompts[None, :]
     session = new_session(model, batch=prompts.shape[0])
     logits = prefill(model, session, prompts, last_only=True)
     out = [logits.data[:, -1, :].argmax(axis=-1)]

@@ -120,30 +120,22 @@ def _rotate(arr: np.ndarray, rot: np.ndarray) -> np.ndarray:
     return out.view(arr.dtype)
 
 
-def rope_apply(x: Tensor, start_pos: int, params: RopeParams, time_axis: int = 0) -> Tensor:
+def rope_apply(x: Tensor, start_pos: int, params: RopeParams) -> Tensor:
     """Rotate channel pairs of x at absolute positions start_pos, start_pos+1, ...
 
-    x carries positions along `time_axis` and head channels along the last
-    axis (which must equal params.head_dim).  The default time_axis=0 suits
-    [seq, heads, head_dim]; mixers pass time_axis=-2 for [..., heads, seq,
-    head_dim] layouts.  Rotation is an isometry per pair, and the backward
-    pass is the inverse rotation (the conjugate factor).  x is never
-    written.
+    x is [..., T, head_dim]: positions run along its second-to-last axis, as
+    in the mixers' [B, heads, T, d_h] layout, and head channels along the
+    last (which must equal params.head_dim).  Rotation is an isometry per
+    pair, and the backward pass is the inverse rotation (the conjugate
+    factor).  x is never written.
     """
     if start_pos < 0:
         raise ValueError(f"start_pos must be nonnegative, got {start_pos}")
     X = x.data
-    if X.shape[-1] != params.head_dim:
-        raise ConfigError(f"input last dim {X.shape[-1]} != RoPE head_dim {params.head_dim}")
-    axis = time_axis % X.ndim
-    if axis == X.ndim - 1:
-        raise ConfigError("time axis cannot be the channel axis")
-    n = X.shape[axis]
-    # Broadcast the rows to [.., T, .., head_dim/2]: T at `axis`, pairs last.
-    shape = [1] * X.ndim
-    shape[axis] = n
-    shape[-1] = params.head_dim // 2
-    rot = _rope_table(params, X.dtype, start_pos + n)[start_pos:start_pos + n].reshape(shape)
+    if X.ndim < 2 or X.shape[-1] != params.head_dim:
+        raise ConfigError(f"input shape {X.shape} is not [..., T, {params.head_dim}]")
+    n = X.shape[-2]
+    rot = _rope_table(params, X.dtype, start_pos + n)[start_pos:start_pos + n]
 
     def dx(g):
         return _rotate(g, rot.conj())

@@ -343,12 +343,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return emit(A * B, [(a, lambda g: g * B), (b, lambda g: g * A)])
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    c = x.data.dtype.type(c)
-    return emit(x.data * c, [(x, lambda g: g * c)])
-
-
 def mul_const(x: Tensor, arr: np.ndarray) -> Tensor:
     """Multiply by a constant array broadcastable up to x's shape.
 

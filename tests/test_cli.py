@@ -14,7 +14,8 @@ from hybridkit.checkpoint import (MAGIC, CheckpointError, load_mixer,
                                   load_model, load_tensors, save_mixer,
                                   save_model, save_tensors)
 from hybridkit.cli import main
-from hybridkit.model import desk_config, forward, init_model, with_scaling
+from hybridkit.model import (desk_config, forward, init_model, transformer_config,
+                             with_scaling)
 from hybridkit.positional import ConstantScale, RopeParams
 from hybridkit.runconfig import RunConfig, build_halo_config, load_run_config
 from hybridkit.tensor import ConfigError, Rng
@@ -178,7 +179,7 @@ def _text_writers():
         "report": lambda path, v: StageReport("stage2", losses=[float(v)], lrs=[0.1],
                                               final_metrics={"kl": 1.0}).write_jsonl(path),
         "plot": lambda path, v: write_plot_data(
-            [EvalResult("niah", 64, float(v), "accuracy", 4, 0)], path),
+            [EvalResult("niah", 64, float(v), "accuracy", 4)], path),
         "scores": _write_scores_and_selection,
     }
 
@@ -688,6 +689,80 @@ def test_checkpoint_wrong_shape_is_named(tiny_ckpt, tmp_path, capsys):
         load_model(bad)
 
 
+@pytest.fixture(scope="module")
+def tiny_hybrid_ckpt(tmp_path_factory):
+    """An attention layer without an output gate (layer 0), then an RNN layer."""
+    cfg = desk_config(L=2, I_attn=(0,), d=16, d_h=4, n_h=4, n_kv_heads=2,
+                      ffn_width=24, vocab=512, rope=RopeParams(theta=1000.0, head_dim=4))
+    path = tmp_path_factory.mktemp("hy") / "hybrid.ckpt"
+    save_model(path, init_model(cfg, seed=4))
+    return path
+
+
+def _drop(*names):
+    return lambda t: [t.pop(name) for name in names]
+
+
+def _add_gate(layer):
+    def add(t):
+        w_o = t[f"layers.{layer}.mixer.w_o"]
+        t[f"layers.{layer}.mixer.w_z"] = np.zeros_like(w_o)
+        t[f"layers.{layer}.mixer.out_gain"] = np.ones((4, 1, 4), dtype=w_o.dtype)
+    return add
+
+
+LAYOUT_DEFECTS = {
+    "teacher_without_qk_gain_q": ("teacher", _drop("layers.1.mixer.qk_gain_q"),
+                                  "missing tensor 'layers.1.mixer.qk_gain_q'"),
+    "rnn_without_gate": ("hybrid", _drop("layers.1.mixer.w_z", "layers.1.mixer.out_gain"),
+                         "missing tensor 'layers.1.mixer.w_z'"),
+    "rnn_without_out_gain": ("hybrid", _drop("layers.1.mixer.out_gain"),
+                             "missing tensor 'layers.1.mixer.out_gain'"),
+    "ungated_teacher_with_gate": ("teacher", _add_gate(0),
+                                  "unexpected tensor 'layers.0.mixer.out_gain'"),
+    "ungated_attention_with_gate": ("hybrid", _add_gate(0),
+                                    "unexpected tensor 'layers.0.mixer.out_gain'"),
+}
+
+
+@pytest.mark.parametrize("defect", list(LAYOUT_DEFECTS))
+def test_checkpoint_tensors_must_be_the_layout_the_header_implies(
+        tiny_ckpt, tiny_hybrid_ckpt, tmp_path, capsys, defect):
+    """QK-norm gains on every layer, a gate on every RNN layer and on no
+    ungated attention layer: any other set of tensors is refused, naming
+    one, and never loads as a different model."""
+    source, change, message = LAYOUT_DEFECTS[defect]
+    src = tiny_ckpt if source == "teacher" else tiny_hybrid_ckpt
+    load_model(src)
+    bad = _edited_copy(src, tmp_path / "bad.ckpt", change)
+    with pytest.raises(CheckpointError, match=message):
+        load_model(bad)
+    assert main(["eval", str(bad), "--lengths", "64", "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert message.split("'")[1] in err and "Traceback" not in err
+
+
+def test_stage1_mixer_without_gate_is_refused(tmp_path):
+    """A stage-1 file holds an RNN mixer, and every RNN mixer is gated: one
+    with one KV head per query head but no gate does not load."""
+    from hybridkit.model import init_rnn_from_attention
+
+    cfg = transformer_config(L=1, d=16, d_h=4, n_h=4, n_kv_heads=4, ffn_width=24,
+                             vocab=64, rope=RopeParams(theta=1000.0, head_dim=4))
+    teacher_mixer = init_model(cfg, seed=5).layers[0].mixer
+    good = tmp_path / "rnn.ckpt"
+    save_mixer(good, init_rnn_from_attention(teacher_mixer, Rng(1)))
+    load_mixer(good)
+    for names in (("w_z", "out_gain"), ("out_gain",)):
+        bad = _edited_copy(good, tmp_path / "ungated.ckpt", _drop(*names))
+        with pytest.raises(CheckpointError, match=f"missing tensor '{names[0]}'"):
+            load_mixer(bad)
+    # the teacher's own ungated mixer is not a stage-1 mixer either
+    save_mixer(tmp_path / "attn.ckpt", teacher_mixer)
+    with pytest.raises(CheckpointError, match="missing tensor 'w_z'"):
+        load_mixer(tmp_path / "attn.ckpt")
+
+
 def _edited_header(src, dst, edit):
     config, tensors = load_tensors(src)
     edit(config)
@@ -852,7 +927,9 @@ def test_cli_threads_below_one_exits_2_before_setting_the_environment(
 
 
 def test_mixer_checkpoint_validated(tiny_ckpt, tmp_path):
-    mixer = load_model(tiny_ckpt).layers[0].mixer
+    from hybridkit.model import init_rnn_from_attention
+
+    mixer = init_rnn_from_attention(load_model(tiny_ckpt).layers[0].mixer, Rng(0))
     good = tmp_path / "mixer.ckpt"
     save_mixer(good, mixer)
     back = load_mixer(good)
@@ -862,8 +939,8 @@ def test_mixer_checkpoint_validated(tiny_ckpt, tmp_path):
     bad = _edited_copy(good, tmp_path / "no_wk.ckpt", lambda t: t.pop("w_k"))
     with pytest.raises(CheckpointError, match="missing tensor 'w_k'"):
         load_mixer(bad)
-    bad = _edited_copy(good, tmp_path / "wide_wv.ckpt",
-                       lambda t: t.update({"w_v": np.zeros((16, 16), dtype=np.float32)}))
+    bad = _edited_copy(good, tmp_path / "narrow_wv.ckpt",
+                       lambda t: t.update({"w_v": np.zeros((16, 8), dtype=np.float32)}))
     with pytest.raises(CheckpointError, match="'w_v' has shape"):
         load_mixer(bad)
 

@@ -287,8 +287,8 @@ def test_length_sweep_rows_in_order_and_deterministic():
 
 
 def test_write_plot_data_format(tmp_path):
-    rows = [EvalResult("niah", 64, 0.5, "accuracy", 8, 0),
-            EvalResult("niah", 128, 0.25, "accuracy", 8, 0)]
+    rows = [EvalResult("niah", 64, 0.5, "accuracy", 8),
+            EvalResult("niah", 128, 0.25, "accuracy", 8)]
     path = tmp_path / "sweep.tsv"
     write_plot_data(rows, path)
     lines = path.read_text().splitlines()

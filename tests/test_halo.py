@@ -294,7 +294,7 @@ def test_stage1_transferred_init_carries_teacher_structure():
         return float(((y - alpha * yh) ** 2).mean())
 
     transferred = init_rnn_from_attention(teacher.layers[0].mixer, Rng(1))
-    random_w = _init_mixer(Rng(2), hyb_cfg, attn=False)
+    random_w = _init_mixer(Rng(2), hyb_cfg, 0)
     assert best_scale_mse(transferred) < best_scale_mse(random_w)
 
 
@@ -542,7 +542,7 @@ def test_evaluate_rc_zero_mixer_collapses_recall():
 
     teacher = tiny_teacher(L=2, seed=13)
     suite = build_rc_suite(24, seed=0, n_samples=16)
-    dead = _init_mixer(Rng(0), hybrid_config(teacher.cfg, I_attn=()), attn=False)
+    dead = _init_mixer(Rng(0), hybrid_config(teacher.cfg, I_attn=()), 1)
     dead.w_o = T.zeros(dead.w_o.shape)  # mixer output identically zero
     cand = candidate_model(teacher, 1, dead)
     r_dead, _ = evaluate_RC(cand, suite)
@@ -622,6 +622,27 @@ def test_run_halo_mini_pipeline():
     for l, lw in enumerate(result.hybrid.layers):
         n_kv = teacher.cfg.n_kv_heads if l in result.I_attn else teacher.cfg.n_h
         assert lw.mixer.n_kv_heads == n_kv
+
+
+@pytest.mark.parametrize("saved, active", [("extended", "standard"),
+                                           ("standard", "extended")])
+def test_run_halo_refuses_a_teacher_of_another_precision_before_stage1(
+        monkeypatch, saved, active):
+    """The stages mix the teacher's activations with tensors made at the
+    active precision, so a teacher of another dtype is a ConfigError that
+    names both dtypes, raised before stage 1 runs."""
+    import hybridkit.halo as halo
+
+    T.set_precision(saved)
+    teacher = tiny_teacher(L=2, seed=17)
+    T.set_precision(active)
+    monkeypatch.setattr(halo, "run_stage1", lambda *a: pytest.fail("stage 1 ran"))
+    mk = TrainConfig(context_len=16, batch_size=1, steps=1, lr_max=1e-3)
+    with pytest.raises(ConfigError) as info:
+        run_halo(teacher, HaloConfig(stage1=mk, stage2=mk, stage3=mk, rc_samples=2))
+    msg = str(info.value)
+    assert str(teacher.embed.data.dtype) in msg and str(T.active_dtype()) in msg
+    assert f"--precision {saved}" in msg
 
 
 def test_select_layers_keeps_the_top_k_by_importance(monkeypatch):

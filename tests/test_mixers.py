@@ -13,7 +13,7 @@ from hybridkit.mixers import (KvCache, MixerWeights, RecurrentState,
                               lightning_forward_chunked,
                               lightning_forward_recurrent)
 from hybridkit.positional import RopeParams, ScaleBase, scale_vector
-from hybridkit.tensor import ConfigError, Rng, Tape, Tensor
+from hybridkit.tensor import ConfigError, Rng, ShapeError, Tape, Tensor
 
 from conftest import max_rel_err, tape_held_bytes
 
@@ -51,8 +51,7 @@ def test_gamma_slopes_properties():
 # --------------------------------------------------------------------------
 # weight builders
 
-def make_weights(rng, d, n_h, n_kv, d_h, gate=True, qk_norm=True):
-    mk = lambda key, shape: T.tensor(rng.child(key).normal(shape, std=0.2), )
+def make_weights(rng, d, n_h, n_kv, d_h, gate=True):
     w = MixerWeights(
         n_h=n_h, n_kv_heads=n_kv, d_h=d_h,
         w_q=Tensor(rng.child(0).normal((d, n_h * d_h), std=0.2), requires_grad=True),
@@ -60,8 +59,8 @@ def make_weights(rng, d, n_h, n_kv, d_h, gate=True, qk_norm=True):
         w_v=Tensor(rng.child(2).normal((d, n_kv * d_h), std=0.2), requires_grad=True),
         w_o=Tensor(rng.child(3).normal((d, n_h * d_h), std=0.2), requires_grad=True),
         w_z=Tensor(rng.child(4).normal((d, n_h * d_h), std=0.2), requires_grad=True) if gate else None,
-        qk_gain_q=Tensor(1.0 + rng.child(6).normal((n_h, 1, d_h), std=0.1), requires_grad=True) if qk_norm else None,
-        qk_gain_k=Tensor(1.0 + rng.child(7).normal((n_kv, 1, d_h), std=0.1), requires_grad=True) if qk_norm else None,
+        qk_gain_q=Tensor(1.0 + rng.child(6).normal((n_h, 1, d_h), std=0.1), requires_grad=True),
+        qk_gain_k=Tensor(1.0 + rng.child(7).normal((n_kv, 1, d_h), std=0.1), requires_grad=True),
         out_gain=Tensor(1.0 + rng.child(8).normal((n_h, 1, d_h), std=0.1), requires_grad=True) if gate else None,
     )
     return w
@@ -94,9 +93,8 @@ def attention_loop_oracle(X, w, rope=None, scale_base=None):
     q = (X @ w.w_q.data).reshape(tt, nh, dh)
     k = (X @ w.w_k.data).reshape(tt, nkv, dh)
     v = (X @ w.w_v.data).reshape(tt, nkv, dh)
-    if w.qk_gain_q is not None:
-        q = _np_rms(q, w.qk_gain_q.data[None, :, 0, :])
-        k = _np_rms(k, w.qk_gain_k.data[None, :, 0, :])
+    q = _np_rms(q, w.qk_gain_q.data[None, :, 0, :])
+    k = _np_rms(k, w.qk_gain_k.data[None, :, 0, :])
     if rope is not None:
         for t in range(tt):
             for h in range(nh):
@@ -128,7 +126,7 @@ def test_attention_matches_per_position_loop():
     d, n_h, n_kv, d_h = 16, 4, 2, 4
     w = make_weights(rng, d, n_h, n_kv, d_h)
     x = rng.child(99).normal((6, d))
-    got = attention_forward(T.tensor(x), w).data
+    got = attention_forward(T.tensor(x[None]), w).data[0]
     ref = attention_loop_oracle(x, w)
     assert max_rel_err(got, ref) < 1e-10
 
@@ -139,7 +137,7 @@ def test_attention_with_rope_and_scaling_matches_oracle():
     rope = RopeParams(theta=500.0, head_dim=6)
     base = ScaleBase(100.0)
     x = rng.child(99).normal((7, 12))
-    got = attention_forward(T.tensor(x), w, rope=rope, scale_base=base).data
+    got = attention_forward(T.tensor(x[None]), w, rope=rope, scale_base=base).data[0]
     ref = attention_loop_oracle(x, w, rope=rope, scale_base=base)
     assert max_rel_err(got, ref) < 1e-10
 
@@ -149,7 +147,7 @@ def test_attention_single_token_routes_value():
     rng = Rng(23)
     w = make_weights(rng, 8, 2, 1, 4)
     x = rng.child(5).normal((1, 8))
-    got = attention_forward(T.tensor(x), w).data
+    got = attention_forward(T.tensor(x[None]), w).data[0]
     ref = attention_loop_oracle(x, w)  # degenerate loop: att = [1.0]
     assert max_rel_err(got, ref) < 1e-12
 
@@ -158,11 +156,11 @@ def test_attention_uniform_keys_average_values():
     """All keys equal => row t attends 1/t to each prefix position."""
     rng = Rng(24)
     d = 8
-    w = make_weights(rng, d, 2, 2, 4, gate=False, qk_norm=False)
-    w.w_k = T.zeros((d, d))  # all k_t identical (zero)
+    w = make_weights(rng, d, 2, 2, 4, gate=False)
+    w.w_k = T.zeros((d, d))  # all k_t identical (zero, and zero after QK-norm)
     w.w_o = T.tensor(np.eye(d))
     x = rng.child(1).normal((5, d))
-    got = attention_forward(T.tensor(x), w).data
+    got = attention_forward(T.tensor(x[None]), w).data[0]
     v = (x @ w.w_v.data).reshape(5, 2, 4)
     for t in range(5):
         ref = v[: t + 1].mean(axis=0).reshape(d)
@@ -194,14 +192,15 @@ def test_attention_gqa_group_size_must_divide():
     with pytest.raises(ConfigError):
         MixerWeights(n_h=4, n_kv_heads=3, d_h=2,
                      w_q=T.zeros((4, 8)), w_k=T.zeros((4, 6)),
-                     w_v=T.zeros((4, 6)), w_o=T.zeros((4, 8)))
+                     w_v=T.zeros((4, 6)), w_o=T.zeros((4, 8)),
+                     qk_gain_q=T.ones((4, 1, 2)), qk_gain_k=T.ones((3, 1, 2)))
 
 
 def test_attention_kv_cache_matches_full_forward():
     rng = Rng(26)
     w = make_weights(rng, 8, 4, 2, 2)
     x = rng.child(1).normal((10, 8))
-    full = attention_forward(T.tensor(x), w).data
+    full = attention_forward(T.tensor(x[None]), w).data[0]
     cache = KvCache(1, 2, 2, np.float64)
     outs = []
     for t in range(10):
@@ -263,7 +262,7 @@ def test_blocked_attention_matches_oracle(monkeypatch, mode, tol, n_kv, position
     rope = RopeParams(theta=500.0, head_dim=6) if positional else None
     base = ScaleBase(100.0) if positional else None
     x = rng.child(99).normal((11, 12))
-    got = attention_forward(T.tensor(x), w, rope=rope, scale_base=base).data
+    got = attention_forward(T.tensor(x[None]), w, rope=rope, scale_base=base).data[0]
     assert got.dtype == T.active_dtype()
     ref = attention_loop_oracle(x.astype(np.float64), w, rope=rope, scale_base=base)
     assert max_rel_err(got, ref) < tol
@@ -294,14 +293,14 @@ def test_blocked_gqa_attention_backward_finite_diff(monkeypatch):
     rng = Rng(65)
     w = make_weights(rng, 6, 4, 2, 2)
     rope = RopeParams(theta=200.0, head_dim=2)
-    x_np = rng.child(99).normal((11, 6))
+    x_np = rng.child(99).normal((1, 11, 6))
     assert _fd_check_mixer(lambda t: attention_forward(t, w, rope=rope), x_np) < 1e-4
     x = T.tensor(x_np)
-    probe = T.tensor(rng.child(98).normal((11, 6)))
+    probe = T.tensor(rng.child(98).normal((1, 11, 6)))
     for name in ("w_k", "w_v"):
         def f(t):
             y = attention_forward(x, w, rope=rope)
-            return T.add(T.sum_all(T.mul(y, probe)), T.scale(T.sum_all(t), 0.5))
+            return T.add(T.sum_all(T.mul(y, probe)), T.mul_const(T.sum_all(t), 0.5))
 
         err = T.finite_diff_check(f, getattr(w, name), step=2e-5)
         assert err < 1e-4, f"{name}: {err:.2e}"
@@ -362,32 +361,24 @@ def test_attention_last_only_is_the_last_row_and_caches_every_key(
         assert last_cache.pos == full_cache.pos == start + 11
         np.testing.assert_array_equal(last_cache.k, full_cache.k)
         np.testing.assert_array_equal(last_cache.v, full_cache.v)
-    # a [T, d] input gives a [1, d] output
-    one = attention_forward(T.tensor(x[0, :11]), w, rope=rope, scale_base=base,
-                            last_only=True).data
-    ref = attention_forward(T.tensor(x[0, :11]), w, rope=rope, scale_base=base).data
-    assert one.shape == (1, 12)
-    assert max_rel_err(one, ref[-1:]) < tol
 
 
 # --------------------------------------------------------------------------
 # lightning attention
 
-def lightning_cumsum_oracle(X, w, gammas, rope=None):
-    """Direct state recursion in plain numpy (includes qk-norm/rope if set)."""
+def lightning_cumsum_oracle(X, w, gammas, rope):
+    """Direct state recursion in plain numpy, after QK-norm and rope."""
     tt, d = X.shape
     nh, dh = w.n_h, w.d_h
     q = (X @ w.w_q.data).reshape(tt, nh, dh)
     k = (X @ w.w_k.data).reshape(tt, nh, dh)
     v = (X @ w.w_v.data).reshape(tt, nh, dh)
-    if w.qk_gain_q is not None:
-        q = _np_rms(q, w.qk_gain_q.data[None, :, 0, :])
-        k = _np_rms(k, w.qk_gain_k.data[None, :, 0, :])
-    if rope is not None:
-        for t in range(tt):
-            for h in range(nh):
-                q[t, h] = _np_rope(q[t, h], t, rope.theta)
-                k[t, h] = _np_rope(k[t, h], t, rope.theta)
+    q = _np_rms(q, w.qk_gain_q.data[None, :, 0, :])
+    k = _np_rms(k, w.qk_gain_k.data[None, :, 0, :])
+    for t in range(tt):
+        for h in range(nh):
+            q[t, h] = _np_rope(q[t, h], t, rope.theta)
+            k[t, h] = _np_rope(k[t, h], t, rope.theta)
     k = k / np.sqrt(dh)
     o = np.zeros_like(q)
     s = np.zeros((nh, dh, dh), dtype=X.dtype)
@@ -403,31 +394,35 @@ def lightning_cumsum_oracle(X, w, gammas, rope=None):
     return merged @ w.w_o.data.T
 
 
+ROPE4 = RopeParams(theta=1000.0, head_dim=4)
+
+
 def test_lightning_gamma_one_cumulative_sum():
     rng = Rng(31)
-    w = make_weights(rng, 8, 2, 2, 4, gate=False, qk_norm=False)
+    w = make_weights(rng, 8, 2, 2, 4, gate=False)
     x = rng.child(1).normal((4, 8))
-    y, _ = lightning_forward_recurrent(T.tensor(x), w, np.ones(2), rope=None)
-    ref = lightning_cumsum_oracle(x, w, np.ones(2))
-    assert max_rel_err(y.data, ref) < 1e-10
+    y, _ = lightning_forward_recurrent(T.tensor(x[None]), w, np.ones(2), ROPE4)
+    ref = lightning_cumsum_oracle(x, w, np.ones(2), ROPE4)
+    assert max_rel_err(y.data[0], ref) < 1e-10
 
 
 def test_lightning_matches_oracle_with_decay_and_gate():
     rng = Rng(32)
     w = make_weights(rng, 8, 4, 4, 2)
     gam = gamma_slopes(4)
+    rope = RopeParams(theta=1000.0, head_dim=2)
     x = rng.child(1).normal((12, 8))
-    y, _ = lightning_forward_recurrent(T.tensor(x), w, gam, rope=None)
-    ref = lightning_cumsum_oracle(x, w, gam)
-    assert max_rel_err(y.data, ref) < 1e-10
+    y, _ = lightning_forward_recurrent(T.tensor(x[None]), w, gam, rope)
+    ref = lightning_cumsum_oracle(x, w, gam, rope)
+    assert max_rel_err(y.data[0], ref) < 1e-10
 
 
 def test_lightning_zero_input_zero_output():
     """o = 0 so the gated, normalized output collapses to zero."""
     rng = Rng(33)
     w = make_weights(rng, 8, 2, 2, 4)
-    y, _ = lightning_forward_recurrent(T.zeros((5, 8)), w, gamma_slopes(2))
-    np.testing.assert_array_equal(y.data, np.zeros((5, 8)))
+    y, _ = lightning_forward_recurrent(T.zeros((1, 5, 8)), w, gamma_slopes(2), ROPE4)
+    np.testing.assert_array_equal(y.data, np.zeros((1, 5, 8)))
 
 
 def test_lightning_state_chaining_single_steps():
@@ -435,15 +430,15 @@ def test_lightning_state_chaining_single_steps():
     w = make_weights(rng, 8, 2, 2, 4)
     gam = gamma_slopes(2)
     rope = RopeParams(theta=1000.0, head_dim=4)
-    x = rng.child(1).normal((8, 8))
+    x = rng.child(1).normal((1, 8, 8))
     whole, _ = lightning_forward_recurrent(T.tensor(x), w, gam, rope=rope)
     state = None
     parts = []
     for t in range(8):
-        y, state = lightning_forward_recurrent(T.tensor(x[t:t + 1]), w, gam,
+        y, state = lightning_forward_recurrent(T.tensor(x[:, t:t + 1]), w, gam,
                                                state=state, rope=rope)
-        parts.append(y.data[0])
-    assert max_rel_err(np.array(parts), whole.data) < 1e-10
+        parts.append(y.data)
+    assert max_rel_err(np.concatenate(parts, axis=1), whole.data) < 1e-10
 
 
 def test_lightning_state_chaining_arbitrary_partition():
@@ -451,14 +446,14 @@ def test_lightning_state_chaining_arbitrary_partition():
     w = make_weights(rng, 8, 2, 2, 4)
     gam = gamma_slopes(2)
     rope = RopeParams(theta=1000.0, head_dim=4)
-    x = rng.child(1).normal((13, 8))
+    x = rng.child(1).normal((1, 13, 8))
     whole, _ = lightning_forward_recurrent(T.tensor(x), w, gam, rope=rope)
     parts, state = [], None
     for lo, hi in [(0, 3), (3, 4), (4, 9), (9, 13)]:
-        y, state = lightning_forward_recurrent(T.tensor(x[lo:hi]), w, gam,
+        y, state = lightning_forward_recurrent(T.tensor(x[:, lo:hi]), w, gam,
                                                state=state, rope=rope)
         parts.append(y.data)
-    assert max_rel_err(np.concatenate(parts), whole.data) < 1e-10
+    assert max_rel_err(np.concatenate(parts, axis=1), whole.data) < 1e-10
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 16, 64])
@@ -467,7 +462,7 @@ def test_lightning_chunked_equals_recurrent(chunk):
     w = make_weights(rng, 8, 2, 2, 4)
     gam = gamma_slopes(2)
     rope = RopeParams(theta=1000.0, head_dim=4)
-    x = rng.child(chunk).normal((23, 8))
+    x = rng.child(chunk).normal((1, 23, 8))
     ref, ref_state = lightning_forward_recurrent(T.tensor(x), w, gam, rope=rope)
     got, got_state = lightning_forward_chunked(T.tensor(x), w, gam, chunk, rope=rope)
     assert max_rel_err(got.data, ref.data) < 1e-5
@@ -510,21 +505,22 @@ def test_lightning_chunked_on_cached_tables_matches_recurrent(mode, tol):
     w = make_weights(rng, 8, 2, 2, 4)
     gam = gamma_slopes(2)
     rope = RopeParams(theta=1000.0, head_dim=4)
-    x = rng.child(1).normal((11, 8))
+    x = rng.child(1).normal((1, 11, 8))
     ref, ref_state = lightning_forward_recurrent(T.tensor(x), w, gam, rope=rope)
     for _ in range(2):
-        got, st = lightning_forward_chunked(T.tensor(x[:10]), w, gam, 4, rope=rope)
-        last, _ = lightning_forward_chunked(T.tensor(x[10:]), w, gam, 4, rope=rope, state=st)
-        assert max_rel_err(np.concatenate([got.data, last.data]), ref.data) < tol
+        got, st = lightning_forward_chunked(T.tensor(x[:, :10]), w, gam, 4, rope=rope)
+        last, _ = lightning_forward_chunked(T.tensor(x[:, 10:]), w, gam, 4, rope=rope,
+                                            state=st)
+        assert max_rel_err(np.concatenate([got.data, last.data], axis=1), ref.data) < tol
 
 
 def test_lightning_single_chunk_is_parallel_form():
     rng = Rng(37)
     w = make_weights(rng, 8, 2, 2, 4)
     gam = gamma_slopes(2)
-    x = rng.child(1).normal((16, 8))
-    ref, _ = lightning_forward_recurrent(T.tensor(x), w, gam)
-    got, _ = lightning_forward_chunked(T.tensor(x), w, gam, chunk=16)
+    x = rng.child(1).normal((1, 16, 8))
+    ref, _ = lightning_forward_recurrent(T.tensor(x), w, gam, ROPE4)
+    got, _ = lightning_forward_chunked(T.tensor(x), w, gam, 16, ROPE4)
     assert max_rel_err(got.data, ref.data) < 1e-5
 
 
@@ -533,11 +529,21 @@ def test_lightning_chunked_with_state_continuation():
     w = make_weights(rng, 8, 2, 2, 4)
     gam = gamma_slopes(2)
     rope = RopeParams(theta=1000.0, head_dim=4)
-    x = rng.child(1).normal((20, 8))
+    x = rng.child(1).normal((1, 20, 8))
     ref, _ = lightning_forward_recurrent(T.tensor(x), w, gam, rope=rope)
-    y1, st = lightning_forward_chunked(T.tensor(x[:9]), w, gam, 4, rope=rope)
-    y2, _ = lightning_forward_chunked(T.tensor(x[9:]), w, gam, 4, rope=rope, state=st)
-    assert max_rel_err(np.concatenate([y1.data, y2.data]), ref.data) < 1e-10
+    y1, st = lightning_forward_chunked(T.tensor(x[:, :9]), w, gam, 4, rope=rope)
+    y2, _ = lightning_forward_chunked(T.tensor(x[:, 9:]), w, gam, 4, rope=rope, state=st)
+    assert max_rel_err(np.concatenate([y1.data, y2.data], axis=1), ref.data) < 1e-10
+
+
+def test_mixers_take_batched_inputs_only():
+    w = make_weights(Rng(40), 8, 2, 2, 4)
+    x = T.zeros((5, 8))
+    for run in (lambda: attention_forward(x, w),
+                lambda: lightning_forward_recurrent(x, w, gamma_slopes(2), ROPE4),
+                lambda: lightning_forward_chunked(x, w, gamma_slopes(2), 4, ROPE4)):
+        with pytest.raises(ShapeError, match=r"must be \[B, T, d\]"):
+            run()
 
 
 def test_lightning_rejects_mismatched_state():
@@ -545,7 +551,7 @@ def test_lightning_rejects_mismatched_state():
     w = make_weights(rng, 8, 2, 2, 4)
     bad = RecurrentState(np.zeros((1, 3, 4, 4)), 0)
     with pytest.raises(Exception, match="state"):
-        lightning_forward_recurrent(T.zeros((2, 8)), w, gamma_slopes(2), state=bad)
+        lightning_forward_recurrent(T.zeros((1, 2, 8)), w, gamma_slopes(2), ROPE4, state=bad)
 
 
 # --------------------------------------------------------------------------
@@ -554,7 +560,7 @@ def test_lightning_rejects_mismatched_state():
 def test_clone_identity_when_g1():
     rng = Rng(51)
     w = make_weights(rng, 8, 2, 2, 4)
-    c = gqa_to_mha_clone(w, 1)
+    c = gqa_to_mha_clone(w)
     np.testing.assert_array_equal(c.w_k.data, w.w_k.data)
     assert c is not w
 
@@ -563,7 +569,7 @@ def test_clone_head_assignment():
     rng = Rng(52)
     d, n_h, n_kv, d_h = 8, 4, 2, 2
     w = make_weights(rng, d, n_h, n_kv, d_h)
-    c = gqa_to_mha_clone(w, 2)
+    c = gqa_to_mha_clone(w)
     assert c.n_kv_heads == 4
     wk = w.w_k.data.reshape(d, n_kv, d_h)
     ck = c.w_k.data.reshape(d, n_h, d_h)
@@ -574,9 +580,9 @@ def test_clone_head_assignment():
 def test_clone_forward_bit_identical():
     rng = Rng(53)
     w = make_weights(rng, 16, 4, 2, 4)
-    c = gqa_to_mha_clone(w, 2)
+    c = gqa_to_mha_clone(w)
     for trial in range(3):
-        x = T.tensor(rng.child(trial).normal((9, 16)))
+        x = T.tensor(rng.child(trial).normal((1, 9, 16)))
         a = attention_forward(x, w).data
         b = attention_forward(x, c).data
         np.testing.assert_array_equal(a, b)
@@ -586,19 +592,12 @@ def test_clone_parameter_growth_counts():
     rng = Rng(54)
     d, n_h, n_kv, d_h, g = 16, 4, 2, 4, 2
     w = make_weights(rng, d, n_h, n_kv, d_h)
-    c = gqa_to_mha_clone(w, g)
+    c = gqa_to_mha_clone(w)
     count = lambda mw: sum(t.size for _, t in mw.named())
     grown = count(c) - count(w)
     # projections grow by (g-1)*n_kv*d*d_h*2, plus the widened k-gain rows
     expected = (g - 1) * n_kv * d * d_h * 2 + (g - 1) * n_kv * d_h
     assert grown == expected
-
-
-def test_clone_wrong_group_errors():
-    rng = Rng(55)
-    w = make_weights(rng, 8, 4, 2, 2)
-    with pytest.raises(ConfigError):
-        gqa_to_mha_clone(w, 4)
 
 
 # --------------------------------------------------------------------------
@@ -607,7 +606,7 @@ def test_clone_wrong_group_errors():
 def _fd_check_mixer(forward_fn, x_np, step=1e-4):
     def f(t):
         y = forward_fn(t)
-        return T.add(T.sum_all(T.mul(y, y)), T.scale(T.sum_all(t), 0.5))
+        return T.add(T.sum_all(T.mul(y, y)), T.mul_const(T.sum_all(t), 0.5))
 
     return T.finite_diff_check(f, T.tensor(x_np), step=step)
 
@@ -617,7 +616,7 @@ def test_attention_backward_finite_diff():
     w = make_weights(rng, 8, 2, 1, 4)
     rope = RopeParams(theta=200.0, head_dim=4)
     errs = [_fd_check_mixer(lambda t: attention_forward(t, w, rope=rope),
-                            rng.child(k).normal((4, 8))) for k in range(5)]
+                            rng.child(k).normal((1, 4, 8))) for k in range(5)]
     assert max(errs) < 1e-4
 
 
@@ -628,21 +627,21 @@ def test_lightning_backward_finite_diff():
     rope = RopeParams(theta=200.0, head_dim=4)
     errs = [_fd_check_mixer(
         lambda t: lightning_forward_chunked(t, w, gam, chunk=3, rope=rope)[0],
-        rng.child(k).normal((5, 8))) for k in range(5)]
+        rng.child(k).normal((1, 5, 8))) for k in range(5)]
     assert max(errs) < 1e-4
 
 
 def test_lightning_weight_gradients_finite_diff():
     """Gradients w.r.t. every weight tensor of the mixer, not just the input."""
     rng = Rng(64)
-    w = make_weights(rng, 6, 2, 2, 3)
+    w = make_weights(rng, 6, 2, 2, 4)
     gam = gamma_slopes(2)
-    x = T.tensor(rng.child(99).normal((4, 6)))
-    probe = T.tensor(rng.child(98).normal((4, 6)))
+    x = T.tensor(rng.child(99).normal((1, 4, 6)))
+    probe = T.tensor(rng.child(98).normal((1, 4, 6)))
     for name, tens in w.named():
         def f(t):
-            y, _ = lightning_forward_chunked(x, w, gam, chunk=2)
-            return T.add(T.sum_all(T.mul(y, probe)), T.scale(T.sum_all(t), 0.5))
+            y, _ = lightning_forward_chunked(x, w, gam, 2, ROPE4)
+            return T.add(T.sum_all(T.mul(y, probe)), T.mul_const(T.sum_all(t), 0.5))
 
         # smaller step: norm-of-small-vector curvature dominates at 1e-4
         err = T.finite_diff_check(f, tens, step=2e-5)

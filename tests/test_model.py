@@ -31,7 +31,7 @@ def test_empty_stack_is_normed_embedding_times_unembedding():
     cfg = desk_config(L=0, I_attn=(), **TINY)
     model = init_model(cfg, seed=0)
     toks = np.array([3, 1, 4, 1, 5])
-    logits = forward(model, toks).data
+    logits = forward(model, toks[None]).data[0]
     e = model.embed.data[toks]
     normed = e / np.sqrt((e * e).mean(-1, keepdims=True) + 1e-6)
     ref = normed @ model.embed.data.T
@@ -41,8 +41,8 @@ def test_empty_stack_is_normed_embedding_times_unembedding():
 def test_token_swap_changes_logits_rnn_rope_model():
     cfg = desk_config(L=1, I_attn=(), **TINY)
     model = init_model(cfg, seed=1)
-    a = forward(model, np.array([5, 9, 5, 9])).data
-    b = forward(model, np.array([9, 5, 5, 9])).data
+    a = forward(model, np.array([[5, 9, 5, 9]])).data[0]
+    b = forward(model, np.array([[9, 5, 5, 9]])).data[0]
     assert np.abs(a[-1] - b[-1]).max() > 1e-8  # position information present
 
 
@@ -69,18 +69,19 @@ def test_two_layer_forward_matches_composed_oracle():
         x = x + inner @ lw.mlp.w_down.data
     ref = np_rmsnorm(x, model.final_gain.data) @ model.embed.data.T
 
-    got = forward(model, toks).data
+    got = forward(model, toks[None]).data[0]
     assert max_rel_err(got, ref) < 1e-8
 
 
 def test_forward_rejects_out_of_range_ids():
     model = init_model(tiny_hybrid(), seed=0)
     with pytest.raises(IndexError):
-        forward(model, np.array([0, 99]))
+        forward(model, np.array([[0, 99]]))
 
 
-@pytest.mark.parametrize("shape", [(0,), (1, 0), (0, 3)])
+@pytest.mark.parametrize("shape", [(0,), (1, 0), (0, 3), (3,)])
 def test_forward_and_prefill_reject_zero_tokens(shape):
+    """Token ids are [B, T] with B, T >= 1; [T] ids are refused too."""
     model = init_model(tiny_hybrid(), seed=0)
     toks = np.zeros(shape, dtype=np.int64)
     with pytest.raises(ValueError, match="at least one token"):
@@ -95,7 +96,7 @@ def test_forward_and_prefill_reject_zero_tokens(shape):
 def test_capture_layer0_input_is_normed_embedding():
     model = init_model(tiny_hybrid(), seed=3)
     toks = np.array([4, 2, 9])
-    x_in, _ = capture_many(model, toks, [0])[0]
+    x_in, _ = capture_many(model, toks[None], [0])[0]
     e = model.embed.data[toks]
     ref = e / np.sqrt((e * e).mean(-1, keepdims=True) + 1e-6) * model.layers[0].pre_mixer_gain.data
     assert max_rel_err(x_in.data[0], ref) < 1e-12
@@ -106,7 +107,7 @@ def test_capture_residual_identity():
     residual stream, recomputed offline."""
     model = init_model(tiny_hybrid(), seed=4)
     toks = np.array([1, 5, 8, 8])
-    x_in, y_mix = capture_many(model, toks, [1])[1]
+    x_in, y_mix = capture_many(model, toks[None], [1])[1]
     # recompute the residual stream entering layer 1 and check Norm matches
     x = model.embed.data[toks]
     lw0 = model.layers[0]
@@ -126,7 +127,7 @@ def test_capture_residual_identity():
 
 def test_capture_does_not_perturb_logits():
     model = init_model(tiny_hybrid(), seed=5)
-    toks = np.array([0, 1, 2, 3, 4])
+    toks = np.array([[0, 1, 2, 3, 4]])
     plain = forward(model, toks).data
     _ = capture_many(model, toks, [1])
     again = forward(model, toks).data
@@ -137,7 +138,7 @@ def test_capture_layer_out_of_range():
     model = init_model(tiny_hybrid(), seed=5)
     for layers in ([2], [0, 2], [-1]):
         with pytest.raises(IndexError, match="out of range"):
-            capture_many(model, np.array([1, 2]), layers)
+            capture_many(model, np.array([[1, 2]]), layers)
 
 
 # --------------------------------------------------------------------------
@@ -147,7 +148,7 @@ def test_decode_first_step_equals_single_token_forward():
     model = init_model(tiny_hybrid(), seed=6)
     sess = new_session(model)
     logits = decode_step(model, sess, 7).data
-    ref = forward(model, np.array([7])).data[0]
+    ref = forward(model, np.array([[7]])).data[0, 0]
     assert max_rel_err(logits, ref) < 1e-12
 
 
@@ -156,7 +157,7 @@ def test_incremental_decode_matches_full_forward():
     model = init_model(cfg, seed=8)
     rng = Rng(0)
     toks = rng.integers(0, cfg.vocab, size=33)
-    full = forward(model, toks).data
+    full = forward(model, toks[None]).data[0]
     sess = new_session(model)
     step_logits = [decode_step(model, sess, int(t)).data for t in toks]
     assert max_rel_err(np.array(step_logits), full) < 1e-8
@@ -166,9 +167,9 @@ def test_prefill_then_decode_matches_full_forward():
     cfg = tiny_hybrid(L=4, I_attn=(0, 2))
     model = init_model(cfg, seed=9)
     toks = Rng(1).integers(0, cfg.vocab, size=21)
-    full = forward(model, toks).data
+    full = forward(model, toks[None]).data[0]
     sess = new_session(model)
-    pre = prefill(model, sess, toks[:13]).data
+    pre = prefill(model, sess, toks[None, :13]).data[0]
     assert max_rel_err(pre[-1], full[12]) < 1e-8
     for i, t in enumerate(toks[13:]):
         out = decode_step(model, sess, int(t)).data
@@ -179,11 +180,11 @@ def test_greedy_decode_equals_repeated_full_forward():
     cfg = tiny_hybrid(L=3, I_attn=(1,))
     model = init_model(cfg, seed=10)
     prompt = Rng(2).integers(0, cfg.vocab, size=12)
-    got = generate_greedy(model, prompt, n_new=32)[0]
+    got = generate_greedy(model, prompt[None], n_new=32)[0]
     seq = list(prompt)
     ref = []
     for _ in range(32):
-        logits = forward(model, np.array(seq)).data
+        logits = forward(model, np.array([seq])).data[0]
         nxt = int(logits[-1].argmax())
         ref.append(nxt)
         seq.append(nxt)
@@ -213,7 +214,7 @@ def test_greedy_batch_runs_one_decode_step_per_token_after_the_first(monkeypatch
     for prompt, row in zip(prompts, got):
         seq = list(prompt)
         for tok in row:
-            assert tok == int(forward(model, np.array(seq)).data[-1].argmax())
+            assert tok == int(forward(model, np.array([seq])).data[0, -1].argmax())
             seq.append(int(tok))
     np.testing.assert_array_equal(generate_greedy(model, prompts, n_new=1), got[:, :1])
     with pytest.raises(ValueError, match="n_new"):
@@ -250,7 +251,7 @@ def test_decode_scaling_uses_absolute_positions():
     cfg = tiny_hybrid(L=2, I_attn=(0, 1), scale_base=ScaleBase(50.0))
     model = init_model(cfg, seed=11)
     toks = Rng(3).integers(0, cfg.vocab, size=17)
-    full = forward(model, toks).data  # scaling from config
+    full = forward(model, toks[None]).data[0]  # scaling from config
     sess = new_session(model)
     outs = [decode_step(model, sess, int(t)).data for t in toks]
     assert max_rel_err(np.array(outs), full) < 1e-10
@@ -283,8 +284,8 @@ def test_causality_shared_prefix_identical_logits():
     a = Rng(4).integers(0, cfg.vocab, size=16)
     b = a.copy()
     b[10:] = (b[10:] + 5) % cfg.vocab
-    la = forward(model, a).data
-    lb = forward(model, b).data
+    la = forward(model, a[None]).data[0]
+    lb = forward(model, b[None]).data[0]
     np.testing.assert_array_equal(la[:10], lb[:10])
 
 
@@ -371,7 +372,7 @@ def test_greedy_tokens_equal_repeated_full_forward(tol, I_attn):
     for prompt, row in zip(prompts, got):
         seq = list(prompt)
         for tok in row:
-            assert tok == int(forward(model, np.array(seq)).data[-1].argmax())
+            assert tok == int(forward(model, np.array([seq])).data[0, -1].argmax())
             seq.append(int(tok))
 
 
@@ -522,9 +523,9 @@ def test_choice_logprobs_match_full_row_formula(tol, scale_base, monkeypatch):
 
 def test_tied_embeddings_share_storage():
     model = init_model(tiny_hybrid(), seed=13)
-    before = forward(model, np.array([1, 2])).data.copy()
+    before = forward(model, np.array([[1, 2]])).data.copy()
     model.embed.data[5] += 1.0
-    after = forward(model, np.array([1, 2])).data
+    after = forward(model, np.array([[1, 2]])).data
     assert not np.array_equal(before, after)
 
 

@@ -16,9 +16,9 @@ PARAMS = RopeParams(theta=10_000.0, head_dim=8)
 
 
 def test_rope_position_zero_is_identity():
-    x = T.tensor(Rng(0).normal((5, 3, 8)))
+    x = T.tensor(Rng(0).normal((3, 5, 8)))  # [heads, T, head_dim]
     out = rope_apply(x, 0, PARAMS)
-    np.testing.assert_array_equal(out.data[0], x.data[0])
+    np.testing.assert_array_equal(out.data[:, 0], x.data[:, 0])
 
 
 def test_rope_preserves_pair_norms():
@@ -59,17 +59,6 @@ def test_rope_relative_shift_property(shift, m, n, seed):
     assert abs(a - b) < 1e-10
 
 
-def test_rope_time_axis_layouts_agree():
-    rng = Rng(4)
-    x = rng.normal((2, 3, 6, 8))  # [B, heads, T, d_h]
-    out_hm = rope_apply(T.tensor(x), 5, PARAMS, time_axis=-2).data
-    # same data arranged [T, heads, d_h] per batch entry
-    for b in range(2):
-        seq_first = np.transpose(x[b], (1, 0, 2))
-        ref = rope_apply(T.tensor(seq_first), 5, PARAMS, time_axis=0).data
-        np.testing.assert_allclose(np.transpose(out_hm[b], (1, 0, 2)), ref, atol=1e-15)
-
-
 def test_rope_odd_head_dim_rejected():
     with pytest.raises(ConfigError):
         RopeParams(theta=100.0, head_dim=7)
@@ -80,17 +69,15 @@ def test_rope_negative_start_rejected():
         rope_apply(T.zeros((2, 1, 8)), -1, PARAMS)
 
 
-def rope_oracle(X, start_pos, params, time_axis=0, inverse=False):
-    """The pairwise RoPE formula: even/odd channels rotated by cos/sin tables
-    built for exactly these positions (inverse=True rotates backwards)."""
+def rope_oracle(X, start_pos, params, inverse=False):
+    """The pairwise RoPE formula over X [..., T, head_dim]: even/odd channels
+    rotated by cos/sin tables built for exactly these positions
+    (inverse=True rotates backwards)."""
     half = params.head_dim // 2
     freqs = params.theta ** (-np.arange(half, dtype=np.float64) * 2.0 / params.head_dim)
-    axis = time_axis % X.ndim
-    angles = np.arange(start_pos, start_pos + X.shape[axis], dtype=np.float64)[:, None] * freqs
-    shape = [1] * X.ndim
-    shape[axis], shape[-1] = X.shape[axis], half
-    cos = np.cos(angles).reshape(shape).astype(X.dtype)
-    sin = np.sin(angles).reshape(shape).astype(X.dtype)
+    angles = np.arange(start_pos, start_pos + X.shape[-2], dtype=np.float64)[:, None] * freqs
+    cos = np.cos(angles).astype(X.dtype)
+    sin = np.sin(angles).astype(X.dtype)
     if inverse:
         sin = -sin
     even, odd = X[..., 0::2], X[..., 1::2]
@@ -101,33 +88,31 @@ def rope_oracle(X, start_pos, params, time_axis=0, inverse=False):
 
 
 def _rope_inputs(rng, layout, dtype):
-    """(x, time_axis) for each input layout the mixers and callers produce."""
-    if layout == "contiguous":  # [B, H, T, d_h] after QK-norm
-        return rng.normal((2, 3, 7, 8)).astype(dtype), -2
-    if layout == "permuted":  # a head view of [B, T, H, d_h] (no QK-norm)
-        return rng.normal((2, 7, 3, 8)).astype(dtype).transpose(0, 2, 1, 3), -2
-    if layout == "strided_last":  # last axis not contiguous
-        return rng.normal((2, 3, 8, 7)).astype(dtype).swapaxes(-1, -2), -2
-    return rng.normal((7, 3, 8)).astype(dtype), 0  # "time_first": [T, H, d_h]
+    """x [B, H, T, d_h] in each memory layout rope_apply may be handed."""
+    if layout == "contiguous":  # after QK-norm
+        return rng.normal((2, 3, 7, 8)).astype(dtype)
+    if layout == "permuted":  # a head view of [B, T, H, d_h]
+        return rng.normal((2, 7, 3, 8)).astype(dtype).transpose(0, 2, 1, 3)
+    return rng.normal((2, 3, 8, 7)).astype(dtype).swapaxes(-1, -2)  # "strided_last"
 
 
 @pytest.mark.parametrize("mode,tol", [("extended", 1e-12), ("standard", 1e-6)])
-@pytest.mark.parametrize("layout", ["contiguous", "permuted", "strided_last", "time_first"])
+@pytest.mark.parametrize("layout", ["contiguous", "permuted", "strided_last"])
 def test_rope_matches_pairwise_oracle_forward_and_backward(mode, tol, layout):
     T.set_precision(mode)
     rng = Rng(21)
-    X, axis = _rope_inputs(rng, layout, T.active_dtype())
+    X = _rope_inputs(rng, layout, T.active_dtype())
     g = rng.normal(X.shape)
     X_before, g_before = X.copy(), g.copy()
     x = T.Tensor(X, requires_grad=True, dtype=X.dtype)
     with T.Tape() as tape:
-        y = rope_apply(x, 5, PARAMS, time_axis=axis)
+        y = rope_apply(x, 5, PARAMS)
         # swap_last hands rope a gradient whose last axis is not contiguous
         loss = T.sum_all(T.mul(T.swap_last(y), T.Tensor(g.swapaxes(-1, -2), dtype=g.dtype)))
     tape.backward(loss)
     assert y.shape == X.shape and y.dtype == x.grad.dtype == X.dtype
-    np.testing.assert_allclose(y.data, rope_oracle(X, 5, PARAMS, axis), rtol=tol, atol=tol)
-    np.testing.assert_allclose(x.grad, rope_oracle(g, 5, PARAMS, axis, inverse=True),
+    np.testing.assert_allclose(y.data, rope_oracle(X, 5, PARAMS), rtol=tol, atol=tol)
+    np.testing.assert_allclose(x.grad, rope_oracle(g, 5, PARAMS, inverse=True),
                                rtol=tol, atol=tol)
     np.testing.assert_array_equal(X, X_before)
     np.testing.assert_array_equal(g, g_before)
@@ -142,11 +127,11 @@ def test_rope_table_grows_for_a_later_position(mode, tol):
     key = (params, T.active_dtype())
     positional._ROPE_TABLES.pop(key, None)
     X = Rng(22).normal((2, 4, 8))
-    rope_apply(T.tensor(X), 0, params, time_axis=-2)
+    rope_apply(T.tensor(X), 0, params)
     before = positional._ROPE_TABLES[key].shape[0]
-    out = rope_apply(T.tensor(X), before + 3, params, time_axis=-2).data
+    out = rope_apply(T.tensor(X), before + 3, params).data
     assert positional._ROPE_TABLES[key].shape[0] >= before + 7
-    np.testing.assert_allclose(out, rope_oracle(X, before + 3, params, -2), rtol=tol, atol=tol)
+    np.testing.assert_allclose(out, rope_oracle(X, before + 3, params), rtol=tol, atol=tol)
 
 
 def test_rope_table_is_read_only():
@@ -163,7 +148,7 @@ def test_rope_finite_diff_past_position_zero():
     x = T.tensor(Rng(23).normal((2, 3, 5, 8)))
     rmat = T.tensor(Rng(24).normal((2, 3, 5, 8)))
     err = T.finite_diff_check(
-        lambda t: T.sum_all(T.mul(rope_apply(t, 11, PARAMS, time_axis=-2), rmat)), x, step=1e-5)
+        lambda t: T.sum_all(T.mul(rope_apply(t, 11, PARAMS), rmat)), x, step=1e-5)
     assert err < 1e-6
 
 

@@ -330,7 +330,7 @@ def test_tape_does_not_keep_an_output_no_closure_reads(mode):
     with Tape() as tape:
         h = T.matmul(x, w)
         h_buf = weakref.ref(h.data)
-        loss = T.sum_all(T.scale(h, 2.0))
+        loss = T.sum_all(T.mul_const(h, 2.0))
         del h
     assert h_buf() is None
     assert len(tape._records) == 3
@@ -395,7 +395,7 @@ def test_slice_axis_gradient_keeps_no_input_buffer(mode):
     T.set_precision(mode)
     x = Tensor(Rng(5).normal((2, 4)), requires_grad=True)
     with Tape() as tape:
-        h = T.scale(x, 3.0)
+        h = T.mul_const(x, 3.0)
         h_buf = weakref.ref(h.data)
         loss = T.sum_all(T.slice_axis(h, 1, 1, 3))
         del h  # the slice is a view of h; sum_all keeps neither
@@ -413,7 +413,7 @@ def test_outer_tape_tensor_is_a_leaf_of_an_inner_tape(mode):
     T.set_precision(mode)
     w = Tensor(Rng(6).normal((3,)), requires_grad=True)
     with Tape() as outer:
-        h = T.scale(w, 3.0)
+        h = T.mul_const(w, 3.0)
         with Tape() as inner:
             inner_loss = T.sum_all(T.mul(h, h))
         inner.backward(inner_loss)
@@ -559,7 +559,7 @@ def test_finite_diff_softmax_composite():
     def f(t):
         # linear term keeps every gradient entry away from zero
         return T.add(T.sum_all(T.mul(T.softmax_rows(t), T.tensor(r))),
-                     T.scale(T.sum_all(t), 0.5))
+                     T.mul_const(T.sum_all(t), 0.5))
 
     assert T.finite_diff_check(f, x, step=1e-4) < 1e-6
 
@@ -577,7 +577,7 @@ def test_finite_diff_detects_wrong_gradient():
 
 @pytest.mark.parametrize("op", ["add", "mul", "sub", "sigmoid", "silu", "rmsnorm",
                                 "rmsnorm_qk", "softmax", "matmul", "rope", "embedding_like",
-                                "concat_slice", "repeat", "scale"])
+                                "concat_slice", "repeat", "mul_const"])
 def test_finite_diff_each_op(op):
     """Every differentiable op passes the gradient oracle on random inputs."""
     from hybridkit.positional import RopeParams, rope_apply
@@ -588,7 +588,7 @@ def test_finite_diff_each_op(op):
         r = rng.child(trial)
         x = T.tensor(r.normal((3, 4)))
         other = T.tensor(r.normal((3, 4)))
-        lin = lambda t: T.scale(T.sum_all(t), 0.5)
+        lin = lambda t: T.mul_const(T.sum_all(t), 0.5)
         if op == "add":
             f = lambda t: T.add(T.sum_all(T.mul(T.add(t, other), T.add(t, other))), lin(t))
         elif op == "sub":
@@ -634,8 +634,9 @@ def test_finite_diff_each_op(op):
         elif op == "repeat":
             rmat = r.normal((6, 4))
             f = lambda t: T.add(T.sum_all(T.mul(T.repeat_axis(t, 2, 0), T.tensor(rmat))), lin(t))
-        elif op == "scale":
-            f = lambda t: T.add(T.sum_all(T.mul(T.scale(t, 1.7), other)), lin(t))
+        elif op == "mul_const":
+            c = r.normal((1, 4))
+            f = lambda t: T.add(T.sum_all(T.mul(T.mul_const(t, c), other)), lin(t))
         errs.append(T.finite_diff_check(f, x, step=1e-4))
     assert max(errs) < 1e-4, f"{op}: max fd error {max(errs):.2e}"
 
@@ -644,7 +645,7 @@ def test_finite_diff_cross_entropy_and_kl():
     rng = Rng(9)
     logits = T.tensor(rng.normal((5, 7)))
     targets = rng.integers(0, 7, size=5)
-    lin = lambda t: T.scale(T.sum_all(t), 0.5)
+    lin = lambda t: T.mul_const(T.sum_all(t), 0.5)
     err = T.finite_diff_check(
         lambda t: T.add(T.cross_entropy(t, targets), lin(t)), logits, step=1e-4)
     assert err < 1e-4
