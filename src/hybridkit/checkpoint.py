@@ -10,7 +10,8 @@ native precision, recorded per entry by the dtype code).
 A model header's config lists the `ModelConfig` fields.  Older headers also
 carry keys for switches that are now fixed conventions (`RETIRED_KEYS`);
 such a header loads when each key holds the one value the model keeps, and
-is refused, naming the key, otherwise.  New headers omit these keys.
+is refused, naming the key, otherwise; one from before `arch` holds a pair
+that `PAIR_ARCH` maps to it instead.  New headers omit these keys.
 
 A model's tensors are exactly those its config implies: per layer, the
 mixer layout of `model.mixer_layout` (KV heads, and whether w_z and
@@ -228,15 +229,19 @@ class _Reader:
 RETIRED_KEYS = {"rnn_kind": "lightning", "pe_rnn": "rope", "tie_embeddings": True,
                 "attn_qk_norm": True, "rnn_qk_norm": True, "rnn_gate": True}
 
+# the arch named by a header's [pe_attention, attn_gate] from before `arch`
+PAIR_ARCH = {'["rope", false]': "transformer", '["nope", true]': "hypenet"}
+
 
 def load_model(path) -> Model:
     """Load a model checkpoint.
 
     Raises CheckpointError when the stored config is malformed or holds a
-    retired key with another value than the one the model keeps, the stored
-    layer kinds disagree with the config's I_attn, or the tensors are not
-    exactly those of the layout the config implies: one is missing, has
-    another shape, or is not part of it (a gate on an ungated layer, say).
+    retired key with another value than the one the model keeps or a pair
+    of neither arch, the stored layer kinds disagree with its I_attn, or
+    the tensors are not exactly those of the layout the config implies:
+    one is missing, has another shape, or is not part of it (a gate on an
+    ungated layer, say).
     """
     config, tensors = load_tensors(path)
     if config.get("kind") != "model":
@@ -248,6 +253,11 @@ def load_model(path) -> Model:
             if value != kept or type(value) is not type(kept):
                 raise CheckpointError(f"{path}: unsupported {key} {json.dumps(value)}; "
                                       f"only {json.dumps(kept)} is supported")
+        if "arch" not in stored:
+            pair = json.dumps([stored.pop("pe_attention"), stored.pop("attn_gate")])
+            if pair not in PAIR_ARCH:
+                raise CheckpointError(f"{path}: unsupported pe_attention, attn_gate {pair}")
+            stored["arch"] = PAIR_ARCH[pair]
         cfg = config_from_dict(stored)
         kinds = list(config["layer_kinds"])
     except (KeyError, TypeError, ConfigError) as e:

@@ -3,7 +3,8 @@
 Subcommands: train, halo, eval, bench, inspect; `halo --stage` runs one
 HALO stage (1, select, 2 or 3) from the artifacts of the earlier ones.
 Global flags: --seed, --precision {extended,standard}, --threads N,
---dry-run.  Exit codes: 0 success, 2 configuration error, 3 runtime abort.
+--dry-run.  Exit codes: 0 success, 2 configuration error or a path that
+cannot be read or written, 3 runtime abort.
 
 Heavy imports happen inside handlers so --threads can pin BLAS thread counts
 before numpy loads.
@@ -101,6 +102,9 @@ def main(argv=None) -> int:
         except TrainingDiverged as e:
             print(f"aborted: {e}", file=sys.stderr)
             return 3
+        except OSError as e:  # a path given that cannot be read or written
+            print(f"file error: {e}", file=sys.stderr)
+            return 2
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -158,12 +162,10 @@ def _lengths(text: str) -> list[int]:
 
 def _print_config(rc, model) -> None:
     from .checkpoint import config_to_dict
+    from .runconfig import STAGE_DEFAULTS
 
     print(json.dumps({"model": config_to_dict(model.cfg),
-                      "train": {k: getattr(rc.train, k) for k in
-                                ("steps", "batch_size", "context_len", "lr_max",
-                                 "lr_min", "schedule", "warmup_steps",
-                                 "weight_decay", "grad_clip", "seed")},
+                      "train": {k: getattr(rc.train, k) for k in STAGE_DEFAULTS},
                       "data": rc.data_kind,
                       "parameters": model.num_params()}, indent=2))
 
@@ -228,7 +230,7 @@ def cmd_halo(args) -> int:
     rc = load_run_config(args.config, seed_override=args.seed)
     hc = rc.halo
     teacher = load_model(args.teacher)
-    k = halo.check_teacher(teacher, hc)  # a bad k, vocab or dtype fails before any stage
+    k = halo.check_teacher(teacher, hc)  # a bad arch, k, vocab or dtype fails before any stage
     if args.dry_run:
         print(json.dumps({"stages": args.stage, "teacher_params": teacher.num_params(),
                           "k": k}, indent=2))
@@ -358,6 +360,8 @@ def cmd_eval(args) -> int:
                           "a fixed corpus of 8 documents")
     lengths = _lengths(args.lengths or "256,512,1024")
     n_samples = 200 if args.samples is None else _positive_int("--samples", args.samples)
+    if args.out and not Path(args.out).parent.is_dir():  # fail before evaluating
+        raise ConfigError(f"--out {args.out}: no directory {Path(args.out).parent}")
     model = load_model(args.ckpt)
     check_vocab(model.cfg.vocab, args.task)
     scale, tag = _resolve_scale(args)

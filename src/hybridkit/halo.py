@@ -25,8 +25,8 @@ persists what each returns.
 
 from __future__ import annotations
 
-import time
 import json
+import time
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -39,8 +39,8 @@ from .data import StreamConfig, TokenStream, check_vocab
 from .evals import RcSuite, build_rc_suite, score_csr, score_recall
 from .fileio import write_text_atomic
 from .mixers import MixerWeights, lightning_forward_chunked
-from .model import (Model, capture_many, forward, init_hybrid_from_teacher,
-                    init_rnn_from_attention)
+from .model import (Model, capture_many, check_transformer, forward,
+                    init_hybrid_from_teacher, init_rnn_from_attention)
 from .tensor import ConfigError, Rng, Tape, Tensor, check_count
 
 
@@ -270,20 +270,19 @@ def _candidate_loss(cand: MixerWeights, x_in: np.ndarray, y_ref: np.ndarray,
 
 def stage1_align_all(teacher: Model, layers: Sequence[int], stream: TokenStream,
                      cfg: TrainConfig) -> dict[int, tuple[MixerWeights, StageReport]]:
-    """Train one aligned RNN candidate per requested layer.
+    """Train one aligned RNN candidate per requested layer of a transformer.
 
     Layers are independent (disjoint weights, frozen teacher); one teacher
     forward per batch feeds every layer's loss.  Initial/final alignment
     error on a fixed probe batch lands in each report's final_metrics.
     """
+    check_transformer(teacher.cfg)
     layers = [int(l) for l in layers]
     seed_rng = Rng(cfg.seed, (17,))
     candidates: dict[int, MixerWeights] = {}
     opt_states: dict[int, AdamWState] = {}
     reports: dict[int, StageReport] = {}
     for l in layers:
-        if l not in teacher.cfg.I_attn:
-            raise ConfigError(f"teacher layer {l} is not attention")
         candidates[l] = init_rnn_from_attention(teacher.layers[l].mixer, seed_rng.child(l))
         opt_states[l] = AdamWState()
         reports[l] = StageReport(stage=f"stage1/layer{l}")
@@ -350,7 +349,9 @@ def candidate_model(teacher: Model, layer: int, rnn_weights: MixerWeights) -> Mo
     copied, so the candidate is for evaluation only: training it would
     train the teacher.
     """
-    cfg = replace(teacher.cfg, I_attn=tuple(i for i in teacher.cfg.I_attn if i != layer))
+    cfg = replace(teacher.cfg)  # ModelConfig refuses a transformer with an RNN
+    # layer, which only a candidate is, so the copy's I_attn is set past that check
+    object.__setattr__(cfg, "I_attn", tuple(i for i in cfg.I_attn if i != layer))
     layers = list(teacher.layers)
     layers[layer] = replace(layers[layer], mixer=rnn_weights.copy())
     return Model(cfg, teacher.embed, layers, teacher.final_gain)
@@ -455,12 +456,13 @@ def resolve_k(k: int | None, L: int) -> int:
 
 
 def check_teacher(teacher: Model, cfg: HaloConfig) -> int:
-    """The k selection keeps for this teacher; raises ConfigError when k
-    exceeds its layers, its vocabulary cannot read the recall suite's
-    token ids (selection scores every candidate on needles), or its tensors
-    (f32 or f64, as checkpoints store them) are not of the dtype the active
-    precision computes in (the stages mix the teacher's activations with
-    tensors made at that precision)."""
+    """The k selection keeps for this teacher; raises ConfigError when it is
+    not a transformer, k exceeds its layers, its vocabulary cannot read the
+    recall suite's token ids (selection scores every candidate on needles),
+    or its tensors (f32 or f64, as checkpoints store them) are not of the
+    dtype the active precision computes in (the stages mix the teacher's
+    activations with tensors made at that precision)."""
+    check_transformer(teacher.cfg)
     check_vocab(teacher.cfg.vocab, "niah")
     k = resolve_k(cfg.k, teacher.cfg.L)
     dtype = teacher.embed.data.dtype
@@ -535,7 +537,7 @@ def run_halo(teacher: Model, cfg: HaloConfig) -> HaloResult:
     guards against regressions in any stage.
     """
     frozen = teacher.state_bytes()
-    check_teacher(teacher, cfg)  # a bad k, vocab or dtype fails before any stage
+    check_teacher(teacher, cfg)  # a bad arch, k, vocab or dtype fails before any stage
     aligned = run_stage1(teacher, cfg)
     weights = {l: w for l, (w, _) in aligned.items()}
     I_attn, scores = select_layers(teacher, weights, cfg)

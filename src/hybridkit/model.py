@@ -5,14 +5,14 @@ the config's attention index set `I_attn` and a Lightning RNN mixer
 otherwise; `I_attn` is the only record of a layer's kind.  HypeNet's
 conventions are fixed, not configured: every layer is built with QK-norm,
 RNN layers always carry rotary encoding and output gates, and the embedding
-doubles as the unembedding.  Only what differs between a teacher and a
-hybrid is configured: `pe_attention` (the hybrid leaves attention
-position-free, so positions enter it only through causality) and
-`attn_gate`.  `mixer_layout` is the one place that derives a layer's KV
-heads and output gate from the config.  The config's `scale_base` is the
-logits scaling the model applies at inference; `with_scaling` gives the
-same weights under another scaling, and training runs
-`forward(..., scale_base=None)`.
+doubles as the unembedding.  The config's `arch` is all that differs: a
+"transformer" (HALO's teacher) has rotary attention in every layer and no
+gates; a "hypenet" gates its attention and leaves it position-free, so
+positions enter it only through causality.  `mixer_layout` is the one
+place that derives a layer's KV heads and output gate from the config.
+The config's `scale_base` is the logits scaling the model applies at
+inference; `with_scaling` gives the same weights under another scaling,
+and training runs `forward(..., scale_base=None)`.
 
 One layer computes (all norms are RMSNorm):
     H = Mixer(Norm(X)) + X
@@ -39,8 +39,9 @@ class ModelConfig:
     """Architecture description; `I_attn` lists the attention layer indices
     and every other layer is a Lightning RNN layer.  Raises ConfigError,
     naming the field, for a count that is not an integer >= 1 (L may be 0)
-    and for inconsistent fields."""
+    and for inconsistent fields, such as a transformer with an RNN layer."""
 
+    arch: str  # "transformer" | "hypenet"
     L: int
     I_attn: tuple[int, ...]
     d: int
@@ -51,11 +52,11 @@ class ModelConfig:
     vocab: int
     rope: RopeParams
     scale_base: ScaleBase | ConstantScale | None = None
-    pe_attention: str = "nope"   # "rope" | "nope"
-    attn_gate: bool = False
     chunk: int = 64
 
     def __post_init__(self):
+        if self.arch not in ("transformer", "hypenet"):
+            raise ConfigError(f"arch must be 'transformer' or 'hypenet', got {self.arch!r}")
         check_count("L", self.L, 0)
         for name in ("d", "d_h", "n_h", "n_kv_heads", "ffn_width", "vocab", "chunk"):
             check_count(name, getattr(self, name), 1)
@@ -63,18 +64,18 @@ class ModelConfig:
             raise ConfigError(f"I_attn {self.I_attn} out of range for L={self.L}")
         if tuple(sorted(set(self.I_attn))) != tuple(self.I_attn):
             raise ConfigError("I_attn must be sorted and duplicate-free")
+        if self.arch == "transformer" and self.I_attn != tuple(range(self.L)):
+            raise ConfigError(f"I_attn {self.I_attn} skips a layer; a transformer has no RNN layer")
         if self.n_h % self.n_kv_heads != 0:
             raise ConfigError(f"n_h={self.n_h} not divisible by n_kv_heads={self.n_kv_heads}")
-        if self.pe_attention not in ("rope", "nope"):
-            raise ConfigError(f"pe_attention must be 'rope' or 'nope', got {self.pe_attention!r}")
         if self.rope.head_dim != self.d_h:
             raise ConfigError(f"rope head_dim {self.rope.head_dim} != d_h {self.d_h}")
 
 
 def desk_config(**overrides) -> ModelConfig:
-    """The default desk-scale hybrid: 8 layers, attention at 0 and 4."""
+    """The default desk-scale HypeNet: 8 layers, attention at 0 and 4."""
     base = dict(
-        L=8, I_attn=(0, 4), d=256, d_h=64, n_h=4, n_kv_heads=2,
+        arch="hypenet", L=8, I_attn=(0, 4), d=256, d_h=64, n_h=4, n_kv_heads=2,
         ffn_width=768, vocab=512, rope=RopeParams(theta=50_000.0, head_dim=64),
     )
     base.update(overrides)
@@ -82,15 +83,9 @@ def desk_config(**overrides) -> ModelConfig:
 
 
 def transformer_config(**overrides) -> ModelConfig:
-    """Attention-only teacher: rotary attention, no gates."""
-    base = dict(
-        L=8, d=256, d_h=64, n_h=4, n_kv_heads=2, ffn_width=768, vocab=512,
-        rope=RopeParams(theta=50_000.0, head_dim=64),
-        pe_attention="rope", attn_gate=False,
-    )
-    base.update(overrides)
-    base["I_attn"] = tuple(range(base["L"]))
-    return ModelConfig(**base)
+    """`desk_config` as a transformer: attention in every layer."""
+    L = overrides.pop("L", 8)
+    return desk_config(arch="transformer", L=L, I_attn=tuple(range(L)), **overrides)
 
 
 @dataclass
@@ -184,11 +179,11 @@ def with_scaling(model: Model, base) -> Model:
 
 def mixer_layout(cfg: ModelConfig, l: int) -> tuple[int, bool]:
     """(KV heads, gated) of layer l's mixer: an attention layer has the
-    config's KV heads and an output gate only under `attn_gate`; an RNN
-    layer has one KV head per query head and always a gate.  Every mixer
-    has QK-norm gains."""
+    config's KV heads and an output gate only in a hypenet; an RNN layer
+    has one KV head per query head and always a gate.  Every mixer has
+    QK-norm gains."""
     if l in cfg.I_attn:
-        return cfg.n_kv_heads, cfg.attn_gate
+        return cfg.n_kv_heads, cfg.arch == "hypenet"
     return cfg.n_h, True
 
 
@@ -244,16 +239,21 @@ def init_rnn_from_attention(attn: MixerWeights, rng: Rng) -> MixerWeights:
     return w
 
 
-def hybrid_config(teacher_cfg: ModelConfig, I_attn) -> ModelConfig:
-    """The hybrid conventions applied to a teacher's architecture.
+def check_transformer(cfg: ModelConfig) -> None:
+    """Raise ConfigError unless `cfg` is a transformer, HALO's teacher."""
+    if cfg.arch != "transformer":
+        raise ConfigError(f"the teacher must be a transformer, got arch {cfg.arch!r}")
 
-    Attention at I_attn without rotary encoding and with output gates, no
-    logits scaling.  The Lightning RNN layers elsewhere need no setting:
-    rotary encoding, QK-norm and output gates are fixed parts of every RNN
-    layer.
+
+def hybrid_config(teacher_cfg: ModelConfig, I_attn) -> ModelConfig:
+    """The teacher's sizes as a hypenet with attention at I_attn.
+
+    Attention without rotary encoding and with output gates, no logits
+    scaling.  The Lightning RNN layers elsewhere need no setting: rotary
+    encoding, QK-norm and output gates are fixed parts of every RNN layer.
     """
-    return replace(teacher_cfg, I_attn=tuple(sorted(int(i) for i in I_attn)),
-                   pe_attention="nope", attn_gate=True, scale_base=None)
+    return replace(teacher_cfg, arch="hypenet",
+                   I_attn=tuple(sorted(int(i) for i in I_attn)), scale_base=None)
 
 
 def init_hybrid_from_teacher(teacher: Model, I_attn, seed: int = 0) -> Model:
@@ -264,8 +264,7 @@ def init_hybrid_from_teacher(teacher: Model, I_attn, seed: int = 0) -> Model:
     drop rotary encoding and gain fresh output gates.  The teacher itself is
     never modified.
     """
-    if teacher.cfg.I_attn != tuple(range(teacher.cfg.L)):
-        raise ConfigError("teacher must be attention-only")
+    check_transformer(teacher.cfg)
     cfg = hybrid_config(teacher.cfg, I_attn)
     I_attn = cfg.I_attn
     rng = Rng(seed)
@@ -331,7 +330,7 @@ def _mixer_apply(model: Model, l: int, h: Tensor, session: DecodeSession | None,
     cfg = model.cfg
     lw = model.layers[l]
     if l in cfg.I_attn:
-        rope = cfg.rope if cfg.pe_attention == "rope" else None
+        rope = cfg.rope if cfg.arch == "transformer" else None
         cache = session.states[l] if session is not None else None
         return attention_forward(h, lw.mixer, rope=rope, scale_base=cfg.scale_base,
                                  start_pos=start_pos, cache=cache, last_only=last_only)

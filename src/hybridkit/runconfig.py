@@ -7,7 +7,8 @@ must have its default's JSON type (an integer is a number, but true is not
 an integer); null is allowed only where the default is null.
 
 model keys (defaults in parentheses):
-  arch ("hypenet")          "transformer" (attention-only) or "hypenet"
+  arch ("hypenet")          "transformer" (rotary attention in every layer)
+                            or "hypenet" (gated attention, no rotary encoding)
   L (8)                     layer count, >= 0
   d (256)                   hidden size, channels
   d_h (64)                  head width, channels
@@ -17,10 +18,8 @@ model keys (defaults in parentheses):
   vocab (512)               vocabulary size, tokens
   rope_theta (50000.0)      rotary base frequency
   I_attn (null)             attention layer indices, every other layer is
-                            a Lightning RNN layer; null = arch default
-                            (all layers / every fourth layer from 0)
-  pe_attention (null)       "rope"|"nope"; null = arch default
-  attn_gate (null)          output gates on attention; null = arch default
+                            a Lightning RNN layer; null = all layers (all a
+                            transformer takes) / every fourth layer from 0
   chunk (64)                chunk width of the RNN training form, tokens
   scale_base (null)         attention-logits scaling base a (> 1), or null;
                             saved in the checkpoint and applied at
@@ -67,7 +66,7 @@ from .tensor import ConfigError
 MODEL_DEFAULTS = {
     "arch": "hypenet", "L": 8, "d": 256, "d_h": 64, "n_h": 4, "n_kv_heads": 2,
     "ffn_width": 768, "vocab": 512, "rope_theta": 50_000.0, "I_attn": None,
-    "pe_attention": None, "attn_gate": None, "chunk": 64, "scale_base": None,
+    "chunk": 64, "scale_base": None,
 }
 
 # the keys TrainConfig reads; a halo stage section accepts only these
@@ -94,8 +93,7 @@ HALO_EXTRA_DEFAULTS = {"k": None, "data": "niah_mix", "rc_samples": 64, "rc_seed
 DOCUMENT_DEFAULTS = {"model": {}, "train": {}, "halo": {}}
 
 # the type of the values other than null that a key with a null default takes
-NULLABLE = {"model.I_attn": list, "model.pe_attention": str, "model.attn_gate": bool,
-            "model.scale_base": float, "halo.k": int}
+NULLABLE = {"model.I_attn": list, "model.scale_base": float, "halo.k": int}
 
 _TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "true or false",
                int: "an integer", float: "a number"}
@@ -154,20 +152,8 @@ def _naming(prefix: str, make):
 
 def build_model_config(md: dict) -> ModelConfig:
     md = _merge("model", md, MODEL_DEFAULTS)
-    arch = md.pop("arch")
-    if arch not in ("transformer", "hypenet"):
-        raise ConfigError(f"model.arch must be 'transformer' or 'hypenet', got {arch!r}")
-    if md["I_attn"] is None:
-        if arch == "transformer":
-            md["I_attn"] = tuple(range(md["L"]))
-        else:
-            md["I_attn"] = tuple(range(0, md["L"], 4))
-    else:
-        md["I_attn"] = tuple(md["I_attn"])
-    if md["pe_attention"] is None:
-        md["pe_attention"] = "rope" if arch == "transformer" else "nope"
-    if md["attn_gate"] is None:
-        md["attn_gate"] = arch != "transformer"
+    step = 1 if md["arch"] == "transformer" else 4  # the arch's default I_attn
+    md["I_attn"] = tuple(range(0, md["L"], step) if md["I_attn"] is None else md["I_attn"])
     theta, sb = md.pop("rope_theta"), md.pop("scale_base")
     # the rotary head width is d_h; checking it first leaves theta to RopeParams
     _naming("model.d_h: ", lambda: check_rope_head_dim(md["d_h"]))
@@ -212,14 +198,13 @@ class RunConfig:
         self.model = build_model_config(sections["model"])
         self.train, self.data_kind = build_train_config(sections["train"], seed_override)
         self.halo = build_halo_config(sections["halo"], seed_override)
-        self.raw = doc
 
 
 def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
     return RunConfig(doc, seed_override)

@@ -242,11 +242,9 @@ def test_runconfig_unknown_section(tmp_path):
 
 def test_runconfig_arch_defaults():
     rc = RunConfig({"model": {"arch": "transformer", "L": 4}})
-    assert rc.model.I_attn == (0, 1, 2, 3)
-    assert rc.model.pe_attention == "rope" and not rc.model.attn_gate
+    assert rc.model.arch == "transformer" and rc.model.I_attn == (0, 1, 2, 3)
     rc = RunConfig({"model": {"arch": "hypenet", "L": 8}})
-    assert rc.model.I_attn == (0, 4)
-    assert rc.model.pe_attention == "nope" and rc.model.attn_gate
+    assert rc.model.arch == "hypenet" and rc.model.I_attn == (0, 4)
 
 
 @pytest.mark.parametrize("doc,key", [
@@ -357,7 +355,9 @@ BAD_TRAIN_VALUES = [
     ({"model": {"scale_base": "2"}}, "model.scale_base"),
     ({"model": {"scale_base": 0.5}}, "model.scale_base"),
     ({"model": {"rope_theta": 0}}, "model.rope_theta"),
-    ({"model": {"attn_gate": 1}}, "model.attn_gate"),
+    ({"model": {"arch": 1}}, "model.arch"),
+    ({"model": {"arch": "rope"}}, "model.arch"),
+    ({"model": {"I_attn": [0]}}, "model.I_attn"),  # a transformer has no RNN layer
     ({"model": {"chunk": None}}, "model.chunk"),
     ({"model": {"L": -1}}, "model.L"),
     ({"model": {"d": 0}}, "model.d"),
@@ -422,10 +422,10 @@ def test_cli_halo_bad_config_value_exits_2_before_any_stage(tmp_path, capsys, ba
 
 
 def _teacher_with_vocab(tmp_path, vocab: int, precision: str = "standard"):
-    """An untrained all-attention checkpoint of the tiny shape, saved at
+    """An untrained transformer checkpoint of the tiny shape, saved at
     `precision` (by default the CLI's)."""
-    cfg = desk_config(L=2, I_attn=(0, 1), d=16, d_h=4, n_h=4, n_kv_heads=2,
-                      ffn_width=24, vocab=vocab, rope=RopeParams(theta=1000.0, head_dim=4))
+    cfg = transformer_config(L=2, d=16, d_h=4, n_h=4, n_kv_heads=2, ffn_width=24,
+                             vocab=vocab, rope=RopeParams(theta=1000.0, head_dim=4))
     path = tmp_path / f"vocab{vocab}.ckpt"
     before = T.precision()
     T.set_precision(precision)
@@ -489,8 +489,58 @@ def test_cli_halo_teacher_of_another_precision_exits_2_before_any_stage(
     assert main(["--precision", saved, "--dry-run", "halo", str(teacher), cfg, str(out)]) == 0
 
 
+def test_cli_halo_hypenet_teacher_exits_2_before_any_stage(tiny_hybrid_ckpt, tmp_path,
+                                                           capsys):
+    """Only a transformer converts: a hypenet checkpoint is refused by the
+    dry run and the real run alike, before the output directory is made."""
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "halo"
+    for dry in (["--dry-run"], []):
+        assert main(dry + ["halo", str(tiny_hybrid_ckpt), cfg, str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "must be a transformer, got arch 'hypenet'" in err
+        assert not out.exists()
+
+
+def test_cli_halo_output_that_is_a_file_exits_2(tmp_path, capsys):
+    teacher = _teacher_with_vocab(tmp_path, 512)
+    out = tmp_path / "halo"
+    out.write_text("not a directory\n")
+    assert main(["halo", str(teacher), write_cfg(tmp_path), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error:") and str(out) in err and "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
+
+
+def test_cli_eval_out_in_a_missing_directory_exits_2_before_evaluating(tmp_path, capsys):
+    ckpt = _teacher_with_vocab(tmp_path, 512)
+    out = tmp_path / "absent" / "csr.tsv"
+    assert main(["eval", str(ckpt), "--task", "csr", "--samples", "2",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no result line: nothing was evaluated
+    assert captured.err.startswith("config error:") and str(out) in captured.err
+    assert not out.parent.exists()
+
+
 def test_cli_missing_config_exit_2(tmp_path):
     assert main(["train", str(tmp_path / "absent.json"), "x.ckpt"]) == 2
+
+
+def test_cli_unreadable_config_exits_2_naming_it(tmp_path, capsys):
+    """A config that is not UTF-8 text, or is a directory, is a config error
+    that names the path, not a traceback."""
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"model": {"arch": "caf\u00e9"}}'.encode("latin-1"))
+    folder = tmp_path / "cfg.d"
+    folder.mkdir()
+    for path, why in ((latin1, "invalid JSON"), (folder, "cannot read")):
+        with pytest.raises(ConfigError, match=why):
+            load_run_config(path)
+        assert main(["train", str(path), str(tmp_path / "m.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err and why in err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def _raw_checkpoint(path, header, payload: bytes):
@@ -691,7 +741,7 @@ def test_checkpoint_wrong_shape_is_named(tiny_ckpt, tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def tiny_hybrid_ckpt(tmp_path_factory):
-    """An attention layer without an output gate (layer 0), then an RNN layer."""
+    """A hypenet: a gated attention layer (layer 0), then an RNN layer."""
     cfg = desk_config(L=2, I_attn=(0,), d=16, d_h=4, n_h=4, n_kv_heads=2,
                       ffn_width=24, vocab=512, rope=RopeParams(theta=1000.0, head_dim=4))
     path = tmp_path_factory.mktemp("hy") / "hybrid.ckpt"
@@ -720,17 +770,18 @@ LAYOUT_DEFECTS = {
                              "missing tensor 'layers.1.mixer.out_gain'"),
     "ungated_teacher_with_gate": ("teacher", _add_gate(0),
                                   "unexpected tensor 'layers.0.mixer.out_gain'"),
-    "ungated_attention_with_gate": ("hybrid", _add_gate(0),
-                                    "unexpected tensor 'layers.0.mixer.out_gain'"),
+    "gated_attention_without_gate": ("hybrid", _drop("layers.0.mixer.out_gain"),
+                                     "missing tensor 'layers.0.mixer.out_gain'"),
 }
 
 
 @pytest.mark.parametrize("defect", list(LAYOUT_DEFECTS))
 def test_checkpoint_tensors_must_be_the_layout_the_header_implies(
         tiny_ckpt, tiny_hybrid_ckpt, tmp_path, capsys, defect):
-    """QK-norm gains on every layer, a gate on every RNN layer and on no
-    ungated attention layer: any other set of tensors is refused, naming
-    one, and never loads as a different model."""
+    """QK-norm gains on every layer, a gate on every RNN layer and on a
+    hypenet's attention layers, and on no transformer layer: any other set
+    of tensors is refused, naming one, and never loads as a different
+    model."""
     source, change, message = LAYOUT_DEFECTS[defect]
     src = tiny_ckpt if source == "teacher" else tiny_hybrid_ckpt
     load_model(src)
@@ -770,12 +821,12 @@ def _edited_header(src, dst, edit):
     return dst
 
 
-def test_checkpoint_layer_kinds_must_agree_with_I_attn(tiny_ckpt, tmp_path, capsys):
+def test_checkpoint_layer_kinds_must_agree_with_I_attn(tiny_hybrid_ckpt, tmp_path, capsys):
     """I_attn is the one record of which layers are attention; a header whose
     layer kinds say otherwise is refused, whichever of the two was edited."""
-    kinds = _edited_header(tiny_ckpt, tmp_path / "kinds.ckpt",
-                           lambda c: c.update({"layer_kinds": ["attention", "lightning"]}))
-    attn = _edited_header(tiny_ckpt, tmp_path / "attn.ckpt",
+    kinds = _edited_header(tiny_hybrid_ckpt, tmp_path / "kinds.ckpt",
+                           lambda c: c.update({"layer_kinds": ["lightning", "attention"]}))
+    attn = _edited_header(tiny_hybrid_ckpt, tmp_path / "attn.ckpt",
                           lambda c: c["model"].update({"I_attn": [1]}))
     for bad in (kinds, attn):
         with pytest.raises(CheckpointError, match="disagree with I_attn"):
@@ -815,14 +866,53 @@ def test_checkpoint_header_with_a_retired_key_loads(tmp_path, key, kept):
 # (header key, a value the model cannot take)
 BAD_HEADER_VALUES = [("rnn_kind", "diag"), ("pe_rnn", "nope"), ("tie_embeddings", False),
                      ("attn_qk_norm", False), ("rnn_qk_norm", False), ("rnn_gate", False),
-                     ("rnn_gate", 1), ("n_kv_heads", 0)]
+                     ("rnn_gate", 1), ("n_kv_heads", 0), ("I_attn", [1]),
+                     ("arch", "rope")]
 
 
 def _header_error(key, value) -> str:
     """The part of load_model's error that names `key` and `value`."""
     if key in dict(RETIRED):
         return f"unsupported {key} {json.dumps(value)}"
-    return f"{key} must be an integer >= 1, got {value!r}"  # ModelConfig's message
+    return {"n_kv_heads": f"n_kv_heads must be an integer >= 1, got {value!r}",
+            "I_attn": "skips a layer; a transformer has no RNN layer",
+            "arch": f"arch must be 'transformer' or 'hypenet', got {value!r}"}[key]
+
+
+@pytest.mark.parametrize("arch", ["transformer", "hypenet"])
+def test_checkpoint_header_from_before_arch_loads(tiny_ckpt, tiny_hybrid_ckpt, tmp_path,
+                                                  arch):
+    """A header written before `arch` holds the pair pe_attention/attn_gate
+    instead: ("rope", false) loads as a transformer and ("nope", true) as a
+    hypenet, with the same tensors; saving again writes `arch`."""
+    src = tiny_ckpt if arch == "transformer" else tiny_hybrid_ckpt
+    pair = {"transformer": ("rope", False), "hypenet": ("nope", True)}[arch]
+
+    def to_pair(config):
+        del config["model"]["arch"]
+        config["model"].update(zip(("pe_attention", "attn_gate"), pair))
+
+    old = _edited_header(src, tmp_path / "old.ckpt", to_pair)
+    model = load_model(old)
+    assert model.cfg == load_model(src).cfg and model.cfg.arch == arch
+    assert model.state_bytes() == load_model(src).state_bytes()
+    save_model(tmp_path / "again.ckpt", model)
+    assert (tmp_path / "again.ckpt").read_bytes() == src.read_bytes()
+
+
+@pytest.mark.parametrize("pair", [("nope", False), ("rope", True), ("rope", 0),
+                                  ("alibi", True)], ids=json.dumps)
+def test_checkpoint_header_pair_of_neither_arch_exits_2(tiny_ckpt, tmp_path, capsys, pair):
+    def to_pair(config):
+        del config["model"]["arch"]
+        config["model"].update(zip(("pe_attention", "attn_gate"), pair))
+
+    bad = _edited_header(tiny_ckpt, tmp_path / "bad.ckpt", to_pair)
+    with pytest.raises(CheckpointError, match="unsupported pe_attention, attn_gate"):
+        load_model(bad)
+    assert main(["eval", str(bad), "--lengths", "64", "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and json.dumps(list(pair)) in err
 
 
 @pytest.mark.parametrize("key, value", BAD_HEADER_VALUES, ids=_key_ids(BAD_HEADER_VALUES))
@@ -839,8 +929,11 @@ def test_checkpoint_header_value_the_model_cannot_take_exits_2(tiny_ckpt, tmp_pa
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("key, value", RETIRED + [("rnn_kind", "diag")],
-                         ids=_key_ids(RETIRED + [("rnn_kind", "diag")]))
+RETIRED_RUN_KEYS = RETIRED + [("rnn_kind", "diag"), ("pe_attention", "rope"),
+                              ("attn_gate", True)]
+
+
+@pytest.mark.parametrize("key, value", RETIRED_RUN_KEYS, ids=_key_ids(RETIRED_RUN_KEYS))
 def test_runconfig_retired_key_is_an_unknown_key(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path, model={key: value})
     out = tmp_path / "m.ckpt"
@@ -1010,8 +1103,8 @@ def test_cli_halo_stage1_mixer_that_does_not_fit_the_teacher_exits_2(tmp_path, c
 
     teacher = _teacher_with_vocab(tmp_path, 512)
     if misfit == "d24":
-        cfg = desk_config(L=2, I_attn=(0, 1), d=24, d_h=4, n_h=4, n_kv_heads=2,
-                          ffn_width=24, vocab=512, rope=RopeParams(theta=1000.0, head_dim=4))
+        cfg = transformer_config(L=2, d=24, d_h=4, n_h=4, n_kv_heads=2, ffn_width=24,
+                                 vocab=512, rope=RopeParams(theta=1000.0, head_dim=4))
         other = init_model(cfg, seed=3)
         mixers = [init_rnn_from_attention(lw.mixer, Rng(l)) for l, lw in enumerate(other.layers)]
     else:
@@ -1130,3 +1223,22 @@ def test_cli_halo_staged_run_writes_the_same_bytes_as_all(halo_all, tmp_path):
                   if p.suffix in (".ckpt", ".json", ".tsv")) == names
     for name in names:
         assert (staged / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_runconfig_docstring_lists_exactly_the_keys():
+    """The key table of runconfig's module docstring names each model, train
+    and halo key once and no other, so a retired key cannot stay in it."""
+    import hybridkit.runconfig as rcmod
+
+    sections = {"model": "model keys", "train": "train keys", "halo": "halo keys"}
+    listed, section = {name: [] for name in sections}, None
+    for line in rcmod.__doc__.splitlines():
+        for name, title in sections.items():
+            if line.startswith(title):
+                section = name
+        match = re.match(r"  (\w+) \(", line)
+        if section and match:
+            listed[section].append(match.group(1))
+    assert sorted(listed["model"]) == sorted(rcmod.MODEL_DEFAULTS)
+    assert sorted(listed["train"]) == sorted(rcmod.TRAIN_DEFAULTS)  # stage keys and data
+    assert sorted(listed["halo"]) == sorted(rcmod.HALO_EXTRA_DEFAULTS)

@@ -331,10 +331,13 @@ def test_stage1_captures_the_probe_batch_once(monkeypatch):
 
 
 def test_stage1_rejects_non_attention_layer():
-    model = init_model(desk_config(L=2, I_attn=(0,), **TINY), seed=0)
+    """Stage 1 aligns a transformer's layers only: a hypenet is refused,
+    even one with attention in every layer."""
     cfg = TrainConfig(context_len=64, batch_size=1, steps=1, lr_max=1e-3)
-    with pytest.raises(ConfigError):
-        stage1_align_all(model, [1], stream_for(cfg), cfg)
+    for I_attn in ((0,), (0, 1)):
+        model = init_model(desk_config(L=2, I_attn=I_attn, **TINY), seed=0)
+        with pytest.raises(ConfigError, match="must be a transformer"):
+            stage1_align_all(model, [1], stream_for(cfg), cfg)
 
 
 # --------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def test_token_swap_changes_logits_rnn_rope_model():
 
 def test_two_layer_forward_matches_composed_oracle():
     """Straight-line reference: embedding, norms, mixer oracles, SwiGLU MLP."""
-    cfg = tiny_hybrid(attn_gate=True)
+    cfg = tiny_hybrid()
     model = init_model(cfg, seed=7)
     toks = np.array([1, 30, 7, 7, 2, 19])
 
@@ -153,7 +153,7 @@ def test_decode_first_step_equals_single_token_forward():
 
 
 def test_incremental_decode_matches_full_forward():
-    cfg = tiny_hybrid(L=4, I_attn=(0, 2), attn_gate=True)
+    cfg = tiny_hybrid(L=4, I_attn=(0, 2))
     model = init_model(cfg, seed=8)
     rng = Rng(0)
     toks = rng.integers(0, cfg.vocab, size=33)
@@ -427,7 +427,7 @@ def test_last_only_prefill_of_attention_final_model_runs_one_query_row(monkeypat
     import hybridkit.mixers as mixers
 
     monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
-    cfg = tiny_hybrid(L=2, I_attn=(0, 1), attn_gate=True)
+    cfg = tiny_hybrid(L=2, I_attn=(0, 1))
     model = init_model(cfg, seed=26)
     B, t = 2, 7
     prompts = Rng(13).integers(0, cfg.vocab, size=(B, t))
@@ -454,7 +454,7 @@ def test_matmul_counts_every_mixer_gemm_of_a_hybrid(taped, monkeypatch):
     import hybridkit.mixers as mixers
 
     monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
-    cfg = tiny_hybrid(L=3, I_attn=(1,), attn_gate=True, chunk=4)
+    cfg = tiny_hybrid(L=3, I_attn=(1,), chunk=4)
     model = init_model(cfg, seed=28)
     B, t = 2, 10
     prompts = Rng(15).integers(0, cfg.vocab, size=(B, t))
@@ -545,7 +545,7 @@ def test_hybrid_all_attention_is_teacher_plus_gates():
     for tl, hl in zip(teacher.layers, hyb.layers):
         np.testing.assert_array_equal(tl.mixer.w_q.data, hl.mixer.w_q.data)
         assert hl.mixer.w_z is not None and tl.mixer.w_z is None
-    assert hyb.cfg.pe_attention == "nope"
+    assert teacher.cfg.arch == "transformer" and hyb.cfg.arch == "hypenet"
 
 
 def test_hybrid_rnn_projections_are_bit_copies():
@@ -579,9 +579,12 @@ def test_hybrid_param_count_delta_matches_closed_form():
 
 
 def test_hybrid_rejects_rnn_teacher():
-    hybrid = init_model(tiny_hybrid(), seed=0)
-    with pytest.raises(ConfigError):
-        init_hybrid_from_teacher(hybrid, (0,))
+    """Only a transformer converts, so a hypenet is refused even when every
+    layer is attention."""
+    for I_attn in ((0,), (0, 1)):
+        hybrid = init_model(tiny_hybrid(I_attn=I_attn), seed=0)
+        with pytest.raises(ConfigError, match="must be a transformer"):
+            init_hybrid_from_teacher(hybrid, (0,))
 
 
 def test_teacher_untouched_by_surgery():
@@ -601,7 +604,7 @@ def test_training_tape_keeps_no_gated_product(mode, monkeypatch):
     ([B, T, n_h * d_h]): against the unfused composition it holds exactly
     those bytes less."""
     T.set_precision(mode)
-    cfg = tiny_hybrid(L=3, I_attn=(1,), attn_gate=True, chunk=4)
+    cfg = tiny_hybrid(L=3, I_attn=(1,), chunk=4)
     model = init_model(cfg, seed=27)
     B, t = 2, 9
     tokens = Rng(14).integers(0, cfg.vocab, size=(B, t))
@@ -626,8 +629,10 @@ def test_config_validation():
         desk_config(L=2, I_attn=(5,), **TINY)
     with pytest.raises(ConfigError):
         desk_config(L=2, I_attn=(1, 0), **TINY)
-    with pytest.raises(ConfigError):
-        desk_config(L=2, I_attn=(0,), pe_attention="bogus", **TINY)
+    with pytest.raises(ConfigError, match="^arch must be"):
+        desk_config(L=2, I_attn=(0,), arch="rope", **TINY)
+    with pytest.raises(ConfigError, match="^I_attn .* skips a layer"):
+        desk_config(L=2, I_attn=(0,), arch="transformer", **TINY)
     for bad in (dict(n_kv_heads=0), dict(chunk=True), dict(L=-1, I_attn=())):
         name = next(iter(bad))
         with pytest.raises(ConfigError, match=f"^{name} must be"):
