@@ -11,7 +11,8 @@ A model header's config lists the `ModelConfig` fields.  Older headers also
 carry keys for switches that are now fixed conventions (`RETIRED_KEYS`);
 such a header loads when each key holds the one value the model keeps, and
 is refused, naming the key, otherwise; one from before `arch` holds a pair
-that `PAIR_ARCH` maps to it instead.  New headers omit these keys.
+that `PAIR_ARCH` maps to it instead.  A stored `chunk` (a tiling, which
+never changed what a model computes) is dropped.  New headers omit these keys.
 
 A model's tensors are exactly those its config implies: per layer, the
 mixer layout of `model.mixer_layout` (KV heads, and whether w_z and
@@ -253,6 +254,7 @@ def load_model(path) -> Model:
             if value != kept or type(value) is not type(kept):
                 raise CheckpointError(f"{path}: unsupported {key} {json.dumps(value)}; "
                                       f"only {json.dumps(kept)} is supported")
+        stored.pop("chunk", None)
         if "arch" not in stored:
             pair = json.dumps([stored.pop("pe_attention"), stored.pop("attn_gate")])
             if pair not in PAIR_ARCH:

@@ -112,6 +112,13 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    from .tensor import ConfigError
+
+    out = Path(args.out) if args.command in ("train", "eval", "bench") and args.out else None
+    if out is not None and not out.parent.is_dir():  # checked before any work
+        raise ConfigError(f"output {out}: no directory {out.parent}")
+    if out is not None and out.is_dir():
+        raise ConfigError(f"output {out} is a directory")
     handler = {
         "train": cmd_train,
         "halo": cmd_halo,
@@ -222,7 +229,8 @@ def _halo_paths(out: Path) -> dict:
 
 def cmd_halo(args) -> int:
     """Run the pipeline's stages in order, or one of them from the artifacts
-    the earlier stages left in the output directory."""
+    the earlier stages left in the output directory.  Raises RuntimeError,
+    after the last stage, when a stage changed the teacher's weights."""
     from . import halo
     from .checkpoint import load_model, save_mixer, save_model
     from .runconfig import load_run_config
@@ -240,6 +248,7 @@ def cmd_halo(args) -> int:
     paths = _halo_paths(out)
     stages = ("1", "select", "2", "3") if args.stage == "all" else (args.stage,)
     alone = len(stages) == 1  # a stage run alone reads its inputs from out
+    frozen = teacher.state_bytes()
     if "1" in stages:
         aligned = {}
         for l, (weights, report) in halo.run_stage1(teacher, hc).items():
@@ -265,6 +274,8 @@ def cmd_halo(args) -> int:
         report = halo.run_stage3(hybrid, hc)
         save_model(paths["stage3"], hybrid)
         _write_report(report, paths["stage3_report"])
+    if teacher.state_bytes() != frozen:
+        raise RuntimeError("teacher weights changed during conversion")
     return 0
 
 
@@ -360,11 +371,9 @@ def cmd_eval(args) -> int:
                           "a fixed corpus of 8 documents")
     lengths = _lengths(args.lengths or "256,512,1024")
     n_samples = 200 if args.samples is None else _positive_int("--samples", args.samples)
-    if args.out and not Path(args.out).parent.is_dir():  # fail before evaluating
-        raise ConfigError(f"--out {args.out}: no directory {Path(args.out).parent}")
+    scale, tag = _resolve_scale(args)
     model = load_model(args.ckpt)
     check_vocab(model.cfg.vocab, args.task)
-    scale, tag = _resolve_scale(args)
     if scale != "config":  # another scaling is another model over the same weights
         model = with_scaling(model, scale)
     if args.task == "niah":

@@ -12,10 +12,10 @@ candidate continuations of 4 tokens by model likelihood (chance level
 comparable to any published reasoning benchmark.
 
 Models enter through three duck-typed methods: ``logits(tokens)``,
-``generate(prompts, n_new)`` and ``choice_logprobs(prefixes, choices,
-eval_batch)``; test oracles implement the same surface.  A model scores with
-the logits scaling its config names; to score another scaling, evaluate
-``hybridkit.model.with_scaling(model, base)``.
+``generate(prompts, n_new)`` and ``choice_logprobs(prefixes, choices)``;
+test oracles implement the same surface.  A call gets at most EVAL_BATCH
+rows.  A model scores with the logits scaling its config names; to score
+another scaling, evaluate ``hybridkit.model.with_scaling(model, base)``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .data import (FILLER_HI, FILLER_LO, KEY_LEN, SEP, VALUE_LEN, draw_needles,
                    grammar_chain, grammar_continuation, grammar_tables)
 from .fileio import write_text_atomic
 from .tensor import ConfigError, Rng, _log_softmax
+
+EVAL_BATCH = 16  # rows per model call of every scorer
 
 
 @dataclass(frozen=True)
@@ -82,15 +84,14 @@ def gen_niah(spec: NiahSpec) -> tuple[np.ndarray, np.ndarray]:
     return prompts, answers
 
 
-def score_recall(model, samples, eval_batch: int = 16) -> EvalResult:
+def score_recall(model, samples) -> EvalResult:
     """Greedy-decode the value tokens after each prompt; exact-match accuracy."""
     prompts, answers = samples
     n, ctx = prompts.shape
     correct = 0
-    for lo in range(0, n, eval_batch):
-        chunk = prompts[lo:lo + eval_batch]
-        out = model.generate(chunk, answers.shape[1])
-        correct += int((out == answers[lo:lo + eval_batch]).all(axis=1).sum())
+    for lo in range(0, n, EVAL_BATCH):
+        out = model.generate(prompts[lo:lo + EVAL_BATCH], answers.shape[1])
+        correct += int((out == answers[lo:lo + EVAL_BATCH]).all(axis=1).sum())
     return EvalResult(task="niah", context_len=ctx, value=correct / n,
                       metric="accuracy", n_samples=n)
 
@@ -143,19 +144,22 @@ def gen_csr_proxy(seed: int, n: int) -> ClozeSamples:
     return ClozeSamples(prefixes, choices, labels)
 
 
-def score_csr(model, samples: ClozeSamples, eval_batch: int = 16) -> EvalResult:
+def score_csr(model, samples: ClozeSamples) -> EvalResult:
     """Accuracy of likelihood-ranked choices (chance = 1 / n_choices).
 
-    The model scores the choices: ``model.choice_logprobs(prefixes, choices,
-    eval_batch)`` returns each choice's summed continuation
-    log-probability given its prefix, [n, n_choices], and the highest one
-    is the pick (ties to the lower index).
+    The model scores the choices: ``model.choice_logprobs(prefixes, choices)``
+    returns each choice's summed continuation log-probability given its
+    prefix, [n, n_choices], and the highest one is the pick (ties to the
+    lower index).  Each call gets at most EVAL_BATCH // n_choices samples
+    (at least one).
     """
     n, n_choices, cont_len = samples.choices.shape
     prefix_len = samples.prefixes.shape[1]
-    scores = model.choice_logprobs(samples.prefixes, samples.choices,
-                                   eval_batch=eval_batch)
-    picked = np.asarray(scores).argmax(axis=1)
+    per = max(1, EVAL_BATCH // n_choices)
+    scores = np.concatenate([
+        model.choice_logprobs(samples.prefixes[lo:lo + per], samples.choices[lo:lo + per])
+        for lo in range(0, n, per)])
+    picked = scores.argmax(axis=1)
     acc = float((picked == samples.labels).mean())
     return EvalResult(task="csr_proxy", context_len=prefix_len + cont_len,
                       value=acc, metric="accuracy", n_samples=n)
@@ -164,8 +168,7 @@ def score_csr(model, samples: ClozeSamples, eval_batch: int = 16) -> EvalResult:
 # --------------------------------------------------------------------------
 # perplexity
 
-def perplexity(model, corpus: np.ndarray, context_len: int,
-               eval_batch: int = 16) -> float:
+def perplexity(model, corpus: np.ndarray, context_len: int) -> float:
     """exp(mean next-token negative log-likelihood) over the whole corpus."""
     corpus = np.asarray(corpus).ravel()
     if corpus.size < 2:
@@ -191,8 +194,8 @@ def perplexity(model, corpus: np.ndarray, context_len: int,
 
     if full:
         stacked = np.stack(full)
-        for lo in range(0, len(stacked), eval_batch):
-            add_rows(stacked[lo:lo + eval_batch])
+        for lo in range(0, len(stacked), EVAL_BATCH):
+            add_rows(stacked[lo:lo + EVAL_BATCH])
     if tail is not None:
         add_rows(tail[None])
     return float(np.exp(total_nll / total_tokens))
@@ -201,8 +204,7 @@ def perplexity(model, corpus: np.ndarray, context_len: int,
 # --------------------------------------------------------------------------
 # sweeps and suites
 
-def length_sweep(model, lengths, n_samples: int = 200, seed: int = 0,
-                 eval_batch: int = 16) -> list[EvalResult]:
+def length_sweep(model, lengths, n_samples: int = 200, seed: int = 0) -> list[EvalResult]:
     """Recall accuracy at each context length, in the given order.
 
     Raises ConfigError unless the lengths are sorted ascending.
@@ -212,7 +214,7 @@ def length_sweep(model, lengths, n_samples: int = 200, seed: int = 0,
     results = []
     for length in lengths:
         spec = NiahSpec(context_len=int(length), n_samples=n_samples, seed=seed)
-        results.append(score_recall(model, gen_niah(spec), eval_batch=eval_batch))
+        results.append(score_recall(model, gen_niah(spec)))
     return results
 
 

@@ -19,8 +19,8 @@ schedules.  The teacher is never mutated.
 
 Each stage, as a `HaloConfig` sets it up, is one function: `run_stage1`,
 `select_layers`, `assemble_hybrid`, `run_stage2` and `run_stage3`.
-`run_halo` chains them in memory; the CLI chains the same functions and
-persists what each returns.
+`hybridkit halo` (`cli.cmd_halo`) alone chains them; it persists what each
+returns and refuses a run that changed the teacher.
 """
 
 from __future__ import annotations
@@ -261,9 +261,8 @@ def _train_loop(stage: str, params: dict[str, Tensor], cfg: TrainConfig,
 
 def _candidate_loss(cand: MixerWeights, x_in: np.ndarray, y_ref: np.ndarray,
                     model: Model) -> Tensor:
-    rope = model.cfg.rope  # hybrid RNN layers carry rotary encoding
     y, _ = lightning_forward_chunked(Tensor(x_in, dtype=x_in.dtype), cand,
-                                     model.gammas, model.cfg.chunk, rope=rope)
+                                     model.gammas, rope=model.cfg.rope)
     d = T.sub(y, Tensor(y_ref, dtype=y_ref.dtype))
     return T.mean_all(T.mul(d, d))
 
@@ -473,14 +472,6 @@ def check_teacher(teacher: Model, cfg: HaloConfig) -> int:
     return k
 
 
-@dataclass
-class HaloResult:
-    hybrid: Model
-    I_attn: tuple[int, ...]
-    scores: list[dict]
-    reports: dict
-
-
 def run_stage1(teacher: Model, cfg: HaloConfig) -> dict[int, tuple[MixerWeights, StageReport]]:
     """Align one RNN candidate per teacher layer on the stage-1 stream."""
     return stage1_align_all(teacher, range(teacher.cfg.L),
@@ -529,23 +520,3 @@ def run_stage3(hybrid: Model, cfg: HaloConfig) -> StageReport:
     return stage3_finetune(hybrid, stream_for(cfg.stage3, cfg.data_kind), cfg.stage3,
                            stage2_context=cfg.stage2.context_len)
 
-
-def run_halo(teacher: Model, cfg: HaloConfig) -> HaloResult:
-    """Alignment, selection, distillation, finetune; returns the final hybrid.
-
-    The teacher is treated as read-only throughout; an assertion at the end
-    guards against regressions in any stage.
-    """
-    frozen = teacher.state_bytes()
-    check_teacher(teacher, cfg)  # a bad arch, k, vocab or dtype fails before any stage
-    aligned = run_stage1(teacher, cfg)
-    weights = {l: w for l, (w, _) in aligned.items()}
-    I_attn, scores = select_layers(teacher, weights, cfg)
-    hybrid = assemble_hybrid(teacher, I_attn, weights, cfg.seed)
-    reports = {"stage1": {l: rep for l, (_, rep) in aligned.items()},
-               "selection": scores,
-               "stage2": run_stage2(teacher, hybrid, cfg),
-               "stage3": run_stage3(hybrid, cfg)}
-    if teacher.state_bytes() != frozen:
-        raise RuntimeError("teacher weights changed during conversion")
-    return HaloResult(hybrid=hybrid, I_attn=I_attn, scores=scores, reports=reports)

@@ -31,6 +31,8 @@ Lightning Attention is an outer-product RNN with a scalar,
 data-independent decay gamma_h per head:
     S_t = gamma_h S_{t-1} + k~_t^T v_t,   o_t = q~_t S_t.
 Its prologue always applies rotary encoding, and it scales k by 1/sqrt(d_h).
+Its training form runs in chunks of `_CHUNK` tokens; like `_QUERY_BLOCK`, a
+module constant, since a tiling sets speed and memory, not what is computed.
 
 Each mixer's core is one tape record with a hand-written backward; the
 projections, norms, rotary encoding and output stage around it are ordinary
@@ -292,6 +294,8 @@ def _joint_vjps(n: int, backward) -> list:
 # on layer selection, and 64 was no faster than 128.
 _QUERY_BLOCK = 128
 
+_CHUNK = 64  # tokens per chunk of the chunked Lightning form
+
 
 def _query_blocks(Q, K, V, offset: int, block: int):
     """Per causal query block of at most `block` rows: (row0, rows, keys, q_b,
@@ -489,16 +493,16 @@ def _decay_tables(gammas: np.ndarray, c: int, dtype) -> tuple[np.ndarray, ...]:
 
 
 def _lightning_chunks(q: Tensor, k: Tensor, v: Tensor, s0: np.ndarray,
-                      gammas: np.ndarray, chunk: int) -> tuple[Tensor, np.ndarray]:
-    """The chunked Lightning recurrence over q, k, v [B, H, T, d_h] from the
-    start state s0, as one op; returns the output and the final state.
+                      gammas: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """One op: the Lightning recurrence over q, k, v [B, H, T, d_h] from the
+    start state s0 in chunks of _CHUNK tokens; returns output and final state.
 
     The record keeps q, k, v and each chunk's starting state.  Backward
     walks the chunks in reverse carrying dS, the gradient of the state
     after the chunk, and recomputes the decay-masked intra-chunk scores.
     """
     Q, K, V = q.data, k.data, v.data
-    dtype, t = Q.dtype, Q.shape[2]
+    dtype, t, chunk = Q.dtype, Q.shape[2], _CHUNK
     # each chunk's starting state, for the record; only inputs that require
     # grad can make one
     keep = q.requires_grad or k.requires_grad or v.requires_grad
@@ -545,7 +549,6 @@ def lightning_forward_chunked(
     x: Tensor,
     w: MixerWeights,
     gammas: np.ndarray,
-    chunk: int,
     rope: RopeParams,
     state: RecurrentState | None = None,
 ) -> tuple[Tensor, RecurrentState]:
@@ -557,11 +560,9 @@ def lightning_forward_chunked(
     log-space so long chunks underflow to zero instead of denormals).  The
     decay tables of each chunk width are built once and cached read-only.
     """
-    if chunk < 1:
-        raise ConfigError(f"chunk size must be >= 1, got {chunk}")
     state = _check_state(state, x.shape[0], w.n_h, w.d_h, x.data.dtype)
     q, k, v = _lightning_qkv(x, w, rope, state.pos)
-    o, s = _lightning_chunks(q, k, v, state.s, gammas, chunk)
+    o, s = _lightning_chunks(q, k, v, state.s, gammas)
     return _finish_output(x, o, w), RecurrentState(s, state.pos + x.shape[1])
 
 

@@ -12,7 +12,8 @@ positions enter it only through causality.  `mixer_layout` is the one
 place that derives a layer's KV heads and output gate from the config.
 The config's `scale_base` is the logits scaling the model applies at
 inference; `with_scaling` gives the same weights under another scaling,
-and training runs `forward(..., scale_base=None)`.
+and training runs `forward(..., scale_base=None)`.  How the mixers tile
+time is a constant of `mixers`: it never changes what a model computes.
 
 One layer computes (all norms are RMSNorm):
     H = Mixer(Norm(X)) + X
@@ -52,13 +53,12 @@ class ModelConfig:
     vocab: int
     rope: RopeParams
     scale_base: ScaleBase | ConstantScale | None = None
-    chunk: int = 64
 
     def __post_init__(self):
         if self.arch not in ("transformer", "hypenet"):
             raise ConfigError(f"arch must be 'transformer' or 'hypenet', got {self.arch!r}")
         check_count("L", self.L, 0)
-        for name in ("d", "d_h", "n_h", "n_kv_heads", "ffn_width", "vocab", "chunk"):
+        for name in ("d", "d_h", "n_h", "n_kv_heads", "ffn_width", "vocab"):
             check_count(name, getattr(self, name), 1)
         if any(i < 0 or i >= self.L for i in self.I_attn):
             raise ConfigError(f"I_attn {self.I_attn} out of range for L={self.L}")
@@ -161,9 +161,8 @@ class Model:
     def generate(self, prompts: np.ndarray, n_new: int) -> np.ndarray:
         return generate_greedy(self, prompts, n_new)
 
-    def choice_logprobs(self, prefixes: np.ndarray, choices: np.ndarray,
-                        eval_batch: int = 16) -> np.ndarray:
-        return choice_logprobs(self, prefixes, choices, eval_batch=eval_batch)
+    def choice_logprobs(self, prefixes: np.ndarray, choices: np.ndarray) -> np.ndarray:
+        return choice_logprobs(self, prefixes, choices)
 
 
 def with_scaling(model: Model, base) -> Model:
@@ -335,8 +334,8 @@ def _mixer_apply(model: Model, l: int, h: Tensor, session: DecodeSession | None,
         return attention_forward(h, lw.mixer, rope=rope, scale_base=cfg.scale_base,
                                  start_pos=start_pos, cache=cache, last_only=last_only)
     state = session.states[l] if session is not None else None
-    y, new_state = lightning_forward_chunked(
-        h, lw.mixer, model.gammas, cfg.chunk, rope=cfg.rope, state=state)
+    y, new_state = lightning_forward_chunked(h, lw.mixer, model.gammas, rope=cfg.rope,
+                                             state=state)
     if session is not None:
         session.states[l] = new_state
     return last_position(y) if last_only else y
@@ -453,39 +452,27 @@ def generate_greedy(model: Model, prompts: np.ndarray, n_new: int) -> np.ndarray
     return np.stack(out, axis=1)
 
 
-def choice_logprobs(model: Model, prefixes: np.ndarray, choices: np.ndarray,
-                    eval_batch: int = 16) -> np.ndarray:
+def choice_logprobs(model: Model, prefixes: np.ndarray, choices: np.ndarray) -> np.ndarray:
     """Summed log-probability of each choice after its prefix: [n, n_choices].
 
     prefixes is [n, P] and choices [n, n_choices, C]; entry (i, c) is the
     sum over the C tokens of choices[i, c] of log p(token | prefixes[i],
     the choice's earlier tokens), which is what a forward over the row
-    [prefixes[i], choices[i, c]] gives.  Each prefix runs once: its last
-    position scores every choice's first token, and its session, repeated
-    once per choice, continues at position P with the remaining tokens.
-    No pass runs more than eval_batch rows.
+    [prefixes[i], choices[i, c]] gives.  One prefix pass of n rows scores
+    every choice's first token; its session, repeated once per choice,
+    continues at position P with the remaining tokens in one pass of
+    n * n_choices rows.  The caller sizes n (see `evals.score_csr`).
     """
     prefixes, choices = np.asarray(prefixes), np.asarray(choices)
     n, n_choices, cont_len = choices.shape
-    per = max(1, eval_batch // n_choices)   # samples per prefix pass
-    width = min(n_choices, eval_batch)      # choices per continuation pass
     tok_logp = np.empty(choices.shape, dtype=model.embed.data.dtype)
-    for lo in range(0, n, per):
-        pre, ch = prefixes[lo:lo + per], choices[lo:lo + per]
-        b = pre.shape[0]
-        session = new_session(model, batch=b)
-        last = prefill(model, session, pre, last_only=True)
-        first = T._log_softmax(last.data)[:, 0]
-        tok_logp[lo:lo + b, :, 0] = np.take_along_axis(first, ch[:, :, 0], axis=1)
-        if cont_len == 1:
-            continue
-        for c0 in range(0, n_choices, width):
-            grp = ch[:, c0:c0 + width]
-            w = grp.shape[1]
-            logits = prefill(model, session.repeat(w),
-                             grp[..., :-1].reshape(b * w, cont_len - 1))
-            picked = np.take_along_axis(T._log_softmax(logits.data),
-                                        grp[..., 1:].reshape(b * w, cont_len - 1, 1), axis=2)
-            tok_logp[lo:lo + b, c0:c0 + w, 1:] = picked.reshape(b, w, cont_len - 1)
+    session = new_session(model, batch=n)
+    last = prefill(model, session, prefixes, last_only=True)
+    first = T._log_softmax(last.data)[:, 0]
+    tok_logp[:, :, 0] = np.take_along_axis(first, choices[:, :, 0], axis=1)
+    if cont_len > 1:
+        rows = choices.reshape(n * n_choices, cont_len)
+        logits = prefill(model, session.repeat(n_choices), rows[:, :-1])
+        picked = np.take_along_axis(T._log_softmax(logits.data), rows[:, 1:, None], axis=2)
+        tok_logp[:, :, 1:] = picked.reshape(n, n_choices, cont_len - 1)
     return tok_logp.sum(axis=2)
-

@@ -42,8 +42,8 @@ class RopeParams:
 
     def __post_init__(self):
         check_rope_head_dim(self.head_dim)
-        if self.theta <= 0:
-            raise ConfigError(f"RoPE theta must be positive, got {self.theta}")
+        if not 0.0 < self.theta < math.inf:
+            raise ConfigError(f"RoPE theta must be positive and finite, got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class ScaleBase:
     a: float
 
     def __post_init__(self):
-        if self.a <= 1.0:
-            raise ConfigError(f"scaling base must exceed 1, got {self.a}")
+        if not 1.0 < self.a < math.inf:
+            raise ConfigError(f"scaling base must exceed 1 and be finite, got {self.a}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ class ConstantScale:
     s: float
 
     def __post_init__(self):
-        if self.s <= 0.0:
-            raise ConfigError(f"constant scale must be positive, got {self.s}")
+        if not 0.0 < self.s < math.inf:
+            raise ConfigError(f"constant scale must be positive and finite, got {self.s}")
 
 
 def scale_vector(positions: np.ndarray, base) -> np.ndarray:

@@ -4,7 +4,8 @@ A run document is a JSON object with sections ``model``, ``train`` and (for
 conversions) ``halo``; every key has a default listed below, and unknown keys
 are hard errors so typos cannot silently fall back to defaults.  A value
 must have its default's JSON type (an integer is a number, but true is not
-an integer); null is allowed only where the default is null.
+an integer); null is allowed only where the default is null.  A number is
+finite: the JSON extensions NaN, Infinity and -Infinity are refused.
 
 model keys (defaults in parentheses):
   arch ("hypenet")          "transformer" (rotary attention in every layer)
@@ -20,11 +21,10 @@ model keys (defaults in parentheses):
   I_attn (null)             attention layer indices, every other layer is
                             a Lightning RNN layer; null = all layers (all a
                             transformer takes) / every fourth layer from 0
-  chunk (64)                chunk width of the RNN training form, tokens
   scale_base (null)         attention-logits scaling base a (> 1), or null;
                             saved in the checkpoint and applied at
                             inference, never in training (s_t = 1)
-d, d_h, n_h, n_kv_heads, ffn_width, vocab and chunk are integers >= 1.
+d, d_h, n_h, n_kv_heads, ffn_width and vocab are integers >= 1.
 Fixed, not keys: RNN layers carry rotary encoding, QK-norm and output
 gates, attention layers QK-norm, and the unembedding is the embedding.
 
@@ -55,6 +55,7 @@ data), plus
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .data import STREAM_KINDS
@@ -66,7 +67,7 @@ from .tensor import ConfigError
 MODEL_DEFAULTS = {
     "arch": "hypenet", "L": 8, "d": 256, "d_h": 64, "n_h": 4, "n_kv_heads": 2,
     "ffn_width": 768, "vocab": 512, "rope_theta": 50_000.0, "I_attn": None,
-    "chunk": 64, "scale_base": None,
+    "scale_base": None,
 }
 
 # the keys TrainConfig reads; a halo stage section accepts only these
@@ -201,8 +202,14 @@ class RunConfig:
 
 
 def load_run_config(path, seed_override: int | None = None) -> RunConfig:
+    def finite(text: str) -> float:  # JSON's NaN, Infinity, and a float's overflow
+        if not math.isfinite(value := float(text)):
+            raise ConfigError(f"{path}: {text} is not a finite number")
+        return value
+
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"),
+                         parse_float=finite, parse_constant=finite)
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as e:

@@ -22,8 +22,8 @@ def max_rel_err(got: np.ndarray, ref: np.ndarray) -> float:
     return float(np.abs(got - ref).max() / denom)
 
 
-def reference_choice_logprobs(model, prefixes, choices, eval_batch: int = 16) -> np.ndarray:
-    """Cloze scores from full rows: one `logits` call per eval_batch rows of
+def reference_choice_logprobs(model, prefixes, choices) -> np.ndarray:
+    """Cloze scores from full rows: one `logits` call over every row of
     [prefix, choice], summing each choice's next-token log-probabilities.
     Returns [n, n_choices]."""
     n, n_choices, cont_len = choices.shape
@@ -31,14 +31,10 @@ def reference_choice_logprobs(model, prefixes, choices, eval_batch: int = 16) ->
     rows = np.concatenate([
         np.repeat(prefixes, n_choices, axis=0),
         choices.reshape(n * n_choices, cont_len)], axis=1)
-    scores = np.empty(n * n_choices)
     # continuation tokens are predicted by positions prefix_len-1 .. end-1
     pos = np.arange(prefix_len - 1, prefix_len + cont_len - 1)
-    for lo in range(0, len(rows), eval_batch):
-        chunk = rows[lo:lo + eval_batch]
-        logp = _log_softmax(model.logits(chunk))
-        for j in range(chunk.shape[0]):
-            scores[lo + j] = logp[j, pos, chunk[j, pos + 1]].sum()
+    logp = _log_softmax(model.logits(rows))
+    scores = np.array([logp[j, pos, rows[j, pos + 1]].sum() for j in range(len(rows))])
     return scores.reshape(n, n_choices)
 
 

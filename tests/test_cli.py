@@ -523,6 +523,65 @@ def test_cli_eval_out_in_a_missing_directory_exits_2_before_evaluating(tmp_path,
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("where", ["in_a_missing_directory", "a_directory"])
+@pytest.mark.parametrize("command", ["train", "eval", "bench"])
+def test_cli_output_that_cannot_be_written_exits_2_before_any_work(tmp_path, capsys,
+                                                                   command, where):
+    """An output in a missing directory, or one that is a directory, is a
+    config error naming it, before anything is trained, evaluated or timed."""
+    ckpt = str(_teacher_with_vocab(tmp_path, 512))
+    out = tmp_path / "absent" / "out" if where == "in_a_missing_directory" else tmp_path / "out"
+    if where == "a_directory":
+        out.mkdir()
+    argv = {"train": ["train", write_cfg(tmp_path), str(out)],
+            "eval": ["eval", ckpt, "--lengths", "64", "--samples", "2", "--out", str(out)],
+            "bench": ["bench", ckpt, "--lengths", "32", "--reps", "1", "--out", str(out)]}
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(argv[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and str(out) in captured.err
+    assert ".tmp" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert where != "a_directory" or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flag, value", [("--scale-base", "nan"), ("--scale-base", "inf"),
+                                         ("--constant-scaling", "inf"),
+                                         ("--constant-scaling", "nan")])
+def test_cli_eval_non_finite_scaling_exits_2_before_evaluating(tmp_path, capsys, flag, value):
+    ckpt = str(_teacher_with_vocab(tmp_path, 512))
+    assert main(["eval", ckpt, "--lengths", "64", "--samples", "2", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "finite" in captured.err
+
+
+@pytest.mark.parametrize("section, key, text", [
+    ("model", "scale_base", "NaN"), ("model", "rope_theta", "NaN"),
+    ("model", "rope_theta", "Infinity"), ("train", "lr_max", "NaN"),
+    ("train", "lr_max", "-Infinity"), ("train", "lr_max", "1e999")])
+@pytest.mark.parametrize("command", ["train", "halo"])
+def test_cli_non_finite_number_in_the_config_exits_2_before_any_work(
+        tmp_path, capsys, command, section, key, text):
+    """JSON's NaN and Infinity, and a number too large for a float, are
+    refused when the config is read, naming the file and the number."""
+    path = Path(write_cfg(tmp_path))
+    doc = json.loads(path.read_text())
+    doc[section][key] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', text))
+    with pytest.raises(ConfigError, match="not a finite number"):
+        load_run_config(path)
+    out = tmp_path / "out"
+    argv = {"train": ["train", str(path), str(out)],
+            "halo": ["halo", str(_teacher_with_vocab(tmp_path, 512)), str(path), str(out)]}
+    assert main(argv[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
+    assert f"{text} is not a finite number" in err
+    assert not out.exists()
+
+
 def test_cli_missing_config_exit_2(tmp_path):
     assert main(["train", str(tmp_path / "absent.json"), "x.ckpt"]) == 2
 
@@ -930,7 +989,7 @@ def test_checkpoint_header_value_the_model_cannot_take_exits_2(tiny_ckpt, tmp_pa
 
 
 RETIRED_RUN_KEYS = RETIRED + [("rnn_kind", "diag"), ("pe_attention", "rope"),
-                              ("attn_gate", True)]
+                              ("attn_gate", True), ("chunk", 64)]
 
 
 @pytest.mark.parametrize("key, value", RETIRED_RUN_KEYS, ids=_key_ids(RETIRED_RUN_KEYS))
@@ -940,6 +999,35 @@ def test_runconfig_retired_key_is_an_unknown_key(tmp_path, capsys, key, value):
     assert main(["train", cfg, str(out)]) == 2
     assert f"unknown key model.{key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("chunk", [64, 32])
+def test_checkpoint_header_with_a_chunk_loads_as_the_same_model(tiny_hybrid_ckpt, tmp_path,
+                                                                chunk):
+    """Headers used to record the Lightning chunk width, which never changed
+    what a model computes: any stored value is dropped, and saving again
+    writes the header without it."""
+    old = _edited_header(tiny_hybrid_ckpt, tmp_path / "old.ckpt",
+                         lambda c: c["model"].update(chunk=chunk))
+    model = load_model(old)
+    assert model.cfg == load_model(tiny_hybrid_ckpt).cfg
+    assert model.state_bytes() == load_model(tiny_hybrid_ckpt).state_bytes()
+    save_model(tmp_path / "again.ckpt", model)
+    assert (tmp_path / "again.ckpt").read_bytes() == tiny_hybrid_ckpt.read_bytes()
+
+
+def test_model_config_run_config_and_header_name_the_same_keys(tiny_ckpt):
+    """ModelConfig's fields, the run config's model keys (rope_theta sets
+    rope) and a saved header's model keys are one set, so a retired field
+    cannot linger in one of them."""
+    from dataclasses import fields
+
+    from hybridkit.model import ModelConfig
+    from hybridkit.runconfig import MODEL_DEFAULTS
+
+    names = {f.name for f in fields(ModelConfig)}
+    assert {"rope" if key == "rope_theta" else key for key in MODEL_DEFAULTS} == names
+    assert set(load_tensors(tiny_ckpt)[0]["model"]) == names
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -1176,7 +1264,7 @@ def test_cli_halo_dry_run_and_selection_agree_on_default_k(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------
-# the CLI pipeline and run_halo share every stage
+# one tier-1-sized run of every stage
 
 SMALL_HALO = {"stage1": {"steps": 3, "batch_size": 2, "context_len": 64,
                          "lr_max": 1e-3, "warmup_steps": 1},
@@ -1199,16 +1287,50 @@ def halo_all(tmp_path_factory):
     return teacher, cfg, out
 
 
-def test_cli_halo_final_checkpoint_equals_run_halo(halo_all):
-    from hybridkit.halo import run_halo
+def test_cli_halo_writes_the_hybrid_it_selects(halo_all):
+    """Selection scores every layer and keeps floor(4/4) = 1; the final
+    checkpoint is the hybrid of that selection, whose attention layer keeps
+    the teacher's grouped KV heads and whose RNN layers have one per query
+    head; stage 2 reports each of its 3 steps."""
+    from hybridkit.model import hybrid_config
 
     teacher, cfg, out = halo_all
     T.set_precision("standard")  # the CLI's default
-    result = run_halo(load_model(teacher), load_run_config(cfg, seed_override=2).halo)
+    teacher_cfg = load_model(teacher).cfg
+    scores = (out / "scores.tsv").read_text().splitlines()[1:]
+    assert sorted(int(row.split("\t")[0]) for row in scores) == [0, 1, 2, 3]
+    I_attn = json.loads((out / "selection.json").read_text())["I_attn"]
+    assert len(I_attn) == 1
     final = load_model(out / "final.ckpt")
-    assert final.cfg == result.hybrid.cfg
-    assert final.state_bytes() == result.hybrid.state_bytes()
-    assert json.loads((out / "selection.json").read_text())["I_attn"] == list(result.I_attn)
+    assert final.cfg == hybrid_config(teacher_cfg, I_attn)
+    for l, lw in enumerate(final.layers):
+        n_kv = teacher_cfg.n_kv_heads if l in I_attn else teacher_cfg.n_h
+        assert lw.mixer.n_kv_heads == n_kv
+    report = (out / "stage2.report.jsonl").read_text().splitlines()
+    assert sum("loss" in json.loads(line) for line in report) == 3
+
+
+@pytest.mark.parametrize("stage", ["all", "2"])
+def test_cli_halo_refuses_a_stage_that_mutates_the_teacher(tmp_path, monkeypatch, stage):
+    """The stages must leave the teacher as they found it: a stage that
+    writes a teacher weight fails the run, whole or staged, after its last
+    stage."""
+    import hybridkit.halo as halo
+
+    teacher, cfg = _teacher_with_vocab(tmp_path, 512), _write_doc(tmp_path, {})
+    out = tmp_path / "halo"
+    if stage != "all":
+        assert main(["halo", str(teacher), cfg, str(out), "--stage", "1"]) == 0
+        assert main(["halo", str(teacher), cfg, str(out), "--stage", "select"]) == 0
+    real = halo.run_stage2
+
+    def mutating(teacher, hybrid, hc):
+        teacher.layers[0].mlp.w_up.data[0, 0] += 1.0
+        return real(teacher, hybrid, hc)
+
+    monkeypatch.setattr(halo, "run_stage2", mutating)
+    with pytest.raises(RuntimeError, match="teacher weights changed"):
+        main(["halo", str(teacher), cfg, str(out), "--stage", stage])
 
 
 def test_cli_halo_staged_run_writes_the_same_bytes_as_all(halo_all, tmp_path):

@@ -46,8 +46,8 @@ class RandomModel:
     def logits(self, tokens):
         return self.rng.normal(tokens.shape + (self.vocab,))
 
-    def choice_logprobs(self, prefixes, choices, eval_batch=16):
-        return reference_choice_logprobs(self, prefixes, choices, eval_batch)
+    def choice_logprobs(self, prefixes, choices):
+        return reference_choice_logprobs(self, prefixes, choices)
 
 
 class UniformModel:
@@ -159,7 +159,9 @@ def test_score_recall_random_model_near_chance():
     assert res.n_samples == 200
 
 
-def test_score_recall_accuracy_is_exact_fraction():
+def test_score_recall_accuracy_is_exact_fraction(monkeypatch):
+    import hybridkit.evals as evals
+
     samples = gen_niah(NiahSpec(context_len=64, n_samples=8, seed=10))
 
     class HalfOracle(LookupOracle):
@@ -168,10 +170,12 @@ def test_score_recall_accuracy_is_exact_fraction():
             out[::2] = 0  # corrupt every other answer
             return out
 
-    res = score_recall(HalfOracle(samples), samples, eval_batch=8)
+    monkeypatch.setattr(evals, "EVAL_BATCH", 8)
+    res = score_recall(HalfOracle(samples), samples)
     assert res.value == 0.5
     # chunked evaluation agrees with one-shot evaluation
-    full = score_recall(LookupOracle(samples), samples, eval_batch=3)
+    monkeypatch.setattr(evals, "EVAL_BATCH", 3)
+    full = score_recall(LookupOracle(samples), samples)
     assert full.value == 1.0
 
 
@@ -193,8 +197,8 @@ def test_csr_oracle_scorer_perfect():
                         out[idx + (int(s),)] = 10.0
             return out
 
-        def choice_logprobs(self, prefixes, choices, eval_batch=16):
-            return reference_choice_logprobs(self, prefixes, choices, eval_batch)
+        def choice_logprobs(self, prefixes, choices):
+            return reference_choice_logprobs(self, prefixes, choices)
 
     res = score_csr(CsrOracle(), samples)
     assert res.value == 1.0

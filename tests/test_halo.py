@@ -7,8 +7,8 @@ from hybridkit import tensor as T
 from hybridkit.data import StreamConfig, TokenStream
 from hybridkit.halo import (AdamWState, HaloConfig, StageReport, TrainConfig,
                             TrainingDiverged, adamw_step, candidate_model,
-                            clip_grad_norm, evaluate_RC, layer_importance,
-                            lr_at, run_halo, select_attention_layers,
+                            check_teacher, clip_grad_norm, evaluate_RC,
+                            layer_importance, lr_at, select_attention_layers,
                             stage1_align_all, stage2_distill, stage3_finetune,
                             _train_loop)
 from hybridkit.mixers import lightning_forward_chunked
@@ -249,8 +249,7 @@ def test_stage1_zero_loss_fixed_point():
     toks = Rng(1).integers(0, cfg.vocab, size=(2, 24))
     x_in, y_ref = capture_many(model, toks, [0])[0]  # layer 0 is lightning
     w = model.layers[0].mixer
-    y, _ = lightning_forward_chunked(Tensor(x_in.data), w, model.gammas,
-                                     cfg.chunk, rope=cfg.rope)
+    y, _ = lightning_forward_chunked(Tensor(x_in.data), w, model.gammas, rope=cfg.rope)
     mse = float(T.mean_all(T.mul(T.sub(y, Tensor(y_ref.data)),
                                  T.sub(y, Tensor(y_ref.data)))).data)
     assert mse < 1e-10
@@ -289,7 +288,7 @@ def test_stage1_transferred_init_carries_teacher_structure():
 
     def best_scale_mse(w):
         yh = lightning_forward_chunked(Tensor(x_in.data), w, teacher.gammas,
-                                       teacher.cfg.chunk, rope=teacher.cfg.rope)[0].data
+                                       rope=teacher.cfg.rope)[0].data
         alpha = float((y * yh).sum() / ((yh * yh).sum() + 1e-30))
         return float(((y - alpha * yh) ** 2).mean())
 
@@ -607,42 +606,20 @@ def test_assemble_hybrid_puts_the_aligned_mixers_in_its_rnn_layers():
     assert hybrid.state_bytes() == ref.state_bytes()
 
 
-def test_run_halo_mini_pipeline():
-    teacher = tiny_teacher(L=4, seed=15)
-    frozen = teacher.state_bytes()
-    mk = lambda ctx, steps, lr: TrainConfig(context_len=ctx, batch_size=2,
-                                            steps=steps, lr_max=lr,
-                                            warmup_steps=1, seed=1)
-    cfg = HaloConfig(stage1=mk(64, 3, 1e-3), stage2=mk(64, 3, 1e-4),
-                     stage3=replace_schedule(mk(128, 2, 1e-5)), rc_samples=6)
-    result = run_halo(teacher, cfg)
-    assert len(result.I_attn) == 1  # floor(4/4)
-    assert teacher.state_bytes() == frozen
-    assert result.hybrid.cfg.I_attn == result.I_attn
-    assert {s["layer"] for s in result.scores} == set(range(4))
-    assert len(result.reports["stage2"].losses) == 3
-    # attention layers keep grouped KV heads, RNN layers one per query head
-    for l, lw in enumerate(result.hybrid.layers):
-        n_kv = teacher.cfg.n_kv_heads if l in result.I_attn else teacher.cfg.n_h
-        assert lw.mixer.n_kv_heads == n_kv
-
-
 @pytest.mark.parametrize("saved, active", [("extended", "standard"),
                                            ("standard", "extended")])
-def test_run_halo_refuses_a_teacher_of_another_precision_before_stage1(
-        monkeypatch, saved, active):
+def test_check_teacher_refuses_a_teacher_of_another_precision(saved, active):
     """The stages mix the teacher's activations with tensors made at the
     active precision, so a teacher of another dtype is a ConfigError that
-    names both dtypes, raised before stage 1 runs."""
-    import hybridkit.halo as halo
-
+    names both dtypes and the flag that fits it."""
     T.set_precision(saved)
     teacher = tiny_teacher(L=2, seed=17)
-    T.set_precision(active)
-    monkeypatch.setattr(halo, "run_stage1", lambda *a: pytest.fail("stage 1 ran"))
     mk = TrainConfig(context_len=16, batch_size=1, steps=1, lr_max=1e-3)
+    cfg = HaloConfig(stage1=mk, stage2=mk, stage3=mk, rc_samples=2)
+    assert check_teacher(teacher, cfg) == 1
+    T.set_precision(active)
     with pytest.raises(ConfigError) as info:
-        run_halo(teacher, HaloConfig(stage1=mk, stage2=mk, stage3=mk, rc_samples=2))
+        check_teacher(teacher, cfg)
     msg = str(info.value)
     assert str(teacher.embed.data.dtype) in msg and str(T.active_dtype()) in msg
     assert f"--precision {saved}" in msg
@@ -683,11 +660,6 @@ def test_select_layers_keeps_the_top_k_by_importance(monkeypatch):
     np.testing.assert_allclose([r["importance"] for r in rows], expected, rtol=1e-12)
     cfg3 = HaloConfig(stage1=mk, stage2=mk, stage3=mk, k=3, rc_samples=2)
     assert halo.select_layers(teacher, aligned, cfg3)[0] == (1, 2, 3)
-
-
-def replace_schedule(cfg: TrainConfig) -> TrainConfig:
-    from dataclasses import replace
-    return replace(cfg, schedule="constant")
 
 
 def test_stage_report_jsonl(tmp_path):

@@ -457,14 +457,15 @@ def test_lightning_state_chaining_arbitrary_partition():
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 16, 64])
-def test_lightning_chunked_equals_recurrent(chunk):
+def test_lightning_chunked_equals_recurrent(monkeypatch, chunk):
+    monkeypatch.setattr(mixers, "_CHUNK", chunk)
     rng = Rng(36)
     w = make_weights(rng, 8, 2, 2, 4)
     gam = gamma_slopes(2)
     rope = RopeParams(theta=1000.0, head_dim=4)
     x = rng.child(chunk).normal((1, 23, 8))
     ref, ref_state = lightning_forward_recurrent(T.tensor(x), w, gam, rope=rope)
-    got, got_state = lightning_forward_chunked(T.tensor(x), w, gam, chunk, rope=rope)
+    got, got_state = lightning_forward_chunked(T.tensor(x), w, gam, rope=rope)
     assert max_rel_err(got.data, ref.data) < 1e-5
     assert max_rel_err(got_state.s, ref_state.s) < 1e-5
     assert got_state.pos == ref_state.pos == 23
@@ -498,8 +499,9 @@ def test_lightning_decay_tables_are_cached_read_only_and_equal_a_fresh_build(
 
 
 @pytest.mark.parametrize("mode,tol", PRECISIONS)
-def test_lightning_chunked_on_cached_tables_matches_recurrent(mode, tol):
+def test_lightning_chunked_on_cached_tables_matches_recurrent(monkeypatch, mode, tol):
     """A second call, and a decode step, run on the tables the first built."""
+    monkeypatch.setattr(mixers, "_CHUNK", 4)
     T.set_precision(mode)
     rng = Rng(39)
     w = make_weights(rng, 8, 2, 2, 4)
@@ -508,31 +510,32 @@ def test_lightning_chunked_on_cached_tables_matches_recurrent(mode, tol):
     x = rng.child(1).normal((1, 11, 8))
     ref, ref_state = lightning_forward_recurrent(T.tensor(x), w, gam, rope=rope)
     for _ in range(2):
-        got, st = lightning_forward_chunked(T.tensor(x[:, :10]), w, gam, 4, rope=rope)
-        last, _ = lightning_forward_chunked(T.tensor(x[:, 10:]), w, gam, 4, rope=rope,
-                                            state=st)
+        got, st = lightning_forward_chunked(T.tensor(x[:, :10]), w, gam, rope=rope)
+        last, _ = lightning_forward_chunked(T.tensor(x[:, 10:]), w, gam, rope=rope, state=st)
         assert max_rel_err(np.concatenate([got.data, last.data], axis=1), ref.data) < tol
 
 
-def test_lightning_single_chunk_is_parallel_form():
+def test_lightning_single_chunk_is_parallel_form(monkeypatch):
+    monkeypatch.setattr(mixers, "_CHUNK", 16)
     rng = Rng(37)
     w = make_weights(rng, 8, 2, 2, 4)
     gam = gamma_slopes(2)
     x = rng.child(1).normal((1, 16, 8))
     ref, _ = lightning_forward_recurrent(T.tensor(x), w, gam, ROPE4)
-    got, _ = lightning_forward_chunked(T.tensor(x), w, gam, 16, ROPE4)
+    got, _ = lightning_forward_chunked(T.tensor(x), w, gam, ROPE4)
     assert max_rel_err(got.data, ref.data) < 1e-5
 
 
-def test_lightning_chunked_with_state_continuation():
+def test_lightning_chunked_with_state_continuation(monkeypatch):
+    monkeypatch.setattr(mixers, "_CHUNK", 4)
     rng = Rng(38)
     w = make_weights(rng, 8, 2, 2, 4)
     gam = gamma_slopes(2)
     rope = RopeParams(theta=1000.0, head_dim=4)
     x = rng.child(1).normal((1, 20, 8))
     ref, _ = lightning_forward_recurrent(T.tensor(x), w, gam, rope=rope)
-    y1, st = lightning_forward_chunked(T.tensor(x[:, :9]), w, gam, 4, rope=rope)
-    y2, _ = lightning_forward_chunked(T.tensor(x[:, 9:]), w, gam, 4, rope=rope, state=st)
+    y1, st = lightning_forward_chunked(T.tensor(x[:, :9]), w, gam, rope=rope)
+    y2, _ = lightning_forward_chunked(T.tensor(x[:, 9:]), w, gam, rope=rope, state=st)
     assert max_rel_err(np.concatenate([y1.data, y2.data], axis=1), ref.data) < 1e-10
 
 
@@ -541,7 +544,7 @@ def test_mixers_take_batched_inputs_only():
     x = T.zeros((5, 8))
     for run in (lambda: attention_forward(x, w),
                 lambda: lightning_forward_recurrent(x, w, gamma_slopes(2), ROPE4),
-                lambda: lightning_forward_chunked(x, w, gamma_slopes(2), 4, ROPE4)):
+                lambda: lightning_forward_chunked(x, w, gamma_slopes(2), ROPE4)):
         with pytest.raises(ShapeError, match=r"must be \[B, T, d\]"):
             run()
 
@@ -620,19 +623,21 @@ def test_attention_backward_finite_diff():
     assert max(errs) < 1e-4
 
 
-def test_lightning_backward_finite_diff():
+def test_lightning_backward_finite_diff(monkeypatch):
+    monkeypatch.setattr(mixers, "_CHUNK", 3)
     rng = Rng(62)
     w = make_weights(rng, 8, 2, 2, 4)
     gam = gamma_slopes(2)
     rope = RopeParams(theta=200.0, head_dim=4)
     errs = [_fd_check_mixer(
-        lambda t: lightning_forward_chunked(t, w, gam, chunk=3, rope=rope)[0],
+        lambda t: lightning_forward_chunked(t, w, gam, rope=rope)[0],
         rng.child(k).normal((1, 5, 8))) for k in range(5)]
     assert max(errs) < 1e-4
 
 
-def test_lightning_weight_gradients_finite_diff():
+def test_lightning_weight_gradients_finite_diff(monkeypatch):
     """Gradients w.r.t. every weight tensor of the mixer, not just the input."""
+    monkeypatch.setattr(mixers, "_CHUNK", 2)
     rng = Rng(64)
     w = make_weights(rng, 6, 2, 2, 4)
     gam = gamma_slopes(2)
@@ -640,7 +645,7 @@ def test_lightning_weight_gradients_finite_diff():
     probe = T.tensor(rng.child(98).normal((1, 4, 6)))
     for name, tens in w.named():
         def f(t):
-            y, _ = lightning_forward_chunked(x, w, gam, 2, ROPE4)
+            y, _ = lightning_forward_chunked(x, w, gam, ROPE4)
             return T.add(T.sum_all(T.mul(y, probe)), T.mul_const(T.sum_all(t), 0.5))
 
         # smaller step: norm-of-small-vector curvature dominates at 1e-4
@@ -660,8 +665,8 @@ def test_lightning_weight_gradients_finite_diff():
 GRAD_TOLS = [("extended", 1e-10), ("standard", 1e-5)]
 
 
-def lightning_composition(q, k, v, s0, gammas, chunk):
-    t = q.shape[2]
+def lightning_composition(q, k, v, s0, gammas):
+    t, chunk = q.shape[2], mixers._CHUNK
     dtype = q.data.dtype
     s = Tensor(s0, dtype=dtype)
     outs = []
@@ -730,7 +735,8 @@ LIGHTNING_C = 4
 @pytest.mark.parametrize("t", [1, LIGHTNING_C - 1, LIGHTNING_C, LIGHTNING_C + 1,
                                2 * LIGHTNING_C + 3])
 @pytest.mark.parametrize("carried", [False, True], ids=["fresh", "carried"])
-def test_lightning_op_matches_composition(mode, tol, t, carried):
+def test_lightning_op_matches_composition(monkeypatch, mode, tol, t, carried):
+    monkeypatch.setattr(mixers, "_CHUNK", LIGHTNING_C)
     T.set_precision(mode)
     rng = Rng(70 + t)
     b, h, d_h = 2, 3, 5
@@ -740,17 +746,18 @@ def test_lightning_op_matches_composition(mode, tol, t, carried):
           else np.zeros((b, h, d_h, d_h), dtype=T.active_dtype()))
     probe = T.tensor(rng.child(8).normal((b, h, t, d_h)))
     # outputs and the final state are the composition's, bit for bit
-    (o, s), (o_ref, s_ref) = (fn(q, k, v, s0, gam, LIGHTNING_C) for fn in
+    (o, s), (o_ref, s_ref) = (fn(q, k, v, s0, gam) for fn in
                               (mixers._lightning_chunks, lightning_composition))
     np.testing.assert_array_equal(o.data, o_ref.data)
     np.testing.assert_array_equal(s, s_ref)
-    _assert_op_matches(lambda: mixers._lightning_chunks(q, k, v, s0, gam, LIGHTNING_C)[0],
-                       lambda: lightning_composition(q, k, v, s0, gam, LIGHTNING_C)[0],
+    _assert_op_matches(lambda: mixers._lightning_chunks(q, k, v, s0, gam)[0],
+                       lambda: lightning_composition(q, k, v, s0, gam)[0],
                        (q, k, v), probe, tol)
 
 
 @pytest.mark.parametrize("carried", [False, True], ids=["fresh", "carried"])
-def test_lightning_op_finite_diff(carried):
+def test_lightning_op_finite_diff(monkeypatch, carried):
+    monkeypatch.setattr(mixers, "_CHUNK", LIGHTNING_C)
     rng = Rng(80)
     b, h, t, d_h = 1, 2, 2 * LIGHTNING_C + 3, 3
     gam = gamma_slopes(h)
@@ -760,7 +767,7 @@ def test_lightning_op_finite_diff(carried):
     for i, name in enumerate("qkv"):
         def f(x):
             args = leaves[:i] + [x] + leaves[i + 1:]
-            o, _ = mixers._lightning_chunks(*args, s0, gam, LIGHTNING_C)
+            o, _ = mixers._lightning_chunks(*args, s0, gam)
             return T.sum_all(T.mul(o, probe))
 
         err = T.finite_diff_check(f, leaves[i])
@@ -849,6 +856,7 @@ def test_attention_mixer_with_the_op_matches_the_composition(monkeypatch, mode, 
 @pytest.mark.parametrize("mode,tol", GRAD_TOLS)
 @pytest.mark.parametrize("carried", [False, True], ids=["fresh", "carried"])
 def test_lightning_mixer_with_the_op_matches_the_composition(monkeypatch, mode, tol, carried):
+    monkeypatch.setattr(mixers, "_CHUNK", 4)
     T.set_precision(mode)
     rng = Rng(111)
     w = make_weights(rng, 8, 2, 2, 4)
@@ -857,12 +865,12 @@ def test_lightning_mixer_with_the_op_matches_the_composition(monkeypatch, mode, 
     x_all = rng.child(99).normal((2, 4 + 11, 8))
     state = None
     if carried:
-        _, state = lightning_forward_chunked(T.tensor(x_all[:, :4]), w, gam, 4, rope=rope)
+        _, state = lightning_forward_chunked(T.tensor(x_all[:, :4]), w, gam, rope=rope)
     x = Tensor(x_all[:, 4:], requires_grad=True)
     probe = T.tensor(rng.child(98).normal((2, 11, 8)))
 
     def run(x):
-        return lightning_forward_chunked(x, w, gam, 4, rope=rope, state=state)[0]
+        return lightning_forward_chunked(x, w, gam, rope=rope, state=state)[0]
 
     got, got_grads = _mixer_grads(run, x, w, probe)
     monkeypatch.setattr(mixers, "_lightning_chunks", lightning_composition)
@@ -876,10 +884,11 @@ def test_lightning_mixer_with_the_op_matches_the_composition(monkeypatch, mode, 
 # what each mixer op's tape record keeps
 
 @pytest.mark.parametrize("mode", ["standard", "extended"])
-def test_lightning_op_record_keeps_qkv_and_chunk_start_states(mode):
+def test_lightning_op_record_keeps_qkv_and_chunk_start_states(monkeypatch, mode):
     """One record, holding q, k, v, one [B, H, d_h, d_h] state per chunk
     (the first is the start state itself) and the H decay rates: no scores,
     no decay-scaled copies, no output."""
+    monkeypatch.setattr(mixers, "_CHUNK", LIGHTNING_C)
     T.set_precision(mode)
     rng = Rng(120)
     b, h, t, d_h = 2, 3, 2 * LIGHTNING_C + 3, 5
@@ -887,7 +896,7 @@ def test_lightning_op_record_keeps_qkv_and_chunk_start_states(mode):
     q, k, v = _leaves(rng, *[(b, h, t, d_h)] * 3)
     s0 = rng.child(9).normal((b, h, d_h, d_h))
     with Tape() as tape:
-        mixers._lightning_chunks(q, k, v, s0, gam, LIGHTNING_C)
+        mixers._lightning_chunks(q, k, v, s0, gam)
     assert len(tape._records) == 1
     itemsize = np.dtype(T.active_dtype()).itemsize
     n_chunks = 3
@@ -896,7 +905,7 @@ def test_lightning_op_record_keeps_qkv_and_chunk_start_states(mode):
     # with no tape, nothing is kept
     with Tape() as tape:
         with T.no_record():
-            mixers._lightning_chunks(q, k, v, s0, gam, LIGHTNING_C)
+            mixers._lightning_chunks(q, k, v, s0, gam)
     assert tape._records == []
 
 

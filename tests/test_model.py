@@ -454,7 +454,8 @@ def test_matmul_counts_every_mixer_gemm_of_a_hybrid(taped, monkeypatch):
     import hybridkit.mixers as mixers
 
     monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
-    cfg = tiny_hybrid(L=3, I_attn=(1,), chunk=4)
+    monkeypatch.setattr(mixers, "_CHUNK", 4)
+    cfg = tiny_hybrid(L=3, I_attn=(1,))
     model = init_model(cfg, seed=28)
     B, t = 2, 10
     prompts = Rng(15).integers(0, cfg.vocab, size=(B, t))
@@ -481,12 +482,13 @@ class _FullRows:
     def logits(self, tokens):
         return forward(self.model, tokens).data
 
-    def choice_logprobs(self, prefixes, choices, eval_batch=16):
-        return reference_choice_logprobs(self, prefixes, choices, eval_batch)
+    def choice_logprobs(self, prefixes, choices):
+        return reference_choice_logprobs(self, prefixes, choices)
 
 
 @pytest.mark.parametrize("scale_base", [None, ScaleBase(10.0)], ids=["plain", "scalebase"])
 def test_choice_logprobs_match_full_row_formula(tol, scale_base, monkeypatch):
+    import hybridkit.evals as evals
     import hybridkit.model as hm
 
     cfg = tiny_hybrid(L=3, I_attn=(0, 2), vocab=256)  # cloze tokens lie below 248
@@ -501,16 +503,19 @@ def test_choice_logprobs_match_full_row_formula(tol, scale_base, monkeypatch):
 
     monkeypatch.setattr(hm, "_advance", counting)
     ref = _FullRows(model).choice_logprobs(samples.prefixes, samples.choices)
+    rows.clear()
+    got = model.choice_logprobs(samples.prefixes, samples.choices)
+    assert got.shape == (5, 4)
+    assert rows == [5, 5 * 4]  # one prefix pass, one continuation pass
+    assert max_rel_err(got, ref) < tol
+    np.testing.assert_array_equal(got.argmax(axis=1), ref.argmax(axis=1))
     for eval_batch in (1, 3, 4, 6, 16):
+        monkeypatch.setattr(evals, "EVAL_BATCH", eval_batch)
         rows.clear()
-        got = model.choice_logprobs(samples.prefixes, samples.choices,
-                                    eval_batch=eval_batch)
-        assert got.shape == (5, 4)
-        assert max(rows) <= eval_batch
-        assert max_rel_err(got, ref) < tol
-        np.testing.assert_array_equal(got.argmax(axis=1), ref.argmax(axis=1))
-        assert (score_csr(model, samples, eval_batch=eval_batch)
-                == score_csr(_FullRows(model), samples))
+        got_csr = score_csr(model, samples)
+        # score_csr passes at most EVAL_BATCH // 4 samples (at least one) per call
+        assert max(rows) == 4 * max(1, eval_batch // 4)
+        assert got_csr == score_csr(_FullRows(model), samples)
     # one-token continuations come from the prefix pass alone
     one = choice_logprobs(model, samples.prefixes, samples.choices[..., :1])
     ref_one = reference_choice_logprobs(_FullRows(model), samples.prefixes,
@@ -603,8 +608,11 @@ def test_training_tape_keeps_no_gated_product(mode, monkeypatch):
     ([B, T, ffn_width]) nor the gated mixer output o * sigmoid(z)
     ([B, T, n_h * d_h]): against the unfused composition it holds exactly
     those bytes less."""
+    import hybridkit.mixers as mixers
+
+    monkeypatch.setattr(mixers, "_CHUNK", 4)
     T.set_precision(mode)
-    cfg = tiny_hybrid(L=3, I_attn=(1,), chunk=4)
+    cfg = tiny_hybrid(L=3, I_attn=(1,))
     model = init_model(cfg, seed=27)
     B, t = 2, 9
     tokens = Rng(14).integers(0, cfg.vocab, size=(B, t))
@@ -633,7 +641,7 @@ def test_config_validation():
         desk_config(L=2, I_attn=(0,), arch="rope", **TINY)
     with pytest.raises(ConfigError, match="^I_attn .* skips a layer"):
         desk_config(L=2, I_attn=(0,), arch="transformer", **TINY)
-    for bad in (dict(n_kv_heads=0), dict(chunk=True), dict(L=-1, I_attn=())):
+    for bad in (dict(n_kv_heads=0), dict(vocab=True), dict(L=-1, I_attn=())):
         name = next(iter(bad))
         with pytest.raises(ConfigError, match=f"^{name} must be"):
             desk_config(**{**TINY, "L": 2, "I_attn": (0,), **bad})

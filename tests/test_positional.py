@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridkit import tensor as T
-from hybridkit.positional import (DEFAULT_BASE_GRID, RopeParams, ScaleBase,
-                                  fit_scale_base, rope_apply, scale_vector)
+from hybridkit.positional import (DEFAULT_BASE_GRID, ConstantScale, RopeParams,
+                                  ScaleBase, fit_scale_base, rope_apply,
+                                  scale_vector)
 from hybridkit.tensor import ConfigError, Rng
 
 PARAMS = RopeParams(theta=10_000.0, head_dim=8)
@@ -183,6 +184,17 @@ def test_scale_base_must_exceed_one():
         ScaleBase(1.0)
     with pytest.raises(ConfigError):
         ScaleBase(0.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("make", [ScaleBase, ConstantScale,
+                                  lambda v: RopeParams(theta=v, head_dim=8)],
+                         ids=["scale_base", "constant_scale", "rope_theta"])
+def test_scaling_and_rope_refuse_non_finite_values(make, value):
+    """A NaN or infinite base, constant or theta would only turn every
+    logit it touches into NaN, so it is a ConfigError up front."""
+    with pytest.raises(ConfigError, match="finite"):
+        make(value)
 
 
 @given(s=st.floats(0.1, 20.0), seed=st.integers(0, 500))
