@@ -115,10 +115,10 @@ def _dispatch(args) -> int:
     from .tensor import ConfigError
 
     out = Path(args.out) if args.command in ("train", "eval", "bench") and args.out else None
-    if out is not None and not out.parent.is_dir():  # checked before any work
-        raise ConfigError(f"output {out}: no directory {out.parent}")
-    if out is not None and out.is_dir():
-        raise ConfigError(f"output {out} is a directory")
+    if out is not None:  # checked before any work
+        if not out.parent.is_dir():
+            raise ConfigError(f"output {out}: no directory {out.parent}")
+        _check_outputs([out, _train_report(out)] if args.command == "train" else [out])
     handler = {
         "train": cmd_train,
         "halo": cmd_halo,
@@ -131,6 +131,15 @@ def _dispatch(args) -> int:
 
 # --------------------------------------------------------------------------
 # helpers
+
+def _check_outputs(paths) -> None:
+    """Raise ConfigError, naming it, for an output path that is a directory."""
+    from .tensor import ConfigError
+
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError(f"output {path} is a directory")
+
 
 def _resolve_scale(args):
     from .positional import ConstantScale, ScaleBase
@@ -204,7 +213,7 @@ def cmd_train(args) -> int:
 
     report = _train_loop("train", params, rc.train, make_loss)
     save_model(args.out, model)
-    report.write_jsonl(str(args.out) + ".report.jsonl")
+    report.write_jsonl(_train_report(args.out))
     final = f"; final loss {report.losses[-1]:.4f}" if report.losses else ""
     print(f"trained {rc.train.steps} steps{final}; wrote {args.out}")
     return 0
@@ -212,6 +221,17 @@ def cmd_train(args) -> int:
 
 # --------------------------------------------------------------------------
 # halo pipeline with persisted stages
+
+def _train_report(out) -> Path:
+    """Where `train` writes the report of the checkpoint `out`."""
+    return Path(f"{out}.report.jsonl")
+
+
+# the _halo_paths entries each stage writes
+_STAGE_OUTPUTS = {"1": ("stage1", "stage1_report"), "select": ("scores", "selection"),
+                  "2": ("hybrid_init", "stage2", "stage2_report"),
+                  "3": ("stage3", "stage3_report")}
+
 
 def _halo_paths(out: Path) -> dict:
     return {
@@ -248,6 +268,10 @@ def cmd_halo(args) -> int:
     paths = _halo_paths(out)
     stages = ("1", "select", "2", "3") if args.stage == "all" else (args.stage,)
     alone = len(stages) == 1  # a stage run alone reads its inputs from out
+    for stage in stages:  # every file the stages write, before the first starts
+        for key in _STAGE_OUTPUTS[stage]:
+            entry = paths[key]
+            _check_outputs(map(entry, range(teacher.cfg.L)) if callable(entry) else [entry])
     frozen = teacher.state_bytes()
     if "1" in stages:
         aligned = {}

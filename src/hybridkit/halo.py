@@ -26,6 +26,7 @@ returns and refuses a run that changed the teacher.
 from __future__ import annotations
 
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -73,6 +74,9 @@ class TrainConfig:
             check_count(name, getattr(self, name), 0)
         for name in ("batch_size", "context_len"):
             check_count(name, getattr(self, name), 1)
+        for name in ("lr_max", "lr_min", "grad_clip", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr_min > self.lr_max:
             raise ConfigError(f"lr_min {self.lr_min} exceeds lr_max {self.lr_max}")
         if self.warmup_steps > self.steps:

@@ -36,10 +36,13 @@ module constant, since a tiling sets speed and memory, not what is computed.
 
 Each mixer's core is one tape record with a hand-written backward; the
 projections, norms, rotary encoding and output stage around it are ordinary
-ops.  Both forwards run their GEMMs through the public ``T.matmul`` (and
-attention its softmax through ``T.softmax_rows``), so outputs equal the
-composition of generic ops bit for bit and a tracer of those calls still
-sees every mixer GEMM.  With no tape, neither keeps anything.
+ops.  Both forwards run their GEMMs through the public ``T.matmul``, and
+attention turns each query block's scores into probabilities in place with
+``T.softmax_inplace``, the kernel ``T.softmax_rows`` runs on its own copy
+(masking only the block's diagonal columns).  So outputs equal the
+composition of generic ops bit for bit, a tracer of ``T.matmul`` still sees
+every mixer GEMM, and attention holds one block of scores at a time.  With
+no tape, neither keeps anything.
 - The chunked Lightning core keeps q, k, v and each chunk's starting state
   ([B, H, d_h, d_h]).  Its backward walks the chunks in reverse carrying
   dS, the state's gradient, and recomputes the decay-masked intra-chunk
@@ -172,7 +175,10 @@ class KvCache:
         self._v = np.zeros_like(self._k)
         self.pos = 0
 
-    def _ensure(self, extra: int) -> None:
+    def reserve(self, extra: int) -> None:
+        """Make room for `extra` more positions, growing as an append of
+        that many would; a caller that appends them in pieces reserves first
+        and ends with the capacity one append would have left."""
         need = self.pos + extra
         cap = self._k.shape[2]
         if need > cap:
@@ -187,7 +193,7 @@ class KvCache:
 
     def append(self, k: np.ndarray, v: np.ndarray) -> None:
         t = k.shape[2]
-        self._ensure(t)
+        self.reserve(t)
         self._k[:, :, self.pos:self.pos + t] = k
         self._v[:, :, self.pos:self.pos + t] = v
         self.pos += t
@@ -301,8 +307,10 @@ def _query_blocks(Q, K, V, offset: int, block: int):
     """Per causal query block of at most `block` rows: (row0, rows, keys, q_b,
     kt_b, v_b, p), where q_b [B, n_kv, g * rows, d_h] holds the block's rows
     of Q [B, n_kv, g, Tq, d_h], kt_b and v_b the first `keys` keys of K^T and
-    V, and p [B, n_kv, g * rows, keys] their causal probabilities, from
-    ``T.matmul`` and ``T.softmax_rows``."""
+    V, and p [B, n_kv, g * rows, keys] their causal probabilities: the scores
+    ``T.matmul`` returned, overwritten by ``T.softmax_inplace``.  The
+    generator drops p before it computes the next block, so a caller that
+    drops it too holds one block at a time."""
     b, n_kv, g, tq, d_h = Q.shape
     tk = K.shape[2]
     kt = K.swapaxes(-1, -2)  # [B, n_kv, d_h, Tk]
@@ -313,9 +321,10 @@ def _query_blocks(Q, K, V, offset: int, block: int):
         kt_b = kt if keys == tk else kt[..., :keys]
         v_b = V if keys == tk else V[:, :, :keys]
         q_b = (Q if rows == tq else Q[:, :, :, row0:row0 + rows]).reshape(b, n_kv, g * rows, d_h)
-        scores = _mm(q_b, kt_b).reshape(b, n_kv, g, rows, keys)
-        p = T.softmax_rows(Tensor(scores, dtype=scores.dtype), causal=True, offset=offset + row0)
-        yield row0, rows, keys, q_b, kt_b, v_b, p.data.reshape(b, n_kv, g * rows, keys)
+        p = _mm(q_b, kt_b)
+        T.softmax_inplace(p.reshape(b, n_kv, g, rows, keys), True, offset + row0)
+        yield row0, rows, keys, q_b, kt_b, v_b, p
+        del p
 
 
 def _causal_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor:
@@ -334,6 +343,7 @@ def _causal_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor:
     with T.no_record():
         for row0, rows, _, _, _, v_b, p in _query_blocks(Q, K, V, offset, block):
             o[:, :, :, row0:row0 + rows] = _mm(p, v_b).reshape(b, n_kv, g, rows, d_h)
+            del p
 
     def backward(gout):
         dq = np.empty(Q.shape, dtype=Q.dtype)
@@ -350,6 +360,7 @@ def _causal_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor:
                 dq[:, :, :, row0:row0 + rows] = (ds @ kt_b.swapaxes(-1, -2)).reshape(
                     b, n_kv, g, rows, d_h)
                 dk[:, :, :keys] += ds.swapaxes(-1, -2) @ q_b
+                del p, dp, ds
         return dq, dk, dv
 
     return T.emit(o, list(zip((q, k, v), _joint_vjps(3, backward))))

@@ -601,25 +601,18 @@ def softmax_rows(x: Tensor, causal: bool = False, offset: int = 0) -> Tensor:
     in the output) when j > i + offset; offset is the number of keys that
     precede the first query row (cache continuation).
 
-    The input array is never mutated: the result is computed in place in one
-    freshly allocated output array.
+    The input array is never mutated: `softmax_inplace` runs on one freshly
+    allocated copy, which becomes the output.
     """
     X = x.data
     if X.shape[-1] < 1:
         raise ShapeError("softmax_rows needs a non-empty last axis")
-    if causal:
-        tq, tk = X.shape[-2], X.shape[-1]
-        # row i keeps keys j <= i + offset, so some row is empty iff row 0
-        # loses key 0
-        if tq >= 1 and offset < 0:
-            raise ValueError("softmax_rows: a row is fully masked (undefined distribution)")
-        out = X.copy()
-        np.copyto(out, -np.inf, where=np.arange(tk) > np.arange(tq)[:, None] + offset)
-        out -= out.max(axis=-1, keepdims=True)
-    else:
-        out = X - X.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    # row i keeps keys j <= i + offset, so some row is empty iff row 0 loses
+    # key 0
+    if causal and X.shape[-2] >= 1 and offset < 0:
+        raise ValueError("softmax_rows: a row is fully masked (undefined distribution)")
+    out = X.copy()
+    softmax_inplace(out, causal, offset)
 
     def dx(g):
         # out * (g - sum(g * out)), built on one buffer
@@ -629,6 +622,24 @@ def softmax_rows(x: Tensor, causal: bool = False, offset: int = 0) -> Tensor:
         return d
 
     return emit(out, [(x, dx)])
+
+
+def softmax_inplace(a: np.ndarray, causal: bool, offset: int) -> None:
+    """Overwrite `a` with its row softmax over the last axis; with causal,
+    entry (i, j) of the last two axes becomes exactly 0 when j > i + offset.
+
+    The kernel of `softmax_rows`, for callers that own their scores (the
+    attention core).  Only columns past `offset` can be masked, so only they
+    are touched.
+    """
+    if causal:
+        tq, tk = a.shape[-2], a.shape[-1]
+        lo = max(offset + 1, 0)
+        np.copyto(a[..., lo:], -np.inf,
+                  where=np.arange(lo, tk) > np.arange(tq)[:, None] + offset)
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
 
 
 # --------------------------------------------------------------------------
@@ -647,14 +658,16 @@ def mean_all(x: Tensor) -> Tensor:
                 [(x, lambda g: np.full(shape, g / n, dtype=dtype))])
 
 
+def check_ids(ids: np.ndarray, n: int) -> None:
+    """Raise IndexError unless every id in the non-empty `ids` is in [0, n)."""
+    if ids.min() < 0 or ids.max() >= n:
+        raise IndexError(f"token id out of range [0, {n}): min={ids.min()}, max={ids.max()}")
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup: out[..., :] = table[ids[...], :]."""
     ids = np.asarray(ids)
-    if ids.min() < 0 or ids.max() >= table.data.shape[0]:
-        raise IndexError(
-            f"token id out of range [0, {table.data.shape[0]}): "
-            f"min={ids.min()}, max={ids.max()}"
-        )
+    check_ids(ids, table.data.shape[0])
     out = table.data[ids]
     shape, dtype = table.data.shape, table.data.dtype
 

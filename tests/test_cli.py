@@ -546,6 +546,36 @@ def test_cli_output_that_cannot_be_written_exits_2_before_any_work(tmp_path, cap
     assert where != "a_directory" or not any(out.iterdir())
 
 
+def test_cli_train_report_that_is_a_directory_exits_2_before_training(tmp_path, capsys):
+    out = tmp_path / "m.ckpt"
+    report = tmp_path / "m.ckpt.report.jsonl"
+    report.mkdir()
+    assert main(["train", write_cfg(tmp_path), str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no "trained" line: nothing was trained
+    assert captured.err.startswith("config error:") and str(report) in captured.err
+    assert not out.exists() and not any(report.iterdir())
+
+
+@pytest.mark.parametrize("stage, name", [
+    ("all", "stage1_layer1.report.jsonl"), ("all", "scores.tsv"),
+    ("all", "hybrid_init.ckpt"), ("all", "final.ckpt"),
+    ("1", "stage1_layer0.ckpt"), ("3", "stage3.report.jsonl")])
+def test_cli_halo_output_that_is_a_directory_exits_2_before_any_stage(tmp_path, capsys,
+                                                                      stage, name):
+    """Every file the stages to run would write is checked before the
+    first of them starts; stage 3 alone would otherwise load its input."""
+    teacher = _teacher_with_vocab(tmp_path, 512)
+    out = tmp_path / "halo"
+    (out / name).mkdir(parents=True)
+    assert main(["halo", str(teacher), write_cfg(tmp_path, halo=SMALL_HALO), str(out),
+                 "--stage", stage]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no stage printed its metrics
+    assert captured.err.startswith("config error:") and str(out / name) in captured.err
+    assert [p.name for p in out.iterdir()] == [name]
+
+
 @pytest.mark.parametrize("flag, value", [("--scale-base", "nan"), ("--scale-base", "inf"),
                                          ("--constant-scaling", "inf"),
                                          ("--constant-scaling", "nan")])

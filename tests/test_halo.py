@@ -79,6 +79,21 @@ def test_train_config_validation():
         TrainConfig(context_len=8, batch_size=1, steps=10, lr_max=1e-3, warmup_steps=11)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["lr_max", "lr_min", "grad_clip", "weight_decay"])
+def test_train_config_refuses_non_finite_floats_naming_the_field(field, value):
+    from hybridkit.runconfig import RunConfig
+
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        TrainConfig(**{"context_len": 8, "batch_size": 1, "steps": 10, "lr_max": 1e-3,
+                       field: value})
+    with pytest.raises(ConfigError, match=f"^train: {field} must be finite"):
+        RunConfig({"train": {field: value}})
+    with pytest.raises(ConfigError, match=f"^halo.stage2: {field} must be finite"):
+        RunConfig({"halo": {"stage2": {field: value}}})
+
+
 # --------------------------------------------------------------------------
 # AdamW
 

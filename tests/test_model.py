@@ -630,6 +630,152 @@ def test_training_tape_keeps_no_gated_product(mode, monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# chunked prefill
+
+# tiny tilings, so that short prompts span several chunks: the chunk width
+# is _PREFILL_ROWS // B tokens rounded down to a multiple of lcm(8, 4) = 8
+CHUNK_WIDTH = {1: 24, 3: 8}  # B -> tokens per chunk at _PREFILL_ROWS = 24
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    from hybridkit import mixers, model as hm
+
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 8)
+    monkeypatch.setattr(mixers, "_CHUNK", 4)
+    monkeypatch.setattr(hm, "_PREFILL_ROWS", 24)
+
+
+def _session_arrays(session):
+    """Every array a session holds, KV capacity and positions included."""
+    out = [np.array(session.pos)]
+    for st in session.states:
+        if isinstance(st, KvCache):
+            out += [st.k, st.v, np.array(st._k.shape[2])]
+        else:
+            out += [st.s, np.array(st.pos)]
+    return out
+
+
+@pytest.mark.parametrize("precision", ["extended", "standard"], ids=["f64", "f32"])
+@pytest.mark.parametrize("arch", ["transformer", "hypenet"])
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("start", [0, 5], ids=["aligned", "unaligned"])
+def test_chunked_prefill_is_bit_identical_to_one_pass(small_chunks, precision, arch, B, start):
+    """prefill in chunks against one `_advance` over the same tokens, from a
+    fresh session or one that starts at an unaligned position (as the
+    continuation of `choice_logprobs` does): equal logits, caches (capacity
+    too), RNN states and positions, and an equal next decode step."""
+    from hybridkit.model import _advance
+
+    T.set_precision(precision)
+    if arch == "transformer":
+        cfg = transformer_config(L=2, **TINY)
+    else:  # Lightning first and last, so last_only ends in an RNN layer
+        cfg = tiny_hybrid(L=3, I_attn=(1,))
+    model = init_model(cfg, seed=31)
+    chunk = CHUNK_WIDTH[B]
+    rng = Rng(8)
+    head = rng.child(0).integers(0, cfg.vocab, size=(B, max(start, 1)))
+    for t in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        toks = rng.child(t).integers(0, cfg.vocab, size=(B, t))
+        nxt = rng.child(100 + t).integers(0, cfg.vocab, size=(B, 1))
+        for last_only in (False, True):
+            sessions = [new_session(model, batch=B) for _ in range(2)]
+            if start:
+                for sess in sessions:
+                    _advance(model, head, sess)
+            ref = _advance(model, toks, sessions[0], last_only=last_only).data
+            got = prefill(model, sessions[1], toks, last_only=last_only).data
+            np.testing.assert_array_equal(got, ref)
+            for a, b in zip(_session_arrays(sessions[1]), _session_arrays(sessions[0]),
+                            strict=True):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(_advance(model, nxt, sessions[1]).data,
+                                          _advance(model, nxt, sessions[0]).data)
+
+
+@pytest.mark.parametrize("precision", ["extended", "standard"], ids=["f64", "f32"])
+def test_chunked_prefill_at_desk_widths_keeps_few_row_pieces_out_of_the_gemms(
+        monkeypatch, precision):
+    """At the desk model's widths, OpenBLAS sums a GEMM of one to five rows
+    in another order than a wide one (the MLP's [.., 768] x [768, 256] among
+    them), so a last piece of a few tokens must join the chunk before it."""
+    from hybridkit import model as hm
+
+    T.set_precision(precision)
+    monkeypatch.setattr(hm, "_PREFILL_ROWS", 128)  # one query block per chunk
+    model = init_model(transformer_config(L=2), seed=6)
+    for t in (129, 133, 256 + 5):
+        toks = Rng(t).integers(0, model.cfg.vocab, size=(1, t))
+        ref = hm._advance(model, toks, new_session(model)).data
+        np.testing.assert_array_equal(prefill(model, new_session(model), toks).data, ref)
+
+
+@pytest.mark.parametrize("rows, block, chunk, B, t, widths", [
+    (24, 8, 4, 1, 56, [24, 24, 8]),   # the rows per chunk, in whole blocks
+    (20, 8, 4, 1, 40, [16, 16, 8]),   # rounded down to a whole block
+    (24, 8, 4, 1, 49, [24, 25]),      # a piece under one block joins the last chunk
+    (24, 8, 4, 3, 24, [8, 8, 8]),     # rows // B tokens per row
+    (4, 8, 4, 3, 24, [8, 8, 8]),      # at least one block
+    (48, 8, 12, 1, 72, [48, 24]),     # a multiple of the Lightning chunk too
+    (24, 8, 4, 1, 31, [31]),          # a prompt of one chunk is one pass
+])
+def test_prefill_chunk_widths(monkeypatch, rows, block, chunk, B, t, widths):
+    from hybridkit import mixers, model as hm
+
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", block)
+    monkeypatch.setattr(mixers, "_CHUNK", chunk)
+    monkeypatch.setattr(hm, "_PREFILL_ROWS", rows)
+    seen = []
+    advance = hm._advance
+
+    def spy(model, tokens, session, **kw):
+        seen.append(tokens.shape[1])
+        return advance(model, tokens, session, **kw)
+
+    monkeypatch.setattr(hm, "_advance", spy)
+    model = init_model(tiny_hybrid(), seed=3)
+    prefill(model, new_session(model, batch=B), np.zeros((B, t), dtype=np.int64))
+    assert seen == widths
+
+
+def test_prefill_refuses_a_bad_id_in_a_later_chunk_before_any_token_runs(small_chunks):
+    model = init_model(tiny_hybrid(), seed=4)
+    toks = np.zeros((1, 60), dtype=np.int64)
+    toks[0, 50] = model.cfg.vocab
+    sess = new_session(model)
+    before = [a.copy() for a in _session_arrays(sess)]
+    with pytest.raises(IndexError, match="token id out of range"):
+        prefill(model, sess, toks)
+    for a, b in zip(_session_arrays(sess), before, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_last_only_prefill_peak_is_one_chunk_not_the_prompt(small_chunks):
+    """A last-only prefill holds one chunk's activations: its tracemalloc
+    peak, less the session's KV bytes, stays below two [B, T, ffn_width]
+    arrays (one pass over the prompt holds about 4.5)."""
+    import tracemalloc
+
+    cfg = tiny_hybrid(L=2, I_attn=(0,), ffn_width=1024)
+    model = init_model(cfg, seed=5)
+    B, t = 2, 512
+    toks = Rng(9).integers(0, cfg.vocab, size=(B, t))
+    sess = new_session(model, batch=B)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        prefill(model, sess, toks, last_only=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kv = sum(st._k.nbytes + st._v.nbytes for st in sess.states if isinstance(st, KvCache))
+    ffn_array = B * t * cfg.ffn_width * np.dtype(T.active_dtype()).itemsize
+    assert peak - kv < 2 * ffn_array
+
+
+# --------------------------------------------------------------------------
 # misc
 
 def test_config_validation():

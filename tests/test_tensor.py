@@ -156,8 +156,9 @@ def test_softmax_causal_offset_matches_where_formula_and_keeps_input(mode, offse
     assert (got[..., masked] == 0.0).all()
 
 
-def test_softmax_offset_below_zero_with_no_rows_is_allowed():
-    out = T.softmax_rows(T.zeros((0, 3)), causal=True, offset=-1)
+@pytest.mark.parametrize("offset", [-1, -5])
+def test_softmax_offset_below_zero_with_no_rows_is_allowed(offset):
+    out = T.softmax_rows(T.zeros((0, 3)), causal=True, offset=offset)
     assert out.shape == (0, 3)
 
 
