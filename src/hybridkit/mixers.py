@@ -43,17 +43,22 @@ attention turns each query block's scores into probabilities in place with
 composition of generic ops bit for bit, a tracer of ``T.matmul`` still sees
 every mixer GEMM, and attention holds one block of scores at a time.  With
 no tape, neither keeps anything.
-- The chunked Lightning core keeps q, k, v and each chunk's starting state
-  ([B, H, d_h, d_h]).  Its backward walks the chunks in reverse carrying
-  dS, the state's gradient, and recomputes the decay-masked intra-chunk
-  scores (the chunkwise backward of Lightning Attention-2, arXiv
-  2401.04658).
+- The chunked Lightning core keeps q, k, v and the start state s0
+  ([B, H, d_h, d_h]), and no per-chunk state.  Its backward first rebuilds
+  each chunk's starting state with one forward sweep from s0 over K and V,
+  running the forward's expressions, so the states are the forward's bit
+  for bit.  It then walks the chunks in reverse carrying dS, the state's
+  gradient, and recomputes the decay-masked intra-chunk scores (the
+  chunkwise backward of Lightning Attention-2, arXiv 2401.04658).
 - The causal attention core keeps q, k and v, and no probabilities.  Its
   backward recomputes each query block's scores and softmax with the
   forward's calls, so it sees the forward's probabilities bit for bit, and
   adds dK and dV into one buffer each (as FlashAttention-2 does, arXiv
   2307.08691).
-Gradients equal the composition's up to summation order.
+Gradients equal the composition's up to summation order.  Both cores keep
+q and k through ``T.keep``: on a tape they are QK-norm outputs (rotated,
+scaled), which backward rebuilds from their recipes (see ``tensor``), so
+neither core's record holds a q or k array of its own.
 """
 
 from __future__ import annotations
@@ -332,9 +337,9 @@ def _causal_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor:
     [B, n_kv, Tk, d_h], where `offset` keys precede the first query row, as
     one op.
 
-    The record keeps q, k and v.  Backward recomputes each block's
-    probabilities with the forward's calls, so they are the forward's bit
-    for bit, and adds dK and dV into one buffer each.
+    The record keeps q and k (or their recipes) and v.  Backward recomputes
+    each block's probabilities with the forward's calls, so they are the
+    forward's bit for bit, and adds dK and dV into one buffer each.
     """
     Q, K, V = q.data, k.data, v.data
     b, n_kv, g, tq, d_h = Q.shape
@@ -344,8 +349,10 @@ def _causal_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor:
         for row0, rows, _, _, _, v_b, p in _query_blocks(Q, K, V, offset, block):
             o[:, :, :, row0:row0 + rows] = _mm(p, v_b).reshape(b, n_kv, g, rows, d_h)
             del p
+    kq, kk = T.keep(q), T.keep(k)
 
     def backward(gout):
+        Q, K = T.unpack(kq), T.unpack(kk)
         dq = np.empty(Q.shape, dtype=Q.dtype)
         dk, dv = np.zeros(K.shape, dtype=K.dtype), np.zeros(V.shape, dtype=V.dtype)
         with T.no_record():
@@ -503,36 +510,46 @@ def _decay_tables(gammas: np.ndarray, c: int, dtype) -> tuple[np.ndarray, ...]:
     return tables
 
 
+def _next_state(s: np.ndarray, kc: np.ndarray, vc: np.ndarray, g_rev: np.ndarray,
+                g_all: np.ndarray) -> np.ndarray:
+    """The Lightning state after chunk (kc, vc) from state s: the one update
+    that the chunked forward runs and its backward re-runs."""
+    return s * g_all + _mm((kc * g_rev).swapaxes(-1, -2), vc)
+
+
 def _lightning_chunks(q: Tensor, k: Tensor, v: Tensor, s0: np.ndarray,
                       gammas: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """One op: the Lightning recurrence over q, k, v [B, H, T, d_h] from the
     start state s0 in chunks of _CHUNK tokens; returns output and final state.
 
-    The record keeps q, k, v and each chunk's starting state.  Backward
-    walks the chunks in reverse carrying dS, the gradient of the state
+    The record keeps q and k (or their recipes), v and s0.  Backward first
+    rebuilds each chunk's starting state with the forward's state update,
+    then walks the chunks in reverse carrying dS, the gradient of the state
     after the chunk, and recomputes the decay-masked intra-chunk scores.
     """
     Q, K, V = q.data, k.data, v.data
     dtype, t, chunk = Q.dtype, Q.shape[2], _CHUNK
-    # each chunk's starting state, for the record; only inputs that require
-    # grad can make one
-    keep = q.requires_grad or k.requires_grad or v.requires_grad
-    starts = []
-    s = np.asarray(s0, dtype=dtype)
+    s = s0 = np.asarray(s0, dtype=dtype)
     o = np.empty(Q.shape, dtype=dtype)
     with T.no_record():
         for lo in range(0, t, chunk):
             hi = min(lo + chunk, t)
             g_in, g_mask, g_rev, g_all = _decay_tables(gammas, hi - lo, dtype)
             qc, kc, vc = Q[:, :, lo:hi], K[:, :, lo:hi], V[:, :, lo:hi]
-            if keep:
-                starts.append(s)
             inter = _mm(qc * g_in, s)
             intra = _mm(_mm(qc, kc.swapaxes(-1, -2)) * g_mask, vc)
             o[:, :, lo:hi] = inter + intra
-            s = s * g_all + _mm((kc * g_rev).swapaxes(-1, -2), vc)
+            s = _next_state(s, kc, vc, g_rev, g_all)
+    kq, kk = T.keep(q), T.keep(k)
 
     def backward(g):
+        Q, K = T.unpack(kq), T.unpack(kk)
+        starts = [s0]  # each chunk's starting state, rebuilt
+        with T.no_record():
+            for lo in range(chunk, t, chunk):
+                _, _, g_rev, g_all = _decay_tables(gammas, chunk, dtype)
+                starts.append(_next_state(starts[-1], K[:, :, lo - chunk:lo],
+                                          V[:, :, lo - chunk:lo], g_rev, g_all))
         dq, dk, dv = (np.empty(Q.shape, dtype=dtype) for _ in range(3))
         ds = None  # gradient of the state after the chunk; none after the last
         for i in reversed(range(len(starts))):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConfigError, Tensor, emit
+from .tensor import ConfigError, Tensor, derive, emit
 
 
 def check_rope_head_dim(head_dim: int) -> None:
@@ -127,7 +127,8 @@ def rope_apply(x: Tensor, start_pos: int, params: RopeParams) -> Tensor:
     in the mixers' [B, heads, T, d_h] layout, and head channels along the
     last (which must equal params.head_dim).  Rotation is an isometry per
     pair, and the backward pass is the inverse rotation (the conjugate
-    factor).  x is never written.
+    factor).  x is never written.  The record keeps the rotation rows only,
+    and a recorded output carries a recipe when x has one.
     """
     if start_pos < 0:
         raise ValueError(f"start_pos must be nonnegative, got {start_pos}")
@@ -140,7 +141,7 @@ def rope_apply(x: Tensor, start_pos: int, params: RopeParams) -> Tensor:
     def dx(g):
         return _rotate(g, rot.conj())
 
-    return emit(_rotate(X, rot), [(x, dx)])
+    return emit(_rotate(X, rot), [(x, dx)], derive(x, _rotate, rot))
 
 
 def fit_scale_base(model, corpus: np.ndarray, context_len: int, candidates) -> ScaleBase:

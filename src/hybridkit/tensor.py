@@ -17,12 +17,33 @@ product that only feeds a projection is not kept either: ``gated_matmul``
 records a * b @ w as one op, and backward recomputes the product from a and
 b, which the tape holds anyway.
 
+What a tape keeps, and what it rebuilds:
+- Kept: GEMM outputs (v among them), each RMSNorm's input (the residual
+  stream, the q and k projections, the mixer cores' outputs) and inverse
+  norm, and the sigmoid and SwiGLU activations.  Each would cost a GEMM, a
+  reduction or a transcendental to rebuild.
+- An output that is a cheap elementwise or layout function of arrays the
+  tape keeps anyway gets a ``Recipe`` when its op is recorded: the op's
+  forward expression and its operands, not its output.  ``rmsnorm`` builds
+  one from the X, inverse norm and gain its own record keeps; ``reshape``,
+  ``permute``, ``mul_const`` and ``positional.rope_apply`` build one when
+  their input has one.  So the norms' outputs (pre-mixer, pre-MLP, QK and
+  output norms, the final norm), rotated and scaled q and k, and merged
+  output heads are rebuilt, not kept.
+- A consumer that keeps an input for backward keeps ``keep(x)``, the
+  input's recipe in place of its array when it has one: ``matmul``'s A,
+  ``gated_matmul``'s a and b, and the q and k of the two mixer cores.  It
+  reads the array back with ``unpack``.  A recipe runs once per backward,
+  on the forward's own operands, so its result is the forward's bit for
+  bit; it is memoised until the last record that holds it is popped.
+Untaped computation builds no recipe: ``Tape.record`` attaches them.
+
 Ops outside this module are written on ``emit``, the same way.  One record
 each, with a hand-written backward, are:
 - ``gated_matmul`` (here): keeps a, b and w, recomputes a * b;
 - ``positional.rope_apply``: keeps the rotation table only;
 - the chunked Lightning core of ``mixers.lightning_forward_chunked``: keeps
-  q, k, v and each chunk's starting state;
+  q, k, v and the start state, and rebuilds each chunk's starting state;
 - the causal block loop of ``mixers.attention_forward``: keeps q, k and v,
   and recomputes each query block's probabilities in backward.
 
@@ -134,7 +155,7 @@ _TAPE_STACK: list["Tape | None"] = []
 class Tensor:
     """A dense real array plus an optional gradient accumulator."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_node", "_recipe")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else active_dtype())
@@ -144,6 +165,8 @@ class Tensor:
         # the tape that produced this tensor and its node number there
         self._tape: Tape | None = None
         self._node: int | None = None
+        # how a tape's backward rebuilds `data` (set by Tape.record)
+        self._recipe: Recipe | None = None
 
     # -- introspection ------------------------------------------------
     @property
@@ -172,6 +195,49 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
+
+class Recipe:
+    """How backward rebuilds a recorded op's output: the op's forward
+    expression `fn` and its operands `args` (arrays, constants, or the
+    recipes of inputs that have one).
+
+    The first call runs fn on the operands (rebuilding recipe operands
+    first), memoises the result and drops fn and the operands, so an
+    operand rebuilt only for this recipe is freed once used.  The result
+    lives as long as the recipe: until the last record holding it is
+    popped.
+    """
+
+    __slots__ = ("_fn", "_args", "_value")
+
+    def __init__(self, fn: Callable[..., np.ndarray], args: tuple):
+        self._fn, self._args, self._value = fn, args, None
+
+    def __call__(self) -> np.ndarray:
+        if self._value is None:
+            self._value = self._fn(*[a() if isinstance(a, Recipe) else a for a in self._args])
+            self._fn = self._args = None
+        return self._value
+
+
+def keep(x: Tensor) -> "Recipe | np.ndarray":
+    """What a record keeps of input x: its recipe when it has one, else its
+    data.  ``unpack`` reads it back."""
+    return x.data if x._recipe is None else x._recipe
+
+
+def unpack(kept: "Recipe | np.ndarray") -> np.ndarray:
+    """The array a ``keep`` stands for, rebuilt on first use."""
+    return kept() if isinstance(kept, Recipe) else kept
+
+
+def derive(x: Tensor, fn: Callable[..., np.ndarray], *consts):
+    """The recipe fn(x, *consts) for an op whose output is that cheap
+    function of x's data, when x has a recipe; None otherwise.  Ops pass it
+    to ``emit``."""
+    return None if x._recipe is None else (fn, (x._recipe, *consts))
+
+
 class Tape:
     """Ordered record of differentiable ops; backward walks it in reverse.
 
@@ -180,7 +246,9 @@ class Tape:
     node number when this tape produced it, and the Tensor itself when it
     is a leaf here (a parameter, a constant, or a tensor from an outer
     tape).  No op output is held, so activations live only as long as the
-    caller or a closure keeps them.
+    caller or a closure keeps them.  An op that passes a recipe gets it
+    attached to its output here, so consumers recorded later keep the
+    recipe instead of the array (see ``keep``).
 
     A tape is single-shot: backward pops each record once it has run it, so
     its closures and what they captured are freed while backward runs, and
@@ -203,9 +271,12 @@ class Tape:
             raise RuntimeError("tape stack corrupted: exited a tape that is not innermost")
         return False
 
-    def record(self, out: Tensor, pairs: list[tuple[Tensor, Callable]]) -> None:
+    def record(self, out: Tensor, pairs: list[tuple[Tensor, Callable]],
+               recipe: tuple | None = None) -> None:
         self._records.append([(t._node if t._tape is self else t, f) for t, f in pairs])
         out._tape, out._node = self, len(self._records) - 1
+        if recipe is not None:
+            out._recipe = Recipe(*recipe)
 
     def backward(self, loss: Tensor) -> None:
         """Populate ``grad`` on every requires_grad leaf reachable from loss."""
@@ -270,19 +341,23 @@ def backward(loss: Tensor) -> None:
     loss._tape.backward(loss)
 
 
-def emit(out_data: np.ndarray, pairs: Sequence[tuple[Tensor, Callable]]) -> Tensor:
+def emit(out_data: np.ndarray, pairs: Sequence[tuple[Tensor, Callable]],
+         recipe: tuple | None = None) -> Tensor:
     """Wrap `out_data` as the output of one op over the tensors in `pairs`.
 
     Each pair is (input, vjp), where vjp maps the output's gradient to that
     input's.  The op is recorded on the innermost tape when one is active
-    and some input requires grad; otherwise nothing is kept.  Ops written
-    outside this module (rotary encoding, the mixer cores) build on it.
+    and some input requires grad; otherwise nothing is kept.  `recipe`, a
+    (fn, operands) pair with fn(*operands) bit-identical to out_data, lets
+    the tape rebuild the output for consumers instead of keeping it (see
+    ``Recipe``).  Ops written outside this module (rotary encoding, the
+    mixer cores) build on it.
     """
     tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     track = tape is not None and any(t.requires_grad for t, _ in pairs)
     out = Tensor(out_data, requires_grad=track, dtype=out_data.dtype)
     if track:
-        tape.record(out, [(t, f) for t, f in pairs if t.requires_grad])
+        tape.record(out, [(t, f) for t, f in pairs if t.requires_grad], recipe)
     return out
 
 
@@ -350,10 +425,10 @@ def mul_const(x: Tensor, arr: np.ndarray) -> Tensor:
     (broadcasting the constant up, never x).
     """
     arr = np.asarray(arr, dtype=x.data.dtype)
-    out = x.data * arr
+    out = np.multiply(x.data, arr)
     if out.shape != x.data.shape:
         raise ShapeError(f"mul_const constant {arr.shape} must broadcast into {x.data.shape}")
-    return emit(out, [(x, lambda g: g * arr)])
+    return emit(out, [(x, lambda g: g * arr)], derive(x, np.multiply, arr))
 
 
 def _sigmoid_np(X: np.ndarray) -> np.ndarray:
@@ -414,12 +489,14 @@ def silu(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.data.shape
-    return emit(x.data.reshape(shape), [(x, lambda g: g.reshape(old))])
+    return emit(np.reshape(x.data, shape), [(x, lambda g: g.reshape(old))],
+                derive(x, np.reshape, shape))
 
 
 def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     inv = np.argsort(axes)
-    return emit(np.transpose(x.data, axes), [(x, lambda g: np.transpose(g, inv))])
+    return emit(np.transpose(x.data, axes), [(x, lambda g: np.transpose(g, inv))],
+                derive(x, np.transpose, axes))
 
 
 def swap_last(x: Tensor) -> Tensor:
@@ -488,6 +565,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if A.dtype != B.dtype:
         raise ShapeError(f"matmul needs identical dtypes, got {A.dtype} and {B.dtype}")
 
+    ka = keep(a)  # only B's gradient reads A
     if B.ndim == 2 and A.ndim > 2:
         # weight-style operand: the leading axes of A are all rows of one GEMM
         # (numpy's stacked matmul would run one GEMM per leading index), and
@@ -501,7 +579,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return (g.reshape(-1, n) @ B.T).reshape(a_shape)
 
         def db(g):
-            return A.reshape(-1, k).T @ g.reshape(-1, n)
+            return unpack(ka).reshape(-1, k).T @ g.reshape(-1, n)
     else:
         out = A @ B
         a_shape, b_shape = A.shape, B.shape
@@ -510,7 +588,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return _unbroadcast(g @ B.swapaxes(-1, -2), a_shape)
 
         def db(g):
-            return _unbroadcast(A.swapaxes(-1, -2) @ g, b_shape)
+            return _unbroadcast(unpack(ka).swapaxes(-1, -2) @ g, b_shape)
 
     return emit(out, [(a, da), (b, db)])
 
@@ -520,19 +598,19 @@ def gated_matmul(a: Tensor, b: Tensor, w: Tensor) -> Tensor:
 
     The forward runs the public ``mul`` and ``matmul`` outside the tape, so
     their values (and anything that wraps them) are unchanged.  The record
-    keeps a, b and w; backward forms g @ w.T once for both gates' gradients
-    and recomputes a * b for w's gradient only.  Every gradient is the
-    expression ``mul`` and ``matmul`` evaluate, so results are bit-identical
-    to the composition.
+    keeps a and b (or their recipes) and w; backward forms g @ w.T once for
+    both gates' gradients and recomputes a * b for w's gradient only.
+    Every gradient is the expression ``mul`` and ``matmul`` evaluate, so
+    results are bit-identical to the composition.
     """
     _check_same_shape(a, b, "gated_matmul")
     if w.ndim != 2:
         raise ShapeError(f"gated_matmul needs a 2-D weight, got {w.shape}")
     with no_record():
         out = matmul(mul(a, b), w).data
-    A, B, W = a.data, b.data, w.data
+    ka, kb, W = keep(a), keep(b), w.data
     k, n = W.shape
-    a_shape = A.shape
+    a_shape = a.shape
     gp: list[np.ndarray] = []  # g @ w.T, shared by da and db
 
     def grad_product(g):
@@ -541,13 +619,13 @@ def gated_matmul(a: Tensor, b: Tensor, w: Tensor) -> Tensor:
         return gp[0]
 
     def da(g):
-        return grad_product(g) * B
+        return grad_product(g) * unpack(kb)
 
     def db(g):
-        return grad_product(g) * A
+        return grad_product(g) * unpack(ka)
 
     def dw(g):
-        return (A * B).reshape(-1, k).T @ g.reshape(-1, n)
+        return (unpack(ka) * unpack(kb)).reshape(-1, k).T @ g.reshape(-1, n)
 
     return emit(out, [(a, da), (b, db), (w, dw)])
 
@@ -555,11 +633,20 @@ def gated_matmul(a: Tensor, b: Tensor, w: Tensor) -> Tensor:
 # --------------------------------------------------------------------------
 # normalization / softmax
 
+def _rmsnorm_out(X: np.ndarray, inv: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """X * inv * G, written once: rmsnorm's output and its recipe."""
+    out = X * inv
+    out *= G
+    return out
+
+
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     """y = x / sqrt(mean(x^2, last) + eps) * gain.
 
     `gain` may carry leading axes of size 1 (or fewer axes) and is broadcast
     into x's shape, which the output keeps; its last axis must match x's.
+    A recorded output carries a recipe over the X, inverse norm and gain
+    the record keeps anyway.
     """
     X, G = x.data, gain.data
     if G.shape[-1] != X.shape[-1]:
@@ -571,8 +658,7 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     inv += X.dtype.type(eps)
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
-    out = X * inv
-    out *= G
+    out = _rmsnorm_out(X, inv, G)
 
     def dx(g):
         # g*G*inv - X * inv^3 * mean(g*G*X), built on the g*G buffer
@@ -591,7 +677,7 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
         d *= g
         return _unbroadcast(d, gain_shape)
 
-    return emit(out, [(x, dx), (gain, dgain)])
+    return emit(out, [(x, dx), (gain, dgain)], (_rmsnorm_out, (X, inv, G)))
 
 
 def softmax_rows(x: Tensor, causal: bool = False, offset: int = 0) -> Tensor:
@@ -710,7 +796,8 @@ def kl_divergence(ref_logits: np.ndarray, logits: Tensor) -> Tensor:
     """Mean over rows of KL(softmax(ref) || softmax(logits)).
 
     The reference distribution is a constant (detached); the gradient w.r.t
-    the trainable logits is (softmax(logits) - softmax(ref)) / n_rows.
+    the trainable logits is (softmax(logits) - softmax(ref)) / n_rows.  The
+    record keeps that difference, one [rows, V] array.
     """
     R = np.asarray(ref_logits, dtype=logits.data.dtype)
     X = logits.data
@@ -723,11 +810,15 @@ def kl_divergence(ref_logits: np.ndarray, logits: Tensor) -> Tensor:
     log_q = _log_softmax(xflat)
     n = xflat.shape[0]
     val = (p * (log_p - log_q)).sum(axis=-1).mean()
+    del log_p
+    q_minus_p = np.exp(log_q)
+    del log_q
+    q_minus_p -= p
+    del p
     shape, dtype = X.shape, X.dtype
 
     def dx(g):
-        q = np.exp(log_q)
-        return ((q - p) * (g / n)).reshape(shape).astype(dtype, copy=False)
+        return (q_minus_p * (g / n)).reshape(shape).astype(dtype, copy=False)
 
     return emit(np.asarray(val, dtype=X.dtype), [(logits, dx)])
 

@@ -41,8 +41,9 @@ def reference_choice_logprobs(model, prefixes, choices) -> np.ndarray:
 class OracleTape:
     """The tape as it was before it kept only what backward reads: each
     record holds its op's output Tensor and its input Tensors until backward
-    returns, and inputs are told apart by ``id()``.  Same walk, same
-    accumulation order, so its gradients are the reference that
+    returns, and inputs are told apart by ``id()``.  It attaches no recipes,
+    so every consumer keeps its input's array and nothing is rebuilt.  Same
+    walk, same accumulation order, so its gradients are the reference that
     ``tensor.Tape`` must match bit for bit."""
 
     def __init__(self):
@@ -58,7 +59,7 @@ class OracleTape:
         assert T._TAPE_STACK.pop() is self
         return False
 
-    def record(self, out, pairs):
+    def record(self, out, pairs, recipe=None):
         self._records.append((out, pairs))
         self._produced.add(id(out))
         out._tape = self
@@ -109,10 +110,11 @@ def _base_array(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def tape_held_bytes(tape, params=()) -> int:
-    """Bytes of the distinct base arrays that a tape's gradient closures
-    capture (through nested closures, lists and tuples too), leaving out the
-    data of `params`.  Views count as their base, once."""
+def tape_held_arrays(tape, params=()) -> dict:
+    """id -> array for the distinct base arrays that a tape's gradient
+    closures capture (through nested closures, lists, tuples and recipes,
+    whether or not a recipe has run), leaving out the data of `params`.
+    Views count as their base."""
     skip = {id(_base_array(p.data)) for p in params}
     held, seen = {}, set()
     stack = [vjp for pairs in tape._records for _, vjp in pairs]
@@ -127,10 +129,17 @@ def tape_held_bytes(tape, params=()) -> int:
                 held[id(base)] = base
         elif isinstance(obj, (list, tuple)):
             stack.extend(obj)
+        elif isinstance(obj, T.Recipe):
+            stack.extend([obj._fn, obj._args, obj._value])
         elif getattr(obj, "__closure__", None):
             for cell in obj.__closure__:
                 try:
                     stack.append(cell.cell_contents)
                 except ValueError:  # a cell not yet assigned
                     pass
-    return sum(a.nbytes for a in held.values())
+    return held
+
+
+def tape_held_bytes(tape, params=()) -> int:
+    """Bytes of the arrays `tape_held_arrays` finds, each base once."""
+    return sum(a.nbytes for a in tape_held_arrays(tape, params).values())

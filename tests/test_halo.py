@@ -405,30 +405,19 @@ def test_stage2_tape_holds_only_the_student_and_the_loss(monkeypatch):
     assert sizes == [len(ref._records)] * cfg.steps
 
 
-@pytest.mark.parametrize("mode", ["standard", "extended"])
-def test_stage2_step_gradients_match_the_tape_that_keeps_everything(mode):
-    """The tape that keeps only what backward reads gives a stage-2 loss and
-    per-parameter gradients bit-identical to the oracle tape, which holds
-    every op's output and inputs until backward returns.  The context spans
-    two attention query blocks, so the key slices are differentiated too."""
-    from hybridkit.model import init_hybrid_from_teacher
-
+def _assert_tape_matches_oracle(named_params, make_loss):
+    """The loss and per-parameter gradients under ``T.Tape`` equal, bit for
+    bit, those under the oracle tape, which holds every op's output and
+    inputs until backward returns and attaches no recipes, so nothing is
+    rebuilt there."""
     from conftest import OracleTape
-
-    T.set_precision(mode)
-    teacher = tiny_teacher(L=2, seed=9)
-    hybrid = init_hybrid_from_teacher(teacher, (0,), seed=1)
-    cfg = TrainConfig(context_len=192, batch_size=2, steps=1, lr_max=1e-4, seed=6)
-    x = stream_for(cfg).batch(0)[:, :-1]
-    with T.no_record():
-        t_logits = forward(teacher, x).data
 
     def loss_and_grads(tape_cls):
         with tape_cls() as tape:
-            loss = T.kl_divergence(t_logits, forward(hybrid, x, scale_base=None))
+            loss = make_loss()
         tape.backward(loss)
-        grads = {name: p.grad for name, p in hybrid.named_parameters()}
-        for p in hybrid.parameters():
+        grads = {name: p.grad for name, p in named_params}
+        for _, p in named_params:
             p.grad = None
         return loss.data, grads
 
@@ -439,6 +428,53 @@ def test_stage2_step_gradients_match_the_tape_that_keeps_everything(mode):
     for name, g in grads.items():
         assert g.dtype == ref_grads[name].dtype
         np.testing.assert_array_equal(g, ref_grads[name], err_msg=name)
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+def test_stage2_step_gradients_match_the_tape_that_keeps_everything(mode):
+    """The tape that keeps only what backward reads gives a stage-2 loss and
+    per-parameter gradients bit-identical to the oracle tape, which holds
+    every op's output and inputs until backward returns.  The context spans
+    two attention query blocks, so the key slices are differentiated too."""
+    from hybridkit.model import init_hybrid_from_teacher
+
+    T.set_precision(mode)
+    teacher = tiny_teacher(L=2, seed=9)
+    hybrid = init_hybrid_from_teacher(teacher, (0,), seed=1)
+    cfg = TrainConfig(context_len=192, batch_size=2, steps=1, lr_max=1e-4, seed=6)
+    x = stream_for(cfg).batch(0)[:, :-1]
+    with T.no_record():
+        t_logits = forward(teacher, x).data
+    _assert_tape_matches_oracle(
+        list(hybrid.named_parameters()),
+        lambda: T.kl_divergence(t_logits, forward(hybrid, x, scale_base=None)))
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("case", ["transformer", "stage3", "stage1"])
+def test_training_gradients_match_the_tape_that_keeps_everything(mode, case):
+    """As the stage-2 test, for the other training losses: a transformer's
+    cross-entropy step (rotated q and k rebuilt through the RoPE recipe),
+    a stage-3 cross-entropy step on the hybrid, and the stage-1 candidate
+    loss on one aligned RNN layer (a constant input, so its projections'
+    inputs are plain arrays while everything after them is rebuilt)."""
+    from hybridkit.halo import _candidate_loss
+    from hybridkit.model import init_hybrid_from_teacher
+
+    T.set_precision(mode)
+    teacher = tiny_teacher(L=2, seed=9)
+    cfg = TrainConfig(context_len=192, batch_size=2, steps=1, lr_max=1e-4, seed=6)
+    batch = stream_for(cfg).batch(0)
+    if case == "stage1":
+        cand = init_rnn_from_attention(teacher.layers[1].mixer, Rng(3))
+        x_in, y_ref = capture_many(teacher, batch[:, :-1], [1])[1]
+        _assert_tape_matches_oracle(
+            list(cand.named()), lambda: _candidate_loss(cand, x_in.data, y_ref.data, teacher))
+        return
+    model = teacher if case == "transformer" else init_hybrid_from_teacher(teacher, (0,), seed=1)
+    _assert_tape_matches_oracle(
+        list(model.named_parameters()),
+        lambda: T.cross_entropy(forward(model, batch[:, :-1], scale_base=None), batch[:, 1:]))
 
 
 def test_stage2_with_the_teacher_off_the_tape_computes_the_same_numbers(monkeypatch):

@@ -884,10 +884,10 @@ def test_lightning_mixer_with_the_op_matches_the_composition(monkeypatch, mode, 
 # what each mixer op's tape record keeps
 
 @pytest.mark.parametrize("mode", ["standard", "extended"])
-def test_lightning_op_record_keeps_qkv_and_chunk_start_states(monkeypatch, mode):
-    """One record, holding q, k, v, one [B, H, d_h, d_h] state per chunk
-    (the first is the start state itself) and the H decay rates: no scores,
-    no decay-scaled copies, no output."""
+def test_lightning_op_record_keeps_qkv_and_the_start_state(monkeypatch, mode):
+    """One record, holding q, k, v, the [B, H, d_h, d_h] start state and the
+    H decay rates: no per-chunk state, no scores, no decay-scaled copies, no
+    output."""
     monkeypatch.setattr(mixers, "_CHUNK", LIGHTNING_C)
     T.set_precision(mode)
     rng = Rng(120)
@@ -899,14 +899,42 @@ def test_lightning_op_record_keeps_qkv_and_chunk_start_states(monkeypatch, mode)
         mixers._lightning_chunks(q, k, v, s0, gam)
     assert len(tape._records) == 1
     itemsize = np.dtype(T.active_dtype()).itemsize
-    n_chunks = 3
-    assert tape_held_bytes(tape) == (3 * b * h * t * d_h + n_chunks * b * h * d_h * d_h) \
-        * itemsize + gam.nbytes
+    assert tape_held_bytes(tape) == (3 * b * h * t * d_h + b * h * d_h * d_h) * itemsize \
+        + gam.nbytes
     # with no tape, nothing is kept
     with Tape() as tape:
         with T.no_record():
             mixers._lightning_chunks(q, k, v, s0, gam)
     assert tape._records == []
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+def test_lightning_backward_rebuilds_the_forwards_chunk_states_bit_for_bit(monkeypatch, mode):
+    """Backward's sweep from s0 passes through exactly the states the
+    forward passed through, bit for bit, and stops at the last chunk's
+    start."""
+    monkeypatch.setattr(mixers, "_CHUNK", LIGHTNING_C)
+    T.set_precision(mode)
+    rng = Rng(122)
+    b, h, t, d_h = 2, 3, 3 * LIGHTNING_C + 2, 5
+    q, k, v = _leaves(rng, *[(b, h, t, d_h)] * 3)
+    states = []
+    real = mixers._next_state
+
+    def logged(s, *args):
+        out = real(s, *args)
+        states.append(out.tobytes())
+        return out
+
+    monkeypatch.setattr(mixers, "_next_state", logged)
+    with Tape() as tape:
+        o, _ = mixers._lightning_chunks(q, k, v, rng.child(9).normal((b, h, d_h, d_h)),
+                                        gamma_slopes(h))
+        loss = T.sum_all(T.mul(o, o))
+    forward_states = list(states)
+    assert len(forward_states) == 4
+    tape.backward(loss)
+    assert states[4:] == forward_states[:3]
 
 
 @pytest.mark.parametrize("mode", ["standard", "extended"])

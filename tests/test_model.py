@@ -14,7 +14,8 @@ from hybridkit.model import (DecodeSession, Model, ModelConfig, choice_logprobs,
 from hybridkit.positional import RopeParams, ScaleBase
 from hybridkit.tensor import ConfigError, Rng
 
-from conftest import max_rel_err, reference_choice_logprobs, tape_held_bytes
+from conftest import (_base_array, max_rel_err, reference_choice_logprobs,
+                      tape_held_arrays, tape_held_bytes)
 from test_mixers import attention_loop_oracle, lightning_cumsum_oracle, _np_rms
 
 TINY = dict(d=16, d_h=4, n_h=4, n_kv_heads=2, ffn_width=24, vocab=32,
@@ -606,8 +607,9 @@ def test_teacher_untouched_by_surgery():
 def test_training_tape_keeps_no_gated_product(mode, monkeypatch):
     """Per layer, the tape holds neither the SwiGLU product silu(a) * b
     ([B, T, ffn_width]) nor the gated mixer output o * sigmoid(z)
-    ([B, T, n_h * d_h]): against the unfused composition it holds exactly
-    those bytes less."""
+    ([B, T, n_h * d_h]), and keeps the merged heads o ([B, T, n_h * d_h])
+    as a recipe: against the unfused composition, whose ``mul`` keeps o's
+    array, it holds exactly those three arrays less."""
     import hybridkit.mixers as mixers
 
     monkeypatch.setattr(mixers, "_CHUNK", 4)
@@ -626,7 +628,119 @@ def test_training_tape_keeps_no_gated_product(mode, monkeypatch):
     monkeypatch.setattr(T, "gated_matmul", lambda a, b, w: T.matmul(T.mul(a, b), w))
     unfused = held()
     itemsize = np.dtype(T.active_dtype()).itemsize
-    assert unfused - fused == cfg.L * B * t * (cfg.ffn_width + cfg.n_h * cfg.d_h) * itemsize
+    assert unfused - fused == cfg.L * B * t * (cfg.ffn_width + 2 * cfg.n_h * cfg.d_h) * itemsize
+
+
+def _per_token_tape_bytes(cfg, B: int) -> int:
+    """What a training tape holds per token of `forward`, by design, summed
+    over layers: each norm's input and inverse norm; the q, k and v
+    projections and the QK norms' inverse norms; a gated mixer's core
+    output, output-norm inverse norm and sigmoid gate, or else the merged
+    heads; the SwiGLU's silu output, sigmoid and up projection; the token
+    id.  Each attention layer adds one scale factor per position, for the
+    whole batch.  Nothing in it is a norm's output, a rotated q or k, or a
+    gated mixer's merged heads."""
+    item = np.dtype(T.active_dtype()).itemsize
+    elems = cfg.d + 1  # final norm
+    for l in range(cfg.L):
+        attn = l in cfg.I_attn
+        n_kv = cfg.n_kv_heads if attn else cfg.n_h
+        gated = not attn or cfg.arch == "hypenet"
+        elems += 2 * (cfg.d + 1)  # pre-mixer and pre-MLP norms
+        elems += (cfg.n_h + 2 * n_kv) * cfg.d_h + cfg.n_h + n_kv  # q, k, v; QK norms
+        elems += (2 * cfg.n_h * cfg.d_h + cfg.n_h) if gated else cfg.n_h * cfg.d_h
+        elems += 3 * cfg.ffn_width
+    return B * (elems * item + 8) + len(cfg.I_attn) * item
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("arch", ["transformer", "hypenet"])
+def test_training_tape_holds_exact_bytes_per_token_and_no_rebuildable_output(
+        mode, arch, monkeypatch):
+    """The tape after a forward grows by exactly `_per_token_tape_bytes`
+    per token, over several Lightning chunks and attention query blocks,
+    and no record holds the arrays backward rebuilds: norm outputs (h_in,
+    m_in, the final norm, QK norms), rotated q and k, the scaled attention
+    q, or a gated mixer's merged output heads."""
+    import hybridkit.mixers as mixers
+    from hybridkit.positional import _ROPE_TABLES
+
+    monkeypatch.setattr(mixers, "_CHUNK", 4)
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
+    T.set_precision(mode)
+    cfg = (transformer_config(**TINY, L=2) if arch == "transformer"
+           else tiny_hybrid(L=3, I_attn=(1,)))
+    model = init_model(cfg, seed=28)
+    B = 2
+    rebuilt = []
+
+    def collect(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            rebuilt.append(out)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(T, "rmsnorm", collect(T.rmsnorm))
+    monkeypatch.setattr(T, "mul_const", collect(T.mul_const))
+    monkeypatch.setattr(mixers, "rope_apply", collect(mixers.rope_apply))
+    if arch == "hypenet":  # every mixer is gated
+        monkeypatch.setattr(mixers, "_merge_heads", collect(mixers._merge_heads))
+
+    def held(t):
+        rebuilt.clear()
+        tokens = Rng(15).integers(0, cfg.vocab, size=(B, t))
+        with T.Tape() as tape:
+            forward(model, tokens, scale_base=None)
+        tables = [T.Tensor(tbl, dtype=tbl.dtype) for tbl in _ROPE_TABLES.values()]
+        arrays = tape_held_arrays(tape, [*model.parameters(), *tables])
+        assert rebuilt and all(r._recipe is not None for r in rebuilt)
+        assert not any(id(_base_array(r.data)) in arrays for r in rebuilt)
+        return sum(a.nbytes for a in arrays.values())
+
+    t1, t2 = 6, 13
+    assert held(t2) - held(t1) == (t2 - t1) * _per_token_tape_bytes(cfg, B)
+
+
+def test_rebuilt_arrays_are_freed_once_their_layers_backward_has_run(monkeypatch):
+    """A recipe runs once and keeps its result only while records that hold
+    it remain: when backward reaches the op just before layer 1, every
+    array rebuilt for layer 1, the final norm and the unembedding is gone,
+    and layer 0's are gone when backward returns."""
+    import weakref
+
+    T.set_precision("standard")
+    model = init_model(tiny_hybrid(L=2, I_attn=(0,)), seed=29)
+    tokens = Rng(16).integers(0, model.cfg.vocab, size=(2, 9))
+    made = []  # a weakref per rebuilt array, in the order they were made
+    real_call, real_norm = T.Recipe.__call__, T.rmsnorm
+
+    def call(self):
+        fresh = self._value is None
+        out = real_call(self)
+        if fresh:
+            made.append(weakref.ref(out))
+        return out
+
+    alive_before_layer_0 = []
+
+    def probe(g):
+        alive_before_layer_0.extend(r() is not None for r in made)
+        return g
+
+    def norm(x, gain, *args):
+        if gain is model.layers[1].pre_mixer_gain:
+            x = T.emit(x.data, [(x, probe)])
+        return real_norm(x, gain, *args)
+
+    monkeypatch.setattr(T.Recipe, "__call__", call)
+    monkeypatch.setattr(T, "rmsnorm", norm)
+    with T.Tape() as tape:
+        loss = T.sum_all(forward(model, tokens, scale_base=None))
+    tape.backward(loss)
+    assert alive_before_layer_0 and not any(alive_before_layer_0)
+    assert len(made) > len(alive_before_layer_0)
+    assert all(r() is None for r in made)
 
 
 # --------------------------------------------------------------------------

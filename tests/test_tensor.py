@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hybridkit import tensor as T
 from hybridkit.tensor import Rng, ShapeError, Tape, Tensor
 
-from conftest import max_rel_err
+from conftest import max_rel_err, tape_held_bytes
 
 
 # --------------------------------------------------------------------------
@@ -339,6 +339,42 @@ def test_tape_does_not_keep_an_output_no_closure_reads(mode):
     g = np.full((4, 3), 2.0, dtype=x.dtype)
     np.testing.assert_array_equal(x.grad, g @ w.data.T)
     np.testing.assert_array_equal(w.grad, x.data.T @ g)
+
+
+@BOTH_PRECISIONS
+def test_tape_rebuilds_a_norm_output_instead_of_keeping_it(mode):
+    """rmsnorm's output h feeds only a matmul, which keeps h's recipe: once
+    the caller drops h its buffer is freed, and backward rebuilds it for
+    w's gradient bit for bit."""
+    T.set_precision(mode)
+    rng = Rng(4)
+    x = Tensor(rng.normal((2, 4, 5)), requires_grad=True)
+    gain = Tensor(rng.normal((5,)), requires_grad=True)
+    w = Tensor(rng.normal((5, 3)), requires_grad=True)
+    h_ref = T.rmsnorm(x, gain).data
+    with Tape() as tape:
+        h = T.rmsnorm(x, gain)
+        h_buf = weakref.ref(h.data)
+        loss = T.sum_all(T.matmul(h, w))
+        del h
+    assert h_buf() is None
+    tape.backward(loss)
+    np.testing.assert_array_equal(w.grad, h_ref.reshape(-1, 5).T @ np.ones((8, 3), x.dtype))
+
+
+def test_tape_held_bytes_counts_arrays_held_only_through_a_recipe():
+    """An array a record reaches only through a recipe counts, as an
+    operand before the recipe runs and as its result after."""
+    x = Tensor(np.ones((3, 4)), requires_grad=True)
+    operand = np.arange(5.0)
+    recipe = T.Recipe(np.multiply, (operand, 2.0))
+    with Tape() as tape:
+        T.emit(x.data * 1.0, [(x, lambda g: g * T.unpack(recipe).sum())])
+    del operand
+    assert tape_held_bytes(tape, [x]) == 5 * 8
+    recipe()
+    assert recipe._args is None
+    assert tape_held_bytes(tape, [x]) == 5 * 8
 
 
 @BOTH_PRECISIONS
@@ -672,6 +708,22 @@ def test_kl_gradient_is_softmax_difference():
 
     expected = (softmax(q.data) - softmax(ref)) / 4
     np.testing.assert_allclose(q.grad, expected, atol=1e-12)
+
+
+@BOTH_PRECISIONS
+def test_kl_record_keeps_one_rows_by_vocab_array(mode):
+    """The KL record keeps softmax(logits) - softmax(ref), one [rows, V]
+    array, and the gradient is that array times g / rows, bit for bit."""
+    T.set_precision(mode)
+    rng = Rng(14)
+    ref = rng.normal((2, 3, 6))
+    q = T.tensor(rng.normal((2, 3, 6)), requires_grad=True)
+    with Tape() as tape:
+        loss = T.kl_divergence(ref, q)
+    assert tape_held_bytes(tape) == q.data.nbytes
+    tape.backward(loss)
+    diff = np.exp(T._log_softmax(q.data.reshape(6, 6))) - np.exp(T._log_softmax(ref.reshape(6, 6)))
+    np.testing.assert_array_equal(q.grad, (diff * (np.ones((), q.dtype) / 6)).reshape(q.shape))
 
 
 def test_kl_of_identical_logits_is_zero():
