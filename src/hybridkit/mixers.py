@@ -283,21 +283,6 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return T.matmul(Tensor(a, dtype=a.dtype), Tensor(b, dtype=b.dtype)).data
 
 
-def _joint_vjps(n: int, backward) -> list:
-    """n vjps that share one call backward(g) -> (n gradients), made by the
-    first of them to run."""
-    grads: list = []
-
-    def vjp(i):
-        def f(g):
-            if not grads:
-                grads.append(backward(g))
-            return grads[0][i]
-        return f
-
-    return [vjp(i) for i in range(n)]
-
-
 # Rows per causal query block.  Small blocks skip more of the masked
 # triangle (at T = 512, 128-row blocks compute 10/16 of the full score
 # matrix) and keep each block's scores near cache size; 2048 skipped
@@ -370,7 +355,7 @@ def _causal_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor:
                 del p, dp, ds
         return dq, dk, dv
 
-    return T.emit(o, list(zip((q, k, v), _joint_vjps(3, backward))))
+    return T.emit(o, list(zip((q, k, v), T.joint_vjps(3, backward))))
 
 
 # --------------------------------------------------------------------------
@@ -570,7 +555,7 @@ def _lightning_chunks(q: Tensor, k: Tensor, v: Tensor, s0: np.ndarray,
                 ds = ds_in if ds is None else ds_in + ds * g_all
         return dq, dk, dv
 
-    return T.emit(o, list(zip((q, k, v), _joint_vjps(3, backward)))), s
+    return T.emit(o, list(zip((q, k, v), T.joint_vjps(3, backward)))), s
 
 
 def lightning_forward_chunked(

@@ -351,6 +351,12 @@ def _token_ids(tokens) -> np.ndarray:
     return tokens
 
 
+def _swiglu(m: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
+    """The MLP: silu(m @ w_gate) * (m @ w_up) @ w_down, as one ``gated_matmul``
+    that keeps no product."""
+    return T.gated_matmul(T.silu(T.matmul(m, w_gate)), T.matmul(m, w_up), w_down)
+
+
 def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
              capture: dict | None = None, last_only: bool = False) -> Tensor:
     """Shared layer loop for full forward (session=None) and cached decode.
@@ -361,8 +367,10 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
     computes its queries for that position alone.  The final residual add,
     MLP, norm and unembedding then run on the last position only.
 
-    The SwiGLU MLP is one ``gated_matmul``, so a tape keeps its gate and up
-    projections but not their product; backward recomputes it.
+    The SwiGLU MLP (`_swiglu`) runs inside ``T.checkpoint``: a tape keeps
+    only its input, the pre-MLP norm's recipe, and backward recomputes the
+    gate and up projections and the activation one layer at a time.
+    Without a tape it is a plain call.
     """
     tokens = _token_ids(tokens)
     start_pos = session.pos if session is not None else 0
@@ -381,8 +389,7 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
         x = T.add(x, y)
         m_in = T.rmsnorm(x, lw.pre_mlp_gain)
         mlp = lw.mlp
-        x = T.add(x, T.gated_matmul(T.silu(T.matmul(m_in, mlp.w_gate)),
-                                    T.matmul(m_in, mlp.w_up), mlp.w_down))
+        x = T.add(x, T.checkpoint(_swiglu, m_in, mlp.w_gate, mlp.w_up, mlp.w_down))
     x = T.rmsnorm(x, model.final_gain)
     logits = T.matmul(x, T.swap_last(model.embed))
     if session is not None:

@@ -525,6 +525,55 @@ def test_stage2_with_gated_matmul_computes_the_unfused_numbers(mode, monkeypatch
     assert fused == run()
 
 
+def _cli_train(tmp_path, mode):
+    """Three steps of `hybridkit train` on a tiny transformer: each step's
+    (loss, gradient norm) from its report, and the checkpoint's bytes."""
+    import json
+
+    from hybridkit.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    model = {"arch": "transformer", "L": 2, "rope_theta": 1000.0,
+             **{k: v for k, v in TINY.items() if k != "rope"}}
+    cfg.write_text(json.dumps({"model": model, "train": {
+        "steps": 3, "batch_size": 2, "context_len": 64, "warmup_steps": 1}}))
+    out = tmp_path / "m.ckpt"
+    assert main(["--precision", mode, "--seed", "3", "train", str(cfg), str(out)]) == 0
+    lines = (tmp_path / "m.ckpt.report.jsonl").read_text().splitlines()
+    steps = [json.loads(line) for line in lines[:-1]]
+    return [(r["loss"], r["grad_norm"]) for r in steps], out.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("stage", ["train", "stage2", "stage3"])
+def test_training_with_the_checkpointed_mlp_computes_the_unwrapped_numbers(
+        mode, stage, monkeypatch, tmp_path):
+    """The MLP's ``T.checkpoint`` changes what the tape keeps, not what it
+    computes: three steps of `hybridkit train`, stage 2 and stage 3 give
+    the losses, gradient norms and weights they give when the checkpoint
+    is a plain call."""
+    from hybridkit.model import init_hybrid_from_teacher
+
+    def run():
+        T.set_precision(mode)
+        if stage == "train":
+            return _cli_train(tmp_path, mode)
+        teacher = tiny_teacher(L=4, seed=9)
+        hybrid = init_hybrid_from_teacher(teacher, (1,), seed=1)
+        cfg = TrainConfig(context_len=64, batch_size=2, steps=3, lr_max=1e-3,
+                          warmup_steps=1, seed=7)
+        if stage == "stage2":
+            report = stage2_distill(teacher, hybrid, stream_for(cfg), cfg)
+        else:
+            report = stage3_finetune(hybrid, stream_for(cfg), cfg)
+        return (report.losses, report.grad_norms, report.final_metrics,
+                hybrid.state_bytes())
+
+    checkpointed = run()
+    monkeypatch.setattr(T, "checkpoint", lambda fn, *inputs: fn(*inputs))
+    assert checkpointed == run()
+
+
 def test_stage3_zero_steps_leaves_model_unchanged():
     model = tiny_teacher(L=2, seed=10)
     before = model.state_bytes()

@@ -605,11 +605,13 @@ def test_teacher_untouched_by_surgery():
 
 @pytest.mark.parametrize("mode", ["standard", "extended"])
 def test_training_tape_keeps_no_gated_product(mode, monkeypatch):
-    """Per layer, the tape holds neither the SwiGLU product silu(a) * b
-    ([B, T, ffn_width]) nor the gated mixer output o * sigmoid(z)
-    ([B, T, n_h * d_h]), and keeps the merged heads o ([B, T, n_h * d_h])
-    as a recipe: against the unfused composition, whose ``mul`` keeps o's
-    array, it holds exactly those three arrays less."""
+    """Per layer, the tape holds neither the gated mixer output o * sigmoid(z)
+    ([B, T, n_h * d_h]) nor the merged heads o (kept as a recipe), and the
+    inner tape on which backward recomputes each MLP holds no SwiGLU product
+    silu(a) * b ([B, T, ffn_width]).  Against the unfused composition, whose
+    ``mul`` keeps its operands and whose ``matmul`` keeps the product, the
+    tape holds exactly two [B, T, n_h * d_h] arrays less per layer, and each
+    layer's recompute one [B, T, ffn_width] array less."""
     import hybridkit.mixers as mixers
 
     monkeypatch.setattr(mixers, "_CHUNK", 4)
@@ -618,17 +620,30 @@ def test_training_tape_keeps_no_gated_product(mode, monkeypatch):
     model = init_model(cfg, seed=27)
     B, t = 2, 9
     tokens = Rng(14).integers(0, cfg.vocab, size=(B, t))
+    outer_tape, recomputes = T.Tape, []
+
+    class RecomputeTape(T.Tape):
+        def backward(self, loss):
+            recomputes.append(tape_held_bytes(self, model.parameters()))
+            super().backward(loss)
 
     def held():
-        with T.Tape() as tape:
-            forward(model, tokens)
-        return tape_held_bytes(tape, model.parameters())
+        recomputes.clear()
+        with outer_tape() as tape:
+            loss = T.sum_all(forward(model, tokens))
+        outer = tape_held_bytes(tape, model.parameters())
+        tape.backward(loss)
+        return outer, list(recomputes)
 
-    fused = held()
+    monkeypatch.setattr(T, "Tape", RecomputeTape)
+    fused, fused_mlps = held()
     monkeypatch.setattr(T, "gated_matmul", lambda a, b, w: T.matmul(T.mul(a, b), w))
-    unfused = held()
+    unfused, unfused_mlps = held()
     itemsize = np.dtype(T.active_dtype()).itemsize
-    assert unfused - fused == cfg.L * B * t * (cfg.ffn_width + 2 * cfg.n_h * cfg.d_h) * itemsize
+    assert unfused - fused == cfg.L * B * t * 2 * cfg.n_h * cfg.d_h * itemsize
+    assert len(fused_mlps) == len(unfused_mlps) == cfg.L
+    assert ([u - f for u, f in zip(unfused_mlps, fused_mlps)]
+            == [B * t * cfg.ffn_width * itemsize] * cfg.L)
 
 
 def _per_token_tape_bytes(cfg, B: int) -> int:
@@ -636,10 +651,11 @@ def _per_token_tape_bytes(cfg, B: int) -> int:
     over layers: each norm's input and inverse norm; the q, k and v
     projections and the QK norms' inverse norms; a gated mixer's core
     output, output-norm inverse norm and sigmoid gate, or else the merged
-    heads; the SwiGLU's silu output, sigmoid and up projection; the token
-    id.  Each attention layer adds one scale factor per position, for the
-    whole batch.  Nothing in it is a norm's output, a rotated q or k, or a
-    gated mixer's merged heads."""
+    heads; the token id.  Each attention layer adds one scale factor per
+    position, for the whole batch.  The SwiGLU MLP adds nothing: it runs
+    in a checkpoint that keeps only the pre-MLP norm's recipe.  Nothing in
+    it is a norm's output, a rotated q or k, or a gated mixer's merged
+    heads."""
     item = np.dtype(T.active_dtype()).itemsize
     elems = cfg.d + 1  # final norm
     for l in range(cfg.L):
@@ -649,7 +665,6 @@ def _per_token_tape_bytes(cfg, B: int) -> int:
         elems += 2 * (cfg.d + 1)  # pre-mixer and pre-MLP norms
         elems += (cfg.n_h + 2 * n_kv) * cfg.d_h + cfg.n_h + n_kv  # q, k, v; QK norms
         elems += (2 * cfg.n_h * cfg.d_h + cfg.n_h) if gated else cfg.n_h * cfg.d_h
-        elems += 3 * cfg.ffn_width
     return B * (elems * item + 8) + len(cfg.I_attn) * item
 
 
@@ -741,6 +756,70 @@ def test_rebuilt_arrays_are_freed_once_their_layers_backward_has_run(monkeypatch
     assert alive_before_layer_0 and not any(alive_before_layer_0)
     assert len(made) > len(alive_before_layer_0)
     assert all(r() is None for r in made)
+
+
+def test_backward_holds_one_layers_recomputed_mlp_at_a_time(monkeypatch):
+    """The arrays backward recomputes for layer l's MLP (the gate
+    pre-activation, its sigmoid and the up projection, each [B, T,
+    ffn_width]) are all freed by the time backward leaves layer l, before
+    any record of layer l - 1 runs, and none is left when it returns."""
+    import weakref
+
+    from hybridkit import model as hm
+
+    T.set_precision("standard")
+    cfg = tiny_hybrid(L=3, I_attn=(1,))
+    model = init_model(cfg, seed=30)
+    tokens = Rng(17).integers(0, cfg.vocab, size=(2, 9))
+    layer_of = {id(lw.mlp.w_gate.data): l for l, lw in enumerate(model.layers)}
+    made = {l: [] for l in range(cfg.L)}  # weakrefs to each layer's recomputed arrays
+    current = []  # the layer whose MLP backward is recomputing
+    real_swiglu, real_matmul, real_sigmoid, real_norm = (hm._swiglu, T.matmul,
+                                                         T._sigmoid_np, T.rmsnorm)
+
+    def note(arr):
+        if current and arr.shape[-1] == cfg.ffn_width:
+            made[current[-1]].append(weakref.ref(arr))
+        return arr
+
+    def swiglu(m, w_gate, *ws):
+        if T._TAPE_STACK[-1] is None:  # the forward, under no_record
+            return real_swiglu(m, w_gate, *ws)
+        current.append(layer_of[id(w_gate.data)])
+        out = real_swiglu(m, w_gate, *ws)
+        current.pop()
+        return out
+
+    def matmul(a, b):
+        out = real_matmul(a, b)
+        note(out.data)
+        return out
+
+    alive_leaving = {}  # layer -> liveness of the arrays made for it and above
+
+    def probe(l):
+        def vjp(g):
+            alive_leaving[l] = [r() is not None for k in range(l, cfg.L) for r in made[k]]
+            return g
+        return vjp
+
+    def norm(x, gain, *args):
+        for l, lw in enumerate(model.layers):
+            if gain is lw.pre_mixer_gain:
+                x = T.emit(x.data, [(x, probe(l))])
+        return real_norm(x, gain, *args)
+
+    monkeypatch.setattr(hm, "_swiglu", swiglu)
+    monkeypatch.setattr(T, "matmul", matmul)
+    monkeypatch.setattr(T, "_sigmoid_np", lambda x: note(real_sigmoid(x)))
+    monkeypatch.setattr(T, "rmsnorm", norm)
+    with T.Tape() as tape:
+        loss = T.sum_all(forward(model, tokens, scale_base=None))
+    tape.backward(loss)
+    assert [len(made[l]) for l in range(cfg.L)] == [3] * cfg.L
+    assert sorted(alive_leaving) == list(range(cfg.L))
+    assert not any(any(alive) for alive in alive_leaving.values())
+    assert all(r() is None for refs in made.values() for r in refs)
 
 
 # --------------------------------------------------------------------------
