@@ -14,6 +14,9 @@ The config's `scale_base` is the logits scaling the model applies at
 inference; `with_scaling` gives the same weights under another scaling,
 and training runs `forward(..., scale_base=None)`.  How the mixers tile
 time is a constant of `mixers`: it never changes what a model computes.
+The SwiGLU MLP is one tape record (`_swiglu`) that keeps its input's
+recipe and its weights, and recomputes the gate and up projections in
+backward, so training keeps none of its ffn_width-wide activations.
 
 One layer computes (all norms are RMSNorm):
     H = Mixer(Norm(X)) + X
@@ -352,9 +355,52 @@ def _token_ids(tokens) -> np.ndarray:
 
 
 def _swiglu(m: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
-    """The MLP: silu(m @ w_gate) * (m @ w_up) @ w_down, as one ``gated_matmul``
-    that keeps no product."""
-    return T.gated_matmul(T.silu(T.matmul(m, w_gate)), T.matmul(m, w_up), w_down)
+    """The MLP, silu(m @ w_gate) * (m @ w_up) @ w_down, as one op that keeps
+    no ffn_width-wide array.
+
+    The forward runs the public ``matmul``, ``silu`` and ``gated_matmul``
+    outside the tape, so its value (and anything that wraps those ops) is
+    the composition's.  The record keeps m (the pre-MLP norm's recipe) and
+    the three weights.  Backward, once for all four inputs, rebuilds m,
+    recomputes a = m @ w_gate and b = m @ w_up through ``matmul`` and then
+    silu(a), and evaluates each gradient as the composition's vjps do, so
+    every gradient is the composition's bit for bit.  It never forms the
+    output, and frees each ffn_width-wide array after its last use.  Without
+    a tape, or under ``no_record``, it keeps nothing.
+    """
+    with T.no_record():
+        y = T.gated_matmul(T.silu(T.matmul(m, w_gate)), T.matmul(m, w_up), w_down)
+    km = T.keep(m)
+    Wg, Wu, Wd = w_gate.data, w_up.data, w_down.data
+    f, d = Wd.shape
+
+    def backward(g):
+        M = T.unpack(km)
+        act = mixers._mm(M, Wg)
+        s = T._sigmoid_np(act)
+        act *= s  # silu(a)
+        # silu's derivative s + silu(a) * (1 - s), built as silu's vjp builds it
+        da = 1.0 - s
+        da *= act
+        da += s
+        del s
+        b = mixers._mm(M, Wu)
+        g2 = g.reshape(-1, d)
+        dw_down = (act * b).reshape(-1, f).T @ g2
+        gp = (g2 @ Wd.T).reshape(b.shape)  # the gradient of silu(a) * b
+        db = act  # gp * silu(a), in silu(a)'s buffer
+        db *= gp
+        gp *= b  # the gradient of silu(a)
+        del act, b
+        da *= gp
+        del gp
+        da2, db2 = da.reshape(-1, f), db.reshape(-1, f)
+        dm = db2 @ Wu.T
+        dm += da2 @ Wg.T
+        M2 = M.reshape(-1, M.shape[-1])
+        return dm.reshape(M.shape), M2.T @ da2, M2.T @ db2, dw_down
+
+    return T.emit(y.data, list(zip((m, w_gate, w_up, w_down), T.joint_vjps(4, backward))))
 
 
 def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
@@ -367,10 +413,9 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
     computes its queries for that position alone.  The final residual add,
     MLP, norm and unembedding then run on the last position only.
 
-    The SwiGLU MLP (`_swiglu`) runs inside ``T.checkpoint``: a tape keeps
-    only its input, the pre-MLP norm's recipe, and backward recomputes the
-    gate and up projections and the activation one layer at a time.
-    Without a tape it is a plain call.
+    The SwiGLU MLP is one op (`_swiglu`): a tape keeps only its input, the
+    pre-MLP norm's recipe, and its weights, and backward recomputes the gate
+    and up projections and the activation one layer at a time.
     """
     tokens = _token_ids(tokens)
     start_pos = session.pos if session is not None else 0
@@ -389,7 +434,7 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
         x = T.add(x, y)
         m_in = T.rmsnorm(x, lw.pre_mlp_gain)
         mlp = lw.mlp
-        x = T.add(x, T.checkpoint(_swiglu, m_in, mlp.w_gate, mlp.w_up, mlp.w_down))
+        x = T.add(x, _swiglu(m_in, mlp.w_gate, mlp.w_up, mlp.w_down))
     x = T.rmsnorm(x, model.final_gain)
     logits = T.matmul(x, T.swap_last(model.embed))
     if session is not None:

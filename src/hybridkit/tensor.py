@@ -22,9 +22,9 @@ What a tape keeps, and what it rebuilds:
   stream, the q and k projections, the mixer cores' outputs) and inverse
   norm, and the mixers' output-gate sigmoids.  Each would cost a GEMM, a
   reduction or a transcendental to rebuild.
-- A ``checkpoint`` keeps only its inputs and recomputes the rest of its
-  function in backward, one call at a time.  The SwiGLU MLP runs in one,
-  so none of its ffn_width-wide activations is kept.
+- The SwiGLU MLP (``model._swiglu``) is one record that keeps only its
+  input and weights and recomputes its gate and up projections in
+  backward, so none of its ffn_width-wide activations is kept.
 - An output that is a cheap elementwise or layout function of arrays the
   tape keeps anyway gets a ``Recipe`` when its op is recorded: the op's
   forward expression and its operands, not its output.  ``rmsnorm`` builds
@@ -35,8 +35,8 @@ What a tape keeps, and what it rebuilds:
   output heads are rebuilt, not kept.
 - A consumer that keeps an input for backward keeps ``keep(x)``, the
   input's recipe in place of its array when it has one: ``matmul``'s A,
-  ``gated_matmul``'s a and b, the q and k of the two mixer cores, and a
-  ``checkpoint``'s inputs.  It reads the array back with ``unpack``.  A
+  ``gated_matmul``'s a and b, the q and k of the two mixer cores, and the
+  MLP's input.  It reads the array back with ``unpack``.  A
   recipe runs once per backward, on the forward's own operands, so its
   result is the forward's bit for bit; it is memoised until the last
   record that holds it is popped.
@@ -45,8 +45,8 @@ Untaped computation builds no recipe: ``Tape.record`` attaches them.
 Ops outside this module are written on ``emit``, the same way.  One record
 each, with a hand-written backward, are:
 - ``gated_matmul`` (here): keeps a, b and w, recomputes a * b;
-- ``checkpoint`` (here): keeps its inputs, re-runs its function on an
-  inner tape and backpropagates through that;
+- the SwiGLU MLP, ``model._swiglu``: keeps its input and weights,
+  recomputes the gate and up projections and their activation;
 - ``positional.rope_apply``: keeps the rotation table only;
 - the chunked Lightning core of ``mixers.lightning_forward_chunked``: keeps
   q, k, v and the start state, and rebuilds each chunk's starting state;
@@ -650,45 +650,6 @@ def gated_matmul(a: Tensor, b: Tensor, w: Tensor) -> Tensor:
         return (unpack(ka) * unpack(kb)).reshape(-1, k).T @ g.reshape(-1, n)
 
     return emit(out, [(a, da), (b, db), (w, dw)])
-
-
-# --------------------------------------------------------------------------
-# recomputation
-
-def checkpoint(fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
-    """fn(*inputs) as one record that keeps only ``keep`` of its inputs and
-    recomputes everything else fn computes in backward.
-
-    fn must read no tensor but its inputs: weights are passed as inputs, so
-    their gradients reach the outer tape as any input's do, and the record
-    exists when any input requires grad.  The forward runs fn under
-    ``no_record``.  Backward, once for all inputs, rebuilds the inputs as
-    fresh leaves, re-runs fn on them inside an inner ``Tape`` and
-    backpropagates the output's gradient g through it as sum(y * g); each
-    leaf's gradient is its input's.  The inner tape runs the same ops on the
-    same operands in the same order, so the output and the gradient each
-    input gets from fn are fn's own bit for bit (summed over fn's uses of
-    the input before it joins any other use's), and it holds one call's
-    activations only while that call's backward runs.  Without a tape,
-    inside ``no_record`` or when no input requires grad, fn just runs.
-    """
-    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
-    if tape is None or not any(t.requires_grad for t in inputs):
-        return fn(*inputs)
-    with no_record():
-        out = fn(*inputs).data
-    kept = [keep(t) for t in inputs]
-    needs = [t.requires_grad for t in inputs]
-
-    def backward(g):
-        leaves = [Tensor(a, requires_grad=r, dtype=a.dtype)
-                  for a, r in zip(map(unpack, kept), needs)]
-        with Tape() as inner:
-            loss = sum_all(mul_const(fn(*leaves), g))
-        inner.backward(loss)
-        return [t.grad for t in leaves]
-
-    return emit(out, list(zip(inputs, joint_vjps(len(inputs), backward))))
 
 
 # --------------------------------------------------------------------------

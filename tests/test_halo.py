@@ -548,11 +548,13 @@ def _cli_train(tmp_path, mode):
 @pytest.mark.parametrize("stage", ["train", "stage2", "stage3"])
 def test_training_with_the_checkpointed_mlp_computes_the_unwrapped_numbers(
         mode, stage, monkeypatch, tmp_path):
-    """The MLP's ``T.checkpoint`` changes what the tape keeps, not what it
-    computes: three steps of `hybridkit train`, stage 2 and stage 3 give
-    the losses, gradient norms and weights they give when the checkpoint
-    is a plain call."""
+    """The MLP record, which recomputes its activations in backward,
+    changes what the tape keeps, not what it computes: three steps of
+    `hybridkit train`, stage 2 and stage 3 give the losses, gradient norms
+    and weights they give when the MLP is its ops recorded one by one."""
+    import hybridkit.model as hm
     from hybridkit.model import init_hybrid_from_teacher
+    from test_model import _composed_mlp
 
     def run():
         T.set_precision(mode)
@@ -569,9 +571,9 @@ def test_training_with_the_checkpointed_mlp_computes_the_unwrapped_numbers(
         return (report.losses, report.grad_norms, report.final_metrics,
                 hybrid.state_bytes())
 
-    checkpointed = run()
-    monkeypatch.setattr(T, "checkpoint", lambda fn, *inputs: fn(*inputs))
-    assert checkpointed == run()
+    recomputed = run()
+    monkeypatch.setattr(hm, "_swiglu", _composed_mlp)
+    assert recomputed == run()
 
 
 def test_stage3_zero_steps_leaves_model_unchanged():

@@ -6,11 +6,11 @@ import pytest
 from hybridkit import tensor as T
 from hybridkit.evals import gen_csr_proxy, score_csr
 from hybridkit.mixers import KvCache, last_position
-from hybridkit.model import (DecodeSession, Model, ModelConfig, choice_logprobs,
-                             capture_many, decode_step, desk_config, forward,
-                             generate_greedy, init_hybrid_from_teacher,
-                             init_model, new_session, prefill,
-                             transformer_config, with_scaling)
+from hybridkit.model import (DecodeSession, Model, ModelConfig, _swiglu,
+                             choice_logprobs, capture_many, decode_step,
+                             desk_config, forward, generate_greedy,
+                             init_hybrid_from_teacher, init_model, new_session,
+                             prefill, transformer_config, with_scaling)
 from hybridkit.positional import RopeParams, ScaleBase
 from hybridkit.tensor import ConfigError, Rng
 
@@ -601,49 +601,146 @@ def test_teacher_untouched_by_surgery():
 
 
 # --------------------------------------------------------------------------
+# the MLP record
+
+def _composed_mlp(m, w_gate, w_up, w_down):
+    """The SwiGLU MLP as the ops it is made of, each recorded on its own."""
+    return T.gated_matmul(T.silu(T.matmul(m, w_gate)), T.matmul(m, w_up), w_down)
+
+
+def _mlp_operands(mode, shape=(2, 3, 5), x_grad=True, seed=23):
+    """An input x of `shape`, a norm gain and the weights w_gate, w_up
+    [d, 4] and w_down [4, d]."""
+    T.set_precision(mode)
+    rng = Rng(seed)
+    d, f = shape[-1], 4
+    x = T.Tensor(rng.normal(shape), requires_grad=x_grad)
+    gain = T.Tensor(rng.normal((d,)), requires_grad=True)
+    ws = [T.Tensor(rng.normal(s), requires_grad=True) for s in ((d, f), (d, f), (f, d))]
+    return x, gain, ws
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("shape", [(2, 3, 5), (3, 5)], ids=["rows_3d", "rows_2d"])
+@pytest.mark.parametrize("x_grad", [True, False], ids=["norm_output", "weights_only"])
+def test_mlp_record_is_bitwise_the_composition(mode, shape, x_grad):
+    """The output and every gradient equal the composition's, recorded op by
+    op on a tape, bit for bit: with the input a norm output that needs grad
+    (kept as its recipe) and with a constant input while only the weights
+    need grad."""
+    x, gain, ws = _mlp_operands(mode, shape, x_grad)
+    r = T.Tensor(Rng(24).normal(shape))
+    leaves = [x, gain, *ws] if x_grad else ws
+
+    def run(mlp):
+        for t in leaves:
+            t.grad = None
+        with T.Tape() as tape:
+            m = T.rmsnorm(x, gain) if x_grad else x
+            y = mlp(m, *ws)
+            loss = T.sum_all(T.mul(T.add(x, y), r))
+        tape.backward(loss)
+        return [y.data, *(t.grad for t in leaves)]
+
+    for got, want in zip(run(_swiglu), run(_composed_mlp), strict=True):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("arg", [0, 1, 2, 3], ids=["m", "w_gate", "w_up", "w_down"])
+def test_mlp_record_finite_diff(arg):
+    """Each input's gradient, while the other three need none, passes the
+    oracle in f64."""
+    rng = Rng(25)
+    operands = [T.tensor(rng.normal(s)) for s in ((2, 3, 4), (4, 3), (4, 3), (3, 4))]
+    r = T.tensor(rng.normal((2, 3, 4)))
+
+    def f(t):
+        args = list(operands)
+        args[arg] = t
+        # the linear term keeps every gradient entry away from zero
+        return T.add(T.sum_all(T.mul(_swiglu(*args), r)), T.mul_const(T.sum_all(t), 0.5))
+
+    assert T.finite_diff_check(f, operands[arg], step=1e-4) < 1e-6
+
+
+def test_mlp_record_without_a_tape_or_under_no_record_keeps_nothing():
+    """With no tape, inside no_record, and on a tape when no input requires
+    grad, nothing is recorded and the output is the composition's."""
+    x, _, ws = _mlp_operands("extended")
+    ref = _composed_mlp(x, *ws).data
+    untaped = _swiglu(x, *ws)
+    with T.Tape() as tape:
+        with T.no_record():
+            frozen = _swiglu(x, *ws)
+        constant = _swiglu(*(t.detach() for t in (x, *ws)))
+    assert tape._records == []
+    for out in (untaped, frozen, constant):
+        assert out._tape is None and not out.requires_grad
+        np.testing.assert_array_equal(out.data, ref)
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+def test_mlp_record_keeps_only_its_inputs_recipe_and_its_weights(mode):
+    """The record's inputs are the norm output (a node) and the weights
+    (leaves), and it holds only the norm's recipe, whose one array beyond
+    the parameters is the inverse norm, and the three weights.  So the norm
+    output, the activations and the output are freed once the caller drops
+    them."""
+    import weakref
+
+    x, gain, ws = _mlp_operands(mode)
+    with T.Tape() as tape:
+        m = T.rmsnorm(x, gain)
+        y = _swiglu(m, *ws)
+        m_buf, y_buf = weakref.ref(m.data), weakref.ref(y.data)
+        assert [src for src, _ in tape._records[-1]] == [m._node, *ws]
+        del m, y
+    assert m_buf() is None and y_buf() is None
+
+    class LastRecord:
+        _records = tape._records[-1:]
+
+    inverse_norm = 2 * 3 * np.dtype(T.active_dtype()).itemsize
+    assert tape_held_bytes(LastRecord, [x, gain, *ws]) == inverse_norm
+    assert (tape_held_bytes(LastRecord, [x, gain])
+            == inverse_norm + sum(w.data.nbytes for w in ws))
+
+
+# --------------------------------------------------------------------------
 # tape memory
 
 @pytest.mark.parametrize("mode", ["standard", "extended"])
 def test_training_tape_keeps_no_gated_product(mode, monkeypatch):
     """Per layer, the tape holds neither the gated mixer output o * sigmoid(z)
-    ([B, T, n_h * d_h]) nor the merged heads o (kept as a recipe), and the
-    inner tape on which backward recomputes each MLP holds no SwiGLU product
-    silu(a) * b ([B, T, ffn_width]).  Against the unfused composition, whose
-    ``mul`` keeps its operands and whose ``matmul`` keeps the product, the
-    tape holds exactly two [B, T, n_h * d_h] arrays less per layer, and each
-    layer's recompute one [B, T, ffn_width] array less."""
+    ([B, T, n_h * d_h]) nor the merged heads o (kept as a recipe): against
+    the unfused composition, whose ``mul`` keeps its operands and whose
+    ``matmul`` keeps the product, it holds exactly two [B, T, n_h * d_h]
+    arrays less per layer.  Either way the MLP record keeps no
+    ffn_width-wide array."""
     import hybridkit.mixers as mixers
 
     monkeypatch.setattr(mixers, "_CHUNK", 4)
     T.set_precision(mode)
     cfg = tiny_hybrid(L=3, I_attn=(1,))
+    assert cfg.ffn_width not in (cfg.d, cfg.n_h * cfg.d_h, cfg.vocab)
     model = init_model(cfg, seed=27)
     B, t = 2, 9
     tokens = Rng(14).integers(0, cfg.vocab, size=(B, t))
-    outer_tape, recomputes = T.Tape, []
-
-    class RecomputeTape(T.Tape):
-        def backward(self, loss):
-            recomputes.append(tape_held_bytes(self, model.parameters()))
-            super().backward(loss)
 
     def held():
-        recomputes.clear()
-        with outer_tape() as tape:
+        with T.Tape() as tape:
             loss = T.sum_all(forward(model, tokens))
-        outer = tape_held_bytes(tape, model.parameters())
+        arrays = tape_held_arrays(tape, model.parameters())
+        assert not any(a.shape[-1:] == (cfg.ffn_width,) for a in arrays.values())
         tape.backward(loss)
-        return outer, list(recomputes)
+        return sum(a.nbytes for a in arrays.values())
 
-    monkeypatch.setattr(T, "Tape", RecomputeTape)
-    fused, fused_mlps = held()
+    fused = held()
     monkeypatch.setattr(T, "gated_matmul", lambda a, b, w: T.matmul(T.mul(a, b), w))
-    unfused, unfused_mlps = held()
+    unfused = held()
     itemsize = np.dtype(T.active_dtype()).itemsize
     assert unfused - fused == cfg.L * B * t * 2 * cfg.n_h * cfg.d_h * itemsize
-    assert len(fused_mlps) == len(unfused_mlps) == cfg.L
-    assert ([u - f for u, f in zip(unfused_mlps, fused_mlps)]
-            == [B * t * cfg.ffn_width * itemsize] * cfg.L)
 
 
 def _per_token_tape_bytes(cfg, B: int) -> int:
@@ -652,8 +749,8 @@ def _per_token_tape_bytes(cfg, B: int) -> int:
     projections and the QK norms' inverse norms; a gated mixer's core
     output, output-norm inverse norm and sigmoid gate, or else the merged
     heads; the token id.  Each attention layer adds one scale factor per
-    position, for the whole batch.  The SwiGLU MLP adds nothing: it runs
-    in a checkpoint that keeps only the pre-MLP norm's recipe.  Nothing in
+    position, for the whole batch.  The SwiGLU MLP adds nothing: its
+    record keeps only the pre-MLP norm's recipe and its weights.  Nothing in
     it is a norm's output, a rotated q or k, or a gated mixer's merged
     heads."""
     item = np.dtype(T.active_dtype()).itemsize
@@ -759,40 +856,34 @@ def test_rebuilt_arrays_are_freed_once_their_layers_backward_has_run(monkeypatch
 
 
 def test_backward_holds_one_layers_recomputed_mlp_at_a_time(monkeypatch):
-    """The arrays backward recomputes for layer l's MLP (the gate
-    pre-activation, its sigmoid and the up projection, each [B, T,
-    ffn_width]) are all freed by the time backward leaves layer l, before
-    any record of layer l - 1 runs, and none is left when it returns."""
+    """The arrays backward makes for layer l's MLP through ``T.matmul`` and
+    ``T._sigmoid_np`` (the gate pre-activation, its sigmoid and the up
+    projection, each [B, T, ffn_width]) are all freed by the time backward
+    leaves layer l, before any record of layer l - 1 runs, and none is left
+    when it returns."""
     import weakref
-
-    from hybridkit import model as hm
 
     T.set_precision("standard")
     cfg = tiny_hybrid(L=3, I_attn=(1,))
     model = init_model(cfg, seed=30)
     tokens = Rng(17).integers(0, cfg.vocab, size=(2, 9))
-    layer_of = {id(lw.mlp.w_gate.data): l for l, lw in enumerate(model.layers)}
+    layer_of = {id(w.data): l for l, lw in enumerate(model.layers)
+                for w in (lw.mlp.w_gate, lw.mlp.w_up)}
     made = {l: [] for l in range(cfg.L)}  # weakrefs to each layer's recomputed arrays
     current = []  # the layer whose MLP backward is recomputing
-    real_swiglu, real_matmul, real_sigmoid, real_norm = (hm._swiglu, T.matmul,
-                                                         T._sigmoid_np, T.rmsnorm)
+    in_backward = []
+    real_matmul, real_sigmoid, real_norm = T.matmul, T._sigmoid_np, T.rmsnorm
 
     def note(arr):
         if current and arr.shape[-1] == cfg.ffn_width:
             made[current[-1]].append(weakref.ref(arr))
         return arr
 
-    def swiglu(m, w_gate, *ws):
-        if T._TAPE_STACK[-1] is None:  # the forward, under no_record
-            return real_swiglu(m, w_gate, *ws)
-        current.append(layer_of[id(w_gate.data)])
-        out = real_swiglu(m, w_gate, *ws)
-        current.pop()
-        return out
-
     def matmul(a, b):
         out = real_matmul(a, b)
-        note(out.data)
+        if in_backward and id(b.data) in layer_of:
+            current[:] = [layer_of[id(b.data)]]
+            note(out.data)
         return out
 
     alive_leaving = {}  # layer -> liveness of the arrays made for it and above
@@ -809,17 +900,44 @@ def test_backward_holds_one_layers_recomputed_mlp_at_a_time(monkeypatch):
                 x = T.emit(x.data, [(x, probe(l))])
         return real_norm(x, gain, *args)
 
-    monkeypatch.setattr(hm, "_swiglu", swiglu)
     monkeypatch.setattr(T, "matmul", matmul)
     monkeypatch.setattr(T, "_sigmoid_np", lambda x: note(real_sigmoid(x)))
     monkeypatch.setattr(T, "rmsnorm", norm)
     with T.Tape() as tape:
         loss = T.sum_all(forward(model, tokens, scale_base=None))
+    in_backward.append(True)
     tape.backward(loss)
     assert [len(made[l]) for l in range(cfg.L)] == [3] * cfg.L
     assert sorted(alive_leaving) == list(range(cfg.L))
     assert not any(any(alive) for alive in alive_leaving.values())
     assert all(r() is None for refs in made.values() for r in refs)
+
+
+def test_backward_recomputes_the_gate_and_up_gemms_and_never_w_downs(monkeypatch):
+    """During backward of a taped hybrid forward, ``T.matmul`` runs exactly
+    two MLP GEMMs per layer, one layer at a time: the gate and up
+    projections.  None runs against w_down, so the MLP's output is never
+    rebuilt."""
+    cfg = tiny_hybrid(L=3, I_attn=(1,))
+    model = init_model(cfg, seed=31)
+    tokens = Rng(18).integers(0, cfg.vocab, size=(2, 9))
+    names = ("w_gate", "w_up", "w_down")
+    weight_of = {id(getattr(lw.mlp, n).data): (l, n)
+                 for l, lw in enumerate(model.layers) for n in names}
+    seen, in_backward = [], []
+    real_matmul = T.matmul
+
+    def matmul(a, b):
+        if in_backward and id(b.data) in weight_of:
+            seen.append(weight_of[id(b.data)])
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(T, "matmul", matmul)
+    with T.Tape() as tape:
+        loss = T.sum_all(forward(model, tokens, scale_base=None))
+    in_backward.append(True)
+    tape.backward(loss)
+    assert seen == [(l, n) for l in reversed(range(cfg.L)) for n in ("w_gate", "w_up")]
 
 
 # --------------------------------------------------------------------------

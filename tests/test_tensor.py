@@ -580,126 +580,6 @@ def test_gated_matmul_records_nothing_under_no_record():
 
 
 # --------------------------------------------------------------------------
-# checkpoint
-
-def _mlp(m, w_gate, w_up, w_down):
-    return T.gated_matmul(T.silu(T.matmul(m, w_gate)), T.matmul(m, w_up), w_down)
-
-
-def _mlp_operands(mode, x_grad=True, seed=23):
-    T.set_precision(mode)
-    rng = Rng(seed)
-    x = Tensor(rng.normal((2, 3, 5)), requires_grad=x_grad)
-    gain = Tensor(rng.normal((5,)), requires_grad=True)
-    ws = [Tensor(rng.normal(s), requires_grad=True) for s in ((5, 4), (5, 4), (4, 5))]
-    return x, gain, ws
-
-
-@BOTH_PRECISIONS
-@pytest.mark.parametrize("x_grad", [True, False], ids=["x_needs_grad", "weights_only"])
-def test_checkpoint_is_bitwise_the_unwrapped_composition(mode, x_grad):
-    """Output and every gradient equal fn's own bit for bit, with the
-    input a norm output that needs grad (kept as its recipe) and with a
-    constant input while only the weights need grad; fn runs once in the
-    forward and once in backward, for all inputs' gradients."""
-    x, gain, ws = _mlp_operands(mode, x_grad)
-    r = Tensor(Rng(24).normal((2, 3, 5)))
-    leaves = [x, gain, *ws] if x_grad else ws
-    calls = []
-
-    def fn(*inputs):
-        calls.append(len(inputs))
-        return _mlp(*inputs)
-
-    def run(wrap):
-        for t in leaves:
-            t.grad = None
-        with Tape() as tape:
-            m = T.rmsnorm(x, gain) if x_grad else x
-            y = wrap(fn, m, *ws)
-            loss = T.sum_all(T.mul(T.add(x, y), r))
-        tape.backward(loss)
-        return [y.data, *(t.grad for t in leaves)]
-
-    got = run(T.checkpoint)
-    assert calls == [4, 4]
-    ref = run(lambda f, *inputs: f(*inputs))
-    for g, want in zip(got, ref):
-        assert g.dtype == want.dtype
-        np.testing.assert_array_equal(g, want)
-
-
-@pytest.mark.parametrize("arg", [0, 1], ids=["x", "weight"])
-def test_checkpoint_finite_diff(arg):
-    """The gradient of the checkpointed input (x, or a weight while x needs
-    no grad) passes the oracle."""
-    rng = Rng(25)
-    operands = [T.tensor(rng.normal((3, 4))), T.tensor(rng.normal((4, 2)))]
-    rmat = T.tensor(rng.normal((3, 2)))
-
-    def f(t):
-        args = list(operands)
-        args[arg] = t
-        y = T.checkpoint(lambda a, b: T.matmul(T.silu(a), b), *args)
-        return T.add(T.sum_all(T.mul(y, rmat)), T.mul_const(T.sum_all(t), 0.5))
-
-    assert T.finite_diff_check(f, operands[arg], step=1e-4) < 1e-6
-
-
-def test_checkpoint_without_a_tape_or_under_no_record_is_a_plain_call():
-    """fn runs once, directly, and nothing is recorded: with no tape, inside
-    no_record, and on a tape when no input requires grad."""
-    x, gain, ws = _mlp_operands("extended")
-    calls = []
-
-    def fn(*inputs):
-        calls.append(T._TAPE_STACK[-1] if T._TAPE_STACK else None)
-        return _mlp(*inputs)
-
-    ref = _mlp(x, *ws).data
-    untaped = T.checkpoint(fn, x, *ws)
-    with Tape() as tape:
-        with T.no_record():
-            frozen = T.checkpoint(fn, x, *ws)
-        constant = T.checkpoint(fn, *(t.detach() for t in (x, *ws)))
-    assert calls == [None, None, tape]
-    assert tape._records == []
-    for out in (untaped, frozen, constant):
-        assert out._tape is None and not out.requires_grad
-        np.testing.assert_array_equal(out.data, ref)
-
-
-@BOTH_PRECISIONS
-def test_checkpoint_record_keeps_only_its_inputs_keep_values(mode):
-    """The record's inputs are the norm output (a node) and the weights
-    (leaves), and it holds only what ``keep`` gives for them: the norm's
-    recipe, whose one array beyond the parameters is the inverse norm.  So
-    the norm output, fn's activations and its output are freed once the
-    caller drops them."""
-    x, gain, ws = _mlp_operands(mode)
-    made = []
-
-    def fn(*inputs):
-        out = _mlp(*inputs)
-        made.append(weakref.ref(out.data))
-        return out
-
-    with Tape() as tape:
-        m = T.rmsnorm(x, gain)
-        y = T.checkpoint(fn, m, *ws)
-        m_buf, y_buf = weakref.ref(m.data), weakref.ref(y.data)
-        assert [src for src, _ in tape._records[-1]] == [m._node, *ws]
-        del m, y
-    assert m_buf() is None and y_buf() is None and made[0]() is None
-
-    class LastRecord:
-        _records = tape._records[-1:]
-
-    itemsize = np.dtype(T.active_dtype()).itemsize
-    assert tape_held_bytes(LastRecord, [x, gain, *ws]) == 2 * 3 * itemsize
-
-
-# --------------------------------------------------------------------------
 # finite differences
 
 def test_finite_diff_quadratic_exact():
