@@ -393,7 +393,7 @@ def cmd_eval(args) -> int:
     if args.task == "ppl" and args.samples is not None:
         raise ConfigError("--samples does not apply to --task ppl: perplexity reads "
                           "a fixed corpus of 8 documents")
-    lengths = _lengths(args.lengths or "256,512,1024")
+    lengths = _lengths("256,512,1024" if args.lengths is None else args.lengths)
     n_samples = 200 if args.samples is None else _positive_int("--samples", args.samples)
     scale, tag = _resolve_scale(args)
     model = load_model(args.ckpt)

@@ -36,13 +36,14 @@ module constant, since a tiling sets speed and memory, not what is computed.
 
 Each mixer's core is one tape record with a hand-written backward; the
 projections, norms, rotary encoding and output stage around it are ordinary
-ops.  Both forwards run their GEMMs through the public ``T.matmul``, and
-attention turns each query block's scores into probabilities in place with
-``T.softmax_inplace``, the kernel ``T.softmax_rows`` runs on its own copy
-(masking only the block's diagonal columns).  So outputs equal the
-composition of generic ops bit for bit, a tracer of ``T.matmul`` still sees
-every mixer GEMM, and attention holds one block of scores at a time.  With
-no tape, neither keeps anything.
+ops.  Each core's forward is one loop over arrays (``_attend``,
+``_lightning_scan``) that runs its GEMMs through ``T.mm``, the public
+``T.matmul`` recording nothing, and attention turns each query block's
+scores into probabilities in place with ``T.softmax_inplace``, the kernel
+``T.softmax_rows`` runs on its own copy (masking only the block's diagonal
+columns).  So outputs equal the composition of generic ops bit for bit, a
+tracer of ``T.matmul`` still sees every mixer GEMM, and attention holds one
+block of scores at a time.  With no tape, neither keeps anything.
 - The chunked Lightning core keeps q, k, v and the start state s0
   ([B, H, d_h, d_h]), and no per-chunk state.  Its backward first rebuilds
   each chunk's starting state with one forward sweep from s0 over K and V,
@@ -56,9 +57,14 @@ no tape, neither keeps anything.
   adds dK and dV into one buffer each (as FlashAttention-2 does, arXiv
   2307.08691).
 Gradients equal the composition's up to summation order.  Both cores keep
-q and k through ``T.keep``: on a tape they are QK-norm outputs (rotated,
-scaled), which backward rebuilds from their recipes (see ``tensor``), so
-neither core's record holds a q or k array of its own.
+q, k and v through ``T.keep``: on a tape q and k are QK-norm outputs,
+rotated and scaled, and v is a projection, all of which backward rebuilds
+from their recipes (see ``tensor``), so a core's record holds no array of
+its own but the Lightning start state.  Each core's recorded output
+carries a recipe that re-runs its forward loop on those, so the output
+norm or projection that reads it keeps no copy either: the q, k, v and
+gate projections and the core output are rebuilt once per layer in
+backward.
 """
 
 from __future__ import annotations
@@ -277,12 +283,6 @@ def _finish_output(x: Tensor, o_heads: Tensor, w: MixerWeights) -> Tensor:
     return T.matmul(o, T.swap_last(w.w_o))
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The public ``T.matmul`` on two arrays, so that a mixer core's GEMMs
-    are the calls (and the values) the composed ops ran."""
-    return T.matmul(Tensor(a, dtype=a.dtype), Tensor(b, dtype=b.dtype)).data
-
-
 # Rows per causal query block.  Small blocks skip more of the masked
 # triangle (at T = 512, 128-row blocks compute 10/16 of the full score
 # matrix) and keep each block's scores near cache size; 2048 skipped
@@ -311,10 +311,22 @@ def _query_blocks(Q, K, V, offset: int, block: int):
         kt_b = kt if keys == tk else kt[..., :keys]
         v_b = V if keys == tk else V[:, :, :keys]
         q_b = (Q if rows == tq else Q[:, :, :, row0:row0 + rows]).reshape(b, n_kv, g * rows, d_h)
-        p = _mm(q_b, kt_b)
+        p = T.mm(q_b, kt_b)
         T.softmax_inplace(p.reshape(b, n_kv, g, rows, keys), True, offset + row0)
         yield row0, rows, keys, q_b, kt_b, v_b, p
         del p
+
+
+def _attend(Q, K, V, offset: int, block: int) -> np.ndarray:
+    """The causal attention output over Q [B, n_kv, g, Tq, d_h] and K, V
+    [B, n_kv, Tk, d_h], one query block of `block` rows at a time: the one
+    loop that the core's forward runs and its output's recipe re-runs."""
+    b, n_kv, g, tq, d_h = Q.shape
+    o = np.empty(Q.shape, dtype=Q.dtype)
+    for row0, rows, _, _, _, v_b, p in _query_blocks(Q, K, V, offset, block):
+        o[:, :, :, row0:row0 + rows] = T.mm(p, v_b).reshape(b, n_kv, g, rows, d_h)
+        del p
+    return o
 
 
 def _causal_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor:
@@ -322,40 +334,37 @@ def _causal_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor:
     [B, n_kv, Tk, d_h], where `offset` keys precede the first query row, as
     one op.
 
-    The record keeps q and k (or their recipes) and v.  Backward recomputes
-    each block's probabilities with the forward's calls, so they are the
-    forward's bit for bit, and adds dK and dV into one buffer each.
+    The record keeps q, k and v (or their recipes), and a recorded output
+    carries a recipe that re-runs the forward (``_attend``) on them.
+    Backward recomputes each block's probabilities with the forward's calls,
+    so they are the forward's bit for bit, and adds dK and dV into one
+    buffer each.
     """
-    Q, K, V = q.data, k.data, v.data
-    b, n_kv, g, tq, d_h = Q.shape
+    b, n_kv, g, tq, d_h = q.shape
     block = _QUERY_BLOCK
-    o = np.empty(Q.shape, dtype=Q.dtype)
-    with T.no_record():
-        for row0, rows, _, _, _, v_b, p in _query_blocks(Q, K, V, offset, block):
-            o[:, :, :, row0:row0 + rows] = _mm(p, v_b).reshape(b, n_kv, g, rows, d_h)
-            del p
-    kq, kk = T.keep(q), T.keep(k)
+    o = _attend(q.data, k.data, v.data, offset, block)
+    kq, kk, kv = T.keep(q), T.keep(k), T.keep(v)
 
     def backward(gout):
-        Q, K = T.unpack(kq), T.unpack(kk)
+        Q, K, V = T.unpack(kq), T.unpack(kk), T.unpack(kv)
         dq = np.empty(Q.shape, dtype=Q.dtype)
         dk, dv = np.zeros(K.shape, dtype=K.dtype), np.zeros(V.shape, dtype=V.dtype)
-        with T.no_record():
-            for row0, rows, keys, q_b, kt_b, v_b, p in _query_blocks(Q, K, V, offset, block):
-                g_b = gout[:, :, :, row0:row0 + rows].reshape(b, n_kv, g * rows, d_h)
-                dv[:, :, :keys] += p.swapaxes(-1, -2) @ g_b
-                # softmax backward, as softmax_rows': p * (dp - sum(dp * p))
-                dp = g_b @ v_b.swapaxes(-1, -2)
-                ds = dp * p
-                np.subtract(dp, ds.sum(axis=-1, keepdims=True), out=ds)
-                ds *= p
-                dq[:, :, :, row0:row0 + rows] = (ds @ kt_b.swapaxes(-1, -2)).reshape(
-                    b, n_kv, g, rows, d_h)
-                dk[:, :, :keys] += ds.swapaxes(-1, -2) @ q_b
-                del p, dp, ds
+        for row0, rows, keys, q_b, kt_b, v_b, p in _query_blocks(Q, K, V, offset, block):
+            g_b = gout[:, :, :, row0:row0 + rows].reshape(b, n_kv, g * rows, d_h)
+            dv[:, :, :keys] += p.swapaxes(-1, -2) @ g_b
+            # softmax backward, as softmax_rows': p * (dp - sum(dp * p))
+            dp = g_b @ v_b.swapaxes(-1, -2)
+            ds = dp * p
+            np.subtract(dp, ds.sum(axis=-1, keepdims=True), out=ds)
+            ds *= p
+            dq[:, :, :, row0:row0 + rows] = (ds @ kt_b.swapaxes(-1, -2)).reshape(
+                b, n_kv, g, rows, d_h)
+            dk[:, :, :keys] += ds.swapaxes(-1, -2) @ q_b
+            del p, dp, ds
         return dq, dk, dv
 
-    return T.emit(o, list(zip((q, k, v), T.joint_vjps(3, backward))))
+    return T.emit(o, list(zip((q, k, v), T.joint_vjps(3, backward))),
+                  (_attend, (kq, kk, kv, offset, block)))
 
 
 # --------------------------------------------------------------------------
@@ -499,7 +508,31 @@ def _next_state(s: np.ndarray, kc: np.ndarray, vc: np.ndarray, g_rev: np.ndarray
                 g_all: np.ndarray) -> np.ndarray:
     """The Lightning state after chunk (kc, vc) from state s: the one update
     that the chunked forward runs and its backward re-runs."""
-    return s * g_all + _mm((kc * g_rev).swapaxes(-1, -2), vc)
+    return s * g_all + T.mm((kc * g_rev).swapaxes(-1, -2), vc)
+
+
+def _lightning_scan(Q, K, V, s0: np.ndarray, gammas: np.ndarray,
+                    chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Lightning recurrence over Q, K, V [B, H, T, d_h] from the state s0
+    in chunks of `chunk` tokens: (output, final state).  The one loop that
+    the core's forward runs and its output's recipe re-runs."""
+    dtype, t = Q.dtype, Q.shape[2]
+    s = s0
+    o = np.empty(Q.shape, dtype=dtype)
+    for lo in range(0, t, chunk):
+        hi = min(lo + chunk, t)
+        g_in, g_mask, g_rev, g_all = _decay_tables(gammas, hi - lo, dtype)
+        qc, kc, vc = Q[:, :, lo:hi], K[:, :, lo:hi], V[:, :, lo:hi]
+        inter = T.mm(qc * g_in, s)
+        intra = T.mm(T.mm(qc, kc.swapaxes(-1, -2)) * g_mask, vc)
+        o[:, :, lo:hi] = inter + intra
+        s = _next_state(s, kc, vc, g_rev, g_all)
+    return o, s
+
+
+def _lightning_output(*args) -> np.ndarray:
+    """``_lightning_scan``'s output alone: the core output's recipe."""
+    return _lightning_scan(*args)[0]
 
 
 def _lightning_chunks(q: Tensor, k: Tensor, v: Tensor, s0: np.ndarray,
@@ -507,34 +540,25 @@ def _lightning_chunks(q: Tensor, k: Tensor, v: Tensor, s0: np.ndarray,
     """One op: the Lightning recurrence over q, k, v [B, H, T, d_h] from the
     start state s0 in chunks of _CHUNK tokens; returns output and final state.
 
-    The record keeps q and k (or their recipes), v and s0.  Backward first
-    rebuilds each chunk's starting state with the forward's state update,
-    then walks the chunks in reverse carrying dS, the gradient of the state
-    after the chunk, and recomputes the decay-masked intra-chunk scores.
+    The record keeps q, k and v (or their recipes) and s0, and a recorded
+    output carries a recipe that re-runs the forward (``_lightning_scan``)
+    on them.  Backward first rebuilds each chunk's starting state with the
+    forward's state update, then walks the chunks in reverse carrying dS,
+    the gradient of the state after the chunk, and recomputes the
+    decay-masked intra-chunk scores.
     """
-    Q, K, V = q.data, k.data, v.data
-    dtype, t, chunk = Q.dtype, Q.shape[2], _CHUNK
-    s = s0 = np.asarray(s0, dtype=dtype)
-    o = np.empty(Q.shape, dtype=dtype)
-    with T.no_record():
-        for lo in range(0, t, chunk):
-            hi = min(lo + chunk, t)
-            g_in, g_mask, g_rev, g_all = _decay_tables(gammas, hi - lo, dtype)
-            qc, kc, vc = Q[:, :, lo:hi], K[:, :, lo:hi], V[:, :, lo:hi]
-            inter = _mm(qc * g_in, s)
-            intra = _mm(_mm(qc, kc.swapaxes(-1, -2)) * g_mask, vc)
-            o[:, :, lo:hi] = inter + intra
-            s = _next_state(s, kc, vc, g_rev, g_all)
-    kq, kk = T.keep(q), T.keep(k)
+    dtype, t, chunk = q.dtype, q.shape[2], _CHUNK
+    s0 = np.asarray(s0, dtype=dtype)
+    o, s = _lightning_scan(q.data, k.data, v.data, s0, gammas, chunk)
+    kq, kk, kv = T.keep(q), T.keep(k), T.keep(v)
 
     def backward(g):
-        Q, K = T.unpack(kq), T.unpack(kk)
+        Q, K, V = T.unpack(kq), T.unpack(kk), T.unpack(kv)
         starts = [s0]  # each chunk's starting state, rebuilt
-        with T.no_record():
-            for lo in range(chunk, t, chunk):
-                _, _, g_rev, g_all = _decay_tables(gammas, chunk, dtype)
-                starts.append(_next_state(starts[-1], K[:, :, lo - chunk:lo],
-                                          V[:, :, lo - chunk:lo], g_rev, g_all))
+        for lo in range(chunk, t, chunk):
+            _, _, g_rev, g_all = _decay_tables(gammas, chunk, dtype)
+            starts.append(_next_state(starts[-1], K[:, :, lo - chunk:lo],
+                                      V[:, :, lo - chunk:lo], g_rev, g_all))
         dq, dk, dv = (np.empty(Q.shape, dtype=dtype) for _ in range(3))
         ds = None  # gradient of the state after the chunk; none after the last
         for i in reversed(range(len(starts))):
@@ -555,7 +579,8 @@ def _lightning_chunks(q: Tensor, k: Tensor, v: Tensor, s0: np.ndarray,
                 ds = ds_in if ds is None else ds_in + ds * g_all
         return dq, dk, dv
 
-    return T.emit(o, list(zip((q, k, v), T.joint_vjps(3, backward)))), s
+    return T.emit(o, list(zip((q, k, v), T.joint_vjps(3, backward))),
+                  (_lightning_output, (kq, kk, kv, s0, gammas, chunk))), s
 
 
 def lightning_forward_chunked(

@@ -16,7 +16,12 @@ and training runs `forward(..., scale_base=None)`.  How the mixers tile
 time is a constant of `mixers`: it never changes what a model computes.
 The SwiGLU MLP is one tape record (`_swiglu`) that keeps its input's
 recipe and its weights, and recomputes the gate and up projections in
-backward, so training keeps none of its ffn_width-wide activations.
+backward, so training keeps none of its ffn_width-wide activations.  A
+training tape keeps only the residual stream (each layer's X and H, and
+the final norm's input) and the norms' inverse norms; backward rebuilds
+everything else one layer at a time from them (see ``tensor``): the norm
+outputs, the mixer's q, k, v and gate projections, its gate sigmoid, its
+core's output and its merged output heads.
 
 One layer computes (all norms are RMSNorm):
     H = Mixer(Norm(X)) + X
@@ -376,7 +381,7 @@ def _swiglu(m: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
 
     def backward(g):
         M = T.unpack(km)
-        act = mixers._mm(M, Wg)
+        act = T.mm(M, Wg)
         s = T._sigmoid_np(act)
         act *= s  # silu(a)
         # silu's derivative s + silu(a) * (1 - s), built as silu's vjp builds it
@@ -384,7 +389,7 @@ def _swiglu(m: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
         da *= act
         da += s
         del s
-        b = mixers._mm(M, Wu)
+        b = T.mm(M, Wu)
         g2 = g.reshape(-1, d)
         dw_down = (act * b).reshape(-1, f).T @ g2
         gp = (g2 @ Wd.T).reshape(b.shape)  # the gradient of silu(a) * b
@@ -413,9 +418,12 @@ def _advance(model: Model, tokens: np.ndarray, session: DecodeSession | None,
     computes its queries for that position alone.  The final residual add,
     MLP, norm and unembedding then run on the last position only.
 
-    The SwiGLU MLP is one op (`_swiglu`): a tape keeps only its input, the
-    pre-MLP norm's recipe, and its weights, and backward recomputes the gate
-    and up projections and the activation one layer at a time.
+    On a tape, each layer keeps only its residual stream, X and H, and its
+    norms' inverse norms.  The SwiGLU MLP is one op (`_swiglu`): it keeps
+    only its input, the pre-MLP norm's recipe, and its weights, and
+    backward recomputes the gate and up projections and the activation.
+    The mixer's projections, gate and core output are rebuilt from their
+    recipes, also one layer at a time.
     """
     tokens = _token_ids(tokens)
     start_pos = session.pos if session is not None else 0

@@ -18,28 +18,31 @@ records a * b @ w as one op, and backward recomputes the product from a and
 b, which the tape holds anyway.
 
 What a tape keeps, and what it rebuilds:
-- Kept: GEMM outputs (v among them), each RMSNorm's input (the residual
-  stream, the q and k projections, the mixer cores' outputs) and inverse
-  norm, and the mixers' output-gate sigmoids.  Each would cost a GEMM, a
-  reduction or a transcendental to rebuild.
+- Kept: the residual stream, as the input of each norm that reads it (the
+  embedding and each layer's X and H), and every RMSNorm's inverse norm.
+  Rebuilding either would cost a whole layer.
+- Everything else of the model's width is rebuilt once per layer in
+  backward.  An op's output gets a ``Recipe`` when the op is recorded:
+  its forward expression and its operands, not its output.  ``rmsnorm``
+  builds one over ``keep(x)``, the inverse norm and the gain; ``matmul``
+  against a 2-D B (a weight), ``sigmoid``, ``reshape``, ``permute``,
+  ``mul_const`` and ``positional.rope_apply`` build one when their input
+  has one, and each mixer core builds one that re-runs its forward.  So
+  the norms' outputs, the q, k, v and gate projections, rotated and scaled
+  q and k, the gate sigmoids, the cores' outputs and merged output heads
+  are rebuilt, not kept.  A rebuilt GEMM runs through the public
+  ``matmul`` (``mm``), so a tracer of it counts the recompute.
 - The SwiGLU MLP (``model._swiglu``) is one record that keeps only its
-  input and weights and recomputes its gate and up projections in
-  backward, so none of its ffn_width-wide activations is kept.
-- An output that is a cheap elementwise or layout function of arrays the
-  tape keeps anyway gets a ``Recipe`` when its op is recorded: the op's
-  forward expression and its operands, not its output.  ``rmsnorm`` builds
-  one from the X, inverse norm and gain its own record keeps; ``reshape``,
-  ``permute``, ``mul_const`` and ``positional.rope_apply`` build one when
-  their input has one.  So the norms' outputs (pre-mixer, pre-MLP, QK and
-  output norms, the final norm), rotated and scaled q and k, and merged
-  output heads are rebuilt, not kept.
+  input's recipe and its weights and recomputes its gate and up
+  projections in backward, so none of its ffn_width-wide activations is
+  kept.
 - A consumer that keeps an input for backward keeps ``keep(x)``, the
   input's recipe in place of its array when it has one: ``matmul``'s A,
-  ``gated_matmul``'s a and b, the q and k of the two mixer cores, and the
-  MLP's input.  It reads the array back with ``unpack``.  A
-  recipe runs once per backward, on the forward's own operands, so its
-  result is the forward's bit for bit; it is memoised until the last
-  record that holds it is popped.
+  ``rmsnorm``'s x, ``sigmoid``'s own output, ``gated_matmul``'s a and b,
+  the q, k and v of the two mixer cores, and the MLP's input.  It reads
+  the array back with ``unpack``.  A recipe runs once per backward, on the
+  forward's own operands, so its result is the forward's bit for bit; it
+  is memoised until the last record that holds it is popped.
 Untaped computation builds no recipe: ``Tape.record`` attaches them.
 
 Ops outside this module are written on ``emit``, the same way.  One record
@@ -476,16 +479,22 @@ def _sigmoid_np(X: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Elementwise logistic sigmoid; accuracy and range as in ``_sigmoid_np``."""
-    out = _sigmoid_np(x.data)
+    """Elementwise logistic sigmoid; accuracy and range as in ``_sigmoid_np``.
 
+    A recorded output carries a recipe when x has one, and the record reads
+    the sigmoid back through that same recipe, so a consumer that keeps it
+    too (``gated_matmul``'s gate) shares one rebuild and no copy is kept.
+    """
     def dx(g):
-        d = 1.0 - out
-        d *= out
+        s = unpack(ks)  # the output, kept as its own recipe when it has one
+        d = 1.0 - s
+        d *= s
         d *= g
         return d
 
-    return emit(out, [(x, dx)])
+    out = emit(_sigmoid_np(x.data), [(x, dx)], derive(x, _sigmoid_np))
+    ks = keep(out)
+    return out
 
 
 def silu(x: Tensor) -> Tensor:
@@ -612,7 +621,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def db(g):
             return _unbroadcast(unpack(ka).swapaxes(-1, -2) @ g, b_shape)
 
-    return emit(out, [(a, da), (b, db)])
+    # against a 2-D B (a weight, which the record keeps anyway) the output is
+    # rebuilt from A's recipe with one GEMM
+    return emit(out, [(a, da), (b, db)], derive(a, mm, B) if B.ndim == 2 else None)
+
+
+def mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B through the public ``matmul``, recording nothing: the GEMMs an
+    op runs on arrays (the mixer cores', the MLP record's) and a rebuilt
+    ``matmul`` output.  So each is the call, and the value, of the op it
+    stands for, and a tracer of ``matmul`` sees every one."""
+    with no_record():
+        return matmul(Tensor(A, dtype=A.dtype), Tensor(B, dtype=B.dtype)).data
 
 
 def gated_matmul(a: Tensor, b: Tensor, w: Tensor) -> Tensor:
@@ -667,8 +687,8 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
 
     `gain` may carry leading axes of size 1 (or fewer axes) and is broadcast
     into x's shape, which the output keeps; its last axis must match x's.
-    A recorded output carries a recipe over the X, inverse norm and gain
-    the record keeps anyway.
+    The record keeps ``keep(x)``, the inverse norm and the gain, and a
+    recorded output carries a recipe over those three.
     """
     X, G = x.data, gain.data
     if G.shape[-1] != X.shape[-1]:
@@ -681,9 +701,11 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
     out = _rmsnorm_out(X, inv, G)
+    kx = keep(x)
 
     def dx(g):
         # g*G*inv - X * inv^3 * mean(g*G*X), built on the g*G buffer
+        X = unpack(kx)
         d = g * G
         c = np.einsum("...i,...i->...", d, X)[..., None]
         c *= inv ** 3
@@ -695,11 +717,11 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     gain_shape = G.shape
 
     def dgain(g):
-        d = X * inv
+        d = unpack(kx) * inv
         d *= g
         return _unbroadcast(d, gain_shape)
 
-    return emit(out, [(x, dx), (gain, dgain)], (_rmsnorm_out, (X, inv, G)))
+    return emit(out, [(x, dx), (gain, dgain)], (_rmsnorm_out, (kx, inv, G)))
 
 
 def softmax_rows(x: Tensor, causal: bool = False, offset: int = 0) -> Tensor:

@@ -140,6 +140,19 @@ def tape_held_arrays(tape, params=()) -> dict:
     return held
 
 
+def cached_tables() -> list:
+    """The read-only tables that rotary encoding (``positional._ROPE_TABLES``)
+    and the Lightning core (``mixers._DECAY_TABLES``) build once per key and
+    share between calls, as Tensors: pass them to ``tape_held_arrays`` with
+    the parameters, since a tape that reads one holds no copy of it."""
+    from hybridkit import mixers, positional
+
+    tables = [*positional._ROPE_TABLES.values()]
+    for group in mixers._DECAY_TABLES.values():
+        tables.extend(group)
+    return [T.Tensor(t, dtype=t.dtype) for t in tables]
+
+
 def tape_held_bytes(tape, params=()) -> int:
     """Bytes of the arrays `tape_held_arrays` finds, each base once."""
     return sum(a.nbytes for a in tape_held_arrays(tape, params).values())

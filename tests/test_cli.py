@@ -1062,6 +1062,7 @@ def test_model_config_run_config_and_header_name_the_same_keys(tiny_ckpt):
 
 @pytest.mark.parametrize("argv,flag", [
     (["eval", "--lengths", "512,256"], "sorted ascending"),
+    (["eval", "--lengths", ""], "--lengths"),
     (["eval", "--samples", "0"], "--samples"),
     (["bench", "--reps", "0"], "--reps"),
     (["bench", "--decode-tokens", "0"], "--decode-tokens"),

@@ -809,6 +809,56 @@ def test_attention_op_finite_diff(monkeypatch, tq, offset):
         assert err < 1e-4, f"{name}: {err:.2e}"
 
 
+def _core_runs(core, rng):
+    """Leaves q, k, v and a run(q, k, v) -> output of one mixer core, with
+    two query blocks or chunks and a carried start."""
+    b, d_h = 2, 3
+    if core == "attention":
+        offset, tq = 2, 7
+        shapes = [(b, 2, 2, tq, d_h), (b, 2, offset + tq, d_h), (b, 2, offset + tq, d_h)]
+        return _leaves(rng, *shapes), lambda *qkv: mixers._causal_attention(*qkv, offset)
+    t, h = 2 * LIGHTNING_C + 1, 2
+    s0 = rng.child(9).normal((b, h, d_h, d_h))
+    return (_leaves(rng, *[(b, h, t, d_h)] * 3),
+            lambda *qkv: mixers._lightning_chunks(*qkv, s0, gamma_slopes(h))[0])
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("core", ["attention", "lightning"])
+def test_core_output_recipe_rebuilds_it_bit_for_bit(monkeypatch, mode, core):
+    """A recorded core output carries a recipe, and ``unpack(keep(o))``
+    re-runs the forward to o's bits; untaped, no recipe is built."""
+    monkeypatch.setattr(mixers, "_CHUNK", LIGHTNING_C)
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
+    T.set_precision(mode)
+    leaves, run = _core_runs(core, Rng(123))
+    with Tape():
+        o = run(*leaves)
+    assert isinstance(T.keep(o), T.Recipe)
+    np.testing.assert_array_equal(T.unpack(T.keep(o)), o.data)
+    assert run(*leaves)._recipe is None
+
+
+@pytest.mark.parametrize("core", ["attention", "lightning"])
+def test_core_finite_diff_through_its_rebuilt_output(monkeypatch, core):
+    """With the output read through an RMSNorm, whose record keeps the
+    output's recipe, backward rebuilds the output; each of q, k and v still
+    passes the f64 oracle."""
+    monkeypatch.setattr(mixers, "_CHUNK", LIGHTNING_C)
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
+    rng = Rng(124)
+    leaves, run = _core_runs(core, rng)
+    gain = T.tensor(rng.child(7).normal((3,)))
+    probe = T.tensor(rng.child(8).normal(leaves[0].shape))
+    for i, name in enumerate("qkv"):
+        def f(x):
+            o = run(*leaves[:i], x, *leaves[i + 1:])
+            return T.sum_all(T.mul(T.rmsnorm(o, gain), probe))
+
+        err = T.finite_diff_check(f, leaves[i])
+        assert err < 1e-4, f"{name}: {err:.2e}"
+
+
 def _mixer_grads(run, x, w, probe):
     """Output and gradients (x, then every weight) of sum(run(x) * probe)."""
     return _probe_grads(lambda: run(x), [x] + [t for _, t in w.named()], probe)

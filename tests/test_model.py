@@ -9,13 +9,13 @@ from hybridkit.mixers import KvCache, last_position
 from hybridkit.model import (DecodeSession, Model, ModelConfig, _swiglu,
                              choice_logprobs, capture_many, decode_step,
                              desk_config, forward, generate_greedy,
-                             init_hybrid_from_teacher, init_model, new_session,
-                             prefill, transformer_config, with_scaling)
+                             init_hybrid_from_teacher, init_model, mixer_layout,
+                             new_session, prefill, transformer_config, with_scaling)
 from hybridkit.positional import RopeParams, ScaleBase
 from hybridkit.tensor import ConfigError, Rng
 
-from conftest import (_base_array, max_rel_err, reference_choice_logprobs,
-                      tape_held_arrays, tape_held_bytes)
+from conftest import (_base_array, cached_tables, max_rel_err,
+                      reference_choice_logprobs, tape_held_arrays, tape_held_bytes)
 from test_mixers import attention_loop_oracle, lightning_cumsum_oracle, _np_rms
 
 TINY = dict(d=16, d_h=4, n_h=4, n_kv_heads=2, ffn_width=24, vocab=32,
@@ -713,11 +713,11 @@ def test_mlp_record_keeps_only_its_inputs_recipe_and_its_weights(mode):
 @pytest.mark.parametrize("mode", ["standard", "extended"])
 def test_training_tape_keeps_no_gated_product(mode, monkeypatch):
     """Per layer, the tape holds neither the gated mixer output o * sigmoid(z)
-    ([B, T, n_h * d_h]) nor the merged heads o (kept as a recipe): against
-    the unfused composition, whose ``mul`` keeps its operands and whose
-    ``matmul`` keeps the product, it holds exactly two [B, T, n_h * d_h]
-    arrays less per layer.  Either way the MLP record keeps no
-    ffn_width-wide array."""
+    ([B, T, n_h * d_h]) nor its two factors (each kept as a recipe):
+    against the unfused composition, whose ``mul`` keeps both factors'
+    arrays and whose ``matmul`` keeps the product, it holds exactly three
+    [B, T, n_h * d_h] arrays less per layer.  Either way the MLP record
+    keeps no ffn_width-wide array."""
     import hybridkit.mixers as mixers
 
     monkeypatch.setattr(mixers, "_CHUNK", 4)
@@ -731,7 +731,7 @@ def test_training_tape_keeps_no_gated_product(mode, monkeypatch):
     def held():
         with T.Tape() as tape:
             loss = T.sum_all(forward(model, tokens))
-        arrays = tape_held_arrays(tape, model.parameters())
+        arrays = tape_held_arrays(tape, [*model.parameters(), *cached_tables()])
         assert not any(a.shape[-1:] == (cfg.ffn_width,) for a in arrays.values())
         tape.backward(loss)
         return sum(a.nbytes for a in arrays.values())
@@ -740,19 +740,20 @@ def test_training_tape_keeps_no_gated_product(mode, monkeypatch):
     monkeypatch.setattr(T, "gated_matmul", lambda a, b, w: T.matmul(T.mul(a, b), w))
     unfused = held()
     itemsize = np.dtype(T.active_dtype()).itemsize
-    assert unfused - fused == cfg.L * B * t * 2 * cfg.n_h * cfg.d_h * itemsize
+    assert unfused - fused == cfg.L * B * t * 3 * cfg.n_h * cfg.d_h * itemsize
 
 
 def _per_token_tape_bytes(cfg, B: int) -> int:
-    """What a training tape holds per token of `forward`, by design, summed
-    over layers: each norm's input and inverse norm; the q, k and v
-    projections and the QK norms' inverse norms; a gated mixer's core
-    output, output-norm inverse norm and sigmoid gate, or else the merged
-    heads; the token id.  Each attention layer adds one scale factor per
-    position, for the whole batch.  The SwiGLU MLP adds nothing: its
-    record keeps only the pre-MLP norm's recipe and its weights.  Nothing in
-    it is a norm's output, a rotated q or k, or a gated mixer's merged
-    heads."""
+    """What a training tape holds per token of `forward`, by design: the
+    residual stream and the inverse norms.  That is each residual norm's
+    input and inverse norm (the final norm, and per layer the pre-mixer and
+    pre-MLP norms), per layer the QK norms' inverse norms and a gated
+    mixer's output-norm inverse norm, and the token id.  Each attention
+    layer adds one scale factor per position, for the whole batch.  Every
+    other array is rebuilt: no projection output, norm output, rotated q or
+    k, gate sigmoid, core output or merged output heads, and nothing of the
+    SwiGLU MLP, whose record keeps only the pre-MLP norm's recipe and its
+    weights."""
     item = np.dtype(T.active_dtype()).itemsize
     elems = cfg.d + 1  # final norm
     for l in range(cfg.L):
@@ -760,8 +761,8 @@ def _per_token_tape_bytes(cfg, B: int) -> int:
         n_kv = cfg.n_kv_heads if attn else cfg.n_h
         gated = not attn or cfg.arch == "hypenet"
         elems += 2 * (cfg.d + 1)  # pre-mixer and pre-MLP norms
-        elems += (cfg.n_h + 2 * n_kv) * cfg.d_h + cfg.n_h + n_kv  # q, k, v; QK norms
-        elems += (2 * cfg.n_h * cfg.d_h + cfg.n_h) if gated else cfg.n_h * cfg.d_h
+        elems += cfg.n_h + n_kv  # QK norms
+        elems += cfg.n_h if gated else 0  # output norm
     return B * (elems * item + 8) + len(cfg.I_attn) * item
 
 
@@ -771,11 +772,12 @@ def test_training_tape_holds_exact_bytes_per_token_and_no_rebuildable_output(
         mode, arch, monkeypatch):
     """The tape after a forward grows by exactly `_per_token_tape_bytes`
     per token, over several Lightning chunks and attention query blocks,
-    and no record holds the arrays backward rebuilds: norm outputs (h_in,
-    m_in, the final norm, QK norms), rotated q and k, the scaled attention
-    q, or a gated mixer's merged output heads."""
+    and no record holds an array that backward rebuilds: the q, k, v and
+    gate projections (every recorded ``matmul`` output), norm outputs
+    (h_in, m_in, the final norm, QK and output norms), rotated q and k, the
+    scaled attention q, the gate sigmoids, either core's output, or merged
+    output heads.  Each of them carries a recipe."""
     import hybridkit.mixers as mixers
-    from hybridkit.positional import _ROPE_TABLES
 
     monkeypatch.setattr(mixers, "_CHUNK", 4)
     monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
@@ -789,29 +791,181 @@ def test_training_tape_holds_exact_bytes_per_token_and_no_rebuildable_output(
     def collect(fn):
         def wrapper(*args, **kwargs):
             out = fn(*args, **kwargs)
-            rebuilt.append(out)
+            tensor = out[0] if isinstance(out, tuple) else out  # the Lightning core's state
+            if tensor.requires_grad:  # recorded, not a GEMM run under no_record
+                rebuilt.append(tensor)
             return out
         return wrapper
 
-    monkeypatch.setattr(T, "rmsnorm", collect(T.rmsnorm))
-    monkeypatch.setattr(T, "mul_const", collect(T.mul_const))
-    monkeypatch.setattr(mixers, "rope_apply", collect(mixers.rope_apply))
-    if arch == "hypenet":  # every mixer is gated
-        monkeypatch.setattr(mixers, "_merge_heads", collect(mixers._merge_heads))
+    for owner, name in ((T, "matmul"), (T, "rmsnorm"), (T, "mul_const"), (T, "sigmoid"),
+                        (mixers, "rope_apply"), (mixers, "_merge_heads"),
+                        (mixers, "_causal_attention"), (mixers, "_lightning_chunks")):
+        monkeypatch.setattr(owner, name, collect(getattr(owner, name)))
 
     def held(t):
         rebuilt.clear()
         tokens = Rng(15).integers(0, cfg.vocab, size=(B, t))
         with T.Tape() as tape:
             forward(model, tokens, scale_base=None)
-        tables = [T.Tensor(tbl, dtype=tbl.dtype) for tbl in _ROPE_TABLES.values()]
-        arrays = tape_held_arrays(tape, [*model.parameters(), *tables])
+        arrays = tape_held_arrays(tape, [*model.parameters(), *cached_tables()])
         assert rebuilt and all(r._recipe is not None for r in rebuilt)
         assert not any(id(_base_array(r.data)) in arrays for r in rebuilt)
         return sum(a.nbytes for a in arrays.values())
 
     t1, t2 = 6, 13
-    assert held(t2) - held(t1) == (t2 - t1) * _per_token_tape_bytes(cfg, B)
+    per_token = _per_token_tape_bytes(cfg, B)
+    # worked by hand: 2 x (97 or 153 floats + an 8-byte id) + one scale per attention layer
+    assert per_token == {("transformer", "standard"): 800, ("transformer", "extended"): 1584,
+                         ("hypenet", "standard"): 1244, ("hypenet", "extended"): 2472}[arch, mode]
+    assert held(t2) - held(t1) == (t2 - t1) * per_token
+
+
+def _assert_bitwise_as_built_and_fully_kept(monkeypatch, run):
+    """run() -> (loss, grads) gives the same arrays, bit for bit, as built
+    and with ``T.keep`` patched to keep every array, so that backward
+    rebuilds nothing."""
+    loss, grads = run()
+    with monkeypatch.context() as m:
+        m.setattr(T, "keep", lambda x: x.data)
+        loss_kept, grads_kept = run()
+    np.testing.assert_array_equal(loss, loss_kept)
+    for g, g_kept in zip(grads, grads_kept, strict=True):
+        np.testing.assert_array_equal(g, g_kept)
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("arch", ["transformer", "hypenet"])
+def test_rebuilt_arrays_give_the_kept_arrays_loss_and_gradients_bit_for_bit(
+        mode, arch, monkeypatch):
+    """A cross-entropy forward and backward over several chunks and query
+    blocks gives the same loss and every parameter gradient, bit for bit,
+    whether the tape rebuilds its arrays or keeps them all."""
+    import hybridkit.mixers as mixers
+
+    monkeypatch.setattr(mixers, "_CHUNK", 4)
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
+    T.set_precision(mode)
+    cfg = (transformer_config(**TINY, L=2) if arch == "transformer"
+           else tiny_hybrid(L=3, I_attn=(1,)))
+    model = init_model(cfg, seed=32)
+    tokens = Rng(19).integers(0, cfg.vocab, size=(2, 12))
+
+    def run():
+        for p in model.parameters():
+            p.grad = None
+        with T.Tape() as tape:
+            loss = T.cross_entropy(forward(model, tokens[:, :-1], scale_base=None),
+                                   tokens[:, 1:])
+        tape.backward(loss)
+        return loss.data, [p.grad for p in model.parameters()]
+
+    _assert_bitwise_as_built_and_fully_kept(monkeypatch, run)
+
+
+def test_a_desk_distillation_step_is_bitwise_the_fully_kept_tapes(monkeypatch):
+    """One stage-2 step at the desk config (seed 1, B = 2, T = 256, f32):
+    the KL loss and every gradient are the fully kept tape's bit for bit."""
+    from hybridkit.data import StreamConfig, TokenStream
+
+    T.set_precision("standard")
+    teacher = init_model(transformer_config(), seed=1)
+    hybrid = init_hybrid_from_teacher(teacher, (0, 4), seed=1)
+    x = TokenStream(StreamConfig(kind="niah_mix", context_len=256, batch_size=2,
+                                 seed=1)).batch(0)[:, :-1]
+    ref = forward(teacher, x).data
+
+    def run():
+        for p in hybrid.parameters():
+            p.grad = None
+        with T.Tape() as tape:
+            loss = T.kl_divergence(ref, forward(hybrid, x, scale_base=None))
+        tape.backward(loss)
+        return loss.data, [p.grad for p in hybrid.parameters()]
+
+    _assert_bitwise_as_built_and_fully_kept(monkeypatch, run)
+
+
+def _matmul_flop_in_backward(monkeypatch, model, tokens) -> int:
+    """FLOP of the ``T.matmul`` calls a taped forward's backward makes."""
+    flop, in_backward = [], []
+    real = T.matmul
+
+    def matmul(a, b):
+        out = real(a, b)
+        if in_backward:
+            flop.append(2 * out.data.size * a.shape[-1])
+        return out
+
+    monkeypatch.setattr(T, "matmul", matmul)
+    with T.Tape() as tape:
+        loss = T.sum_all(forward(model, tokens, scale_base=None))
+    in_backward.append(True)
+    tape.backward(loss)
+    monkeypatch.setattr(T, "matmul", real)
+    return sum(flop)
+
+
+def test_backward_rebuilds_the_projections_and_core_outputs_with_their_forward_gemms(
+        monkeypatch):
+    """The ``T.matmul`` FLOP that backward adds by rebuilding, against a tape
+    that keeps every array, is exactly one pass of the q, k, v and gate
+    projections and of each mixer core's forward GEMMs: per attention query
+    block the scores and the probabilities times V; per Lightning chunk the
+    inter-chunk product, the scores, the scores times V and the state
+    update."""
+    import hybridkit.mixers as mixers
+
+    monkeypatch.setattr(mixers, "_CHUNK", 4)
+    monkeypatch.setattr(mixers, "_QUERY_BLOCK", 4)
+    cfg = tiny_hybrid(L=3, I_attn=(1,))
+    model = init_model(cfg, seed=33)
+    B, t = 2, 9
+    tokens = Rng(20).integers(0, cfg.vocab, size=(B, t))
+    d, d_h, n_h = cfg.d, cfg.d_h, cfg.n_h
+
+    expected = 0
+    for l in range(cfg.L):
+        n_kv, gated = mixer_layout(cfg, l)
+        expected += 2 * B * t * d * (n_h + 2 * n_kv + (n_h if gated else 0)) * d_h
+        if l in cfg.I_attn:
+            for row0 in range(0, t, 4):
+                rows = min(4, t - row0)
+                expected += 2 * (2 * B * n_h * rows * (row0 + rows) * d_h)
+        else:
+            for lo in range(0, t, 4):
+                c = min(4, t - lo)
+                expected += 2 * B * n_h * (c * d_h * d_h + 2 * c * c * d_h + d_h * c * d_h)
+
+    built = _matmul_flop_in_backward(monkeypatch, model, tokens)
+    monkeypatch.setattr(T, "keep", lambda x: x.data)
+    kept = _matmul_flop_in_backward(monkeypatch, model, tokens)
+    assert built - kept == expected
+
+
+def test_backward_computes_each_gate_sigmoid_once(monkeypatch):
+    """A gate's sigmoid is rebuilt once in backward, and that one array
+    serves both the sigmoid's record and the gated output projection's:
+    ``T._sigmoid_np`` runs once per gated layer on the gate's width, beside
+    the MLP record's one run per layer on ffn_width."""
+    cfg = tiny_hybrid(L=3, I_attn=(1,))
+    assert cfg.ffn_width != cfg.n_h * cfg.d_h
+    model = init_model(cfg, seed=34)
+    tokens = Rng(21).integers(0, cfg.vocab, size=(2, 9))
+    widths, in_backward = [], []
+    real = T._sigmoid_np
+
+    def sigmoid_np(x):
+        if in_backward:
+            widths.append(x.shape[-1])
+        return real(x)
+
+    monkeypatch.setattr(T, "_sigmoid_np", sigmoid_np)
+    with T.Tape() as tape:
+        loss = T.sum_all(forward(model, tokens, scale_base=None))
+    in_backward.append(True)
+    tape.backward(loss)
+    gated = sum(mixer_layout(cfg, l)[1] for l in range(cfg.L))
+    assert sorted(widths) == sorted([cfg.n_h * cfg.d_h] * gated + [cfg.ffn_width] * cfg.L)
 
 
 def test_rebuilt_arrays_are_freed_once_their_layers_backward_has_run(monkeypatch):

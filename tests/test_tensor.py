@@ -362,6 +362,80 @@ def test_tape_rebuilds_a_norm_output_instead_of_keeping_it(mode):
     np.testing.assert_array_equal(w.grad, h_ref.reshape(-1, 5).T @ np.ones((8, 3), x.dtype))
 
 
+@BOTH_PRECISIONS
+def test_matmul_output_recipe_needs_a_tape_a_2d_b_and_an_a_with_a_recipe(mode, monkeypatch):
+    """A recorded ``matmul`` of an A that has a recipe against a 2-D B gets a
+    recipe, which rebuilds the output bit for bit with one call of the
+    public ``matmul``.  A batched B, an A without a recipe, no tape and
+    ``no_record`` each give none."""
+    T.set_precision(mode)
+    rng = Rng(40)
+    x = Tensor(rng.child(0).normal((2, 3, 5)), requires_grad=True)
+    gain = Tensor(rng.child(1).normal((5,)), requires_grad=True)
+    w = Tensor(rng.child(2).normal((5, 4)), requires_grad=True)
+    stacked = Tensor(rng.child(3).normal((2, 5, 4)), requires_grad=True)
+    with Tape():
+        a = T.rmsnorm(x, gain)
+        rows_3d, rows_2d = T.matmul(a, w), T.matmul(T.reshape(a, (6, 5)), w)
+        batched, plain = T.matmul(a, stacked), T.matmul(x, w)
+        with T.no_record():
+            unrecorded = T.matmul(a, w)
+    untaped = T.matmul(T.rmsnorm(x, gain), w)
+    assert all(y._recipe is None for y in (batched, plain, unrecorded, untaped))
+
+    calls = []
+    real = T.matmul
+    monkeypatch.setattr(T, "matmul", lambda a, b: calls.append(b.shape) or real(a, b))
+    for y in (rows_3d, rows_2d):
+        assert isinstance(T.keep(y), T.Recipe)
+        np.testing.assert_array_equal(T.unpack(T.keep(y)), y.data)
+    assert calls == [w.shape, w.shape]
+
+
+@BOTH_PRECISIONS
+def test_sigmoid_keeps_its_recipe_not_its_output(mode, monkeypatch):
+    """A recorded sigmoid of an input with a recipe holds no array beyond
+    that recipe's operands, and backward rebuilds the sigmoid once for its
+    own record and a ``gated_matmul`` that gates with it; the gradients are
+    those of a tape that keeps the sigmoid.  Of an input without a recipe
+    it keeps its output, as before."""
+    T.set_precision(mode)
+    rng = Rng(41)
+    x = Tensor(rng.child(0).normal((2, 3, 5)), requires_grad=True)
+    gain = Tensor(rng.child(1).normal((5,)), requires_grad=True)
+    w_z = Tensor(rng.child(2).normal((5, 5)), requires_grad=True)
+    w_o = Tensor(rng.child(3).normal((5, 4)), requires_grad=True)
+    leaves = (x, gain, w_z, w_o)
+
+    class LastRecord:
+        pass
+
+    def run():
+        for t in leaves:
+            t.grad = None
+        with Tape() as tape:
+            h = T.rmsnorm(x, gain)
+            s = T.sigmoid(T.matmul(h, w_z))
+            LastRecord._records = tape._records[-1:]
+            loss = T.sum_all(T.gated_matmul(h, s, w_o))
+        held = tape_held_bytes(LastRecord, leaves)
+        tape.backward(loss)
+        return s, held, [t.grad for t in leaves]
+
+    ran = []
+    real = T._sigmoid_np
+    monkeypatch.setattr(T, "_sigmoid_np", lambda z: ran.append(1) or real(z))
+    s, held, grads = run()
+    assert s._recipe is not None and len(ran) == 2  # the forward and one rebuild
+    assert held == 2 * 3 * np.dtype(T.active_dtype()).itemsize  # the inverse norm
+    monkeypatch.setattr(T, "keep", lambda t: t.data)
+    for got, want in zip(grads, run()[2], strict=True):
+        np.testing.assert_array_equal(got, want)
+    with Tape() as tape:
+        s = T.sigmoid(x)
+    assert s._recipe is None and tape_held_bytes(tape, [x]) == s.data.nbytes
+
+
 def test_tape_held_bytes_counts_arrays_held_only_through_a_recipe():
     """An array a record reaches only through a recipe counts, as an
     operand before the recipe runs and as its result after."""
