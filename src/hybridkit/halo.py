@@ -75,8 +75,9 @@ class TrainConfig:
         for name in ("batch_size", "context_len"):
             check_count(name, getattr(self, name), 1)
         for name in ("lr_max", "lr_min", "grad_clip", "weight_decay"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.lr_min > self.lr_max:
             raise ConfigError(f"lr_min {self.lr_min} exceeds lr_max {self.lr_max}")
         if self.warmup_steps > self.steps:
@@ -153,7 +154,8 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
 
 
 def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale all gradients so their global L2 norm is at most max_norm (0
+    turns clipping off); returns the norm before scaling."""
     sq = 0.0
     for p in params.values():
         if p.grad is not None:
@@ -280,7 +282,7 @@ def stage1_align_all(teacher: Model, layers: Sequence[int], stream: TokenStream,
     error on a fixed probe batch lands in each report's final_metrics.
     """
     check_transformer(teacher.cfg)
-    layers = [int(l) for l in layers]
+    layers = list(dict.fromkeys(int(l) for l in layers))  # each layer once
     seed_rng = Rng(cfg.seed, (17,))
     candidates: dict[int, MixerWeights] = {}
     opt_states: dict[int, AdamWState] = {}
@@ -306,7 +308,7 @@ def stage1_align_all(teacher: Model, layers: Sequence[int], stream: TokenStream,
     for step in range(cfg.steps):
         caps = capture_many(teacher, stream.batch(step)[:, :-1], layers)
         for l in layers:
-            x_in, y_ref = caps[l]
+            x_in, y_ref = caps.pop(l)  # freed once this layer's step has run
             _train_step(reports[l], params[l], opt_states[l], cfg, step,
                         partial(_candidate_loss, candidates[l], x_in.data, y_ref.data,
                                 teacher), t0)

@@ -45,12 +45,13 @@ columns).  So outputs equal the composition of generic ops bit for bit, a
 tracer of ``T.matmul`` still sees every mixer GEMM, and attention holds one
 block of scores at a time.  With no tape, neither keeps anything.
 - The chunked Lightning core keeps q, k, v and the start state s0
-  ([B, H, d_h, d_h]), and no per-chunk state.  Its backward first rebuilds
-  each chunk's starting state with one forward sweep from s0 over K and V,
-  running the forward's expressions, so the states are the forward's bit
-  for bit.  It then walks the chunks in reverse carrying dS, the state's
-  gradient, and recomputes the decay-masked intra-chunk scores (the
-  chunkwise backward of Lightning Attention-2, arXiv 2401.04658).
+  ([B, H, d_h, d_h]), and no per-chunk state.  One recipe re-runs
+  ``_lightning_scan`` once per backward: the output norm reads the output
+  from it, and the core's backward each chunk's starting state, the
+  forward's bit for bit (it also computes the final state, unread).
+  Backward walks the chunks in reverse carrying dS, the state's gradient,
+  and recomputes the decay-masked intra-chunk scores (the chunkwise
+  backward of Lightning Attention-2, arXiv 2401.04658).
 - The causal attention core keeps q, k and v, and no probabilities.  Its
   backward recomputes each query block's scores and softmax with the
   forward's calls, so it sees the forward's probabilities bit for bit, and
@@ -71,6 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -506,33 +508,29 @@ def _decay_tables(gammas: np.ndarray, c: int, dtype) -> tuple[np.ndarray, ...]:
 
 def _next_state(s: np.ndarray, kc: np.ndarray, vc: np.ndarray, g_rev: np.ndarray,
                 g_all: np.ndarray) -> np.ndarray:
-    """The Lightning state after chunk (kc, vc) from state s: the one update
-    that the chunked forward runs and its backward re-runs."""
+    """The Lightning state after chunk (kc, vc) from state s: the one state
+    update, run by ``_lightning_scan``."""
     return s * g_all + T.mm((kc * g_rev).swapaxes(-1, -2), vc)
 
 
 def _lightning_scan(Q, K, V, s0: np.ndarray, gammas: np.ndarray,
-                    chunk: int) -> tuple[np.ndarray, np.ndarray]:
+                    chunk: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """The Lightning recurrence over Q, K, V [B, H, T, d_h] from the state s0
-    in chunks of `chunk` tokens: (output, final state).  The one loop that
-    the core's forward runs and its output's recipe re-runs."""
+    in chunks of `chunk` tokens: (output, states), where states[i] is chunk
+    i's starting state and states[-1] the final one.  The one loop that the
+    core's forward runs and its recipe re-runs in backward."""
     dtype, t = Q.dtype, Q.shape[2]
-    s = s0
+    states = [s0]
     o = np.empty(Q.shape, dtype=dtype)
     for lo in range(0, t, chunk):
         hi = min(lo + chunk, t)
         g_in, g_mask, g_rev, g_all = _decay_tables(gammas, hi - lo, dtype)
         qc, kc, vc = Q[:, :, lo:hi], K[:, :, lo:hi], V[:, :, lo:hi]
-        inter = T.mm(qc * g_in, s)
+        inter = T.mm(qc * g_in, states[-1])
         intra = T.mm(T.mm(qc, kc.swapaxes(-1, -2)) * g_mask, vc)
         o[:, :, lo:hi] = inter + intra
-        s = _next_state(s, kc, vc, g_rev, g_all)
-    return o, s
-
-
-def _lightning_output(*args) -> np.ndarray:
-    """``_lightning_scan``'s output alone: the core output's recipe."""
-    return _lightning_scan(*args)[0]
+        states.append(_next_state(states[-1], kc, vc, g_rev, g_all))
+    return o, states
 
 
 def _lightning_chunks(q: Tensor, k: Tensor, v: Tensor, s0: np.ndarray,
@@ -540,28 +538,25 @@ def _lightning_chunks(q: Tensor, k: Tensor, v: Tensor, s0: np.ndarray,
     """One op: the Lightning recurrence over q, k, v [B, H, T, d_h] from the
     start state s0 in chunks of _CHUNK tokens; returns output and final state.
 
-    The record keeps q, k and v (or their recipes) and s0, and a recorded
-    output carries a recipe that re-runs the forward (``_lightning_scan``)
-    on them.  Backward first rebuilds each chunk's starting state with the
-    forward's state update, then walks the chunks in reverse carrying dS,
+    The record keeps q, k and v (or their recipes) and s0, and one recipe
+    re-runs the forward (``_lightning_scan``) on them: the recorded output
+    is read from its first item, and backward takes each chunk's starting
+    state from its second, then walks the chunks in reverse carrying dS,
     the gradient of the state after the chunk, and recomputes the
     decay-masked intra-chunk scores.
     """
     dtype, t, chunk = q.dtype, q.shape[2], _CHUNK
     s0 = np.asarray(s0, dtype=dtype)
-    o, s = _lightning_scan(q.data, k.data, v.data, s0, gammas, chunk)
+    o, states = _lightning_scan(q.data, k.data, v.data, s0, gammas, chunk)
     kq, kk, kv = T.keep(q), T.keep(k), T.keep(v)
+    scan = T.Recipe(_lightning_scan, (kq, kk, kv, s0, gammas, chunk))
 
     def backward(g):
+        starts = scan()[1]  # usually run already for the output's consumer
         Q, K, V = T.unpack(kq), T.unpack(kk), T.unpack(kv)
-        starts = [s0]  # each chunk's starting state, rebuilt
-        for lo in range(chunk, t, chunk):
-            _, _, g_rev, g_all = _decay_tables(gammas, chunk, dtype)
-            starts.append(_next_state(starts[-1], K[:, :, lo - chunk:lo],
-                                      V[:, :, lo - chunk:lo], g_rev, g_all))
         dq, dk, dv = (np.empty(Q.shape, dtype=dtype) for _ in range(3))
         ds = None  # gradient of the state after the chunk; none after the last
-        for i in reversed(range(len(starts))):
+        for i in reversed(range(len(starts) - 1)):
             lo = i * chunk
             hi = min(lo + chunk, t)
             g_in, g_mask, g_rev, g_all = _decay_tables(gammas, hi - lo, dtype)
@@ -580,7 +575,7 @@ def _lightning_chunks(q: Tensor, k: Tensor, v: Tensor, s0: np.ndarray,
         return dq, dk, dv
 
     return T.emit(o, list(zip((q, k, v), T.joint_vjps(3, backward))),
-                  (_lightning_output, (kq, kk, kv, s0, gammas, chunk))), s
+                  (itemgetter(0), (scan,))), states[-1]
 
 
 def lightning_forward_chunked(

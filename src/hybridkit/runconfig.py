@@ -37,11 +37,11 @@ train keys:
   schedule ("cosine")       "cosine" | "constant"
   warmup_steps (50)         linear warmup from 0, steps
   weight_decay (0.1)        decoupled weight decay
-  grad_clip (1.0)           global gradient-norm cap
+  grad_clip (1.0)           global gradient-norm cap; 0 turns clipping off
   seed (0)                  run seed (overridden by the global --seed flag)
   data ("niah_mix")         "niah_mix" | "grammar" stream kind
 Counts are integers: steps, warmup_steps and seed >= 0, batch_size and
-context_len >= 1.
+context_len >= 1.  The rates, decay and clip are >= 0, lr_min <= lr_max.
 
 halo keys: stage1/stage2/stage3 (sub-objects of the train keys other than
 data), plus

@@ -52,7 +52,9 @@ each, with a hand-written backward, are:
   recomputes the gate and up projections and their activation;
 - ``positional.rope_apply``: keeps the rotation table only;
 - the chunked Lightning core of ``mixers.lightning_forward_chunked``: keeps
-  q, k, v and the start state, and rebuilds each chunk's starting state;
+  q, k, v and the start state, and reads each chunk's starting state from
+  the ``Recipe`` that rebuilds its output, a scan that also makes the
+  final state backward never reads;
 - the causal block loop of ``mixers.attention_forward``: keeps q, k and v,
   and recomputes each query block's probabilities in backward.
 

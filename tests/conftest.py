@@ -156,3 +156,21 @@ def cached_tables() -> list:
 def tape_held_bytes(tape, params=()) -> int:
     """Bytes of the arrays `tape_held_arrays` finds, each base once."""
     return sum(a.nbytes for a in tape_held_arrays(tape, params).values())
+
+
+def mark_lightning_scans(monkeypatch) -> list:
+    """Patch ``mixers._lightning_scan`` so that the list returned is
+    non-empty exactly while a scan runs."""
+    from hybridkit import mixers
+
+    real, running = mixers._lightning_scan, []
+
+    def scan(*args):
+        running.append(True)
+        try:
+            return real(*args)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(mixers, "_lightning_scan", scan)
+    return running

@@ -377,6 +377,8 @@ BAD_TRAIN_VALUES = [
     ({"train": {"context_len": 0}}, "train: context_len"),
     ({"train": {"warmup_steps": -3}}, "train: warmup_steps"),
     ({"train": {"steps": -1, "warmup_steps": 0}}, "train: steps"),
+    ({"train": {"lr_max": -1.0, "lr_min": -2.0}}, "train: lr_max"),
+    ({"train": {"grad_clip": -1.0}}, "train: grad_clip"),
 ]
 BAD_HALO_VALUES = [
     ({"halo": {"rc_samples": -1}}, "halo.rc_samples"),
@@ -386,6 +388,7 @@ BAD_HALO_VALUES = [
     ({"halo": {"data": "nope"}}, "halo.data"),
     ({"halo": {"stage2": {"batch_size": 0}}}, "halo.stage2: batch_size"),
     ({"halo": {"stage3": {"seed": -4}}}, "halo.stage3: seed"),
+    ({"halo": {"stage1": {"weight_decay": -0.5}}}, "halo.stage1: weight_decay"),
 ]
 
 

@@ -79,19 +79,29 @@ def test_train_config_validation():
         TrainConfig(context_len=8, batch_size=1, steps=10, lr_max=1e-3, warmup_steps=11)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
-                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -0.5],
+                         ids=["nan", "inf", "-inf", "negative"])
 @pytest.mark.parametrize("field", ["lr_max", "lr_min", "grad_clip", "weight_decay"])
 def test_train_config_refuses_non_finite_floats_naming_the_field(field, value):
+    """A non-finite or negative rate, decay or clip is refused, naming the
+    field: a negative lr_max would ascend the loss, a negative grad_clip
+    turn clipping off."""
     from hybridkit.runconfig import RunConfig
 
-    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+    error = f"{field} must be finite and >= 0"
+    with pytest.raises(ConfigError, match=f"^{error}"):
         TrainConfig(**{"context_len": 8, "batch_size": 1, "steps": 10, "lr_max": 1e-3,
                        field: value})
-    with pytest.raises(ConfigError, match=f"^train: {field} must be finite"):
+    with pytest.raises(ConfigError, match=f"^train: {error}"):
         RunConfig({"train": {field: value}})
-    with pytest.raises(ConfigError, match=f"^halo.stage2: {field} must be finite"):
+    with pytest.raises(ConfigError, match=f"^halo.stage2: {error}"):
         RunConfig({"halo": {"stage2": {field: value}}})
+
+
+def test_train_config_takes_zero_rates_decay_and_clip():
+    cfg = TrainConfig(context_len=8, batch_size=1, steps=10, lr_max=0.0, lr_min=0.0,
+                      weight_decay=0.0, grad_clip=0.0)
+    assert (cfg.lr_max, cfg.lr_min, cfg.weight_decay, cfg.grad_clip) == (0.0,) * 4
 
 
 # --------------------------------------------------------------------------
@@ -342,6 +352,46 @@ def test_stage1_captures_the_probe_batch_once(monkeypatch):
     assert len(batches) == cfg.steps + 1
     for _, report in reports.values():
         assert set(report.final_metrics) >= {"mse_initial", "mse_final"}
+
+
+def test_stage1_frees_each_layers_capture_once_its_step_has_run(monkeypatch):
+    """A step's teacher captures are freed layer by layer: when layer j's
+    optimizer step starts, the captures of the layers before it in that step
+    are gone, and so are every earlier step's."""
+    import weakref
+
+    import hybridkit.halo as halo
+
+    teacher = tiny_teacher(L=3, seed=9)
+    real_capture, real_step = halo.capture_many, halo._train_step
+    probe, captured = [], []  # per step's capture: per layer, weakrefs to its arrays
+
+    def capture(model, tokens, layers):
+        caps = real_capture(model, tokens, layers)
+        if probe:  # the first capture is the probe batch's, kept on purpose
+            captured.append([[weakref.ref(t.data) for t in pair] for pair in caps.values()])
+        probe.append(True)
+        return caps
+
+    alive = []  # at each optimizer step, the layers whose captures are alive
+
+    def step(report, *args):
+        alive.append(sum(any(r() is not None for r in refs)
+                         for caps in captured for refs in caps))
+        return real_step(report, *args)
+
+    monkeypatch.setattr(halo, "capture_many", capture)
+    monkeypatch.setattr(halo, "_train_step", step)
+    cfg = TrainConfig(context_len=64, batch_size=2, steps=2, lr_max=1e-3, seed=4)
+    stage1_align_all(teacher, [0, 1, 2], stream_for(cfg), cfg)
+    assert alive == [3, 2, 1] * cfg.steps
+
+
+def test_stage1_trains_a_layer_named_twice_once():
+    teacher = tiny_teacher(L=2, seed=7)
+    cfg = TrainConfig(context_len=64, batch_size=2, steps=2, lr_max=1e-3, seed=4)
+    reports = stage1_align_all(teacher, [1, 1], stream_for(cfg), cfg)
+    assert list(reports) == [1] and len(reports[1][1].losses) == cfg.steps
 
 
 def test_stage1_rejects_non_attention_layer():

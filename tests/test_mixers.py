@@ -15,7 +15,7 @@ from hybridkit.mixers import (KvCache, MixerWeights, RecurrentState,
 from hybridkit.positional import RopeParams, ScaleBase, scale_vector
 from hybridkit.tensor import ConfigError, Rng, ShapeError, Tape, Tensor
 
-from conftest import max_rel_err, tape_held_bytes
+from conftest import mark_lightning_scans, max_rel_err, tape_held_bytes
 
 # Verbatim per-head decay values printed for 32 heads.
 GAMMA_TABLE_32 = [
@@ -959,32 +959,41 @@ def test_lightning_op_record_keeps_qkv_and_the_start_state(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["standard", "extended"])
-def test_lightning_backward_rebuilds_the_forwards_chunk_states_bit_for_bit(monkeypatch, mode):
-    """Backward's sweep from s0 passes through exactly the states the
-    forward passed through, bit for bit, and stops at the last chunk's
-    start."""
+@pytest.mark.parametrize("t", [3 * LIGHTNING_C + 2, 3 * LIGHTNING_C], ids=["partial", "whole"])
+@pytest.mark.parametrize("consumer", ["rmsnorm", "mul"])
+def test_lightning_backward_rebuilds_the_forwards_chunk_states_bit_for_bit(
+        monkeypatch, mode, t, consumer):
+    """Backward runs the chunk recurrence once, inside the rebuild's
+    ``_lightning_scan``, and that scan passes through exactly the states
+    the forward passed through, bit for bit, final state included.  The
+    scan runs for the output's consumer when it keeps the output's recipe
+    (an RMSNorm), and for the core's backward when nothing rebuilt the
+    output (``mul`` keeps its inputs' arrays)."""
     monkeypatch.setattr(mixers, "_CHUNK", LIGHTNING_C)
     T.set_precision(mode)
     rng = Rng(122)
-    b, h, t, d_h = 2, 3, 3 * LIGHTNING_C + 2, 5
+    b, h, d_h = 2, 3, 5
     q, k, v = _leaves(rng, *[(b, h, t, d_h)] * 3)
-    states = []
-    real = mixers._next_state
+    gain = Tensor(rng.child(8).normal((h, 1, d_h)), requires_grad=True)
+    states = []  # each state's bytes and whether a scan made it
+    real_state, in_scan = mixers._next_state, mark_lightning_scans(monkeypatch)
 
     def logged(s, *args):
-        out = real(s, *args)
-        states.append(out.tobytes())
+        out = real_state(s, *args)
+        states.append((out.tobytes(), bool(in_scan)))
         return out
 
     monkeypatch.setattr(mixers, "_next_state", logged)
     with Tape() as tape:
         o, _ = mixers._lightning_chunks(q, k, v, rng.child(9).normal((b, h, d_h, d_h)),
                                         gamma_slopes(h))
-        loss = T.sum_all(T.mul(o, o))
+        y = T.rmsnorm(o, gain) if consumer == "rmsnorm" else T.mul(o, o)
+        loss = T.sum_all(T.mul(y, y))
+    n_chunks = -(-t // LIGHTNING_C)
     forward_states = list(states)
-    assert len(forward_states) == 4
+    assert len(forward_states) == n_chunks
     tape.backward(loss)
-    assert states[4:] == forward_states[:3]
+    assert states[n_chunks:] == forward_states
 
 
 @pytest.mark.parametrize("mode", ["standard", "extended"])

@@ -14,7 +14,7 @@ from hybridkit.model import (DecodeSession, Model, ModelConfig, _swiglu,
 from hybridkit.positional import RopeParams, ScaleBase
 from hybridkit.tensor import ConfigError, Rng
 
-from conftest import (_base_array, cached_tables, max_rel_err,
+from conftest import (_base_array, cached_tables, mark_lightning_scans, max_rel_err,
                       reference_choice_logprobs, tape_held_arrays, tape_held_bytes)
 from test_mixers import attention_loop_oracle, lightning_cumsum_oracle, _np_rms
 
@@ -885,34 +885,67 @@ def test_a_desk_distillation_step_is_bitwise_the_fully_kept_tapes(monkeypatch):
     _assert_bitwise_as_built_and_fully_kept(monkeypatch, run)
 
 
-def _matmul_flop_in_backward(monkeypatch, model, tokens) -> int:
-    """FLOP of the ``T.matmul`` calls a taped forward's backward makes."""
-    flop, in_backward = [], []
+def test_a_desk_distillation_step_runs_each_lightning_recurrence_twice(monkeypatch):
+    """A stage-2 step at the desk config (T = 256: four chunks, six Lightning
+    layers) runs the chunk recurrence once per Lightning layer in the
+    forward and once in backward, in the scan that rebuilds the core's
+    output: 48 state updates, every one inside ``_lightning_scan``."""
+    import hybridkit.mixers as mixers
+    from hybridkit.data import StreamConfig, TokenStream
+
+    T.set_precision("standard")
+    teacher = init_model(transformer_config(), seed=1)
+    hybrid = init_hybrid_from_teacher(teacher, (0, 4), seed=1)
+    x = TokenStream(StreamConfig(kind="niah_mix", context_len=256, batch_size=1,
+                                 seed=1)).batch(0)[:, :-1]
+    calls = []  # per state update, whether a scan made it
+    real_state, in_scan = mixers._next_state, mark_lightning_scans(monkeypatch)
+
+    def next_state(*args):
+        calls.append(bool(in_scan))
+        return real_state(*args)
+
+    monkeypatch.setattr(mixers, "_next_state", next_state)
+    ref = forward(teacher, x).data
+    with T.Tape() as tape:
+        loss = T.kl_divergence(ref, forward(hybrid, x, scale_base=None))
+    assert calls == [True] * 24
+    tape.backward(loss)
+    assert calls == [True] * 48
+
+
+def _matmul_flop_in_backward(monkeypatch, model, tokens) -> tuple[int, int]:
+    """FLOP of the ``T.matmul`` calls a taped forward's backward makes: in
+    all, and the part made inside ``mixers._lightning_scan``."""
+    flop, scan_flop, in_backward = [], [], []
     real = T.matmul
 
     def matmul(a, b):
         out = real(a, b)
         if in_backward:
-            flop.append(2 * out.data.size * a.shape[-1])
+            (scan_flop if in_scan else flop).append(2 * out.data.size * a.shape[-1])
         return out
 
-    monkeypatch.setattr(T, "matmul", matmul)
-    with T.Tape() as tape:
-        loss = T.sum_all(forward(model, tokens, scale_base=None))
-    in_backward.append(True)
-    tape.backward(loss)
-    monkeypatch.setattr(T, "matmul", real)
-    return sum(flop)
+    with monkeypatch.context() as m:
+        in_scan = mark_lightning_scans(m)
+        m.setattr(T, "matmul", matmul)
+        with T.Tape() as tape:
+            loss = T.sum_all(forward(model, tokens, scale_base=None))
+        in_backward.append(True)
+        tape.backward(loss)
+    return sum(flop) + sum(scan_flop), sum(scan_flop)
 
 
 def test_backward_rebuilds_the_projections_and_core_outputs_with_their_forward_gemms(
         monkeypatch):
     """The ``T.matmul`` FLOP that backward adds by rebuilding, against a tape
     that keeps every array, is exactly one pass of the q, k, v and gate
-    projections and of each mixer core's forward GEMMs: per attention query
-    block the scores and the probabilities times V; per Lightning chunk the
-    inter-chunk product, the scores, the scores times V and the state
-    update."""
+    projections and of the attention core's forward GEMMs: per query block
+    the scores and the probabilities times V.  Either way, backward runs
+    each Lightning core's forward GEMMs exactly once, in the scan that
+    rebuilds its output and hands its chunk states to the core's gradient:
+    per chunk the inter-chunk product, the scores, the scores times V and
+    the state update."""
     import hybridkit.mixers as mixers
 
     monkeypatch.setattr(mixers, "_CHUNK", 4)
@@ -923,7 +956,7 @@ def test_backward_rebuilds_the_projections_and_core_outputs_with_their_forward_g
     tokens = Rng(20).integers(0, cfg.vocab, size=(B, t))
     d, d_h, n_h = cfg.d, cfg.d_h, cfg.n_h
 
-    expected = 0
+    expected = scan = 0
     for l in range(cfg.L):
         n_kv, gated = mixer_layout(cfg, l)
         expected += 2 * B * t * d * (n_h + 2 * n_kv + (n_h if gated else 0)) * d_h
@@ -934,12 +967,13 @@ def test_backward_rebuilds_the_projections_and_core_outputs_with_their_forward_g
         else:
             for lo in range(0, t, 4):
                 c = min(4, t - lo)
-                expected += 2 * B * n_h * (c * d_h * d_h + 2 * c * c * d_h + d_h * c * d_h)
+                scan += 2 * B * n_h * (c * d_h * d_h + 2 * c * c * d_h + d_h * c * d_h)
 
-    built = _matmul_flop_in_backward(monkeypatch, model, tokens)
+    built, built_scan = _matmul_flop_in_backward(monkeypatch, model, tokens)
     monkeypatch.setattr(T, "keep", lambda x: x.data)
-    kept = _matmul_flop_in_backward(monkeypatch, model, tokens)
+    kept, kept_scan = _matmul_flop_in_backward(monkeypatch, model, tokens)
     assert built - kept == expected
+    assert built_scan == kept_scan == scan
 
 
 def test_backward_computes_each_gate_sigmoid_once(monkeypatch):
@@ -984,8 +1018,9 @@ def test_rebuilt_arrays_are_freed_once_their_layers_backward_has_run(monkeypatch
     def call(self):
         fresh = self._value is None
         out = real_call(self)
-        if fresh:
-            made.append(weakref.ref(out))
+        if fresh:  # a Lightning core's scan is (output, chunk states)
+            arrays = [out[0], *out[1]] if isinstance(out, tuple) else [out]
+            made.extend(weakref.ref(a) for a in arrays)
         return out
 
     alive_before_layer_0 = []
