@@ -64,8 +64,9 @@ from their recipes (see ``tensor``), so a core's record holds no array of
 its own but the Lightning start state.  Each core's recorded output
 carries a recipe that re-runs its forward loop on those, so the output
 norm or projection that reads it keeps no copy either: the q, k, v and
-gate projections and the core output are rebuilt once per layer in
-backward.
+gate projections, the core output, the gate sigmoid and the gated product
+the output projection reads (plain ``T.mul`` and ``T.matmul``) are
+rebuilt once per layer in backward.
 """
 
 from __future__ import annotations
@@ -274,14 +275,14 @@ def _qkv_heads(xq: Tensor, x: Tensor, w: MixerWeights, rope: RopeParams | None,
 def _finish_output(x: Tensor, o_heads: Tensor, w: MixerWeights) -> Tensor:
     """Per-head output norm, sigmoid gate, and output projection.
 
-    The gate and the projection are one ``gated_matmul``: a tape keeps the
-    merged heads and the gate, never their product.
+    On a tape the merged heads, the gate and their product each carry a
+    recipe, so the tape keeps none of the three: backward rebuilds them.
     """
     if w.out_gain is not None:
         o_heads = T.rmsnorm(o_heads, w.out_gain)
     o = _merge_heads(o_heads)
     if w.w_z is not None:
-        return T.gated_matmul(o, T.sigmoid(T.matmul(x, w.w_z)), T.swap_last(w.w_o))
+        o = T.mul(o, T.sigmoid(T.matmul(x, w.w_z)))
     return T.matmul(o, T.swap_last(w.w_o))
 
 

@@ -363,9 +363,9 @@ def _swiglu(m: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
     """The MLP, silu(m @ w_gate) * (m @ w_up) @ w_down, as one op that keeps
     no ffn_width-wide array.
 
-    The forward runs the public ``matmul``, ``silu`` and ``gated_matmul``
-    outside the tape, so its value (and anything that wraps those ops) is
-    the composition's.  The record keeps m (the pre-MLP norm's recipe) and
+    The forward runs the public ``matmul``, ``silu`` and ``mul`` outside
+    the tape, so its value (and anything that wraps those ops) is the
+    composition's.  The record keeps m (the pre-MLP norm's recipe) and
     the three weights.  Backward, once for all four inputs, rebuilds m,
     recomputes a = m @ w_gate and b = m @ w_up through ``matmul`` and then
     silu(a), and evaluates each gradient as the composition's vjps do, so
@@ -374,7 +374,7 @@ def _swiglu(m: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
     a tape, or under ``no_record``, it keeps nothing.
     """
     with T.no_record():
-        y = T.gated_matmul(T.silu(T.matmul(m, w_gate)), T.matmul(m, w_up), w_down)
+        y = T.matmul(T.mul(T.silu(T.matmul(m, w_gate)), T.matmul(m, w_up)), w_down)
     km = T.keep(m)
     Wg, Wu, Wd = w_gate.data, w_up.data, w_down.data
     f, d = Wd.shape

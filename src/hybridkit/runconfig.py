@@ -60,14 +60,16 @@ from pathlib import Path
 
 from .data import STREAM_KINDS
 from .halo import HaloConfig, TrainConfig
-from .model import ModelConfig
+from .model import ModelConfig, desk_config
 from .positional import RopeParams, ScaleBase, check_rope_head_dim
 from .tensor import ConfigError
 
+# the desk model's sizes, so that an empty model section builds desk_config()
+_DESK = desk_config()
 MODEL_DEFAULTS = {
-    "arch": "hypenet", "L": 8, "d": 256, "d_h": 64, "n_h": 4, "n_kv_heads": 2,
-    "ffn_width": 768, "vocab": 512, "rope_theta": 50_000.0, "I_attn": None,
-    "scale_base": None,
+    **{k: getattr(_DESK, k) for k in ("arch", "L", "d", "d_h", "n_h", "n_kv_heads",
+                                      "ffn_width", "vocab")},
+    "rope_theta": _DESK.rope.theta, "I_attn": None, "scale_base": None,
 }
 
 # the keys TrainConfig reads; a halo stage section accepts only these

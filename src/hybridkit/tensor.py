@@ -12,10 +12,7 @@ A tape holds only what backward reads: per op, its gradient closures
 needs) and its inputs, as node numbers for tensors the tape produced or as
 the Tensors themselves for leaves.  It holds no op output, so an
 activation that no closure reads is freed as soon as the caller drops it,
-and backward drops each op's closures as soon as it has run them.  A
-product that only feeds a projection is not kept either: ``gated_matmul``
-records a * b @ w as one op, and backward recomputes the product from a and
-b, which the tape holds anyway.
+and backward drops each op's closures as soon as it has run them.
 
 What a tape keeps, and what it rebuilds:
 - Kept: the residual stream, as the input of each norm that reads it (the
@@ -27,19 +24,21 @@ What a tape keeps, and what it rebuilds:
   builds one over ``keep(x)``, the inverse norm and the gain; ``matmul``
   against a 2-D B (a weight), ``sigmoid``, ``reshape``, ``permute``,
   ``mul_const`` and ``positional.rope_apply`` build one when their input
-  has one, and each mixer core builds one that re-runs its forward.  So
-  the norms' outputs, the q, k, v and gate projections, rotated and scaled
-  q and k, the gate sigmoids, the cores' outputs and merged output heads
-  are rebuilt, not kept.  A rebuilt GEMM runs through the public
-  ``matmul`` (``mm``), so a tracer of it counts the recompute.
+  has one, ``mul`` when either input has one, and each mixer core builds
+  one that re-runs its forward.  So the norms' outputs, the q, k, v and
+  gate projections, rotated and scaled q and k, the gate sigmoids, the
+  cores' outputs, merged output heads and the gated product that feeds
+  the output projection are rebuilt, not kept.  A rebuilt GEMM runs
+  through the public ``matmul`` (``mm``), so a tracer of it counts the
+  recompute.
 - The SwiGLU MLP (``model._swiglu``) is one record that keeps only its
   input's recipe and its weights and recomputes its gate and up
   projections in backward, so none of its ffn_width-wide activations is
   kept.
 - A consumer that keeps an input for backward keeps ``keep(x)``, the
   input's recipe in place of its array when it has one: ``matmul``'s A,
-  ``rmsnorm``'s x, ``sigmoid``'s own output, ``gated_matmul``'s a and b,
-  the q, k and v of the two mixer cores, and the MLP's input.  It reads
+  ``rmsnorm``'s x, ``sigmoid``'s own output, ``mul``'s a and b, the q, k
+  and v of the two mixer cores, and the MLP's input.  It reads
   the array back with ``unpack``.  A recipe runs once per backward, on the
   forward's own operands, so its result is the forward's bit for bit; it
   is memoised until the last record that holds it is popped.
@@ -47,7 +46,6 @@ Untaped computation builds no recipe: ``Tape.record`` attaches them.
 
 Ops outside this module are written on ``emit``, the same way.  One record
 each, with a hand-written backward, are:
-- ``gated_matmul`` (here): keeps a, b and w, recomputes a * b;
 - the SwiGLU MLP, ``model._swiglu``: keeps its input and weights,
   recomputes the gate and up projections and their activation;
 - ``positional.rope_apply``: keeps the rotation table only;
@@ -440,9 +438,15 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product.  The record keeps ``keep(a)`` and ``keep(b)``,
+    and a recorded output carries the recipe a * b when either input has
+    one, so a consumer that keeps the product (``matmul``'s A) keeps none
+    of the three arrays."""
     _check_same_shape(a, b, "mul")
-    A, B = a.data, b.data
-    return emit(A * B, [(a, lambda g: g * B), (b, lambda g: g * A)])
+    ka, kb = keep(a), keep(b)
+    recipe = None if a._recipe is None and b._recipe is None else (np.multiply, (ka, kb))
+    return emit(a.data * b.data,
+                [(a, lambda g: g * unpack(kb)), (b, lambda g: g * unpack(ka))], recipe)
 
 
 def mul_const(x: Tensor, arr: np.ndarray) -> Tensor:
@@ -485,7 +489,8 @@ def sigmoid(x: Tensor) -> Tensor:
 
     A recorded output carries a recipe when x has one, and the record reads
     the sigmoid back through that same recipe, so a consumer that keeps it
-    too (``gated_matmul``'s gate) shares one rebuild and no copy is kept.
+    too (the ``mul`` of the mixers' output gate) shares one rebuild and no
+    copy is kept.
     """
     def dx(g):
         s = unpack(ks)  # the output, kept as its own recipe when it has one
@@ -507,7 +512,8 @@ def silu(x: Tensor) -> Tensor:
 
     def dx(g):
         # s + x * s * (1 - s) = s + out * (1 - s), built on one buffer; reading
-        # out (which the gating mul keeps anyway) instead of x lets x go
+        # out (which a mul that gates with it keeps anyway) instead of x lets
+        # x go
         d = 1.0 - s
         d *= out
         d += s
@@ -635,43 +641,6 @@ def mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     stands for, and a tracer of ``matmul`` sees every one."""
     with no_record():
         return matmul(Tensor(A, dtype=A.dtype), Tensor(B, dtype=B.dtype)).data
-
-
-def gated_matmul(a: Tensor, b: Tensor, w: Tensor) -> Tensor:
-    """matmul(mul(a, b), w) for a 2-D w, as one record that keeps no product.
-
-    The forward runs the public ``mul`` and ``matmul`` outside the tape, so
-    their values (and anything that wraps them) are unchanged.  The record
-    keeps a and b (or their recipes) and w; backward forms g @ w.T once for
-    both gates' gradients and recomputes a * b for w's gradient only.
-    Every gradient is the expression ``mul`` and ``matmul`` evaluate, so
-    results are bit-identical to the composition.
-    """
-    _check_same_shape(a, b, "gated_matmul")
-    if w.ndim != 2:
-        raise ShapeError(f"gated_matmul needs a 2-D weight, got {w.shape}")
-    with no_record():
-        out = matmul(mul(a, b), w).data
-    ka, kb, W = keep(a), keep(b), w.data
-    k, n = W.shape
-    a_shape = a.shape
-    gp: list[np.ndarray] = []  # g @ w.T, shared by da and db
-
-    def grad_product(g):
-        if not gp:
-            gp.append((g.reshape(-1, n) @ W.T).reshape(a_shape))
-        return gp[0]
-
-    def da(g):
-        return grad_product(g) * unpack(kb)
-
-    def db(g):
-        return grad_product(g) * unpack(ka)
-
-    def dw(g):
-        return (unpack(ka) * unpack(kb)).reshape(-1, k).T @ g.reshape(-1, n)
-
-    return emit(out, [(a, da), (b, db), (w, dw)])
 
 
 # --------------------------------------------------------------------------

@@ -157,6 +157,39 @@ def test_checkpoint_save_that_fails_leaves_the_earlier_file(tmp_path, monkeypatc
     assert load_tensors(path)[0] == {"kind": "x"}
 
 
+def test_write_atomic_syncs_the_file_before_the_rename_and_the_directory_after(
+        tmp_path, monkeypatch):
+    """The temporary file, with every byte written, is synced to disk
+    before it is renamed over path, and the directory after, so a crash of
+    the machine right after a save cannot leave path truncated."""
+    import stat
+
+    from hybridkit.fileio import write_atomic
+
+    path = tmp_path / "m.ckpt"
+    data = bytes(range(256)) * 64
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", stat.S_ISDIR(st.st_mode), st.st_ino, st.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", Path(src), Path(dst), os.stat(src).st_ino))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    write_atomic(path, lambda f: f.write(data))
+    tmp_ino = events[1][3]
+    assert events[0] == ("fsync", False, tmp_ino, len(data))
+    assert events[1][:3] == ("replace", tmp_path / "m.ckpt.tmp", path)
+    assert events[2][:3] == ("fsync", True, os.stat(tmp_path).st_ino)
+    assert len(events) == 3 and path.read_bytes() == data
+
+
 def _write_scores_and_selection(path, version):
     """cli._select over a stubbed selection, writing beside `path`."""
     import hybridkit.halo as halo
@@ -238,6 +271,10 @@ def test_runconfig_unknown_section(tmp_path):
     p.write_text(json.dumps({"nonsense": {}}))
     with pytest.raises(ConfigError, match="nonsense"):
         load_run_config(p)
+
+
+def test_runconfig_model_defaults_are_the_desk_model():
+    assert RunConfig({}).model == desk_config()
 
 
 def test_runconfig_arch_defaults():

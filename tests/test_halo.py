@@ -552,29 +552,6 @@ def test_stage2_with_the_teacher_off_the_tape_computes_the_same_numbers(monkeypa
     assert off_tape == on_tape
 
 
-@pytest.mark.parametrize("mode", ["standard", "extended"])
-def test_stage2_with_gated_matmul_computes_the_unfused_numbers(mode, monkeypatch):
-    """gated_matmul in the MLP and the mixers' output gate changes what the
-    tape keeps, not what it computes: five stage-2 steps give the losses,
-    gradient norms and weights of matmul(mul(a, b), w)."""
-    from hybridkit.model import init_hybrid_from_teacher
-
-    T.set_precision(mode)
-    teacher = tiny_teacher(L=4, seed=9)
-    cfg = TrainConfig(context_len=64, batch_size=2, steps=5, lr_max=1e-3,
-                      warmup_steps=1, seed=7)
-
-    def run():
-        hybrid = init_hybrid_from_teacher(teacher, (1,), seed=1)
-        report = stage2_distill(teacher, hybrid, stream_for(cfg), cfg)
-        return (report.losses, report.grad_norms, report.final_metrics,
-                hybrid.state_bytes())
-
-    fused = run()
-    monkeypatch.setattr(T, "gated_matmul", lambda a, b, w: T.matmul(T.mul(a, b), w))
-    assert fused == run()
-
-
 def _cli_train(tmp_path, mode):
     """Three steps of `hybridkit train` on a tiny transformer: each step's
     (loss, gradient norm) from its report, and the checkpoint's bytes."""

@@ -605,7 +605,7 @@ def test_teacher_untouched_by_surgery():
 
 def _composed_mlp(m, w_gate, w_up, w_down):
     """The SwiGLU MLP as the ops it is made of, each recorded on its own."""
-    return T.gated_matmul(T.silu(T.matmul(m, w_gate)), T.matmul(m, w_up), w_down)
+    return T.matmul(T.mul(T.silu(T.matmul(m, w_gate)), T.matmul(m, w_up)), w_down)
 
 
 def _mlp_operands(mode, shape=(2, 3, 5), x_grad=True, seed=23):
@@ -714,8 +714,8 @@ def test_mlp_record_keeps_only_its_inputs_recipe_and_its_weights(mode):
 def test_training_tape_keeps_no_gated_product(mode, monkeypatch):
     """Per layer, the tape holds neither the gated mixer output o * sigmoid(z)
     ([B, T, n_h * d_h]) nor its two factors (each kept as a recipe):
-    against the unfused composition, whose ``mul`` keeps both factors'
-    arrays and whose ``matmul`` keeps the product, it holds exactly three
+    against a ``mul`` that keeps both factors' arrays and builds no recipe,
+    so that the output projection keeps the product, it holds exactly three
     [B, T, n_h * d_h] arrays less per layer.  Either way the MLP record
     keeps no ffn_width-wide array."""
     import hybridkit.mixers as mixers
@@ -736,11 +736,15 @@ def test_training_tape_keeps_no_gated_product(mode, monkeypatch):
         tape.backward(loss)
         return sum(a.nbytes for a in arrays.values())
 
-    fused = held()
-    monkeypatch.setattr(T, "gated_matmul", lambda a, b, w: T.matmul(T.mul(a, b), w))
-    unfused = held()
+    def array_mul(a, b):
+        A, B = a.data, b.data
+        return T.emit(A * B, [(a, lambda g: g * B), (b, lambda g: g * A)])
+
+    rebuilt = held()
+    monkeypatch.setattr(T, "mul", array_mul)
+    kept = held()
     itemsize = np.dtype(T.active_dtype()).itemsize
-    assert unfused - fused == cfg.L * B * t * 3 * cfg.n_h * cfg.d_h * itemsize
+    assert kept - rebuilt == cfg.L * B * t * 3 * cfg.n_h * cfg.d_h * itemsize
 
 
 def _per_token_tape_bytes(cfg, B: int) -> int:

@@ -396,9 +396,9 @@ def test_matmul_output_recipe_needs_a_tape_a_2d_b_and_an_a_with_a_recipe(mode, m
 def test_sigmoid_keeps_its_recipe_not_its_output(mode, monkeypatch):
     """A recorded sigmoid of an input with a recipe holds no array beyond
     that recipe's operands, and backward rebuilds the sigmoid once for its
-    own record and a ``gated_matmul`` that gates with it; the gradients are
-    those of a tape that keeps the sigmoid.  Of an input without a recipe
-    it keeps its output, as before."""
+    own record and the ``mul`` that gates with it ahead of a projection;
+    the gradients are those of a tape that keeps the sigmoid.  Of an input
+    without a recipe it keeps its output, as before."""
     T.set_precision(mode)
     rng = Rng(41)
     x = Tensor(rng.child(0).normal((2, 3, 5)), requires_grad=True)
@@ -417,7 +417,7 @@ def test_sigmoid_keeps_its_recipe_not_its_output(mode, monkeypatch):
             h = T.rmsnorm(x, gain)
             s = T.sigmoid(T.matmul(h, w_z))
             LastRecord._records = tape._records[-1:]
-            loss = T.sum_all(T.gated_matmul(h, s, w_o))
+            loss = T.sum_all(T.matmul(T.mul(h, s), w_o))
         held = tape_held_bytes(LastRecord, leaves)
         tape.backward(loss)
         return s, held, [t.grad for t in leaves]
@@ -536,11 +536,7 @@ def test_outer_tape_tensor_is_a_leaf_of_an_inner_tape(mode):
 
 
 # --------------------------------------------------------------------------
-# gated_matmul
-
-def unfused_gated_matmul(a, b, w):
-    return T.matmul(T.mul(a, b), w)
-
+# the gated projection: matmul(mul(a, b), w)
 
 def _gated_operands(mode, a_shape, seed=21):
     T.set_precision(mode)
@@ -555,102 +551,81 @@ def _gated_operands(mode, a_shape, seed=21):
 
 @BOTH_PRECISIONS
 @pytest.mark.parametrize("a_shape", [(4, 5), (2, 3, 5)])
-def test_gated_matmul_finite_diff(mode, a_shape):
-    """The loss is linear in each single entry of a, b and w, so a large step
+@pytest.mark.parametrize("weight", ["leaf", "swap_last"])
+def test_gated_projection_finite_diff(mode, a_shape, weight):
+    """matmul(mul(a, b), w) passes the oracle for a, b and w, with w a leaf
+    and, as in the mixers' output projection, swap_last of a parameter.
+    The loss is linear in each single entry of a, b and w, so a large step
     leaves only rounding in the central difference, even in f32."""
     a, b, w, r = _gated_operands(mode, a_shape)
+    if weight == "swap_last":
+        w = Tensor(np.ascontiguousarray(w.data.T), requires_grad=True)
+
+    def loss(a, b, w):
+        w = T.swap_last(w) if weight == "swap_last" else w
+        return T.sum_all(T.mul(T.matmul(T.mul(a, b), w), r))
+
     step, tol = (0.5, 1e-3) if mode == "standard" else (1e-4, 1e-7)
-    assert T.finite_diff_check(
-        lambda t: T.sum_all(T.mul(T.gated_matmul(t, b, w), r)), a, step=step) < tol
-    assert T.finite_diff_check(
-        lambda t: T.sum_all(T.mul(T.gated_matmul(a, t, w), r)), b, step=step) < tol
-    assert T.finite_diff_check(
-        lambda t: T.sum_all(T.mul(T.gated_matmul(a, b, t), r)), w, step=step) < tol
-
-
-def _gated_run(op, a, b, w, r):
-    for t in (a, b, w):
-        t.grad = None
-    with Tape() as tape:
-        out = op(a, b, w)
-        loss = T.sum_all(T.mul(out, r))
-    tape.backward(loss)
-    return out.data, [t.grad for t in (a, b, w)]
+    assert T.finite_diff_check(lambda t: loss(t, b, w), a, step=step) < tol
+    assert T.finite_diff_check(lambda t: loss(a, t, w), b, step=step) < tol
+    assert T.finite_diff_check(lambda t: loss(a, b, t), w, step=step) < tol
 
 
 @BOTH_PRECISIONS
-@pytest.mark.parametrize("a_shape", [(4, 5), (2, 3, 5)])
-def test_gated_matmul_is_bitwise_the_composition(mode, a_shape):
-    a, b, w, r = _gated_operands(mode, a_shape)
-    out, grads = _gated_run(T.gated_matmul, a, b, w, r)
-    ref_out, ref_grads = _gated_run(unfused_gated_matmul, a, b, w, r)
-    np.testing.assert_array_equal(out, ref_out)
-    for g, ref in zip(grads, ref_grads):
-        assert g.dtype == ref.dtype
-        np.testing.assert_array_equal(g, ref)
+def test_mul_of_recipe_inputs_keeps_neither_input_nor_the_product(mode, monkeypatch):
+    """The mixers' output gate on a tape: ``mul`` of a norm output and a
+    ``sigmoid``, both carrying recipes, keeps their recipes, not their
+    arrays, and its product carries a recipe, so the output projection that
+    reads it keeps no product.  Once the caller drops them, all three
+    arrays are freed before backward runs, and the gradients are those of
+    a tape that keeps every array."""
+    T.set_precision(mode)
+    rng = Rng(42)
+    x = Tensor(rng.child(0).normal((2, 3, 5)), requires_grad=True)
+    gain = Tensor(rng.child(1).normal((5,)), requires_grad=True)
+    w_z = Tensor(rng.child(2).normal((5, 5)), requires_grad=True)
+    w_o = Tensor(rng.child(3).normal((4, 5)), requires_grad=True)
+    leaves = (x, gain, w_z, w_o)
 
-
-@BOTH_PRECISIONS
-def test_gated_matmul_keeps_no_product_after_the_forward(mode, monkeypatch):
-    a, b, w, r = _gated_operands(mode, (2, 3, 5))
-    real_mul, products = T.mul, []
-
-    def watched_mul(x, y):
-        out = real_mul(x, y)
-        products.append(weakref.ref(out.data))
-        return out
-
-    monkeypatch.setattr(T, "mul", watched_mul)
-    with Tape() as tape:
-        out = T.gated_matmul(a, b, w)
-        assert len(products) == 1 and products[0]() is None
-        loss = T.sum_all(T.mul(out, r))
-    tape.backward(loss)
-    monkeypatch.undo()
-    _, ref_grads = _gated_run(unfused_gated_matmul, a, b, w, r)
-    for t, ref in zip((a, b, w), ref_grads):
-        np.testing.assert_array_equal(t.grad, ref)
-
-
-@BOTH_PRECISIONS
-def test_gated_matmul_accepts_a_non_leaf_weight(mode):
-    """The mixers' output projection: w is swap_last of a parameter."""
-    a, b, _, r = _gated_operands(mode, (2, 3, 5))
-    w_o = Tensor(Rng(22).normal((3, 5)), requires_grad=True)
-
-    def run(op):
-        for t in (a, b, w_o):
+    def run():
+        for t in leaves:
             t.grad = None
         with Tape() as tape:
-            loss = T.sum_all(T.mul(op(a, b, T.swap_last(w_o)), r))
+            h = T.rmsnorm(x, gain)
+            s = T.sigmoid(T.matmul(h, w_z))
+            p = T.mul(h, s)
+            y = T.matmul(p, T.swap_last(w_o))
+            arrays = [weakref.ref(t.data) for t in (h, s, p)]
+            recipe = p._recipe
+            del h, s, p
+            loss = T.sum_all(y)
+        freed = [a() is None for a in arrays]
         tape.backward(loss)
-        return [t.grad for t in (a, b, w_o)]
+        return freed, recipe, [t.grad for t in leaves]
 
-    for g, ref in zip(run(T.gated_matmul), run(unfused_gated_matmul)):
-        np.testing.assert_array_equal(g, ref)
+    freed, recipe, grads = run()
+    assert freed == [True, True, True] and recipe is not None
+    monkeypatch.setattr(T, "keep", lambda t: t.data)
+    for got, want in zip(grads, run()[2], strict=True):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
-def test_gated_matmul_rejects_bad_operands():
+def test_mul_without_recipe_inputs_builds_no_recipe():
+    """A product of arrays the tape keeps anyway needs no recipe: with no
+    input carrying one, the output carries none."""
+    a, b, _, _ = _gated_operands("extended", (2, 3, 5))
+    with Tape():
+        p = T.mul(a, b)
+    assert p._tape is not None and p._recipe is None
+
+
+def test_mul_rejects_operands_of_another_shape_or_dtype():
     a = T.tensor(np.ones((2, 4)))
-    w = T.tensor(np.ones((4, 3)))
-    with pytest.raises(ShapeError):
-        T.gated_matmul(a, T.tensor(np.ones((2, 3))), w)
-    with pytest.raises(ShapeError):
-        T.gated_matmul(a, Tensor(np.ones((2, 4)), dtype=np.float32), w)
-    with pytest.raises(ShapeError):
-        T.gated_matmul(a, a, T.tensor(np.ones((1, 4, 3))))
-    with pytest.raises(ShapeError):
-        T.gated_matmul(a, a, T.tensor(np.ones(4)))
-
-
-def test_gated_matmul_records_nothing_under_no_record():
-    a, b, w, _ = _gated_operands("extended", (2, 3, 5))
-    with Tape() as tape:
-        with T.no_record():
-            out = T.gated_matmul(a, b, w)
-    assert out._tape is None and not out.requires_grad
-    assert tape._records == []
-    np.testing.assert_array_equal(out.data, unfused_gated_matmul(a, b, w).data)
+    with pytest.raises(ShapeError, match="identical shapes"):
+        T.mul(a, T.tensor(np.ones((2, 3))))
+    with pytest.raises(ShapeError, match="identical dtypes"):
+        T.mul(a, Tensor(np.ones((2, 4)), dtype=np.float32))
 
 
 # --------------------------------------------------------------------------

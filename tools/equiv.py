@@ -17,8 +17,13 @@ The battery calls public functions only:
 - halo: a tiny `hybridkit halo` run (a 2-layer teacher trained 4 steps,
   seed 2) in f32 and f64: scores.tsv, selection.json, the stage-1 mixers and
   every checkpoint, byte for byte (the reports hold wall times and are left
-  out).
-`--tiny` runs the halo part alone, in a few seconds.
+  out);
+- infer: on the desk teacher and hybrid (seed 1) in f32 and f64, the logits
+  of a B=2, T=700 `prefill` (two prompt chunks), full and `last_only`, 12
+  `generate_greedy` tokens after B=2, 64-token prompts, and the
+  `choice_logprobs` of 6 cloze samples; tiny_infer takes the same outputs
+  of the halo run's trained teacher and final hybrid.
+`--tiny` runs the halo and tiny_infer parts alone, in a few seconds.
 
 The digests go to --out as one JSON object, artifact name -> SHA-256 (stdout
 without --out).  With --against REV the battery runs on this checkout and on
@@ -129,6 +134,37 @@ def layer_select(seed: int) -> str:
     return sha(np.asarray(scores, dtype=np.float64).tobytes())
 
 
+def inference(**models) -> dict[str, str]:
+    """What each model computes at inference on seed-1 inputs (see the
+    module docstring), keyed by its name."""
+    import hybridkit.model as hm
+    from hybridkit.evals import gen_csr_proxy
+    from hybridkit.tensor import Rng
+
+    cloze = gen_csr_proxy(1, 6)
+    digests = {}
+    for name, model in models.items():
+        tokens = Rng(1).integers(0, model.cfg.vocab, size=(2, 700))
+        full = hm.prefill(model, hm.new_session(model, batch=2), tokens)
+        last = hm.prefill(model, hm.new_session(model, batch=2), tokens, last_only=True)
+        greedy = hm.generate_greedy(model, tokens[:, :64], 12)
+        logprobs = hm.choice_logprobs(model, cloze.prefixes, cloze.choices)
+        digests.update({f"{name}/prefill": sha(full.data.tobytes()),
+                        f"{name}/prefill_last": sha(last.data.tobytes()),
+                        f"{name}/greedy": sha(greedy.tobytes()),
+                        f"{name}/choice_logprobs": sha(logprobs.tobytes())})
+    return digests
+
+
+def desk_inference(precision: str) -> dict[str, str]:
+    import hybridkit.model as hm
+    import hybridkit.tensor as T
+
+    T.set_precision(precision)
+    teacher = hm.init_model(hm.transformer_config(), 1)
+    return inference(teacher=teacher, hybrid=hm.init_hybrid_from_teacher(teacher, (0, 4), 1))
+
+
 def halo_run(precision: str, work: Path) -> dict[str, str]:
     from hybridkit.cli import main
 
@@ -146,6 +182,16 @@ def halo_run(precision: str, work: Path) -> dict[str, str]:
     return {p.name: sha(p.read_bytes()) for p in files}
 
 
+def tiny_inference(precision: str, work: Path) -> dict[str, str]:
+    """`inference` of the teacher and final hybrid that `halo_run` wrote."""
+    import hybridkit.tensor as T
+    from hybridkit.checkpoint import load_model
+
+    T.set_precision(precision)
+    return inference(teacher=load_model(work / "teacher.ckpt"),
+                     hybrid=load_model(work / "halo" / "final.ckpt"))
+
+
 def battery(tiny: bool) -> dict[str, str]:
     digests: dict[str, str] = {}
 
@@ -155,6 +201,7 @@ def battery(tiny: bool) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         for name, precision in PRECISIONS.items():
             add(f"halo/{name}", halo_run(precision, Path(tmp) / name))
+            add(f"tiny_infer/{name}", tiny_inference(precision, Path(tmp) / name))
     if not tiny:
         for seed in (1, 2, 3):
             add(f"distill/f32/seed{seed}", distill(seed, "standard"))
@@ -162,6 +209,7 @@ def battery(tiny: bool) -> dict[str, str]:
         add("distill/f64/seed1", distill(1, "extended"))
         for name, precision in PRECISIONS.items():
             add(f"ce/{name}", cross_entropy(precision))
+            add(f"infer/{name}", desk_inference(precision))
     return dict(sorted(digests.items()))
 
 
