@@ -572,6 +572,53 @@ def test_gated_projection_finite_diff(mode, a_shape, weight):
 
 
 @BOTH_PRECISIONS
+@pytest.mark.parametrize("a_shape", [(4, 5), (2, 3, 5)])
+def test_gated_projection_is_bitwise_the_hand_written_gradients(mode, a_shape):
+    """The composition's output and gradients are, bit for bit, the
+    expressions of a hand-written gated projection: (a * b) @ w, with
+    g @ w.T shared by da = (g @ w.T) * b and db = (g @ w.T) * a, and
+    dw = (a * b).T @ g over the flattened rows."""
+    a, b, w, r = _gated_operands(mode, a_shape)
+    with Tape() as tape:
+        out = T.matmul(T.mul(a, b), w)
+        loss = T.sum_all(T.mul(out, r))
+    tape.backward(loss)
+
+    A, B, W, g = a.data, b.data, w.data, r.data
+    k, n = W.shape
+    grad_product = (g.reshape(-1, n) @ W.T).reshape(a_shape)
+    expected = {
+        "out": ((A * B).reshape(-1, k) @ W).reshape(a_shape[:-1] + (n,)),
+        "a": grad_product * B,
+        "b": grad_product * A,
+        "w": (A * B).reshape(-1, k).T @ g.reshape(-1, n),
+    }
+    got = {"out": out.data, "a": a.grad, "b": b.grad, "w": w.grad}
+    for name, want in expected.items():
+        assert got[name].dtype == want.dtype, name
+        np.testing.assert_array_equal(got[name], want, err_msg=name)
+
+
+def test_mul_of_recipe_inputs_records_nothing_under_no_record():
+    """Under ``no_record`` a ``mul`` whose inputs carry recipes is neither
+    recorded nor given a recipe, and its value is the plain product."""
+    rng = Rng(43)
+    x = Tensor(rng.child(0).normal((2, 3, 5)), requires_grad=True)
+    gain = Tensor(rng.child(1).normal((5,)), requires_grad=True)
+    w_z = Tensor(rng.child(2).normal((5, 5)), requires_grad=True)
+    with Tape() as tape:
+        h = T.rmsnorm(x, gain)
+        s = T.sigmoid(T.matmul(h, w_z))
+        assert h._recipe is not None and s._recipe is not None
+        n_records = len(tape._records)
+        with T.no_record():
+            p = T.mul(h, s)
+    assert p._tape is None and not p.requires_grad and p._recipe is None
+    assert len(tape._records) == n_records
+    np.testing.assert_array_equal(p.data, h.data * s.data)
+
+
+@BOTH_PRECISIONS
 def test_mul_of_recipe_inputs_keeps_neither_input_nor_the_product(mode, monkeypatch):
     """The mixers' output gate on a tape: ``mul`` of a norm output and a
     ``sigmoid``, both carrying recipes, keeps their recipes, not their
